@@ -10,11 +10,18 @@ of it.
 A run is logically sequential; only per-tensor work inside one step may be
 parallelized. Independent runs (e.g. sweep cells) can execute concurrently
 with isolated states.
+
+Every step is elementwise apart from the batch gather, so independent runs
+that share a config can also execute as one: with ``replica_seeds`` each
+tensor carries a leading replica axis, and replica r walks its own shuffle
+stream through the same loop. A plain run is the one-replica case, with the
+axis added as a view of the stacked ingredients.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -224,21 +231,31 @@ def _resolve_pivot_init(
     return init.weights, ordered
 
 
-def _epoch_batches(
-    sweep_size: int, cfg: EnsembleConfig, epoch: int
-) -> list[np.ndarray]:
-    if cfg.shuffle:
-        perm = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_SHUFFLE, epoch).permutation(sweep_size)
-    else:
-        perm = np.arange(sweep_size)
-    return [perm[i : i + cfg.batch_size] for i in range(0, sweep_size, cfg.batch_size)]
+def _epoch_order(sweep_size: int, cfg: EnsembleConfig, seeds: list[int], epoch: int) -> np.ndarray:
+    """The (replicas, sweep_size) visiting order of one epoch; replica r shuffles with seeds[r]."""
+    if not cfg.shuffle:
+        return np.broadcast_to(np.arange(sweep_size), (len(seeds), sweep_size))
+    streams = [rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE, epoch) for seed in seeds]
+    return np.stack([stream.permutation(sweep_size) for stream in streams])
 
 
 def run_ensemble(
-    cfg: EnsembleConfig, ingredients: Sequence[Ingredient]
+    cfg: EnsembleConfig,
+    ingredients: Sequence[Ingredient],
+    *,
+    replica_seeds: Sequence[int] | None = None,
 ) -> tuple[WeightMap, RunRecord]:
-    """Execute the full merge loop and return the final model plus its log."""
-    return _run(cfg, ingredients, evaluate=None)
+    """Execute the full merge loop and return the final model plus its log.
+
+    With ``replica_seeds``, len(replica_seeds) independent runs execute as
+    one: every tensor (ingredients, a provided pivot, the result) carries a
+    leading replica axis of that length, and replica r shuffles with
+    replica_seeds[r] in place of cfg.seed. Replica r of the result equals a
+    plain run on replica r's slices, bit for bit. Greedy acceptance,
+    projection and per-step logs reduce over a whole map, so they need a
+    single replica.
+    """
+    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds)
 
 
 def greedy_run(
@@ -250,17 +267,56 @@ def greedy_run(
 
     After each optimizer step the candidate is scored; unless the metric
     strictly improves, the model, the optimizer state, and the pivot are all
-    restored to their pre-step snapshots.
+    restored to their pre-step snapshots. An evaluator that raises or
+    returns NaN aborts the run with an EngineError carrying the partial log.
     """
     if evaluate is None:
         raise EngineError("greedy_run requires a metric evaluator")
     return _run(cfg, ingredients, evaluate=evaluate)
 
 
+def _score(
+    evaluate: Callable[[WeightMap], float], w: WeightMap, where: str, record: RunRecord
+) -> float:
+    try:
+        metric = float(evaluate(w))
+    except Exception as exc:
+        raise EngineError(f"greedy evaluator failed {where}: {exc}", record=record) from exc
+    if math.isnan(metric):
+        raise EngineError(f"greedy evaluator returned NaN {where}", record=record)
+    return metric
+
+
+def _check_replicas(
+    cfg: EnsembleConfig, sample: WeightMap, replica_seeds: Sequence[int] | None
+) -> list[int]:
+    """Per-replica shuffle seeds, after checking that the run can carry them."""
+    if replica_seeds is None:
+        return [cfg.seed]
+    seeds = [int(seed) for seed in replica_seeds]
+    if not seeds:
+        raise EngineError("replica_seeds must name at least one replica")
+    for name, arr in sample.arrays().items():
+        if arr.shape[:1] != (len(seeds),):
+            raise EngineError(
+                f"tensor {name!r} of shape {arr.shape} has no leading replica axis "
+                f"of length {len(seeds)}"
+            )
+    # Greedy acceptance is the third whole-map reduction; greedy_run takes no replicas.
+    whole_map = {"projection": cfg.projection is not None, "record_steps": cfg.record_steps}
+    for feature, used in whole_map.items():
+        if used and len(seeds) > 1:
+            raise EngineError(
+                f"{feature} reduces over a whole map and needs a single replica, got {len(seeds)}"
+            )
+    return seeds
+
+
 def _run(
     cfg: EnsembleConfig,
     ingredients: Sequence[Ingredient],
     evaluate: Callable[[WeightMap], float] | None,
+    replica_seeds: Sequence[int] | None = None,
 ) -> tuple[WeightMap, RunRecord]:
     items = list(ingredients)
     if not items:
@@ -270,6 +326,7 @@ def _run(
         dup = sorted({i for i in ids if ids.count(i) > 1})[0]
         raise EngineError(f"duplicate ingredient id {dup!r}")
     validate_compatible([ing.weights for ing in items])
+    seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
 
     ordered = order_ingredients(items, cfg.ordering)
     w, sweep = _resolve_pivot_init(cfg, ordered)
@@ -282,10 +339,17 @@ def _run(
         )
     n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
 
-    # Stack the sweep once per tensor so batch means are single reductions.
+    # Stack the sweep once per tensor as (ingredient, replica, element), a view
+    # of the stacked copy, so a batch mean is one gather and one reduction.
     names = list(w.arrays())
+    shapes = {name: arr.shape for name, arr in w.arrays().items()}
+    replicas = np.arange(len(seeds))
     stacked = {
-        name: np.stack([ing.weights.array(name) for ing in sweep]) if sweep else None
+        name: np.stack([ing.weights.array(name) for ing in sweep]).reshape(
+            len(sweep), len(seeds), math.prod(shapes[name]) // len(seeds)
+        )
+        if sweep
+        else None
         for name in names
     }
     sweep_ids = [ing.id for ing in sweep]
@@ -295,17 +359,20 @@ def _run(
     pivot = w
     adaptive = isinstance(cfg.pivot_policy, AdaptivePivot)
     ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
-    best_metric = evaluate(w) if evaluate is not None else None
+    best_metric = (
+        _score(evaluate, w, "for the initial model", record) if evaluate is not None else None
+    )
     attempt = 0
 
     for epoch in range(1, cfg.epochs + 1):
         if not sweep:
             break
-        for step_in_epoch, batch_idx in enumerate(_epoch_batches(len(sweep), cfg, epoch), 1):
+        order = _epoch_order(len(sweep), cfg, seeds, epoch)
+        for step_in_epoch, start in enumerate(range(0, len(sweep), cfg.batch_size), 1):
+            batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
             attempt += 1
             global_step = state.step + 1
             sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
-            eta = schedule_eval(cfg.optimizer.variant.lr, sched_idx)
             zeta = schedule_eval(cfg.amplification, global_step)
 
             if adaptive:
@@ -313,12 +380,11 @@ def _run(
             factor = np.float32(zeta / n_div)
             g_arrays: dict[str, np.ndarray] = {}
             for name in names:
-                batch_mean = stacked[name][batch_idx].mean(axis=0, dtype=np.float32)
-                arr = (pivot.array(name) - batch_mean) * factor
+                batch_mean = stacked[name][batch_idx, replicas].mean(axis=0, dtype=np.float32)
+                arr = (pivot.array(name) - batch_mean.reshape(shapes[name])) * factor
                 arr.setflags(write=False)
                 g_arrays[name] = arr
-            batch_ids = tuple(sweep_ids[i] for i in batch_idx)
-            g = Pseudogradient(WeightMap._wrap(g_arrays), step=global_step, ingredient_ids=batch_ids)
+            g = Pseudogradient(WeightMap._wrap(g_arrays), step=global_step)
 
             snapshot = (w, state.clone(), pivot) if evaluate is not None else None
             w_new = optimizer_step(w, g, state, cfg.optimizer, schedule_step=sched_idx)
@@ -328,20 +394,15 @@ def _run(
             metric: float | None = None
             accepted: bool | None = None
             if evaluate is not None:
-                try:
-                    metric = float(evaluate(w_new))
-                except Exception as exc:
-                    raise EngineError(
-                        f"greedy evaluator failed at step {attempt}: {exc}", record=record
-                    ) from exc
+                metric = _score(evaluate, w_new, f"at step {attempt}", record)
                 accepted = metric > best_metric
             if cfg.record_steps:
                 record.steps.append(
                     StepRecord(
                         step=attempt,
                         epoch=epoch,
-                        batch_ids=batch_ids,
-                        eta=eta,
+                        batch_ids=tuple(sweep_ids[i] for i in batch_idx[:, 0]),
+                        eta=schedule_eval(cfg.optimizer.variant.lr, sched_idx),
                         zeta=zeta,
                         grad_norm=global_l2_norm(g.values),
                         displacement=l2_distance(w_new, w),

@@ -202,46 +202,60 @@ def _population_cached(kind: str, dimension: int, mean: float, scale: float, n: 
     return pts
 
 
-def _trial_estimates(cfg: TrialConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
+def _trial_estimates(cfg: TrialConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Soup and merged estimates, float64 (len(trials), d), for a run of trials.
+
+    Each trial draws its subsample and then its shuffle seed from the stream
+    (seed, trial index); the trials merge together as replicas of one engine
+    run, and each replica's result equals that of a run on its own.
+    """
     dist = cfg.distribution
     pts = _population_cached(
         dist.kind, dist.dimension, dist.mean, dist.scale, cfg.population_size, cfg.seed
     )
-    rng = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_TRIAL, trial)
-    idx = rng.choice(cfg.population_size, size=cfg.subsample_size, replace=False)
-    idx.sort()  # population order, so a full-size subsample reproduces it exactly
-    sample = pts[idx]
-
+    samples, seeds = [], []
+    for trial in trials:
+        rng = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_TRIAL, trial)
+        idx = rng.choice(cfg.population_size, size=cfg.subsample_size, replace=False)
+        idx.sort()  # population order, so a full-size subsample reproduces it exactly
+        samples.append(pts[idx])
+        seeds.append(int(rng.integers(0, 2**63)))
+    # (point, trial, coordinate): ingredient i is the i-th point of every trial.
+    stacked = np.stack(samples, axis=1)
+    stacked.setflags(write=False)
     ingredients = [
-        Ingredient(id=f"p{i:05d}", weights=WeightMap._wrap({"point": sample[i]}))
+        Ingredient(id=f"p{i:05d}", weights=WeightMap._wrap({"point": stacked[i]}))
         for i in range(cfg.subsample_size)
     ]
     # Same float64 sequential-mean path as the population statistics, so a
     # full-size subsample reproduces the population mean bit for bit.
-    soup_est = sequential_mean(sample)
+    soup_est = sequential_mean(stacked)
 
-    init = WeightMap({"point": np.asarray(cfg.init_point, dtype=np.float32)})
+    init = np.asarray(cfg.init_point, dtype=np.float32)
+    init = np.broadcast_to(init, (len(trials), dist.dimension))
     run_cfg = EnsembleConfig(
         optimizer=cfg.optimizer,
         pivot_policy=AdaptivePivot(),
-        pivot_init=ProvidedInit(init),
+        pivot_init=ProvidedInit(WeightMap._wrap({"point": init})),
         n_divisor=None,
         epochs=cfg.ensemble_epochs,
         batch_size=cfg.batch_size,
         shuffle=cfg.shuffle,
-        seed=int(rng.integers(0, 2**63)),
         ordering="given",
         record_steps=False,
     )
-    merged, _ = run_ensemble(run_cfg, ingredients)
-    return soup_est.astype(np.float64), merged.array("point").astype(np.float64)
+    merged, _ = run_ensemble(run_cfg, ingredients, replica_seeds=seeds)
+    return soup_est, merged.array("point").astype(np.float64)
 
 
 def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
     """Repeated subsample-and-merge trials against one fixed population.
 
-    Each trial owns the stream (seed, trial index): results are identical for
-    any worker count, and are merged in trial order.
+    Each trial owns the stream (seed, trial index) for its subsample and its
+    shuffle seed. All trials run as replicas of a single engine run, one
+    (trials, d) iterate; with workers > 1 each worker process runs one
+    contiguous chunk of trials that way. Rows are identical for any worker
+    count and come back in trial order.
     """
     dist = cfg.distribution
     pts = _population_cached(
@@ -251,16 +265,21 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
     pop_median = np.median(pts.astype(np.float64), axis=0)
     reference = pop_median if dist.kind == "cauchy" else pop_mean
 
+    workers = max(1, min(workers, cfg.trials))
+    bounds = [cfg.trials * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(_trial_estimates, [cfg] * cfg.trials, range(cfg.trials)))
+            parts = list(pool.map(_trial_estimates, [cfg] * workers, chunks))
     else:
-        estimates = [_trial_estimates(cfg, t) for t in range(cfg.trials)]
+        parts = [_trial_estimates(cfg, chunks[0])]
+    soups = np.concatenate([soup_est for soup_est, _ in parts])
+    ames = np.concatenate([ame_est for _, ame_est in parts])
 
     rows = []
-    for trial, (soup_est, ame_est) in enumerate(estimates):
+    for trial, (soup_est, ame_est) in enumerate(zip(soups, ames)):
         rows.append(
             EstimatorRow(
                 trial=trial,

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from soupstock.engine import (
     EnsembleConfig,
     Ingredient,
     IngredientInit,
+    Projection,
     ProvidedInit,
     SoupInit,
     greedy_run,
@@ -404,3 +406,134 @@ def test_greedy_evaluator_failure_carries_partial_log():
         greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=flaky)
     assert excinfo.value.record is not None
     assert len(excinfo.value.record.steps) == 1
+
+
+def test_greedy_nan_on_initial_model_raises():
+    ingredients = make_ingredients(seed=26, count=4)
+    with pytest.raises(EngineError, match="NaN for the initial model") as excinfo:
+        greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=lambda m: float("nan"))
+    assert excinfo.value.record is not None
+    assert excinfo.value.record.steps == []
+
+
+def test_greedy_nan_at_step_three_raises_with_partial_log():
+    ingredients = make_ingredients(seed=27, count=4)
+    calls = {"n": 0}
+
+    def scorer(m):
+        calls["n"] += 1  # call 1 scores the initial model, call k + 1 scores step k
+        return float("nan") if calls["n"] == 4 else float(calls["n"])
+
+    with pytest.raises(EngineError, match="NaN at step 3") as excinfo:
+        greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=scorer)
+    assert [s.step for s in excinfo.value.record.steps] == [1, 2]
+    assert all(s.accepted for s in excinfo.value.record.steps)
+
+
+# --- replica axis ---------------------------------------------------------------------------
+
+REPLICA_SEEDS = [41, 7, 1234567, 2**62 + 3]
+REPLICA_VARIANTS = [
+    GD(lr=Harmonic(offset=0)),
+    Adagrad(lr=Constant(0.3), eps=1e-8),
+    Adam(lr=Constant(0.2), beta1=0.5, beta2=0.9, eps=1e-8),
+    Adadelta(lr=Constant(0.8), rho=0.9, eps=1e-6),
+]
+
+
+def replica_ingredients(count, replicas=len(REPLICA_SEEDS)):
+    """One ingredient set per replica, plus the same sets stacked on a leading replica axis."""
+    sets = [make_ingredients(300 + r, count, low=-2.0, high=2.0) for r in range(replicas)]
+    stacked = [
+        Ingredient(sets[0][i].id, stack_replicas([s[i].weights for s in sets]))
+        for i in range(count)
+    ]
+    return sets, stacked
+
+
+def stack_replicas(maps):
+    return WeightMap({name: np.stack([m.array(name) for m in maps]) for name in maps[0]})
+
+
+def replica(m, r):
+    return WeightMap({name: arr[r] for name, arr in m.arrays().items()})
+
+
+@pytest.mark.parametrize("variant", REPLICA_VARIANTS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("policy", [AdaptivePivot(), EmaPivot(decay=0.7)], ids=["adaptive", "ema"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_replicas_match_separate_runs_bit_for_bit(variant, shuffle, policy, weight_decay):
+    sets, stacked = replica_ingredients(count=7)
+    cfg = gd_cfg(
+        optimizer=OptimizerSpec(variant, weight_decay=weight_decay),
+        pivot_policy=policy,
+        pivot_init=SoupInit(),
+        n_divisor=None,
+        epochs=3,
+        batch_size=3,
+        shuffle=shuffle,
+        record_steps=False,
+    )
+    merged, record = run_ensemble(cfg, stacked, replica_seeds=REPLICA_SEEDS)
+    for r, seed in enumerate(REPLICA_SEEDS):
+        single, single_record = run_ensemble(replace(cfg, seed=seed), sets[r])
+        assert replica(merged, r) == single
+        assert record.total_steps == single_record.total_steps == 9
+
+
+def test_replicas_with_provided_pivot_and_wide_batches():
+    # Batches of 9 reach the length where numpy sums a lone axis pairwise, and
+    # the conftest schema has a 0-d tensor whose batch is such an axis.
+    sets, stacked = replica_ingredients(count=20)
+    pivot = random_weightmaps(seed=301, count=1, low=-3, high=3)[0]
+    replicated = WeightMap._wrap(
+        {
+            name: np.broadcast_to(arr, (len(REPLICA_SEEDS), *arr.shape))
+            for name, arr in pivot.arrays().items()
+        }
+    )
+    cfg = gd_cfg(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.2, beta2=0.2, eps=1e-8)),
+        pivot_init=ProvidedInit(replicated),
+        n_divisor=None,
+        epochs=2,
+        batch_size=9,
+        shuffle=True,
+        record_steps=False,
+    )
+    merged, _ = run_ensemble(cfg, stacked, replica_seeds=REPLICA_SEEDS)
+    for r, seed in enumerate(REPLICA_SEEDS):
+        single_cfg = replace(cfg, seed=seed, pivot_init=ProvidedInit(pivot))
+        single, _ = run_ensemble(single_cfg, sets[r])
+        assert replica(merged, r) == single
+
+
+def test_single_replica_seed_list_matches_plain_run():
+    sets, stacked = replica_ingredients(count=5, replicas=1)
+    cfg = gd_cfg(shuffle=True, seed=99, epochs=2, batch_size=2)
+    merged, record = run_ensemble(cfg, stacked, replica_seeds=[99])
+    single, single_record = run_ensemble(cfg, sets[0])
+    assert replica(merged, 0) == single
+    assert [s.batch_ids for s in record.steps] == [s.batch_ids for s in single_record.steps]
+
+
+def test_replicas_reject_whole_map_reductions():
+    _, stacked = replica_ingredients(count=4)
+    seeds = REPLICA_SEEDS
+    with pytest.raises(EngineError, match="record_steps"):
+        run_ensemble(gd_cfg(), stacked, replica_seeds=seeds)
+    center = WeightMap({name: np.zeros_like(a) for name, a in stacked[0].weights.arrays().items()})
+    projected = gd_cfg(record_steps=False, projection=Projection(center, 1.0))
+    with pytest.raises(EngineError, match="projection"):
+        run_ensemble(projected, stacked, replica_seeds=seeds)
+    with pytest.raises(TypeError):
+        greedy_run(gd_cfg(record_steps=False), stacked, lambda m: 0.0, replica_seeds=seeds)
+
+
+def test_replicas_need_a_leading_axis_per_seed():
+    _, stacked = replica_ingredients(count=4)
+    with pytest.raises(EngineError, match="replica axis of length 3"):
+        run_ensemble(gd_cfg(record_steps=False), stacked, replica_seeds=[1, 2, 3])
+    with pytest.raises(EngineError, match="at least one replica"):
+        run_ensemble(gd_cfg(record_steps=False), stacked, replica_seeds=[])

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from soupstock import rng as rng_mod
+from soupstock.engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from soupstock.optim import Adadelta, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant
 from soupstock.synthlab import (
@@ -290,11 +292,44 @@ def test_estimator_gap_shrinks_with_gentler_adam():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def per_trial_estimates(cfg: TrialConfig) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """(soup, merged) per trial, each trial merged by its own plain engine run."""
+    pts = sample_population(cfg.distribution, cfg.population_size, cfg.seed)
+    init = WeightMap({"point": np.asarray(cfg.init_point, dtype=np.float32)})
+    out = []
+    for trial in range(cfg.trials):
+        rng = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_TRIAL, trial)
+        idx = np.sort(rng.choice(cfg.population_size, size=cfg.subsample_size, replace=False))
+        sample = pts[idx]
+        ingredients = [Ingredient(f"p{i:05d}", WeightMap({"point": x})) for i, x in enumerate(sample)]
+        run_cfg = EnsembleConfig(
+            optimizer=cfg.optimizer,
+            pivot_init=ProvidedInit(init),
+            epochs=cfg.ensemble_epochs,
+            batch_size=cfg.batch_size,
+            shuffle=cfg.shuffle,
+            seed=int(rng.integers(0, 2**63)),
+            ordering="given",
+            record_steps=False,
+        )
+        merged, _ = run_ensemble(run_cfg, ingredients)
+        soup = tuple(float(v) for v in sequential_mean(sample))
+        out.append((soup, tuple(float(v) for v in merged.array("point"))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "gaussian"])
+def test_estimator_trials_match_per_trial_engine_runs(kind):
+    cfg = small_trial_config(kind, trials=5, batch_size=7)
+    rows = run_estimator_trials(cfg).rows
+    assert [(r.soup, r.ame) for r in rows] == per_trial_estimates(cfg)
+
+
 def test_estimator_worker_pool_matches_serial():
     cfg = small_trial_config("gaussian", trials=4)
     serial = run_estimator_trials(cfg, workers=1)
-    parallel = run_estimator_trials(cfg, workers=2)
-    assert serial.rows == parallel.rows
+    for workers in (2, 3):
+        assert run_estimator_trials(cfg, workers=workers).rows == serial.rows
 
 
 def test_trial_config_validation():
