@@ -156,9 +156,12 @@ def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingr
 
 
 def _run_merge_cell(
-    cfg: MergeConfig, base_dir: str, out_dir: str, force_greedy: bool
+    cfg: MergeConfig,
+    base_dir: str,
+    out_dir: str,
+    force_greedy: bool,
+    ingredients: list[Ingredient],
 ) -> tuple[str, str]:
-    ingredients = _load_ingredients(cfg, base_dir)
     engine_cfg = _build_engine_config(cfg, base_dir, ingredients)
     greedy: GreedySpec = cfg.greedy
     if force_greedy and not greedy.enabled:
@@ -188,10 +191,21 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
     out_dir = args.out if args.out is not None else base_dir
 
     if len(cells) == 1 and not cells[0][0]:
-        out_ckpt, out_log = _run_merge_cell(cells[0][1], base_dir, out_dir, force_greedy)
+        ingredients = _load_ingredients(cells[0][1], base_dir)
+        out_ckpt, out_log = _run_merge_cell(
+            cells[0][1], base_dir, out_dir, force_greedy, ingredients
+        )
         _say(args, f"merged -> {out_ckpt} (log {out_log})")
         return 0
 
+    # Sweep paths all start with "ensemble.", so every cell shares the
+    # ingredient list and metrics CSV: load them once. A load failure fails
+    # every cell, as it would if each cell loaded them itself.
+    load_error: Exception | None = None
+    try:
+        ingredients = _load_ingredients(cells[0][1], base_dir)
+    except Exception as exc:  # recorded per cell below
+        load_error = exc
     manifest: list[dict[str, Any]] = []
     failures = 0
     for overrides, cell_cfg in cells:
@@ -199,7 +213,11 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
         cell_dir = os.path.join(out_dir, name)
         entry: dict[str, Any] = {"cell": name, "overrides": overrides}
         try:
-            out_ckpt, out_log = _run_merge_cell(cell_cfg, base_dir, cell_dir, force_greedy)
+            if load_error is not None:
+                raise load_error
+            out_ckpt, out_log = _run_merge_cell(
+                cell_cfg, base_dir, cell_dir, force_greedy, ingredients
+            )
             entry["status"] = "ok"
             entry["checkpoint"] = os.path.relpath(out_ckpt, out_dir)
             entry["log"] = os.path.relpath(out_log, out_dir)

@@ -7,15 +7,17 @@ configured optimizer. The pivot evolves per policy: fixed at the
 initialization, tracking the latest iterate, or an exponential moving average
 of it.
 
-A run is logically sequential; only per-tensor work inside one step may be
-parallelized. Independent runs (e.g. sweep cells) can execute concurrently
-with isolated states.
+A run is logically sequential. Independent runs (e.g. sweep cells) can
+execute concurrently with isolated states. Each step works on the maps' flat
+buffers: a plain run sums its batch straight from the ingredient buffers, and
+every iterate is checked to be finite (a NaN/Inf aborts the run with an
+EngineError naming the step and batch).
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
 tensor carries a leading replica axis, and replica r walks its own shuffle
-stream through the same loop. A plain run is the one-replica case, with the
-axis added as a view of the stacked ingredients.
+stream through the same loop. Only then is the sweep stacked into one
+(ingredient, element) array, so that a batch is one gather.
 """
 
 from __future__ import annotations
@@ -35,13 +37,15 @@ from .pseudograd import (
     EmaPivot,
     FixedPivot,
     PivotPolicy,
-    Pseudogradient,
     Schedule,
+    pseudogradient,
     schedule_eval,
     soup,
 )
 from .weightstore import (
+    Schema,
     WeightMap,
+    blocks,
     global_l2_norm,
     l2_distance,
     validate_compatible,
@@ -296,10 +300,11 @@ def _check_replicas(
     seeds = [int(seed) for seed in replica_seeds]
     if not seeds:
         raise EngineError("replica_seeds must name at least one replica")
-    for name, arr in sample.arrays().items():
-        if arr.shape[:1] != (len(seeds),):
+    schema = sample.schema()
+    for name, shape in zip(schema.names, schema.shapes):
+        if shape[:1] != (len(seeds),):
             raise EngineError(
-                f"tensor {name!r} of shape {arr.shape} has no leading replica axis "
+                f"tensor {name!r} of shape {shape} has no leading replica axis "
                 f"of length {len(seeds)}"
             )
     # Greedy acceptance is the third whole-map reduction; greedy_run takes no replicas.
@@ -339,19 +344,8 @@ def _run(
         )
     n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
 
-    # Stack the sweep once per tensor as (ingredient, replica, element), a view
-    # of the stacked copy, so a batch mean is one gather and one reduction.
-    names = list(w.arrays())
-    shapes = {name: arr.shape for name, arr in w.arrays().items()}
-    replicas = np.arange(len(seeds))
-    stacked = {
-        name: np.stack([ing.weights.array(name) for ing in sweep]).reshape(
-            len(sweep), len(seeds), math.prod(shapes[name]) // len(seeds)
-        )
-        if sweep
-        else None
-        for name in names
-    }
+    schema = w.schema()
+    batch_mean = _batch_mean_fn(sweep, schema, len(seeds))
     sweep_ids = [ing.id for ing in sweep]
 
     state = OptimizerState()
@@ -377,17 +371,16 @@ def _run(
 
             if adaptive:
                 pivot = w
-            factor = np.float32(zeta / n_div)
-            g_arrays: dict[str, np.ndarray] = {}
-            for name in names:
-                batch_mean = stacked[name][batch_idx, replicas].mean(axis=0, dtype=np.float32)
-                arr = (pivot.array(name) - batch_mean.reshape(shapes[name])) * factor
-                arr.setflags(write=False)
-                g_arrays[name] = arr
-            g = Pseudogradient(WeightMap._wrap(g_arrays), step=global_step)
+            g = pseudogradient(
+                pivot, WeightMap._wrap(batch_mean(batch_idx), schema), zeta, n_div, step=global_step
+            )
 
             snapshot = (w, state.clone(), pivot) if evaluate is not None else None
             w_new = optimizer_step(w, g, state, cfg.optimizer, schedule_step=sched_idx)
+            if not np.isfinite(w_new.flat).all():
+                raise EngineError(
+                    _nonfinite_message(w_new, batch_idx, sweep_ids, attempt, epoch), record=record
+                )
             if cfg.projection is not None:
                 w_new = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
 
@@ -418,16 +411,73 @@ def _run(
                     best_metric = metric
                 if ema_decay is not None:
                     pivot = _ema_update(pivot, w, ema_decay)
+            del g  # frees its buffer before the next batch is summed
     record.total_steps = attempt
     return w, record
+
+
+def _batch_mean_fn(
+    sweep: list[Ingredient], schema: Schema, replicas: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch mean as a function of a (batch, replica) block of sweep indices.
+
+    One replica: the chosen ingredient buffers are added in batch order in
+    float32 and the sum divided by float32(batch), with no copy of the sweep.
+    Several replicas: the sweep is stacked once as (ingredient, element); every
+    element of a (replicas, ...) tensor belongs to one replica, and each takes
+    its own replica's batch members.
+    """
+    if replicas == 1:
+        buffers = [ing.weights.flat for ing in sweep]
+
+        def mean(batch_idx: np.ndarray) -> np.ndarray:
+            rows = batch_idx[:, 0]
+            acc = buffers[rows[0]].copy()
+            for i in rows[1:]:
+                acc += buffers[i]
+            acc /= np.float32(len(rows))
+            return acc
+
+        return mean
+
+    stacked = np.stack([ing.weights.flat for ing in sweep]) if sweep else None
+    offsets = np.asarray(schema.offsets)
+    sizes = np.diff(offsets)
+    columns = np.arange(schema.size)
+    replica_of = (columns - np.repeat(offsets[:-1], sizes)) * replicas // np.repeat(sizes, sizes)
+
+    def mean(batch_idx: np.ndarray) -> np.ndarray:
+        # A C-ordered gather keeps the reduction a sum in batch order, as above.
+        rows = np.ascontiguousarray(batch_idx[:, replica_of])
+        return stacked[rows, columns].mean(axis=0, dtype=np.float32)
+
+    return mean
+
+
+def _nonfinite_message(
+    w: WeightMap, batch_idx: np.ndarray, sweep_ids: list[str], step: int, epoch: int
+) -> str:
+    first_bad = int(np.flatnonzero(~np.isfinite(w.flat))[0])
+    replicas = batch_idx.shape[1]
+    # Element e of a (replicas, ...) tensor belongs to replica (e - begin) * replicas // size.
+    schema = w.schema()
+    t = int(np.searchsorted(schema.offsets, first_bad, side="right")) - 1
+    begin, end = schema.offsets[t], schema.offsets[t + 1]
+    replica = (first_bad - begin) * replicas // (end - begin)
+    ids = "|".join(sweep_ids[i] for i in batch_idx[:, replica])
+    where = f", replica {replica}" if replicas > 1 else ""
+    return (
+        f"non-finite iterate after step {step} (epoch {epoch}, batch {ids}{where}; "
+        f"first in tensor {schema.names[t]!r})"
+    )
 
 
 def _ema_update(pivot: WeightMap, w: WeightMap, decay: float) -> WeightMap:
     d = np.float32(decay)
     omd = np.float32(1.0 - decay)
-    out: dict[str, np.ndarray] = {}
-    for name, arr in pivot.arrays().items():
-        res = d * arr + omd * w.array(name)
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
+    out = np.empty_like(pivot.flat)
+    for s in blocks(out.size):
+        part = out[s]
+        np.multiply(pivot.flat[s], d, out=part)
+        part += omd * w.flat[s]
+    return WeightMap._wrap(out, pivot.schema())

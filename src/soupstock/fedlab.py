@@ -19,12 +19,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, run_ensemble
 from .optim import OptimizerSpec, OptimizerState, optimizer_step
-from .pseudograd import Pseudogradient, soup
+from .pseudograd import pseudogradient, soup
 from .weightstore import WeightMap, l2_distance, validate_compatible
 
 __all__ = [
@@ -117,12 +115,7 @@ def client_train(start: WeightMap, spec: ClientSpec) -> WeightMap:
     w = start
     center = spec.objective_center
     for step in range(1, spec.local_steps + 1):
-        out: dict[str, np.ndarray] = {}
-        for name, arr in w.arrays().items():
-            res = arr - center.array(name)
-            res.setflags(write=False)
-            out[name] = res
-        g = Pseudogradient(WeightMap._wrap(out), step=step, ingredient_ids=(spec.id,))
+        g = pseudogradient(w, center, 1.0, 1, step=step, ingredient_ids=(spec.id,))
         w = optimizer_step(w, g, state, spec.local_optimizer)
     return w
 
@@ -148,12 +141,7 @@ def _descend(
     x: WeightMap, target: WeightMap, state: OptimizerState, server: OptimizerSpec, round_idx: int
 ) -> WeightMap:
     # Server pseudogradient: the pull away from the aggregated client signal.
-    out: dict[str, np.ndarray] = {}
-    for name, arr in x.arrays().items():
-        res = arr - target.array(name)
-        res.setflags(write=False)
-        out[name] = res
-    g = Pseudogradient(WeightMap._wrap(out), step=round_idx)
+    g = pseudogradient(x, target, 1.0, 1, step=round_idx)
     return optimizer_step(x, g, state, server)
 
 

@@ -1,9 +1,11 @@
 """Stateful elementwise optimizers over weight maps.
 
 Four update rules — GD, Adagrad, Adam, Adadelta — consume pseudogradients and
-produce new iterates. All state lives in per-tensor float32 buffers keyed by
-tensor name; the step counter increments inside each step call *before* the
-learning-rate schedule is evaluated, so the first update runs at index 1.
+produce new iterates. Each step is one kernel over the weight map's flat
+float32 buffer, run block by block (``weightstore.blocks``), and all state
+lives in flat float32 buffers of the same layout; the step counter increments
+inside each step call *before* the learning-rate schedule is evaluated, so
+the first update runs at index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -27,12 +29,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudograd import Pseudogradient, Schedule, schedule_eval
-from .weightstore import WeightMap, _check_compatible
+from .pseudograd import (
+    CappedPower,
+    Constant,
+    Explicit,
+    Power,
+    Pseudogradient,
+    Schedule,
+    schedule_eval,
+)
+from .weightstore import WeightMap, _check_compatible, _sq_distance, blocks
 
 __all__ = [
     "GD",
@@ -94,6 +104,7 @@ class OptimizerSpec:
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         v = self.variant
+        _check_lr_sign(v.lr)
         if isinstance(v, Adagrad) and v.eps <= 0:
             raise ValueError(f"adagrad eps must be > 0, got {v.eps}")
         if isinstance(v, Adam):
@@ -116,36 +127,60 @@ class OptimizerSpec:
                 raise ValueError(f"adadelta eps must be > 0, got {v.eps}")
 
 
+def _check_lr_sign(lr: Schedule) -> None:
+    """Reject a schedule that can yield a negative or NaN step size.
+
+    Zero stays allowed: a zero learning rate freezes the iterate.
+    """
+    if isinstance(lr, Constant):
+        values = {"value": lr.value}
+    elif isinstance(lr, Power):
+        values = {"coeff": lr.coeff}
+    elif isinstance(lr, CappedPower):
+        values = {"coeff": lr.coeff, "cap": lr.cap}
+    elif isinstance(lr, Explicit):
+        values = {f"values[{i}]": value for i, value in enumerate(lr.values)}
+    else:  # Harmonic: 1/(step + offset) is positive by construction
+        return
+    for field_name, value in values.items():
+        if not value >= 0:
+            raise ValueError(
+                f"learning rate {type(lr).__name__}.{field_name} must be >= 0, got {value}"
+            )
+
+
 @dataclass
 class OptimizerState:
-    """Per-tensor accumulators plus the global step counter.
+    """Flat float32 accumulators (one element per parameter, in the weight
+    map's buffer order) plus the global step counter.
 
-    Buffers are allocated lazily from the first pseudogradient's schema:
-    sq_sum (Adagrad), m/v (Adam moments), acc_grad_sq/acc_update_sq (Adadelta).
+    Buffers are allocated lazily at the first step: sq_sum (Adagrad), m/v
+    (Adam moments), acc_grad_sq/acc_update_sq (Adadelta).
     """
 
     step: int = 0
-    sq_sum: dict[str, np.ndarray] = field(default_factory=dict)
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    acc_grad_sq: dict[str, np.ndarray] = field(default_factory=dict)
-    acc_update_sq: dict[str, np.ndarray] = field(default_factory=dict)
+    sq_sum: np.ndarray | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    acc_grad_sq: np.ndarray | None = None
+    acc_update_sq: np.ndarray | None = None
 
     def clone(self) -> "OptimizerState":
+        def copy(buf: np.ndarray | None) -> np.ndarray | None:
+            return None if buf is None else buf.copy()
+
         return OptimizerState(
             step=self.step,
-            sq_sum={k: a.copy() for k, a in self.sq_sum.items()},
-            m={k: a.copy() for k, a in self.m.items()},
-            v={k: a.copy() for k, a in self.v.items()},
-            acc_grad_sq={k: a.copy() for k, a in self.acc_grad_sq.items()},
-            acc_update_sq={k: a.copy() for k, a in self.acc_update_sq.items()},
+            sq_sum=copy(self.sq_sum),
+            m=copy(self.m),
+            v=copy(self.v),
+            acc_grad_sq=copy(self.acc_grad_sq),
+            acc_update_sq=copy(self.acc_update_sq),
         )
 
 
-def _ensure(buffers: dict[str, np.ndarray], g: WeightMap, fill: float = 0.0) -> None:
-    if not buffers:
-        for name, arr in g.arrays().items():
-            buffers[name] = np.full(arr.shape, np.float32(fill), dtype=np.float32)
+def _buffer(buf: np.ndarray | None, size: int, fill: float = 0.0) -> np.ndarray:
+    return np.full(size, np.float32(fill), dtype=np.float32) if buf is None else buf
 
 
 def _begin_step(
@@ -154,27 +189,21 @@ def _begin_step(
     state: OptimizerState,
     spec: OptimizerSpec,
     schedule_step: int | None,
-) -> tuple[dict[str, np.ndarray], float, int]:
+) -> tuple[np.ndarray, float, int]:
     """Advance the counter, evaluate the lr, and apply decoupled weight decay.
 
-    Returns mutable working arrays for w, the step size, and the global step.
+    Returns the new iterate's buffer (still writable), the step size, and the
+    global step.
     """
     _check_compatible(w, g.values)
     state.step += 1
     idx = state.step if schedule_step is None else schedule_step
     eta = schedule_eval(spec.variant.lr, idx)
     if spec.weight_decay > 0.0:
-        keep = np.float32(1.0 - eta * spec.weight_decay)
-        work = {name: arr * keep for name, arr in w.arrays().items()}
+        work = w.flat * np.float32(1.0 - eta * spec.weight_decay)
     else:
-        work = {name: arr.copy() for name, arr in w.arrays().items()}
+        work = w.flat.copy()
     return work, eta, state.step
-
-
-def _finish(work: dict[str, np.ndarray]) -> WeightMap:
-    for arr in work.values():
-        arr.setflags(write=False)
-    return WeightMap._wrap(work)
 
 
 def gd_step(
@@ -187,9 +216,11 @@ def gd_step(
     """w - eta_i * g."""
     work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
     eta32 = np.float32(eta)
-    for name, arr in g.values.arrays().items():
-        work[name] -= eta32 * arr
-    return _finish(work)
+    grad = g.values.flat
+    for s in blocks(work.size):
+        out = work[s]
+        out -= eta32 * grad[s]
+    return WeightMap._wrap(work, w.schema())
 
 
 def adagrad_step(
@@ -202,14 +233,15 @@ def adagrad_step(
     """w - eta_i * g / (sqrt(sum of squared gradients) + eps), per element."""
     work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
     variant: Adagrad = spec.variant
-    _ensure(state.sq_sum, g.values)
+    state.sq_sum = sq_sum = _buffer(state.sq_sum, work.size)
     eta32 = np.float32(eta)
     eps32 = np.float32(variant.eps)
-    for name, arr in g.values.arrays().items():
-        sq = state.sq_sum[name]
-        sq += arr * arr
-        work[name] -= eta32 * arr / (np.sqrt(sq) + eps32)
-    return _finish(work)
+    grad = g.values.flat
+    for s in blocks(work.size):
+        gb, sq, out = grad[s], sq_sum[s], work[s]
+        sq += gb * gb
+        out -= eta32 * gb / (np.sqrt(sq) + eps32)
+    return WeightMap._wrap(work, w.schema())
 
 
 def adam_step(
@@ -221,8 +253,8 @@ def adam_step(
 ) -> WeightMap:
     work, eta, step = _begin_step(w, g, state, spec, schedule_step)
     variant: Adam = spec.variant
-    _ensure(state.m, g.values, fill=variant.m0)
-    _ensure(state.v, g.values, fill=variant.v0)
+    state.m = m_all = _buffer(state.m, work.size, variant.m0)
+    state.v = v_all = _buffer(state.v, work.size, variant.v0)
     b1 = np.float32(variant.beta1)
     b2 = np.float32(variant.beta2)
     one_m_b1 = np.float32(1.0 - variant.beta1)
@@ -230,20 +262,23 @@ def adam_step(
     eps32 = np.float32(variant.eps)
     bias1 = 1.0 - float(variant.beta1) ** step
     bias2 = 1.0 - float(variant.beta2) ** step
-    for name, arr in g.values.arrays().items():
-        m = state.m[name]
-        v = state.v[name]
+    if variant.standard_form:
+        lr32 = np.float32(eta * math.sqrt(bias2) / bias1)
+    else:
+        lr32 = np.float32(eta / bias1)
+        root_bias2 = np.float32(math.sqrt(bias2))
+    grad = g.values.flat
+    for s in blocks(work.size):
+        gb, m, v, out = grad[s], m_all[s], v_all[s], work[s]
         m *= b1
-        m += one_m_b1 * arr
+        m += one_m_b1 * gb
         v *= b2
-        v += one_m_b2 * arr * arr
+        v += one_m_b2 * gb * gb
         if variant.standard_form:
-            folded = np.float32(eta * math.sqrt(bias2) / bias1)
-            work[name] -= folded * m / (np.sqrt(v) + eps32)
+            out -= lr32 * m / (np.sqrt(v) + eps32)
         else:
-            denom = np.sqrt(v) / np.float32(math.sqrt(bias2)) + eps32
-            work[name] -= np.float32(eta / bias1) * m / denom
-    return _finish(work)
+            out -= lr32 * m / (np.sqrt(v) / root_bias2 + eps32)
+    return WeightMap._wrap(work, w.schema())
 
 
 def adadelta_step(
@@ -262,22 +297,22 @@ def adadelta_step(
     """
     work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
     variant: Adadelta = spec.variant
-    _ensure(state.acc_grad_sq, g.values)
-    _ensure(state.acc_update_sq, g.values)
+    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, work.size)
+    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, work.size)
     rho = np.float32(variant.rho)
     one_m_rho = np.float32(1.0 - variant.rho)
     eps32 = np.float32(variant.eps)
     eta32 = np.float32(eta)
-    for name, arr in g.values.arrays().items():
-        acc_g = state.acc_grad_sq[name]
-        acc_u = state.acc_update_sq[name]
+    grad = g.values.flat
+    for s in blocks(work.size):
+        gb, acc_g, acc_u, out = grad[s], acc_g_all[s], acc_u_all[s], work[s]
         acc_g *= rho
-        acc_g += one_m_rho * arr * arr
-        delta = -np.sqrt(acc_u + eps32) / np.sqrt(acc_g + eps32) * arr
+        acc_g += one_m_rho * gb * gb
+        delta = -np.sqrt(acc_u + eps32) / np.sqrt(acc_g + eps32) * gb
         acc_u *= rho
         acc_u += one_m_rho * delta * delta
-        work[name] += eta32 * delta
-    return _finish(work)
+        out += eta32 * delta
+    return WeightMap._wrap(work, w.schema())
 
 
 _STEP_FNS = {GD: gd_step, Adagrad: adagrad_step, Adam: adam_step, Adadelta: adadelta_step}
@@ -299,17 +334,11 @@ def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     _check_compatible(w, center)
-    dist = 0.0
-    for name, arr in w.arrays().items():
-        d = arr.astype(np.float64) - center.array(name)
-        dist += float(np.dot(d.reshape(-1), d.reshape(-1)))
-    dist = math.sqrt(dist)
+    dist = math.sqrt(_sq_distance(w, center))
     if dist <= radius:
         return w
     shrink = np.float32(radius / dist)
-    out: dict[str, np.ndarray] = {}
-    for name, arr in w.arrays().items():
-        res = center.array(name) + (arr - center.array(name)) * shrink
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
+    out = np.subtract(w.flat, center.flat)
+    out *= shrink
+    out += center.flat
+    return WeightMap._wrap(out, w.schema())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weightstore import WeightMap, _check_compatible, validate_compatible
+from .weightstore import WeightMap, _check_compatible, blocks, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -171,37 +171,27 @@ def pseudogradient(
     if n_divisor < 1:
         raise ValueError(f"n_divisor must be >= 1, got {n_divisor}")
     _check_compatible(pivot, ingredient)
-    factor = np.float32(float(zeta) / float(n_divisor))
-    out: dict[str, np.ndarray] = {}
-    for name, arr in pivot.arrays().items():
-        res = (arr - ingredient.array(name)) * factor
-        res.setflags(write=False)
-        out[name] = res
-    return Pseudogradient(WeightMap._wrap(out), step=step, ingredient_ids=ingredient_ids)
-
-
-def _accumulate_mean(maps: list[WeightMap]) -> dict[str, np.ndarray]:
-    # Sequential float64 accumulation, list order; rounded to float32 by callers.
-    acc = {name: arr.astype(np.float64) for name, arr in maps[0].arrays().items()}
-    for m in maps[1:]:
-        for name, arr in m.arrays().items():
-            acc[name] += arr
-    n = float(len(maps))
-    return {name: total / n for name, total in acc.items()}
+    out = np.subtract(pivot.flat, ingredient.flat)
+    out *= np.float32(float(zeta) / float(n_divisor))
+    return Pseudogradient(
+        WeightMap._wrap(out, pivot.schema()), step=step, ingredient_ids=ingredient_ids
+    )
 
 
 def soup(ingredients: list[WeightMap]) -> WeightMap:
     """Uniform arithmetic mean, accumulated at float64 in list order."""
     if not ingredients:
         raise ValueError("soup requires at least one ingredient")
-    validate_compatible(ingredients)
-    mean64 = _accumulate_mean(ingredients)
-    out: dict[str, np.ndarray] = {}
-    for name, arr in mean64.items():
-        res = arr.astype(np.float32)
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
+    schema = validate_compatible(ingredients)
+    n = float(len(ingredients))
+    out = np.empty(schema.size, dtype=np.float32)
+    for s in blocks(out.size):
+        acc = ingredients[0].flat[s].astype(np.float64)
+        for m in ingredients[1:]:
+            acc += m.flat[s]
+        acc /= n
+        out[s] = acc
+    return WeightMap._wrap(out, schema)
 
 
 def pivot_identity(pivot: WeightMap, ingredients: list[WeightMap]) -> WeightMap:
@@ -212,15 +202,13 @@ def pivot_identity(pivot: WeightMap, ingredients: list[WeightMap]) -> WeightMap:
     """
     if not ingredients:
         raise ValueError("pivot_identity requires at least one ingredient")
-    validate_compatible([pivot, *ingredients])
+    schema = validate_compatible([pivot, *ingredients])
     n = float(len(ingredients))
-    out: dict[str, np.ndarray] = {}
-    for name, arr in pivot.arrays().items():
-        p64 = arr.astype(np.float64)
+    out = np.empty(schema.size, dtype=np.float32)
+    for s in blocks(out.size):
+        p64 = pivot.flat[s].astype(np.float64)
         acc = np.zeros_like(p64)
         for ing in ingredients:
-            acc += p64 - ing.array(name)
-        res = (p64 - acc / n).astype(np.float32)
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
+            acc += p64 - ing.flat[s]
+        out[s] = p64 - acc / n
+    return WeightMap._wrap(out, schema)

@@ -21,13 +21,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
-from .pseudograd import AdaptivePivot, CappedPower, Constant, Pseudogradient, schedule_eval
-from .weightstore import WeightMap, global_l2_norm, l2_distance
+from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
+from .weightstore import Schema, WeightMap, global_l2_norm, l2_distance
 
 __all__ = [
     "DistributionSpec",
@@ -222,21 +221,21 @@ def _trial_estimates(cfg: TrialConfig, trials: range) -> tuple[np.ndarray, np.nd
         seeds.append(int(rng.integers(0, 2**63)))
     # (point, trial, coordinate): ingredient i is the i-th point of every trial.
     stacked = np.stack(samples, axis=1)
-    stacked.setflags(write=False)
+    schema = Schema.from_shapes({"point": stacked.shape[1:]})
+    rows = stacked.reshape(cfg.subsample_size, -1)
     ingredients = [
-        Ingredient(id=f"p{i:05d}", weights=WeightMap._wrap({"point": stacked[i]}))
+        Ingredient(id=f"p{i:05d}", weights=WeightMap._wrap(rows[i], schema))
         for i in range(cfg.subsample_size)
     ]
     # Same float64 sequential-mean path as the population statistics, so a
     # full-size subsample reproduces the population mean bit for bit.
     soup_est = sequential_mean(stacked)
 
-    init = np.asarray(cfg.init_point, dtype=np.float32)
-    init = np.broadcast_to(init, (len(trials), dist.dimension))
+    init = np.tile(np.asarray(cfg.init_point, dtype=np.float32), len(trials))
     run_cfg = EnsembleConfig(
         optimizer=cfg.optimizer,
         pivot_policy=AdaptivePivot(),
-        pivot_init=ProvidedInit(WeightMap._wrap({"point": init})),
+        pivot_init=ProvidedInit(WeightMap._wrap(init, schema)),
         n_divisor=None,
         epochs=cfg.ensemble_epochs,
         batch_size=cfg.batch_size,
@@ -378,21 +377,17 @@ class ConvergenceReport:
 
 
 def _tail_schedule_sum(sched: CappedPower, start: int, explicit_until: int) -> float:
-    """Sum_{t >= start} eta_t: explicit partial sum plus a quadrature bound on
+    """Sum_{t >= start} eta_t: explicit partial sum plus an integral bound on
     the remainder (eta_t <= c*t^alpha and the integrand is decreasing, so the
     integral from explicit_until upward dominates the discarded terms).
 
-    The improper remainder integral int_U^inf c*t^alpha dt is evaluated under
-    u = 1/t as the finite integral int_0^{1/U} c*u^(-alpha-2) du, which
-    adaptive quadrature resolves to machine precision for every alpha < -1
-    (the direct infinite-interval form is numerically unstable near -1).
+    For alpha < -1 the remainder has the closed form
+    int_U^inf c*t^alpha dt = c*U^(alpha+1) / (-alpha-1).
     """
-    total = 0.0
-    for t in range(start, explicit_until + 1):
-        total += schedule_eval(sched, t)
-    remainder, _err = integrate.quad(
-        lambda u: sched.coeff * u ** (-sched.exponent - 2.0), 0.0, 1.0 / explicit_until
-    )
+    t = np.arange(start, explicit_until + 1, dtype=np.float64)
+    total = float(np.minimum(sched.coeff * t**sched.exponent, sched.cap).sum())
+    alpha = float(sched.exponent)
+    remainder = sched.coeff * float(explicit_until) ** (alpha + 1.0) / (-alpha - 1.0)
     return total + remainder
 
 
@@ -460,14 +455,11 @@ def convergence_check(
     trajectory[0] = init
     ing_maps = [WeightMap({"point": pts[i].astype(np.float32)}) for i in range(len(pts))]
     for t in range(1, steps + 1):
-        x = ing_maps[(t - 1) % len(ing_maps)]
-        g_arr = (w.array("point") - x.array("point")) * np.float32(1.0 / n_divisor)
-        g_arr.setflags(write=False)
-        g = Pseudogradient(WeightMap._wrap({"point": g_arr}), step=t)
+        g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor, step=t)
         w = optimizer_step(w, g, state, spec)
         if project_adam:
             w = project_to_ball(w, center, radius)
-        trajectory[t] = w.array("point")
+        trajectory[t] = w.flat
 
     tail_start = int(math.floor(steps * (1.0 - tail_fraction)))
     tail = trajectory[tail_start:]

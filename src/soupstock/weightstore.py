@@ -3,10 +3,19 @@
 A :class:`WeightMap` is an ordered (lexicographic by name) collection of
 float32 tensors plus optional string metadata. It is the universal currency of
 the package: a model, a pivot, a pseudogradient, or a batch of image tensors
-are all WeightMaps. Maps are immutable after construction and safe to share
-across threads; every elementwise operation returns a fresh map and is
-deterministic (fixed per-element evaluation, no reduction reordering within a
-tensor).
+are all WeightMaps. Its tensors live in one contiguous float32 buffer
+(``WeightMap.flat``) in name order, which is the layout of a checkpoint body;
+a :class:`Schema` of (name, shape, offset) describes it and is shared by the
+maps derived from one another. ``array(name)`` and ``arrays()`` return
+read-only views into the buffer. Maps are immutable after construction and
+safe to share across threads.
+
+Elementwise work elsewhere in the package (optimizer steps, soups,
+pseudogradients, the engine's batch sums) runs over the flat buffer, one
+block of :data:`BLOCK` elements at a time (:func:`blocks`), so temporaries
+stay small whatever the model size. Blocking changes no float32 result:
+every element sees the same operations in the same order. The norms
+accumulate in float64 per tensor and add the tensors up in name order.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -15,8 +24,10 @@ Checkpoint file layout (little-endian throughout):
                                    "shape": [ints],
                                    "data_offsets": [begin, end]}, ...,
                             "__metadata__": {str: str}}   (optional)
-    raw tensor buffer; offsets are relative to the buffer start
+    raw tensor buffer; offsets are relative to the buffer start, and the
+    tensors' byte ranges tile it exactly (no overlaps, gaps or trailing bytes)
 
+A body that is all F32 in name order is read straight into the map's buffer.
 Narrow float tensors (F16/BF16) are widened to float32 on load and written
 back as F32; float32 round-trips are byte-exact.
 """
@@ -25,33 +36,43 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "CheckpointError",
     "SchemaMismatch",
-    "TensorView",
     "Schema",
     "WeightMap",
+    "blocks",
     "load_checkpoint",
     "save_checkpoint",
     "validate_compatible",
-    "axpby",
-    "zeros_like",
-    "scale",
-    "elementwise_square",
-    "elementwise_sqrt_add_eps",
-    "elementwise_div",
     "global_l2_norm",
     "l2_distance",
 ]
 
 _F32 = np.dtype("<f4")
 _MAX_HEADER_BYTES = 100 * 1024 * 1024
+
+BLOCK = 1 << 16
+"""Elements per block of the elementwise kernels (256 KiB of float32)."""
+
+_WHOLE = (slice(None),)
+
+
+def blocks(size: int) -> tuple[slice, ...] | list[slice]:
+    """Slices covering range(size) in blocks of at most BLOCK elements."""
+    if size <= BLOCK:
+        return _WHOLE
+    return [slice(i, i + BLOCK) for i in range(0, size, BLOCK)]
 
 
 class CheckpointError(ValueError):
@@ -63,93 +84,116 @@ class SchemaMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class TensorView:
-    """One named tensor: a flat row-major float buffer plus its shape."""
-
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if math.prod(self.shape) != self.data.size:
-            raise ValueError(
-                f"tensor {self.name!r}: shape {self.shape} does not match "
-                f"{self.data.size} elements"
-            )
-
-
-@dataclass(frozen=True)
 class Schema:
-    """The (name, dtype, shape) layout shared by compatible weight maps."""
+    """The (name, shape, offset) layout shared by compatible weight maps.
 
-    entries: tuple[tuple[str, str, tuple[int, ...]], ...]
+    Tensors sit in name order in one flat buffer; tensor i spans
+    ``offsets[i]:offsets[i + 1]``. A 0-d tensor is held with shape (1,).
+    """
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+
+    @classmethod
+    def from_shapes(cls, shapes: Mapping[str, tuple[int, ...]]) -> "Schema":
+        names = tuple(sorted(shapes))
+        dims = tuple(tuple(shapes[name]) or (1,) for name in names)
+        offsets = [0]
+        for dim in dims:
+            offsets.append(offsets[-1] + math.prod(dim))
+        return cls(names, dims, tuple(offsets))
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def norm_chunks(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Runs of whole tensors of at most BLOCK elements (a larger tensor
+        forms a run alone): (begin, end, tensor bounds relative to begin)."""
+        chunks = []
+        start = 0
+        offsets = self.offsets
+        for i in range(1, len(offsets)):
+            last = i == len(offsets) - 1
+            if last or offsets[i + 1] - offsets[start] > BLOCK:
+                base = offsets[start]
+                chunks.append((base, offsets[i], tuple(o - base for o in offsets[start : i + 1])))
+                start = i
+        return tuple(chunks)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
 
 
 class WeightMap:
-    """Immutable ordered mapping of tensor names to float32 arrays."""
+    """Immutable ordered mapping of tensor names to float32 arrays, stored flat."""
 
-    __slots__ = ("_arrays", "metadata")
+    __slots__ = ("flat", "_schema", "metadata")
 
     def __init__(
         self,
         arrays: Mapping[str, np.ndarray],
         metadata: Mapping[str, str] | None = None,
     ) -> None:
-        out: dict[str, np.ndarray] = {}
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype=np.float32)
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            out[name] = arr
-        self._arrays = out
+        converted = {name: np.asarray(arrays[name], dtype=np.float32) for name in arrays}
+        schema = Schema.from_shapes({name: arr.shape for name, arr in converted.items()})
+        flat = np.empty(schema.size, dtype=np.float32)
+        for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
+            flat[begin:end] = converted[name].reshape(-1)
+        flat.setflags(write=False)
+        self.flat = flat
+        self._schema = schema
         self.metadata = dict(metadata) if metadata else {}
 
     @classmethod
     def _wrap(
-        cls, sorted_arrays: dict[str, np.ndarray], metadata: dict[str, str] | None = None
+        cls, flat: np.ndarray, schema: Schema, metadata: dict[str, str] | None = None
     ) -> "WeightMap":
-        # Fast path for internal ops: arrays already float32, read-only, and in
-        # lexicographic key order.
+        # O(1) constructor for internal ops: `flat` is a float32 buffer of
+        # schema.size elements that nothing else will write to.
         self = cls.__new__(cls)
-        self._arrays = sorted_arrays
+        flat.setflags(write=False)
+        self.flat = flat
+        self._schema = schema
         self.metadata = metadata or {}
         return self
 
     def names(self) -> list[str]:
-        return list(self._arrays)
+        return list(self._schema.names)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The underlying read-only arrays, in iteration order."""
-        return dict(self._arrays)
+        """Read-only views of every tensor, in iteration order."""
+        s = self._schema
+        return {
+            name: self.flat[begin:end].reshape(shape)
+            for name, shape, begin, end in zip(s.names, s.shapes, s.offsets, s.offsets[1:])
+        }
 
     def array(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def tensor(self, name: str) -> TensorView:
-        arr = self._arrays[name]
-        return TensorView(name, "F32", arr.shape, arr.reshape(-1))
-
-    def tensors(self) -> dict[str, TensorView]:
-        return {name: self.tensor(name) for name in self._arrays}
+        s = self._schema
+        i = s.index[name]
+        return self.flat[s.offsets[i] : s.offsets[i + 1]].reshape(s.shapes[i])
 
     def schema(self) -> Schema:
-        return Schema(tuple((n, "F32", a.shape) for n, a in self._arrays.items()))
+        return self._schema
 
     def num_elements(self) -> int:
-        return sum(a.size for a in self._arrays.values())
+        return self.flat.size
 
     def __len__(self) -> int:
-        return len(self._arrays)
+        return len(self._schema.names)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._arrays)
+        return iter(self._schema.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._arrays
+        return name in self._schema.index
 
     def __eq__(self, other: object) -> bool:
         # Bitwise equality: names, shapes, raw bytes (distinguishes -0.0, NaN
@@ -158,29 +202,24 @@ class WeightMap:
             return NotImplemented
         if self.metadata != other.metadata:
             return False
-        if list(self._arrays) != list(other._arrays):
+        if self._schema is not other._schema and self._schema != other._schema:
             return False
-        for name, arr in self._arrays.items():
-            theirs = other._arrays[name]
-            if arr.shape != theirs.shape or arr.tobytes() != theirs.tobytes():
-                return False
-        return True
+        return np.array_equal(self.flat.view(np.uint32), other.flat.view(np.uint32))
 
     def __repr__(self) -> str:
-        return f"WeightMap({len(self._arrays)} tensors, {self.num_elements()} elements)"
+        return f"WeightMap({len(self)} tensors, {self.num_elements()} elements)"
 
 
 def _check_compatible(a: WeightMap, b: WeightMap) -> None:
-    if list(a._arrays) != list(b._arrays):
-        ours, theirs = set(a._arrays), set(b._arrays)
-        diff = sorted(ours.symmetric_difference(theirs))
+    sa, sb = a._schema, b._schema
+    if sa is sb or sa == sb:
+        return
+    if sa.names != sb.names:
+        diff = sorted(set(sa.names).symmetric_difference(sb.names))
         raise SchemaMismatch(f"tensor name mismatch: first offender {diff[0]!r}")
-    for name, arr in a._arrays.items():
-        if arr.shape != b._arrays[name].shape:
-            raise SchemaMismatch(
-                f"shape mismatch for tensor {name!r}: "
-                f"{arr.shape} vs {b._arrays[name].shape}"
-            )
+    for name, ours, theirs in zip(sa.names, sa.shapes, sb.shapes):
+        if ours != theirs:
+            raise SchemaMismatch(f"shape mismatch for tensor {name!r}: {ours} vs {theirs}")
 
 
 def validate_compatible(maps: list[WeightMap]) -> Schema:
@@ -196,71 +235,35 @@ def validate_compatible(maps: list[WeightMap]) -> Schema:
     return first.schema()
 
 
-def _binary(a: WeightMap, b: WeightMap, fn) -> WeightMap:
-    _check_compatible(a, b)
-    out: dict[str, np.ndarray] = {}
-    for name, arr in a._arrays.items():
-        res = fn(arr, b._arrays[name])
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
-
-
-def _unary(m: WeightMap, fn) -> WeightMap:
-    out: dict[str, np.ndarray] = {}
-    for name, arr in m._arrays.items():
-        res = fn(arr)
-        res.setflags(write=False)
-        out[name] = res
-    return WeightMap._wrap(out)
-
-
-def axpby(alpha: float, x: WeightMap, beta: float, y: WeightMap) -> WeightMap:
-    """Elementwise alpha*x + beta*y, computed as fl(alpha*x_e) + fl(beta*y_e)."""
-    a = np.float32(alpha)
-    b = np.float32(beta)
-    return _binary(x, y, lambda u, v: a * u + b * v)
-
-
-def zeros_like(m: WeightMap) -> WeightMap:
-    return _unary(m, lambda a: np.zeros_like(a))
-
-
-def scale(c: float, m: WeightMap) -> WeightMap:
-    f = np.float32(c)
-    return _unary(m, lambda a: f * a)
-
-
-def elementwise_square(m: WeightMap) -> WeightMap:
-    return _unary(m, lambda a: a * a)
-
-
-def elementwise_sqrt_add_eps(m: WeightMap, eps: float) -> WeightMap:
-    """sqrt(v) + eps per element (the adaptive-denominator primitive)."""
-    e = np.float32(eps)
-    return _unary(m, lambda a: np.sqrt(a) + e)
-
-
-def elementwise_div(a: WeightMap, b: WeightMap) -> WeightMap:
-    return _binary(a, b, lambda u, v: u / v)
+def _sum_tensor_squares(schema: Schema, chunk64) -> float:
+    # Per tensor, the float64 dot product of its own elements; tensors are
+    # added in name order. chunk64(begin, end) gives float64 values for a run.
+    total = 0.0
+    for begin, end, bounds in schema.norm_chunks:
+        values = chunk64(begin, end)
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = values[lo:hi]
+            total += float(np.dot(part, part))
+    return total
 
 
 def global_l2_norm(m: WeightMap) -> float:
     """Euclidean norm over all elements of all tensors (float64 accumulation)."""
-    total = 0.0
-    for arr in m._arrays.values():
-        flat = arr.reshape(-1).astype(np.float64)
-        total += float(np.dot(flat, flat))
-    return math.sqrt(total)
+    flat = m.flat
+    return math.sqrt(
+        _sum_tensor_squares(m._schema, lambda b, e: flat[b:e].astype(np.float64))
+    )
+
+
+def _sq_distance(a: WeightMap, b: WeightMap) -> float:
+    """Squared Euclidean distance of two compatible maps (float64 accumulation)."""
+    fa, fb = a.flat, b.flat
+    return _sum_tensor_squares(a._schema, lambda lo, hi: fa[lo:hi].astype(np.float64) - fb[lo:hi])
 
 
 def l2_distance(a: WeightMap, b: WeightMap) -> float:
     _check_compatible(a, b)
-    total = 0.0
-    for name, arr in a._arrays.items():
-        d = arr.reshape(-1).astype(np.float64) - b._arrays[name].reshape(-1).astype(np.float64)
-        total += float(np.dot(d, d))
-    return math.sqrt(total)
+    return math.sqrt(_sq_distance(a, b))
 
 
 # --- checkpoint codec -------------------------------------------------------
@@ -279,34 +282,18 @@ def _reject_duplicate_names(pairs: list[tuple[str, object]]) -> dict:
 
 def _widen(raw: bytes, dtype: str) -> np.ndarray:
     if dtype == "F32":
-        return np.frombuffer(raw, dtype=_F32).astype(np.float32)
+        return np.frombuffer(raw, dtype=_F32)
     if dtype == "F16":
-        return np.frombuffer(raw, dtype=np.dtype("<f2")).astype(np.float32)
+        return np.frombuffer(raw, dtype=np.dtype("<f2"))
     # BF16 is the upper half of a float32; widen by shifting into place.
     bits = np.frombuffer(raw, dtype=np.dtype("<u2")).astype(np.uint32)
-    return (bits << np.uint32(16)).view(np.float32).astype(np.float32)
+    return (bits << np.uint32(16)).view(np.float32)
 
 
-def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
-    """Load a checkpoint file into a WeightMap.
-
-    F16/BF16 tensors are widened to float32; metadata is preserved. NaN/Inf
-    elements are rejected unless ``allow_nonfinite`` is set.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise CheckpointError(f"{path}: truncated buffer (no header length)")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if header_len > _MAX_HEADER_BYTES:
-        raise CheckpointError(f"{path}: malformed header (implausible length {header_len})")
-    if 8 + header_len > len(blob):
-        raise CheckpointError(f"{path}: truncated buffer (header extends past end of file)")
+def _parse_header(path: str, raw: bytes, body_len: int):
+    """Validate a header; returns (metadata, {name: (dtype, shape, begin, end)})."""
     try:
-        header = json.loads(
-            blob[8 : 8 + header_len].decode("utf-8"),
-            object_pairs_hook=_reject_duplicate_names,
-        )
+        header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_names)
     except CheckpointError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -314,10 +301,8 @@ def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: malformed header (not a JSON object)")
 
-    buffer = blob[8 + header_len :]
     metadata: dict[str, str] = {}
-    ranges: list[tuple[int, int, str]] = []
-    arrays: dict[str, np.ndarray] = {}
+    entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
     for name, entry in header.items():
         if name == "__metadata__":
             if not isinstance(entry, dict) or not all(
@@ -347,7 +332,7 @@ def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
         begin, end = offsets
         if begin < 0 or end < begin:
             raise CheckpointError(f"{path}: malformed header (inverted offsets for {name!r})")
-        if end > len(buffer):
+        if end > body_len:
             raise CheckpointError(f"{path}: truncated buffer (tensor {name!r} ends past end of data)")
         expected = math.prod(shape) * _DTYPE_SIZES[dtype]
         if end - begin != expected:
@@ -355,21 +340,71 @@ def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
                 f"{path}: malformed header (tensor {name!r} declares {end - begin} bytes, "
                 f"shape needs {expected})"
             )
-        ranges.append((begin, end, name))
-        arr = _widen(buffer[begin:end], dtype).reshape(shape)
-        if not allow_nonfinite and not np.isfinite(arr).all():
+        entries[name] = (dtype, tuple(shape), begin, end)
+
+    ranges = sorted((begin, end, name) for name, (_d, _s, begin, end) in entries.items())
+    covered, last = 0, None
+    for begin, end, name in ranges:
+        if begin < covered:
+            raise CheckpointError(f"{path}: overlapping data ranges ({last!r} and {name!r})")
+        if begin > covered:
             raise CheckpointError(
-                f"{path}: tensor {name!r} contains NaN/Inf "
-                f"(pass allow_nonfinite=True to accept)"
+                f"{path}: malformed header ({begin - covered} unused bytes before tensor {name!r})"
             )
-        arrays[name] = arr
+        covered, last = end, name
+    if covered != body_len:
+        raise CheckpointError(
+            f"{path}: malformed buffer ({body_len - covered} trailing bytes after the last tensor)"
+        )
+    return metadata, entries
 
-    ranges.sort()
-    for (b0, e0, n0), (b1, _e1, n1) in zip(ranges, ranges[1:]):
-        if b1 < e0:
-            raise CheckpointError(f"{path}: overlapping data ranges ({n0!r} and {n1!r})")
 
-    return WeightMap(arrays, metadata)
+def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
+    """Load a checkpoint file into a WeightMap.
+
+    F16/BF16 tensors are widened to float32; metadata is preserved. NaN/Inf
+    elements are rejected unless ``allow_nonfinite`` is set.
+    """
+    with open(path, "rb") as fh:
+        file_len = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise CheckpointError(f"{path}: truncated buffer (no header length)")
+        (header_len,) = struct.unpack("<Q", head)
+        if header_len > _MAX_HEADER_BYTES:
+            raise CheckpointError(f"{path}: malformed header (implausible length {header_len})")
+        if 8 + header_len > file_len:
+            raise CheckpointError(f"{path}: truncated buffer (header extends past end of file)")
+        body_len = file_len - 8 - header_len
+        metadata, entries = _parse_header(path, fh.read(header_len), body_len)
+
+        schema = Schema.from_shapes({name: shape for name, (_d, shape, _b, _e) in entries.items()})
+        flat = np.empty(schema.size, dtype=np.float32)
+        direct = sys.byteorder == "little" and all(
+            entries[name][0] == "F32" and entries[name][2] == 4 * begin
+            for name, begin in zip(schema.names, schema.offsets)
+        )
+        if direct:
+            # The body is the buffer itself: read it in place.
+            got = fh.readinto(flat.view(np.uint8))
+        else:
+            body = fh.read(body_len)
+            got = len(body)
+            for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
+                dtype, _shape, lo, hi = entries[name]
+                flat[begin:end] = _widen(body[lo:hi], dtype)
+        if got != body_len:
+            raise CheckpointError(f"{path}: truncated buffer (file changed while reading)")
+
+    if not allow_nonfinite and not np.isfinite(flat).all():
+        for name in entries:  # header order, as the error has always named it
+            i = schema.index[name]
+            if not np.isfinite(flat[schema.offsets[i] : schema.offsets[i + 1]]).all():
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} contains NaN/Inf "
+                    f"(pass allow_nonfinite=True to accept)"
+                )
+    return WeightMap._wrap(flat, schema, metadata)
 
 
 def save_checkpoint(weightmap: WeightMap, path: str) -> None:
@@ -380,20 +415,11 @@ def save_checkpoint(weightmap: WeightMap, path: str) -> None:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise CheckpointError("metadata must map str to str")
         header["__metadata__"] = dict(sorted(weightmap.metadata.items()))
-    offset = 0
-    chunks: list[bytes] = []
-    for name, arr in weightmap._arrays.items():
-        raw = np.ascontiguousarray(arr, dtype=_F32).tobytes()
-        header[name] = {
-            "dtype": "F32",
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(raw)],
-        }
-        offset += len(raw)
-        chunks.append(raw)
+    s = weightmap.schema()
+    for name, shape, begin, end in zip(s.names, s.shapes, s.offsets, s.offsets[1:]):
+        header[name] = {"dtype": "F32", "shape": list(shape), "data_offsets": [4 * begin, 4 * end]}
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.write(np.ascontiguousarray(weightmap.flat, dtype=_F32).data)

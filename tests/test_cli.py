@@ -163,6 +163,73 @@ def test_merge_sweep_cell_failure_does_not_abort_others(tmp_path):
     assert statuses == ["error", "ok"]
 
 
+def test_merge_sweep_loads_ingredients_once(tmp_path, monkeypatch):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1], "ensemble.n_divisor": [1, 3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    loaded = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
+    assert len(loaded) == 3
+
+
+def test_merge_sweep_load_failure_fails_every_cell(tmp_path):
+    write_ingredients(tmp_path, count=2)
+    doc = merge_doc(count=2)
+    doc["ingredients"].append({"path": "missing.safetensors"})
+    doc["sweep"] = {"ensemble.n_divisor": [1, 2, 3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
+    assert code == 2
+    manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+    assert [entry["status"] for entry in manifest] == ["error"] * 3
+    assert all("missing.safetensors" in entry["error"] for entry in manifest)
+
+
+def test_merge_nonfinite_run_exits_2_without_outputs(tmp_path, capsys):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["ensemble"]["optimizer"] = {"kind": "gd", "lr": 1e30}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code = main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"])
+    assert code == 2
+    assert "non-finite iterate after step 2 (epoch 1, batch ing1" in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["ensemble"]["optimizer"] = {"kind": "gd", "lr": 0.5}
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.5, 1e30]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
+    assert code == 2
+    manifest = {entry["overrides"]["ensemble.optimizer.lr"]: entry
+                for entry in json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())}
+    assert manifest[0.5]["status"] == "ok"
+    assert manifest[1e30]["status"] == "error"
+    assert "non-finite iterate" in manifest[1e30]["error"]
+    assert not (tmp_path / "g" / manifest[1e30]["cell"] / "merged.safetensors").exists()
+
+
+def test_merge_negative_lr_is_a_config_error(tmp_path, capsys):
+    doc = merge_doc()
+    doc["version"] = 99
+    doc["ensemble"]["optimizer"] = {"kind": "adam", "lr": {"kind": "power", "coeff": -1.0, "exponent": -0.5}}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "merge.json")]) == 1
+    err = capsys.readouterr().err
+    assert "$.version" in err
+    assert "$.ensemble.optimizer" in err and "Power.coeff must be >= 0" in err
+
+
 def test_sweep_cell_names_deterministic_and_order_independent():
     assert sweep_cell_name({"a": 1, "b": 2}) == sweep_cell_name({"b": 2, "a": 1})
     assert sweep_cell_name({"a": 1}) != sweep_cell_name({"a": 2})

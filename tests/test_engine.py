@@ -430,6 +430,38 @@ def test_greedy_nan_at_step_three_raises_with_partial_log():
     assert all(s.accepted for s in excinfo.value.record.steps)
 
 
+def test_nonfinite_iterate_raises_naming_step_and_batch():
+    ingredients = make_ingredients(seed=28, count=4)
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1e30))), n_divisor=4, batch_size=2)
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        EngineError, match=r"non-finite iterate after step 2 \(epoch 1, batch m02\|m03"
+    ) as excinfo:
+        run_ensemble(cfg, ingredients)
+    assert [s.step for s in excinfo.value.record.steps] == [1]
+
+
+def test_batch_mean_sums_in_batch_order():
+    # One replica: a batch of B ingredients is added in batch order in float32
+    # and divided by B, also for a one-element tensor and B >= 8, where
+    # numpy's mean of a lone axis would sum pairwise instead.
+    rng = np.random.default_rng(6)
+    values = rng.uniform(-2, 2, size=(9, 1)).astype(np.float32)
+    ingredients = [
+        Ingredient(f"m{i}", wm(one=values[i], two=[values[i, 0], 1.0])) for i in range(9)
+    ]
+    zero = wm(one=[0.0], two=[0.0, 0.0])
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1.0))), pivot_init=ProvidedInit(zero),
+                 batch_size=9, record_steps=False)
+    merged, _ = run_ensemble(cfg, ingredients)  # one GD step with lr 1 lands on the batch mean
+    acc = values[0].copy()
+    for row in values[1:]:
+        acc += row
+    in_order = acc / np.float32(9)
+    assert values.mean(axis=0, dtype=np.float32) != in_order  # pairwise differs here
+    assert merged.array("one").tobytes() == in_order.tobytes()
+    assert merged.array("two")[0] == in_order[0]
+
+
 # --- replica axis ---------------------------------------------------------------------------
 
 REPLICA_SEEDS = [41, 7, 1234567, 2**62 + 3]
@@ -487,7 +519,7 @@ def test_replicas_with_provided_pivot_and_wide_batches():
     # the conftest schema has a 0-d tensor whose batch is such an axis.
     sets, stacked = replica_ingredients(count=20)
     pivot = random_weightmaps(seed=301, count=1, low=-3, high=3)[0]
-    replicated = WeightMap._wrap(
+    replicated = WeightMap(
         {
             name: np.broadcast_to(arr, (len(REPLICA_SEEDS), *arr.shape))
             for name, arr in pivot.arrays().items()
@@ -516,6 +548,18 @@ def test_single_replica_seed_list_matches_plain_run():
     single, single_record = run_ensemble(cfg, sets[0])
     assert replica(merged, 0) == single
     assert [s.batch_ids for s in record.steps] == [s.batch_ids for s in single_record.steps]
+
+
+def test_nonfinite_replica_is_named():
+    sets, _ = replica_ingredients(count=4, replicas=2)
+    calm = [Ingredient(ing.id, stack_replicas([sets[0][0].weights, ing.weights])) for ing in sets[1]]
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1e30))), n_divisor=4, batch_size=2,
+                 record_steps=False)
+    # Replica 0 merges four copies of one model, so only replica 1 diverges.
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        EngineError, match=r"after step 2 \(epoch 1, batch m02\|m03, replica 1;"
+    ):
+        run_ensemble(cfg, calm, replica_seeds=[5, 6])
 
 
 def test_replicas_reject_whole_map_reductions():

@@ -17,7 +17,7 @@ from soupstock.pseudograd import (
     schedule_eval,
     soup,
 )
-from soupstock.weightstore import SchemaMismatch, WeightMap, axpby
+from soupstock.weightstore import SchemaMismatch, WeightMap
 
 from conftest import random_weightmaps
 
@@ -67,7 +67,9 @@ def test_pseudogradient_translation_invariance_exact_on_integer_lattice(seed, sh
     x = wm(a=rng.integers(-512, 512, size=6).astype(np.float32))
     t = wm(a=np.full(6, float(shift), dtype=np.float32))
     base = pseudogradient(p, x, zeta=1.5, n_divisor=2)
-    moved = pseudogradient(axpby(1, p, 1, t), axpby(1, x, 1, t), zeta=1.5, n_divisor=2)
+    moved = pseudogradient(
+        wm(a=p.array("a") + t.array("a")), wm(a=x.array("a") + t.array("a")), zeta=1.5, n_divisor=2
+    )
     assert base.values == moved.values
 
 

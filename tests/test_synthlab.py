@@ -7,7 +7,7 @@ import pytest
 from soupstock import rng as rng_mod
 from soupstock.engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from soupstock.optim import Adadelta, Adam, OptimizerSpec
-from soupstock.pseudograd import Constant
+from soupstock.pseudograd import CappedPower, Constant
 from soupstock.synthlab import (
     ConvergenceReport,
     DistributionSpec,
@@ -22,6 +22,7 @@ from soupstock.synthlab import (
     sample_population,
     sequential_mean,
     soup_wlln,
+    _tail_schedule_sum,
 )
 from soupstock.weightstore import WeightMap
 
@@ -169,6 +170,17 @@ def test_convergence_cumulative_bound_holds_at_many_tail_points():
             init=np.array([1.0, 0.0]), tail_fraction=frac,
         )
         assert report.converged
+
+
+def test_tail_schedule_sum_closed_form():
+    # alpha = -2: the remainder int_U^inf c*t^-2 dt is exactly c/U.
+    sched = CappedPower(coeff=3.0, exponent=-2.0, cap=10.0)
+    assert _tail_schedule_sum(sched, 9, 8) == pytest.approx(3.0 / 8, rel=1e-15)
+    explicit = math.fsum(min(3.0 * t**-2.0, 10.0) for t in range(1, 9))
+    assert _tail_schedule_sum(sched, 1, 8) == pytest.approx(explicit + 3.0 / 8, rel=1e-14)
+    capped = CappedPower(coeff=3.0, exponent=-2.0, cap=0.5)
+    expected = math.fsum(min(3.0 * t**-2.0, 0.5) for t in range(1, 9)) + 3.0 / 8
+    assert _tail_schedule_sum(capped, 1, 8) == pytest.approx(expected, rel=1e-14)
 
 
 def test_convergence_adam_projected_variant():

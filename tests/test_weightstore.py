@@ -2,25 +2,17 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from soupstock import weightstore as ws
 from soupstock.weightstore import (
     CheckpointError,
     SchemaMismatch,
     WeightMap,
-    axpby,
-    elementwise_div,
-    elementwise_sqrt_add_eps,
-    elementwise_square,
     global_l2_norm,
     l2_distance,
     load_checkpoint,
     save_checkpoint,
-    scale,
     validate_compatible,
-    zeros_like,
 )
 
 from conftest import random_weightmaps
@@ -124,6 +116,87 @@ def test_load_rejects_nan_by_default(tmp_path):
     assert np.isnan(m.array("a")[1])
 
 
+def test_load_rejects_gap_between_tensors(tmp_path):
+    path = tmp_path / "gap.safetensors"
+    header = {
+        "a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+        "b": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]},
+    }
+    write_raw(path, header, b"\x00" * 12)
+    with pytest.raises(CheckpointError, match="4 unused bytes before tensor 'b'"):
+        load_checkpoint(str(path))
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "trailing.safetensors"
+    buf = np.array([1.0, 2.0], dtype="<f4").tobytes() + b"\x00\x00"
+    write_raw(path, {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, buf)
+    with pytest.raises(CheckpointError, match="2 trailing bytes"):
+        load_checkpoint(str(path))
+
+
+def test_load_offsets_out_of_name_order(tmp_path):
+    # Tensors stored in reverse name order take the per-tensor copy path.
+    path = tmp_path / "reversed.safetensors"
+    a = np.arange(6, dtype="<f4").reshape(2, 3)
+    b = np.array([-1.5, 2.5], dtype="<f4")
+    header = {
+        "a": {"dtype": "F32", "shape": [2, 3], "data_offsets": [8, 32]},
+        "b": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+    }
+    write_raw(path, header, b.tobytes() + a.tobytes())
+    m = load_checkpoint(str(path))
+    assert m == WeightMap({"a": a, "b": b})
+    np.testing.assert_array_equal(m.flat, np.concatenate([a.reshape(-1), b]))
+
+
+def test_load_mixed_dtypes_widens_each_tensor(tmp_path):
+    path = tmp_path / "mixed.safetensors"
+    f16 = np.array([1.5, -0.25, 3.0], dtype="<f2")
+    f32 = np.array([[0.1, 0.2], [0.3, 0.4]], dtype="<f4")
+    bf16_as_f32 = np.array([1.5, -2.0], dtype="<f4")
+    bf16 = (bf16_as_f32.view(np.uint32) >> 16).astype("<u2")
+    header = {
+        "z.f32": {"dtype": "F32", "shape": [2, 2], "data_offsets": [0, 16]},
+        "a.f16": {"dtype": "F16", "shape": [3], "data_offsets": [16, 22]},
+        "m.bf16": {"dtype": "BF16", "shape": [2], "data_offsets": [22, 26]},
+    }
+    write_raw(path, header, f32.tobytes() + f16.tobytes() + bf16.tobytes())
+    m = load_checkpoint(str(path))
+    assert m == WeightMap({"a.f16": f16.astype(np.float32), "m.bf16": bf16_as_f32, "z.f32": f32})
+
+
+def test_direct_read_and_copy_paths_agree(tmp_path):
+    m = WeightMap(
+        {"a": np.arange(5, dtype=np.float32), "b": np.zeros((0, 2), dtype=np.float32), "c": np.float32(7.0)},
+        metadata={"k": "v"},
+    )
+    direct = tmp_path / "direct.safetensors"
+    save_checkpoint(m, str(direct))
+    assert load_checkpoint(str(direct)) == m
+    # The same tensors with the body reordered (c, a) must load to the same map.
+    reordered = tmp_path / "reordered.safetensors"
+    header = {
+        "__metadata__": {"k": "v"},
+        "a": {"dtype": "F32", "shape": [5], "data_offsets": [4, 24]},
+        "b": {"dtype": "F32", "shape": [0, 2], "data_offsets": [24, 24]},
+        "c": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+    }
+    write_raw(reordered, header, np.float32(7.0).tobytes() + m.array("a").tobytes())
+    assert load_checkpoint(str(reordered)) == m
+
+
+def test_nonfinite_error_names_first_tensor_in_header_order(tmp_path):
+    path = tmp_path / "nan2.safetensors"
+    header = {
+        "b": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+        "a": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]},
+    }
+    write_raw(path, header, np.array([np.inf, np.nan], dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match="tensor 'b' contains NaN/Inf"):
+        load_checkpoint(str(path))
+
+
 def test_f16_widened_exactly(tmp_path):
     path = tmp_path / "f16.safetensors"
     vals = np.array([1.5, -0.25, 3.0], dtype="<f2")
@@ -209,53 +282,7 @@ def test_empty_list_rejected():
         validate_compatible([])
 
 
-# --- elementwise ops ----------------------------------------------------------
-
-
-def test_axpby_self_cancellation():
-    m = random_weightmaps(seed=1, count=1)[0]
-    z = axpby(1.0, m, -1.0, m)
-    for name in z:
-        assert not z.array(name).any()
-
-
-def test_axpby_midpoint_and_hand_values():
-    a = WeightMap({"a": np.array([2.0], dtype=np.float32)})
-    b = WeightMap({"a": np.array([4.0], dtype=np.float32)})
-    np.testing.assert_array_equal(axpby(0.5, a, 0.5, b).array("a"), [3.0])
-    x = WeightMap({"a": np.array([1.0, 2.0], dtype=np.float32)})
-    y = WeightMap({"a": np.array([10.0, 20.0], dtype=np.float32)})
-    np.testing.assert_array_equal(axpby(2.0, x, 3.0, y).array("a"), [32.0, 64.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.floats(-10, 10, allow_nan=False, width=32),
-    st.floats(-10, 10, allow_nan=False, width=32),
-    st.integers(0, 2**32 - 1),
-)
-def test_axpby_commutes_exactly(alpha, beta, seed):
-    x, y = random_weightmaps(seed=seed, count=2)
-    left = axpby(alpha, x, beta, y)
-    right = axpby(beta, y, alpha, x)
-    assert left == right
-
-
-def test_axpby_incompatible():
-    x = WeightMap({"a": np.zeros(2, dtype=np.float32)})
-    y = WeightMap({"a": np.zeros(3, dtype=np.float32)})
-    with pytest.raises(SchemaMismatch):
-        axpby(1.0, x, 1.0, y)
-
-
-def test_zeros_scale_square_div_sqrt():
-    m = WeightMap({"a": np.array([1.0, 4.0], dtype=np.float32)})
-    assert global_l2_norm(zeros_like(m)) == 0.0
-    np.testing.assert_array_equal(scale(2.0, m).array("a"), [2.0, 8.0])
-    np.testing.assert_array_equal(elementwise_square(m).array("a"), [1.0, 16.0])
-    np.testing.assert_array_equal(elementwise_sqrt_add_eps(m, 0.5).array("a"), [1.5, 2.5])
-    d = elementwise_div(m, WeightMap({"a": np.array([2.0, 2.0], dtype=np.float32)}))
-    np.testing.assert_array_equal(d.array("a"), [0.5, 2.0])
+# --- norms and views ----------------------------------------------------------
 
 
 def test_norm_and_distance():
@@ -278,12 +305,13 @@ def test_arrays_are_readonly():
         m.array("a")[0] = 1.0
 
 
-def test_tensorview_shape_consistency():
-    m = WeightMap({"a": np.zeros((2, 3), dtype=np.float32)})
-    view = m.tensor("a")
-    assert view.shape == (2, 3)
-    assert view.data.shape == (6,)
-    assert view.dtype == "F32"
+def test_array_views_share_the_flat_buffer():
+    m = WeightMap({"b": np.arange(6, dtype=np.float32).reshape(2, 3), "a": np.ones(2, dtype=np.float32)})
+    assert m.flat.shape == (8,)
+    assert m.array("a").shape == (2,) and m.array("b").shape == (2, 3)
+    assert np.shares_memory(m.array("b"), m.flat)
+    np.testing.assert_array_equal(m.flat, [1, 1, 0, 1, 2, 3, 4, 5])
+    assert m.schema().offsets == (0, 2, 8)
 
 
 def test_schema_equality_across_sources():
