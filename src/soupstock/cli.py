@@ -20,7 +20,8 @@ import csv
 import json
 import os
 import sys
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -83,6 +84,25 @@ def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+@contextmanager
+def _atomic_output(path: str) -> Iterator[str]:
+    """Yield a temporary path beside `path` to write the output to.
+
+    When the block completes the file replaces `path` in one rename, so a
+    failed or interrupted write leaves the previous file (or none) and no
+    temporary behind.
+    """
+    _ensure_parent(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # --- soup ------------------------------------------------------------------------
@@ -177,10 +197,10 @@ def _run_merge_cell(
         merged, record = run_ensemble(engine_cfg, ingredients)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
-    _ensure_parent(out_ckpt)
-    _ensure_parent(out_log)
-    save_checkpoint(merged, out_ckpt)
-    record.to_csv(out_log)
+    # Both files are complete before either replaces its predecessor.
+    with _atomic_output(out_ckpt) as tmp_ckpt, _atomic_output(out_log) as tmp_log:
+        save_checkpoint(merged, tmp_ckpt)
+        record.to_csv(tmp_log)
     return out_ckpt, out_log
 
 
@@ -226,9 +246,8 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
             entry["status"] = "error"
             entry["error"] = str(exc)
         manifest.append(entry)
-    os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "sweep_manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with _atomic_output(manifest_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for entry in manifest:
@@ -252,14 +271,17 @@ def cmd_synth_estimators(args) -> int:
         from .pseudograd import Constant
 
         variant: Adam = base.optimizer.variant
-        optimizer = OptimizerSpec(
-            Adam(
-                lr=Constant(args.lr if args.lr is not None else variant.lr.value),
-                beta1=args.beta1 if args.beta1 is not None else variant.beta1,
-                beta2=args.beta2 if args.beta2 is not None else variant.beta2,
-                eps=args.eps if args.eps is not None else variant.eps,
+        try:
+            optimizer = OptimizerSpec(
+                Adam(
+                    lr=Constant(args.lr if args.lr is not None else variant.lr.value),
+                    beta1=args.beta1 if args.beta1 is not None else variant.beta1,
+                    beta2=args.beta2 if args.beta2 is not None else variant.beta2,
+                    eps=args.eps if args.eps is not None else variant.eps,
+                )
             )
-        )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     cfg = TrialConfig(
         distribution=DistributionSpec(kind=args.dist),
         optimizer=optimizer,

@@ -8,16 +8,21 @@ initialization, tracking the latest iterate, or an exponential moving average
 of it.
 
 A run is logically sequential. Independent runs (e.g. sweep cells) can
-execute concurrently with isolated states. Each step works on the maps' flat
-buffers: a plain run sums its batch straight from the ingredient buffers, and
-every iterate is checked to be finite (a NaN/Inf aborts the run with an
-EngineError naming the step and batch).
+execute concurrently with isolated states. Each step is one blocked pass of
+``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
+is summed straight from the ingredient buffers, turned into the
+pseudogradient, and fed to the optimizer, and the new values are checked to
+be finite (a NaN/Inf aborts the run with an EngineError naming the step and
+batch) and staged for the log norms. No model-size mean or pseudogradient is
+ever built. A run owns one iterate buffer, a copy of the initialization,
+and steps it in place; greedy and projected runs, which still need the
+pre-step iterate, step into a new buffer instead.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
 tensor carries a leading replica axis, and replica r walks its own shuffle
 stream through the same loop. Only then is the sweep stacked into one
-(ingredient, element) array, so that a batch is one gather.
+(ingredient, element) array, so that a block of a batch is one gather.
 """
 
 from __future__ import annotations
@@ -25,12 +30,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
-from .optim import OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
+from .optim import (
+    NonFiniteStep,
+    OptimizerSpec,
+    OptimizerState,
+    StepNorms,
+    optimizer_step,
+    project_to_ball,
+)
 from .pseudograd import (
     AdaptivePivot,
     Constant,
@@ -38,7 +51,7 @@ from .pseudograd import (
     FixedPivot,
     PivotPolicy,
     Schedule,
-    pseudogradient,
+    pseudogradient_scale,
     schedule_eval,
     soup,
 )
@@ -46,7 +59,6 @@ from .weightstore import (
     Schema,
     WeightMap,
     blocks,
-    global_l2_norm,
     l2_distance,
     validate_compatible,
 )
@@ -334,8 +346,8 @@ def _run(
     seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
 
     ordered = order_ingredients(items, cfg.ordering)
-    w, sweep = _resolve_pivot_init(cfg, ordered)
-    validate_compatible([w, items[0].weights])
+    init, sweep = _resolve_pivot_init(cfg, ordered)
+    validate_compatible([init, items[0].weights])
     if cfg.projection is not None:
         validate_compatible([cfg.projection.center, items[0].weights])
     if sweep and cfg.batch_size > len(sweep):
@@ -344,15 +356,26 @@ def _run(
         )
     n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
 
-    schema = w.schema()
+    schema = init.schema()
     batch_mean = _batch_mean_fn(sweep, schema, len(seeds))
     sweep_ids = [ing.id for ing in sweep]
 
     state = OptimizerState()
     record = RunRecord()
-    pivot = w
+    norms = StepNorms(schema) if cfg.record_steps else None
+    # Greedy restores the pre-step iterate on a reject, and a projected step
+    # measures its displacement from it, so those runs step into a new buffer.
+    # Every other run steps a private copy of the initialization in place.
+    iterate = None if evaluate is not None or cfg.projection is not None else init.flat.copy()
+    w = init if iterate is None else WeightMap._wrap(iterate.view(), schema)
     adaptive = isinstance(cfg.pivot_policy, AdaptivePivot)
     ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
+    ema = init.flat.copy() if ema_decay is not None else None  # updated in place
+    if ema is not None:
+        pivot = WeightMap._wrap(ema.view(), schema)
+    else:
+        pivot = w if adaptive else init
+    del init  # a soup initialization lives on only as a fixed pivot or greedy's iterate
     best_metric = (
         _score(evaluate, w, "for the initial model", record) if evaluate is not None else None
     )
@@ -371,25 +394,30 @@ def _run(
 
             if adaptive:
                 pivot = w
-            g = pseudogradient(
-                pivot, WeightMap._wrap(batch_mean(batch_idx), schema), zeta, n_div, step=global_step
-            )
-
-            snapshot = (w, state.clone(), pivot) if evaluate is not None else None
-            w_new = optimizer_step(w, g, state, cfg.optimizer, schedule_step=sched_idx)
-            if not np.isfinite(w_new.flat).all():
-                raise EngineError(
-                    _nonfinite_message(w_new, batch_idx, sweep_ids, attempt, epoch), record=record
+            scale = pseudogradient_scale(zeta, n_div)
+            grad = partial(_pseudogradient_block, batch_mean, batch_idx, pivot.flat, scale)
+            saved_state = state.clone() if evaluate is not None else None
+            try:
+                w_new = optimizer_step(
+                    w, grad, state, cfg.optimizer, sched_idx, out=iterate, norms=norms
                 )
+            except NonFiniteStep as exc:
+                message = _nonfinite_message(schema, exc.index, batch_idx, sweep_ids, attempt, epoch)
+                raise EngineError(message, record=record) from exc
+            if norms is not None:
+                grad_norm, displacement = norms.grad_norm, norms.displacement
             if cfg.projection is not None:
-                w_new = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
+                projected = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
+                if norms is not None and projected is not w_new:
+                    displacement = l2_distance(projected, w)
+                w_new = projected
 
             metric: float | None = None
             accepted: bool | None = None
             if evaluate is not None:
                 metric = _score(evaluate, w_new, f"at step {attempt}", record)
                 accepted = metric > best_metric
-            if cfg.record_steps:
+            if norms is not None:
                 record.steps.append(
                     StepRecord(
                         step=attempt,
@@ -397,31 +425,33 @@ def _run(
                         batch_ids=tuple(sweep_ids[i] for i in batch_idx[:, 0]),
                         eta=schedule_eval(cfg.optimizer.variant.lr, sched_idx),
                         zeta=zeta,
-                        grad_norm=global_l2_norm(g.values),
-                        displacement=l2_distance(w_new, w),
+                        grad_norm=grad_norm,
+                        displacement=displacement,
                         metric=metric,
                         accepted=accepted,
                     )
                 )
             if evaluate is not None and not accepted:
-                w, state, pivot = snapshot
+                state = saved_state
             else:
                 w = w_new
                 if accepted:
                     best_metric = metric
-                if ema_decay is not None:
-                    pivot = _ema_update(pivot, w, ema_decay)
-            del g  # frees its buffer before the next batch is summed
+                if ema is not None:
+                    _ema_update(ema, w.flat, ema_decay)
     record.total_steps = attempt
+    if iterate is not None:
+        iterate.setflags(write=False)
     return w, record
 
 
 def _batch_mean_fn(
     sweep: list[Ingredient], schema: Schema, replicas: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The batch mean as a function of a (batch, replica) block of sweep indices.
+) -> Callable[[np.ndarray, slice], np.ndarray]:
+    """The batch mean as a function of a (batch, replica) block of sweep
+    indices and a slice of the flat buffer; it returns a new float32 array.
 
-    One replica: the chosen ingredient buffers are added in batch order in
+    One replica: the chosen ingredients' elements are added in batch order in
     float32 and the sum divided by float32(batch), with no copy of the sweep.
     Several replicas: the sweep is stacked once as (ingredient, element); every
     element of a (replicas, ...) tensor belongs to one replica, and each takes
@@ -430,37 +460,62 @@ def _batch_mean_fn(
     if replicas == 1:
         buffers = [ing.weights.flat for ing in sweep]
 
-        def mean(batch_idx: np.ndarray) -> np.ndarray:
+        def mean(batch_idx: np.ndarray, s: slice) -> np.ndarray:
             rows = batch_idx[:, 0]
-            acc = buffers[rows[0]].copy()
+            acc = buffers[rows[0]][s].copy()
             for i in rows[1:]:
-                acc += buffers[i]
+                acc += buffers[i][s]
             acc /= np.float32(len(rows))
             return acc
 
         return mean
 
-    stacked = np.stack([ing.weights.flat for ing in sweep]) if sweep else None
+    stacked = np.stack([ing.weights.flat for ing in sweep]).ravel() if sweep else None
     offsets = np.asarray(schema.offsets)
     sizes = np.diff(offsets)
     columns = np.arange(schema.size)
     replica_of = (columns - np.repeat(offsets[:-1], sizes)) * replicas // np.repeat(sizes, sizes)
 
-    def mean(batch_idx: np.ndarray) -> np.ndarray:
-        # A C-ordered gather keeps the reduction a sum in batch order, as above.
-        rows = np.ascontiguousarray(batch_idx[:, replica_of])
-        return stacked[rows, columns].mean(axis=0, dtype=np.float32)
+    def mean(batch_idx: np.ndarray, s: slice) -> np.ndarray:
+        # A C-ordered (batch, column) gather keeps the reduction a sum in batch
+        # order, as above, except over a lone column, which numpy sums
+        # pairwise: that block is widened by the column before it (the map has
+        # at least `replicas` elements).
+        lo = min(s.start, s.stop - 2)
+        index = batch_idx.take(replica_of[lo : s.stop], axis=1)
+        index *= schema.size
+        index += columns[lo : s.stop]
+        acc = np.add.reduce(stacked.take(index), axis=0, dtype=np.float32)
+        acc /= np.float32(len(batch_idx))
+        return acc[s.start - lo :]
 
     return mean
 
 
+def _pseudogradient_block(
+    batch_mean: Callable[[np.ndarray, slice], np.ndarray],
+    batch_idx: np.ndarray,
+    pivot: np.ndarray,
+    scale: np.float32,
+    s: slice,
+) -> np.ndarray:
+    """(pivot - batch mean) * scale over slice s: pseudograd.pseudogradient's operations."""
+    g = batch_mean(batch_idx, s)
+    np.subtract(pivot[s], g, out=g)
+    g *= scale
+    return g
+
+
 def _nonfinite_message(
-    w: WeightMap, batch_idx: np.ndarray, sweep_ids: list[str], step: int, epoch: int
+    schema: Schema,
+    first_bad: int,
+    batch_idx: np.ndarray,
+    sweep_ids: list[str],
+    step: int,
+    epoch: int,
 ) -> str:
-    first_bad = int(np.flatnonzero(~np.isfinite(w.flat))[0])
     replicas = batch_idx.shape[1]
     # Element e of a (replicas, ...) tensor belongs to replica (e - begin) * replicas // size.
-    schema = w.schema()
     t = int(np.searchsorted(schema.offsets, first_bad, side="right")) - 1
     begin, end = schema.offsets[t], schema.offsets[t + 1]
     replica = (first_bad - begin) * replicas // (end - begin)
@@ -472,12 +527,11 @@ def _nonfinite_message(
     )
 
 
-def _ema_update(pivot: WeightMap, w: WeightMap, decay: float) -> WeightMap:
+def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float) -> None:
+    """pivot <- decay * pivot + (1 - decay) * w, in place."""
     d = np.float32(decay)
     omd = np.float32(1.0 - decay)
-    out = np.empty_like(pivot.flat)
-    for s in blocks(out.size):
-        part = out[s]
-        np.multiply(pivot.flat[s], d, out=part)
-        part += omd * w.flat[s]
-    return WeightMap._wrap(out, pivot.schema())
+    for s in blocks(pivot.size):
+        part = pivot[s]
+        part *= d
+        part += omd * w[s]

@@ -114,9 +114,8 @@ def client_train(start: WeightMap, spec: ClientSpec) -> WeightMap:
     state = OptimizerState()
     w = start
     center = spec.objective_center
-    for step in range(1, spec.local_steps + 1):
-        g = pseudogradient(w, center, 1.0, 1, step=step, ingredient_ids=(spec.id,))
-        w = optimizer_step(w, g, state, spec.local_optimizer)
+    for _ in range(spec.local_steps):
+        w = optimizer_step(w, pseudogradient(w, center, 1.0, 1), state, spec.local_optimizer)
     return w
 
 
@@ -137,12 +136,9 @@ def _round_ingredients(participants: list[ClientSpec], start: WeightMap) -> list
     return [client_train(start, client) for client in participants]
 
 
-def _descend(
-    x: WeightMap, target: WeightMap, state: OptimizerState, server: OptimizerSpec, round_idx: int
-) -> WeightMap:
+def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, server: OptimizerSpec) -> WeightMap:
     # Server pseudogradient: the pull away from the aggregated client signal.
-    g = pseudogradient(x, target, 1.0, 1, step=round_idx)
-    return optimizer_step(x, g, state, server)
+    return optimizer_step(x, pseudogradient(x, target, 1.0, 1), state, server)
 
 
 def simulate_fedopt(cfg: FedConfig) -> FedResult:
@@ -162,7 +158,7 @@ def simulate_fedopt(cfg: FedConfig) -> FedResult:
         x_prev = x
         # delta_t = mean_i(x_{i,K} - x_{t-1}) = client_mean - x_{t-1}; the
         # server descends along its negation, moving toward the client mean.
-        x = _descend(x, client_mean, state, cfg.server, t)
+        x = _descend(x, client_mean, state, cfg.server)
         logs.append(
             RoundLog(
                 round=t,
@@ -200,7 +196,7 @@ def simulate_fedsoup(cfg: FedConfig) -> FedResult:
         else:
             w_t = soup(results)
         x_prev = x
-        x = _descend(x, w_t, state, cfg.server_stew, t)
+        x = _descend(x, w_t, state, cfg.server_stew)
         logs.append(
             RoundLog(
                 round=t,

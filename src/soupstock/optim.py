@@ -1,11 +1,15 @@
 """Stateful elementwise optimizers over weight maps.
 
 Four update rules — GD, Adagrad, Adam, Adadelta — consume pseudogradients and
-produce new iterates. Each step is one kernel over the weight map's flat
-float32 buffer, run block by block (``weightstore.blocks``), and all state
-lives in flat float32 buffers of the same layout; the step counter increments
-inside each step call *before* the learning-rate schedule is evaluated, so
-the first update runs at index 1.
+produce new iterates. :func:`optimizer_step` is the one driver: it makes a
+single pass over the weight map's flat float32 buffer in blocks of
+``weightstore.BLOCK`` elements and, per block, takes the pseudogradient (from
+a map or a per-block function), applies decoupled weight decay and the rule's
+block update, checks the result is finite, and, when asked, stages the
+float64 values its log norms are taken from. All state lives in flat float32
+buffers of the same layout; the step counter increments inside each step call
+*before* the learning-rate schedule is evaluated, so the first update runs at
+index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,11 +43,17 @@ from .pseudograd import (
     Constant,
     Explicit,
     Power,
-    Pseudogradient,
     Schedule,
     schedule_eval,
 )
-from .weightstore import WeightMap, _check_compatible, _sq_distance, blocks
+from .weightstore import (
+    BLOCK,
+    Schema,
+    WeightMap,
+    _add_tensor_squares,
+    _check_compatible,
+    _sq_distance,
+)
 
 __all__ = [
     "GD",
@@ -52,10 +63,8 @@ __all__ = [
     "OptimizerVariant",
     "OptimizerSpec",
     "OptimizerState",
-    "gd_step",
-    "adagrad_step",
-    "adam_step",
-    "adadelta_step",
+    "NonFiniteStep",
+    "StepNorms",
     "optimizer_step",
     "project_to_ball",
 ]
@@ -183,78 +192,44 @@ def _buffer(buf: np.ndarray | None, size: int, fill: float = 0.0) -> np.ndarray:
     return np.full(size, np.float32(fill), dtype=np.float32) if buf is None else buf
 
 
-def _begin_step(
-    w: WeightMap,
-    g: Pseudogradient,
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    schedule_step: int | None,
-) -> tuple[np.ndarray, float, int]:
-    """Advance the counter, evaluate the lr, and apply decoupled weight decay.
+# --- block updates ------------------------------------------------------------------
+#
+# Each rule is a factory: given the state, the step size and the global step, it
+# returns update(s, g, out), which applies the rule to the elements in slice s,
+# with g their pseudogradient and out their decayed iterate (updated in place).
 
-    Returns the new iterate's buffer (still writable), the step size, and the
-    global step.
-    """
-    _check_compatible(w, g.values)
-    state.step += 1
-    idx = state.step if schedule_step is None else schedule_step
-    eta = schedule_eval(spec.variant.lr, idx)
-    if spec.weight_decay > 0.0:
-        work = w.flat * np.float32(1.0 - eta * spec.weight_decay)
-    else:
-        work = w.flat.copy()
-    return work, eta, state.step
+BlockUpdate = Callable[[slice, np.ndarray, np.ndarray], None]
 
 
-def gd_step(
-    w: WeightMap,
-    g: Pseudogradient,
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    schedule_step: int | None = None,
-) -> WeightMap:
+def _gd_update(variant: GD, state: OptimizerState, eta: float, step: int, size: int) -> BlockUpdate:
     """w - eta_i * g."""
-    work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
     eta32 = np.float32(eta)
-    grad = g.values.flat
-    for s in blocks(work.size):
-        out = work[s]
-        out -= eta32 * grad[s]
-    return WeightMap._wrap(work, w.schema())
+
+    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
+        out -= eta32 * g
+
+    return update
 
 
-def adagrad_step(
-    w: WeightMap,
-    g: Pseudogradient,
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    schedule_step: int | None = None,
-) -> WeightMap:
+def _adagrad_update(
+    variant: Adagrad, state: OptimizerState, eta: float, step: int, size: int
+) -> BlockUpdate:
     """w - eta_i * g / (sqrt(sum of squared gradients) + eps), per element."""
-    work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
-    variant: Adagrad = spec.variant
-    state.sq_sum = sq_sum = _buffer(state.sq_sum, work.size)
+    state.sq_sum = sq_sum = _buffer(state.sq_sum, size)
     eta32 = np.float32(eta)
     eps32 = np.float32(variant.eps)
-    grad = g.values.flat
-    for s in blocks(work.size):
-        gb, sq, out = grad[s], sq_sum[s], work[s]
-        sq += gb * gb
-        out -= eta32 * gb / (np.sqrt(sq) + eps32)
-    return WeightMap._wrap(work, w.schema())
+
+    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
+        sq = sq_sum[s]
+        sq += g * g
+        out -= eta32 * g / (np.sqrt(sq) + eps32)
+
+    return update
 
 
-def adam_step(
-    w: WeightMap,
-    g: Pseudogradient,
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    schedule_step: int | None = None,
-) -> WeightMap:
-    work, eta, step = _begin_step(w, g, state, spec, schedule_step)
-    variant: Adam = spec.variant
-    state.m = m_all = _buffer(state.m, work.size, variant.m0)
-    state.v = v_all = _buffer(state.v, work.size, variant.v0)
+def _adam_update(variant: Adam, state: OptimizerState, eta: float, step: int, size: int) -> BlockUpdate:
+    state.m = m_all = _buffer(state.m, size, variant.m0)
+    state.v = v_all = _buffer(state.v, size, variant.v0)
     b1 = np.float32(variant.beta1)
     b2 = np.float32(variant.beta2)
     one_m_b1 = np.float32(1.0 - variant.beta1)
@@ -262,32 +237,30 @@ def adam_step(
     eps32 = np.float32(variant.eps)
     bias1 = 1.0 - float(variant.beta1) ** step
     bias2 = 1.0 - float(variant.beta2) ** step
-    if variant.standard_form:
+    standard_form = variant.standard_form
+    if standard_form:
         lr32 = np.float32(eta * math.sqrt(bias2) / bias1)
     else:
         lr32 = np.float32(eta / bias1)
         root_bias2 = np.float32(math.sqrt(bias2))
-    grad = g.values.flat
-    for s in blocks(work.size):
-        gb, m, v, out = grad[s], m_all[s], v_all[s], work[s]
+
+    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
+        m, v = m_all[s], v_all[s]
         m *= b1
-        m += one_m_b1 * gb
+        m += one_m_b1 * g
         v *= b2
-        v += one_m_b2 * gb * gb
-        if variant.standard_form:
+        v += one_m_b2 * g * g
+        if standard_form:
             out -= lr32 * m / (np.sqrt(v) + eps32)
         else:
             out -= lr32 * m / (np.sqrt(v) / root_bias2 + eps32)
-    return WeightMap._wrap(work, w.schema())
+
+    return update
 
 
-def adadelta_step(
-    w: WeightMap,
-    g: Pseudogradient,
-    state: OptimizerState,
-    spec: OptimizerSpec,
-    schedule_step: int | None = None,
-) -> WeightMap:
+def _adadelta_update(
+    variant: Adadelta, state: OptimizerState, eta: float, step: int, size: int
+) -> BlockUpdate:
     """Accumulator-ratio updates, scaled by eta_i.
 
     acc_g <- rho*acc_g + (1-rho)*g^2
@@ -295,38 +268,113 @@ def adadelta_step(
     acc_u <- rho*acc_u + (1-rho)*delta^2
     w     <- w + eta_i*delta
     """
-    work, eta, _ = _begin_step(w, g, state, spec, schedule_step)
-    variant: Adadelta = spec.variant
-    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, work.size)
-    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, work.size)
+    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, size)
+    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, size)
     rho = np.float32(variant.rho)
     one_m_rho = np.float32(1.0 - variant.rho)
     eps32 = np.float32(variant.eps)
     eta32 = np.float32(eta)
-    grad = g.values.flat
-    for s in blocks(work.size):
-        gb, acc_g, acc_u, out = grad[s], acc_g_all[s], acc_u_all[s], work[s]
+
+    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
+        acc_g, acc_u = acc_g_all[s], acc_u_all[s]
         acc_g *= rho
-        acc_g += one_m_rho * gb * gb
-        delta = -np.sqrt(acc_u + eps32) / np.sqrt(acc_g + eps32) * gb
+        acc_g += one_m_rho * g * g
+        delta = -np.sqrt(acc_u + eps32) / np.sqrt(acc_g + eps32) * g
         acc_u *= rho
         acc_u += one_m_rho * delta * delta
         out += eta32 * delta
-    return WeightMap._wrap(work, w.schema())
+
+    return update
 
 
-_STEP_FNS = {GD: gd_step, Adagrad: adagrad_step, Adam: adam_step, Adadelta: adadelta_step}
+_UPDATES = {GD: _gd_update, Adagrad: _adagrad_update, Adam: _adam_update, Adadelta: _adadelta_update}
+
+
+# --- the step driver ---------------------------------------------------------------
+
+
+class NonFiniteStep(ValueError):
+    """A step produced a NaN/Inf; ``index`` is its first such element in the flat buffer."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"non-finite iterate at element {index}")
+        self.index = index
+
+
+class StepNorms:
+    """The log norms of a step, and the float64 scratch they are taken from.
+
+    After each step given it, ``grad_norm`` is the pseudogradient's Euclidean
+    norm and ``displacement`` the distance from the old iterate to the new
+    one, accumulated exactly as :func:`global_l2_norm` and :func:`l2_distance`
+    do. The two scratch vectors hold one of the schema's norm chunks each.
+    """
+
+    def __init__(self, schema: Schema) -> None:
+        largest = max((end - begin for begin, end, _ in schema.norm_chunks), default=0)
+        self.grad64 = np.empty(largest)
+        self.disp64 = np.empty(largest)
+        self.grad_norm = 0.0
+        self.displacement = 0.0
 
 
 def optimizer_step(
     w: WeightMap,
-    g: Pseudogradient,
+    g: WeightMap | Callable[[slice], np.ndarray],
     state: OptimizerState,
     spec: OptimizerSpec,
     schedule_step: int | None = None,
+    *,
+    out: np.ndarray | None = None,
+    norms: StepNorms | None = None,
 ) -> WeightMap:
-    """Dispatch to the step rule for spec.variant."""
-    return _STEP_FNS[type(spec.variant)](w, g, state, spec, schedule_step)
+    """One step of spec's rule: decoupled weight decay, then the update.
+
+    ``g`` is the pseudogradient: a map, or a function that returns the float32
+    values of any slice of the flat buffer. The step makes one pass over the
+    buffer, walking the schema's norm chunks in blocks of at most BLOCK
+    elements; each block is decayed, updated and checked to be finite (a
+    NaN/Inf raises :class:`NonFiniteStep`, leaving the state and ``out``
+    partly stepped) before it is written to ``out``, a new buffer by default.
+    ``out`` may be w's own buffer: every block is read before it is written.
+    With ``norms``, the block's pseudogradient and displacement also go to
+    its float64 scratch, and the norms are added up per tensor once each
+    chunk is complete.
+    """
+    if isinstance(g, WeightMap):
+        _check_compatible(w, g)
+        g = g.flat.__getitem__
+    state.step += 1
+    idx = state.step if schedule_step is None else schedule_step
+    eta = schedule_eval(spec.variant.lr, idx)
+    old = w.flat
+    update = _UPDATES[type(spec.variant)](spec.variant, state, eta, state.step, old.size)
+    decay = np.float32(1.0 - eta * spec.weight_decay) if spec.weight_decay > 0.0 else None
+    new = np.empty_like(old) if out is None else out
+    schema = w.schema()
+    grad_sq = disp_sq = 0.0
+    for begin, end, bounds in schema.norm_chunks:
+        for lo in range(begin, end, BLOCK):
+            s = slice(lo, min(lo + BLOCK, end))
+            gb = g(s)
+            work = old[s] * decay if decay is not None else old[s].copy()
+            update(s, gb, work)
+            if not np.isfinite(work).all():
+                raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
+            if norms is not None:
+                part = slice(lo - begin, s.stop - begin)
+                norms.grad64[part] = gb
+                disp = norms.disp64[part]
+                disp[...] = work
+                disp -= old[s]
+            new[s] = work
+        if norms is not None:
+            grad_sq = _add_tensor_squares(grad_sq, norms.grad64, bounds)
+            disp_sq = _add_tensor_squares(disp_sq, norms.disp64, bounds)
+    if norms is not None:
+        norms.grad_norm = math.sqrt(grad_sq)
+        norms.displacement = math.sqrt(disp_sq)
+    return WeightMap._wrap(new if out is None else new.view(), schema)
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:

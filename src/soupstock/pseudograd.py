@@ -9,7 +9,7 @@ gradient descent with harmonic step decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,8 @@ __all__ = [
     "AdaptivePivot",
     "EmaPivot",
     "PivotPolicy",
-    "Pseudogradient",
     "pseudogradient",
+    "pseudogradient_scale",
     "soup",
     "pivot_identity",
 ]
@@ -141,41 +141,24 @@ PivotPolicy = FixedPivot | AdaptivePivot | EmaPivot
 # --- pseudogradients -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pseudogradient:
-    """A weight difference acting as a gradient signal.
-
-    Tagged with the optimizer step that produced it and the ingredient ids in
-    its batch (empty for hand-built gradients).
-    """
-
-    values: WeightMap
-    step: int = 0
-    ingredient_ids: tuple[str, ...] = field(default_factory=tuple)
+def pseudogradient_scale(zeta: float, n_divisor: int) -> np.float32:
+    """fl(zeta / n_divisor): the factor every pseudogradient element is multiplied by."""
+    if n_divisor < 1:
+        raise ValueError(f"n_divisor must be >= 1, got {n_divisor}")
+    return np.float32(float(zeta) / float(n_divisor))
 
 
-def pseudogradient(
-    pivot: WeightMap,
-    ingredient: WeightMap,
-    zeta: float,
-    n_divisor: int,
-    *,
-    step: int = 0,
-    ingredient_ids: tuple[str, ...] = (),
-) -> Pseudogradient:
+def pseudogradient(pivot: WeightMap, ingredient: WeightMap, zeta: float, n_divisor: int) -> WeightMap:
     """amplification * (pivot - ingredient) / n_divisor, elementwise.
 
     Computed as (pivot - ingredient) * fl(zeta / n_divisor) per element, making
     pseudogradient(p, x) the exact negation of pseudogradient(x, p).
     """
-    if n_divisor < 1:
-        raise ValueError(f"n_divisor must be >= 1, got {n_divisor}")
+    scale = pseudogradient_scale(zeta, n_divisor)
     _check_compatible(pivot, ingredient)
     out = np.subtract(pivot.flat, ingredient.flat)
-    out *= np.float32(float(zeta) / float(n_divisor))
-    return Pseudogradient(
-        WeightMap._wrap(out, pivot.schema()), step=step, ingredient_ids=ingredient_ids
-    )
+    out *= scale
+    return WeightMap._wrap(out, pivot.schema())
 
 
 def soup(ingredients: list[WeightMap]) -> WeightMap:

@@ -455,7 +455,7 @@ def convergence_check(
     trajectory[0] = init
     ing_maps = [WeightMap({"point": pts[i].astype(np.float32)}) for i in range(len(pts))]
     for t in range(1, steps + 1):
-        g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor, step=t)
+        g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor)
         w = optimizer_step(w, g, state, spec)
         if project_adam:
             w = project_to_ball(w, center, radius)

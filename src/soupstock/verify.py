@@ -15,8 +15,8 @@ import numpy as np
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, IngredientInit, ProvidedInit, run_ensemble
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
-from .optim import GD, Adagrad, OptimizerSpec, OptimizerState, adagrad_step, gd_step
-from .pseudograd import AdaptivePivot, Constant, Harmonic, Pseudogradient, soup
+from .optim import GD, Adagrad, OptimizerSpec, OptimizerState, optimizer_step
+from .pseudograd import AdaptivePivot, Constant, Harmonic, soup
 from .synthlab import convergence_check, cycle_counterexample, cycle_ingredients
 from .weightstore import WeightMap, l2_distance
 
@@ -121,10 +121,9 @@ def suite_adagrad_gd(seed: int = 7) -> SuiteResult:
     state_ada = OptimizerState()
     worst = 0.0
     for _ in range(100):
-        g_map = WeightMap({"w": rng.standard_normal(16).astype(np.float32)})
-        g = Pseudogradient(g_map)
-        stepped_gd = gd_step(w, g, OptimizerState(), spec_gd)
-        stepped_ada = adagrad_step(w, g, state_ada, spec_ada)
+        g = WeightMap({"w": rng.standard_normal(16).astype(np.float32)})
+        stepped_gd = optimizer_step(w, g, OptimizerState(), spec_gd)
+        stepped_ada = optimizer_step(w, g, state_ada, spec_ada)
         rel = l2_distance(stepped_ada, stepped_gd) / max(l2_distance(stepped_gd, w), 1e-30)
         worst = max(worst, rel)
         w = stepped_gd

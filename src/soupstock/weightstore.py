@@ -10,12 +10,14 @@ maps derived from one another. ``array(name)`` and ``arrays()`` return
 read-only views into the buffer. Maps are immutable after construction and
 safe to share across threads.
 
-Elementwise work elsewhere in the package (optimizer steps, soups,
-pseudogradients, the engine's batch sums) runs over the flat buffer, one
-block of :data:`BLOCK` elements at a time (:func:`blocks`), so temporaries
-stay small whatever the model size. Blocking changes no float32 result:
-every element sees the same operations in the same order. The norms
-accumulate in float64 per tensor and add the tensors up in name order.
+Elementwise work elsewhere in the package (soups, pseudogradients, and the
+optimizer step, which also sums the engine's batches) runs over the flat
+buffer, one block of :data:`BLOCK` elements at a time, so temporaries stay
+small whatever the model size. Blocking changes no float32 result: every
+element sees the same operations in the same order. The norms accumulate in
+float64 per tensor and add the tensors up in name order; the optimizer step
+takes its log norms the same way, one norm chunk (:attr:`Schema.norm_chunks`)
+at a time.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -88,7 +90,7 @@ class Schema:
     """The (name, shape, offset) layout shared by compatible weight maps.
 
     Tensors sit in name order in one flat buffer; tensor i spans
-    ``offsets[i]:offsets[i + 1]``. A 0-d tensor is held with shape (1,).
+    ``offsets[i]:offsets[i + 1]``.
     """
 
     names: tuple[str, ...]
@@ -98,7 +100,7 @@ class Schema:
     @classmethod
     def from_shapes(cls, shapes: Mapping[str, tuple[int, ...]]) -> "Schema":
         names = tuple(sorted(shapes))
-        dims = tuple(tuple(shapes[name]) or (1,) for name in names)
+        dims = tuple(tuple(shapes[name]) for name in names)
         offsets = [0]
         for dim in dims:
             offsets.append(offsets[-1] + math.prod(dim))
@@ -235,15 +237,21 @@ def validate_compatible(maps: list[WeightMap]) -> Schema:
     return first.schema()
 
 
+def _add_tensor_squares(total: float, values: np.ndarray, bounds: tuple[int, ...]) -> float:
+    # Adds, tensor by tensor in name order, the float64 dot product of each
+    # tensor's own elements; values holds one norm chunk, tensor i at
+    # bounds[i]:bounds[i + 1].
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = values[lo:hi]
+        total += float(np.dot(part, part))
+    return total
+
+
 def _sum_tensor_squares(schema: Schema, chunk64) -> float:
-    # Per tensor, the float64 dot product of its own elements; tensors are
-    # added in name order. chunk64(begin, end) gives float64 values for a run.
+    # chunk64(begin, end) gives float64 values for a norm chunk.
     total = 0.0
     for begin, end, bounds in schema.norm_chunks:
-        values = chunk64(begin, end)
-        for lo, hi in zip(bounds, bounds[1:]):
-            part = values[lo:hi]
-            total += float(np.dot(part, part))
+        total = _add_tensor_squares(total, chunk64(begin, end), bounds)
     return total
 
 

@@ -21,12 +21,11 @@ from soupstock.engine import (
     run_ensemble,
 )
 from soupstock.fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
-from soupstock.optim import GD, Adagrad, OptimizerSpec, OptimizerState, adagrad_step, gd_step
+from soupstock.optim import GD, Adagrad, OptimizerSpec, OptimizerState, optimizer_step
 from soupstock.pseudograd import (
     AdaptivePivot,
     Constant,
     Harmonic,
-    Pseudogradient,
     pivot_identity,
     soup,
 )
@@ -178,9 +177,9 @@ def test_criterion_07_adagrad_matches_gd_with_huge_eps():
         spec_gd = OptimizerSpec(GD(lr=Constant(eta_tilde)))
         state_ada = OptimizerState()
         for _ in range(100):
-            g = Pseudogradient(WeightMap({"w": rng.standard_normal(16).astype(np.float32)}))
-            stepped_gd = gd_step(w, g, OptimizerState(), spec_gd)
-            stepped_ada = adagrad_step(w, g, state_ada, spec_ada)
+            g = WeightMap({"w": rng.standard_normal(16).astype(np.float32)})
+            stepped_gd = optimizer_step(w, g, OptimizerState(), spec_gd)
+            stepped_ada = optimizer_step(w, g, state_ada, spec_ada)
             step_size = l2_distance(stepped_gd, w)
             assert l2_distance(stepped_ada, stepped_gd) < 1e-3 * step_size
             w = stepped_gd

@@ -66,6 +66,18 @@ def test_soup_single_checkpoint_byte_identical(tmp_path):
     assert out.read_bytes() == paths[0].read_bytes()
 
 
+def test_soup_single_checkpoint_with_scalar_tensor_byte_identical(tmp_path):
+    path = tmp_path / "scalar.safetensors"
+    save_checkpoint(
+        WeightMap({"scale": np.float32(0.25), "w": np.arange(6, dtype=np.float32).reshape(2, 3)}),
+        str(path),
+    )
+    assert '"shape":[]' in path.read_bytes().decode("utf-8", errors="replace")
+    out = tmp_path / "copy.safetensors"
+    assert main(["soup", str(path), "-o", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == path.read_bytes()
+
+
 def test_soup_incompatible_inputs_exit_2(tmp_path, capsys):
     save_checkpoint(WeightMap({"a": np.zeros(2, dtype=np.float32)}), str(tmp_path / "x.safetensors"))
     save_checkpoint(WeightMap({"a": np.zeros(3, dtype=np.float32)}), str(tmp_path / "y.safetensors"))
@@ -219,6 +231,42 @@ def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
     assert not (tmp_path / "g" / manifest[1e30]["cell"] / "merged.safetensors").exists()
 
 
+def _fail_mid_write(*args, **kwargs):
+    """Stands in for a writer: writes part of its output to its last argument
+    (a path or an open file), then fails."""
+    target = args[-1]
+    if isinstance(target, str):
+        with open(target, "w") as fh:
+            fh.write("partial")
+    else:
+        target.write("partial")
+        target.flush()
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "log", "manifest"])
+def test_merge_outputs_survive_a_failed_rewrite(tmp_path, monkeypatch, target):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    if target == "manifest":
+        doc["sweep"] = {"ensemble.optimizer.lr": [0.5, 0.25]}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    argv = ["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 0
+    before = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+
+    if target == "checkpoint":
+        monkeypatch.setattr("soupstock.cli.save_checkpoint", _fail_mid_write)
+    elif target == "log":
+        monkeypatch.setattr("soupstock.engine.RunRecord.to_csv", _fail_mid_write)
+    else:
+        monkeypatch.setattr("soupstock.cli.json.dump", _fail_mid_write)
+    assert main(argv) == 2
+
+    after = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+    assert after == before  # old bytes intact, and no temporary file left behind
+
+
 def test_merge_negative_lr_is_a_config_error(tmp_path, capsys):
     doc = merge_doc()
     doc["version"] = 99
@@ -301,6 +349,19 @@ def test_synth_estimators_small_run(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "trial,soup_x,soup_y,ame_x,ame_y,dist_soup,dist_ame"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--beta1", "1.5", "adam betas must lie in [0, 1)"), ("--lr", "-1", "must be >= 0")],
+    ids=["beta1", "lr"],
+)
+def test_synth_estimators_bad_optimizer_flag_exit_1(tmp_path, capsys, flag, value, message):
+    code = main(["synth", "estimators", "--dist", "cauchy", flag, value,
+                 "-o", str(tmp_path / "est.csv"), "--quiet"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
 
 
 def test_synth_wlln_cauchy_rejected(capsys):

@@ -541,6 +541,27 @@ def test_replicas_with_provided_pivot_and_wide_batches():
         assert replica(merged, r) == single
 
 
+def test_replica_batch_mean_sums_a_lone_last_column_in_batch_order():
+    # Three replicas of 43691 elements make 2 * BLOCK + 1 columns, so the last
+    # block of the stacked gather is one column, whose batch numpy would sum
+    # pairwise.
+    rng = np.random.default_rng(6)
+    lone = rng.uniform(-2, 2, size=9).astype(np.float32)  # the batch of the test above
+    values = rng.uniform(-2, 2, size=(9, 3, 43691)).astype(np.float32)
+    values[:, 2, -1] = lone
+    ingredients = [Ingredient(f"m{i}", WeightMap({"w": values[i]})) for i in range(9)]
+    zero = WeightMap({"w": np.zeros((3, 43691), dtype=np.float32)})
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1.0))), pivot_init=ProvidedInit(zero),
+                 batch_size=9, record_steps=False)
+    merged, _ = run_ensemble(cfg, ingredients, replica_seeds=[1, 2, 3])  # lands on the batch mean
+    acc = values[0].copy()
+    for row in values[1:]:
+        acc += row
+    in_order = acc / np.float32(9)
+    assert np.add.reduce(values[:, 2, -1]) / np.float32(9) != in_order[2, -1]  # pairwise differs here
+    assert merged.array("w").tobytes() == in_order.tobytes()
+
+
 def test_single_replica_seed_list_matches_plain_run():
     sets, stacked = replica_ingredients(count=5, replicas=1)
     cfg = gd_cfg(shuffle=True, seed=99, epochs=2, batch_size=2)

@@ -1,16 +1,22 @@
 """The flat-buffer kernels against per-tensor reference loops, bit for bit.
 
-The references below are the per-tensor formulations the kernels replaced.
+The references below are the per-tensor formulations the kernels replaced,
+and the merge loop as the separate passes the engine's fused step replaced.
 The maps mix a 0-d tensor, empty tensors, a tensor larger than one block and
 tensors that straddle block boundaries, so blocking and layout are both
 exercised.
 """
 
+import copy
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from soupstock import rng as rng_mod
+from soupstock.engine import EnsembleConfig, Ingredient, Projection, greedy_run, run_ensemble
 from soupstock.optim import (
     GD,
     Adadelta,
@@ -21,7 +27,15 @@ from soupstock.optim import (
     optimizer_step,
     project_to_ball,
 )
-from soupstock.pseudograd import Constant, Harmonic, Pseudogradient, pivot_identity, soup
+from soupstock.pseudograd import (
+    AdaptivePivot,
+    Constant,
+    EmaPivot,
+    FixedPivot,
+    Harmonic,
+    pivot_identity,
+    soup,
+)
 from soupstock.weightstore import BLOCK, WeightMap, blocks, global_l2_norm, l2_distance
 
 SHAPES = {
@@ -44,7 +58,7 @@ def random_map(rng, scale=1.0):
 def test_fixture_layout_covers_block_edges():
     m = random_map(np.random.default_rng(0))
     offsets = dict(zip(m.names(), m.schema().offsets))
-    assert m.array("a.scalar").shape == (1,)  # 0-d tensors are held as (1,)
+    assert m.array("a.scalar").shape == ()
     assert offsets["d.big"] < BLOCK < offsets["e.straddle"] < 2 * BLOCK
     assert offsets["e.straddle"] + 80000 > 2 * BLOCK
     assert len(blocks(m.flat.size)) == 3
@@ -124,6 +138,63 @@ def ref_distance(a, b):
     return math.sqrt(total)
 
 
+def ref_project(w, center, radius):
+    dist = ref_distance(w, center)
+    if dist <= radius:
+        return w
+    shrink = np.float32(radius / dist)
+    return WeightMap(
+        {name: center.array(name) + (arr - center.array(name)) * shrink for name, arr in w.arrays().items()}
+    )
+
+
+def ref_merge(cfg, ingredients, evaluate=None):
+    """The merge loop as separate passes: per-tensor batch mean and
+    pseudogradient, ref_step, ref_project and the two norms. Covers the
+    "given" ordering and a soup initialization; returns the model and one
+    (grad_norm, displacement, metric, accepted) entry per step."""
+    sweep = [ing.weights for ing in ingredients]
+    n_div = len(sweep) if cfg.n_divisor is None else cfg.n_divisor
+    spec = cfg.optimizer
+    w = pivot = ref_soup(sweep)
+    state, step, log = {}, 0, []
+    best = evaluate(w) if evaluate else None
+    for epoch in range(1, cfg.epochs + 1):
+        order = np.arange(len(sweep))
+        if cfg.shuffle:
+            order = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_SHUFFLE, epoch).permutation(len(sweep))
+        for start in range(0, len(sweep), cfg.batch_size):
+            batch = [sweep[i] for i in order[start : start + cfg.batch_size]]
+            scale = np.float32(cfg.amplification(step + 1) / n_div)
+            if isinstance(cfg.pivot_policy, AdaptivePivot):
+                pivot = w
+            g = {}
+            for name in w:
+                mean = batch[0].array(name).copy()
+                for m in batch[1:]:
+                    mean += m.array(name)
+                mean /= np.float32(len(batch))
+                g[name] = (pivot.array(name) - mean) * scale
+            g = WeightMap(g)
+            trial = copy.deepcopy(state)
+            w_new = ref_step(w, g, trial, spec, step + 1, spec.variant.lr(step + 1))
+            if cfg.projection is not None:
+                w_new = ref_project(w_new, cfg.projection.center, cfg.projection.radius)
+            metric = evaluate(w_new) if evaluate else None
+            accepted = None if evaluate is None else metric > best
+            log.append((ref_norm(g), ref_distance(w_new, w), metric, accepted))
+            if accepted is False:
+                continue
+            w, state, step = w_new, trial, step + 1
+            if accepted:
+                best = metric
+            if isinstance(cfg.pivot_policy, EmaPivot):
+                decay = cfg.pivot_policy.decay
+                d, omd = np.float32(decay), np.float32(1.0 - decay)
+                pivot = WeightMap({name: a * d + omd * w.array(name) for name, a in pivot.arrays().items()})
+    return w, log
+
+
 # --- kernels vs references -----------------------------------------------------------
 
 VARIANTS = [
@@ -145,7 +216,7 @@ def test_optimizer_kernels_match_per_tensor_reference(variant, weight_decay):
     state, ref_state = OptimizerState(), {}
     for step in range(1, 5):
         g = random_map(rng, scale=0.1)
-        w = optimizer_step(w, Pseudogradient(g), state, spec)
+        w = optimizer_step(w, g, state, spec)
         ref_w = ref_step(ref_w, g, ref_state, spec, step, variant.lr(step))
         assert w == ref_w
 
@@ -186,8 +257,92 @@ def test_projection_matches_per_tensor_reference():
     rng = np.random.default_rng(14)
     w, center = random_map(rng), random_map(rng)
     radius = 0.5 * ref_distance(w, center)
-    shrink = np.float32(radius / ref_distance(w, center))
-    expected = WeightMap(
-        {name: center.array(name) + (arr - center.array(name)) * shrink for name, arr in w.arrays().items()}
+    assert project_to_ball(w, center, radius) == ref_project(w, center, radius)
+
+
+# --- the fused merge step vs the separate passes -------------------------------------
+
+# SHAPES plus small tensors of mixed magnitude, which share one norm chunk.
+MERGE_SHAPES = {**SHAPES, **{f"h.{i:02d}": (50 + 21 * i,) for i in range(40)}}
+
+
+def merge_map(rng):
+    return WeightMap(
+        {
+            name: (rng.standard_normal(shape) * 10.0 ** (i % 7 - 3)).astype(np.float32)
+            for i, (name, shape) in enumerate(MERGE_SHAPES.items())
+        }
     )
-    assert project_to_ball(w, center, radius) == expected
+
+
+MERGE_VARIANTS = [
+    GD(lr=Harmonic(offset=1)),
+    Adagrad(lr=Constant(0.05), eps=1e-8),
+    Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8),
+    Adadelta(lr=Constant(1.0), rho=0.9, eps=1e-6),
+]
+
+
+@pytest.mark.parametrize("variant", MERGE_VARIANTS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "policy", [FixedPivot(), AdaptivePivot(), EmaPivot(decay=0.6)], ids=["fixed", "adaptive", "ema"]
+)
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_fused_merge_matches_separate_passes(variant, policy, weight_decay):
+    rng = np.random.default_rng(15)
+    ingredients = [Ingredient(f"m{i}", merge_map(rng)) for i in range(5)]
+    target = merge_map(rng)
+    base = EnsembleConfig(
+        optimizer=OptimizerSpec(variant, weight_decay=weight_decay),
+        pivot_policy=policy,
+        amplification=Constant(1.3),
+        epochs=2,
+        shuffle=True,
+        seed=5,
+        ordering="given",
+    )
+    soup_norm = ref_norm(ref_soup([ing.weights for ing in ingredients]))
+    zeros = WeightMap({name: np.zeros(shape, np.float32) for name, shape in MERGE_SHAPES.items()})
+    runs = {
+        "batch-1": (replace(base, batch_size=1), None),
+        "batch-3-unrecorded": (replace(base, batch_size=3, record_steps=False), None),
+        "projection": (replace(base, batch_size=3, projection=Projection(zeros, 0.9 * soup_norm)), None),
+        "greedy": (replace(base, batch_size=1), lambda m: -ref_distance(m, target)),
+    }
+    for name, (cfg, evaluate) in runs.items():
+        if evaluate is None:
+            merged, record = run_ensemble(cfg, ingredients)
+        else:
+            merged, record = greedy_run(cfg, ingredients, evaluate)
+        expected, log = ref_merge(cfg, ingredients, evaluate)
+        assert merged == expected, name
+        assert record.total_steps == len(log), name
+        got = [(s.grad_norm, s.displacement, s.metric, s.accepted) for s in record.steps]
+        assert got == (log if cfg.record_steps else []), name
+
+
+def test_fused_step_allocates_only_state_and_norm_scratch():
+    # A plain Adam run steps its iterate in place: beyond the iterate and the
+    # two moments, it holds two float64 vectors of one norm chunk (here, the
+    # largest tensor) and a few blocks of temporaries. The separate passes
+    # also held a batch mean, a pseudogradient and a second iterate.
+    rng = np.random.default_rng(16)
+    shapes = {f"t{i}": (3 * BLOCK + 17 * i,) for i in range(8)}
+    maps = [
+        WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}) for _ in range(4)
+    ]
+    ingredients = [Ingredient(f"m{i}", m) for i, m in enumerate(maps)]
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8)),
+        batch_size=2,
+        ordering="given",
+    )
+    model = 4 * ingredients[0].weights.flat.size
+    largest = max(math.prod(s) for s in shapes.values())
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, ingredients)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * model + 2 * 8 * largest + 8 * 4 * BLOCK

@@ -32,13 +32,13 @@ def wm(**tensors):
 def test_pseudogradient_self_difference_is_zero():
     m = random_weightmaps(seed=11, count=1)[0]
     g = pseudogradient(m, m, zeta=3.7, n_divisor=5)
-    for name in g.values:
-        assert not g.values.array(name).any()
+    for name in g:
+        assert not g.array(name).any()
 
 
 def test_pseudogradient_hand_value():
     g = pseudogradient(wm(a=[1.0, 1.0]), wm(a=[0.0, 2.0]), zeta=1.0, n_divisor=2)
-    np.testing.assert_array_equal(g.values.array("a"), [0.5, -0.5])
+    np.testing.assert_array_equal(g.array("a"), [0.5, -0.5])
 
 
 def test_pseudogradient_zeta_cancels_divisor():
@@ -46,7 +46,7 @@ def test_pseudogradient_zeta_cancels_divisor():
     pivot, ing, zeta, n = 3.0, 1.0, 4.0, 4
     expected = zeta * (pivot - ing) / n
     g = pseudogradient(wm(a=[pivot]), wm(a=[ing]), zeta=zeta, n_divisor=n)
-    np.testing.assert_array_equal(g.values.array("a"), [np.float32(expected)])
+    np.testing.assert_array_equal(g.array("a"), [np.float32(expected)])
     assert expected == 2.0
 
 
@@ -54,8 +54,8 @@ def test_pseudogradient_antisymmetry_exact():
     p, x = random_weightmaps(seed=21, count=2)
     fwd = pseudogradient(p, x, zeta=0.3, n_divisor=3)
     bwd = pseudogradient(x, p, zeta=0.3, n_divisor=3)
-    for name in fwd.values:
-        np.testing.assert_array_equal(fwd.values.array(name), -bwd.values.array(name))
+    for name in fwd:
+        np.testing.assert_array_equal(fwd.array(name), -bwd.array(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,7 +70,7 @@ def test_pseudogradient_translation_invariance_exact_on_integer_lattice(seed, sh
     moved = pseudogradient(
         wm(a=p.array("a") + t.array("a")), wm(a=x.array("a") + t.array("a")), zeta=1.5, n_divisor=2
     )
-    assert base.values == moved.values
+    assert base == moved
 
 
 def test_pseudogradient_rejects_incompatible():
@@ -81,11 +81,6 @@ def test_pseudogradient_rejects_incompatible():
 def test_pseudogradient_rejects_bad_divisor():
     with pytest.raises(ValueError):
         pseudogradient(wm(a=[1.0]), wm(a=[1.0]), zeta=1.0, n_divisor=0)
-
-
-def test_pseudogradient_tags():
-    g = pseudogradient(wm(a=[1.0]), wm(a=[0.0]), 1.0, 1, step=7, ingredient_ids=("x",))
-    assert g.step == 7 and g.ingredient_ids == ("x",)
 
 
 # --- soup -----------------------------------------------------------------------

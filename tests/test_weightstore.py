@@ -180,7 +180,7 @@ def test_direct_read_and_copy_paths_agree(tmp_path):
         "__metadata__": {"k": "v"},
         "a": {"dtype": "F32", "shape": [5], "data_offsets": [4, 24]},
         "b": {"dtype": "F32", "shape": [0, 2], "data_offsets": [24, 24]},
-        "c": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+        "c": {"dtype": "F32", "shape": [], "data_offsets": [0, 4]},
     }
     write_raw(reordered, header, np.float32(7.0).tobytes() + m.array("a").tobytes())
     assert load_checkpoint(str(reordered)) == m
