@@ -20,8 +20,8 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import ExitStack
+from typing import Any
 
 import numpy as np
 
@@ -64,9 +64,12 @@ from .verify import SUITES, run_suites
 from .weightstore import (
     CheckpointError,
     SchemaMismatch,
+    StoredMap,
     WeightMap,
+    atomic_output,
     l2_distance,
     load_checkpoint,
+    open_checkpoint,
     save_checkpoint,
 )
 
@@ -80,39 +83,22 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
-@contextmanager
-def _atomic_output(path: str) -> Iterator[str]:
-    """Yield a temporary path beside `path` to write the output to.
-
-    When the block completes the file replaces `path` in one rename, so a
-    failed or interrupted write leaves the previous file (or none) and no
-    temporary behind.
-    """
-    _ensure_parent(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _check_unchanged(stored: list[StoredMap]) -> None:
+    """Before an output replaces its target: every open input still holds what was read."""
+    for m in stored:
+        m.check_unchanged()
 
 
 # --- soup ------------------------------------------------------------------------
 
 
 def cmd_soup(args) -> int:
-    maps = [load_checkpoint(path) for path in args.inputs]
-    merged = soup(maps)
-    _ensure_parent(args.output)
-    save_checkpoint(merged, args.output)
+    with ExitStack() as stack:
+        maps = [stack.enter_context(open_checkpoint(path)) for path in args.inputs]
+        merged = soup(maps)
+        with atomic_output(args.output) as tmp:
+            save_checkpoint(merged, tmp)
+            _check_unchanged(maps)
     _say(args, f"souped {len(maps)} ingredients -> {args.output} ({len(merged)} tensors)")
     return 0
 
@@ -131,13 +117,14 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
     return metrics
 
 
-def _load_ingredients(cfg: MergeConfig, base_dir: str) -> list[Ingredient]:
+def _open_ingredients(cfg: MergeConfig, base_dir: str, stack: ExitStack) -> list[Ingredient]:
+    """Open the ingredient files in config order; `stack` closes them."""
     metrics: dict[str, float] = {}
     if cfg.metrics_csv is not None:
         metrics = _read_metrics_csv(os.path.join(base_dir, cfg.metrics_csv))
     ingredients = []
     for entry in cfg.ingredients:
-        weights = load_checkpoint(os.path.join(base_dir, entry.path))
+        weights = stack.enter_context(open_checkpoint(os.path.join(base_dir, entry.path)))
         metric = entry.metric if entry.metric is not None else metrics.get(entry.id)
         ingredients.append(Ingredient(id=entry.id, weights=weights, metric=metric))
     return ingredients
@@ -198,20 +185,27 @@ def _run_merge_cell(
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     # Both files are complete before either replaces its predecessor.
-    with _atomic_output(out_ckpt) as tmp_ckpt, _atomic_output(out_log) as tmp_log:
+    with atomic_output(out_ckpt) as tmp_ckpt, atomic_output(out_log) as tmp_log:
         save_checkpoint(merged, tmp_ckpt)
         record.to_csv(tmp_log)
+        _check_unchanged([ing.weights for ing in ingredients])
     return out_ckpt, out_log
 
 
 def cmd_merge(args, force_greedy: bool = False) -> int:
+    # The ingredients stay open, one file each, until the merge ends.
+    with ExitStack() as stack:
+        return _merge(args, force_greedy, stack)
+
+
+def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
     doc = load_json(args.config)
     cells = enumerate_sweep(doc)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
 
     if len(cells) == 1 and not cells[0][0]:
-        ingredients = _load_ingredients(cells[0][1], base_dir)
+        ingredients = _open_ingredients(cells[0][1], base_dir, stack)
         out_ckpt, out_log = _run_merge_cell(
             cells[0][1], base_dir, out_dir, force_greedy, ingredients
         )
@@ -219,13 +213,14 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
         return 0
 
     # Sweep paths all start with "ensemble.", so every cell shares the
-    # ingredient list and metrics CSV: load them once. A load failure fails
-    # every cell, as it would if each cell loaded them itself.
-    load_error: Exception | None = None
+    # ingredient list and metrics CSV: open them once. An open failure fails
+    # every cell, as it would if each cell opened them itself.
+    ingredients = []
+    open_error: Exception | None = None
     try:
-        ingredients = _load_ingredients(cells[0][1], base_dir)
+        ingredients = _open_ingredients(cells[0][1], base_dir, stack)
     except Exception as exc:  # recorded per cell below
-        load_error = exc
+        open_error = exc
     manifest: list[dict[str, Any]] = []
     failures = 0
     for overrides, cell_cfg in cells:
@@ -233,8 +228,8 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
         cell_dir = os.path.join(out_dir, name)
         entry: dict[str, Any] = {"cell": name, "overrides": overrides}
         try:
-            if load_error is not None:
-                raise load_error
+            if open_error is not None:
+                raise open_error
             out_ckpt, out_log = _run_merge_cell(
                 cell_cfg, base_dir, cell_dir, force_greedy, ingredients
             )
@@ -247,9 +242,11 @@ def cmd_merge(args, force_greedy: bool = False) -> int:
             entry["error"] = str(exc)
         manifest.append(entry)
     manifest_path = os.path.join(out_dir, "sweep_manifest.json")
-    with _atomic_output(manifest_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_output(manifest_path) as tmp:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        _check_unchanged([ing.weights for ing in ingredients])
     for entry in manifest:
         _say(args, f"{entry['cell']}: {entry['status']}")
     _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
@@ -294,8 +291,8 @@ def cmd_synth_estimators(args) -> int:
         seed=args.seed,
     )
     result = run_estimator_trials(cfg, workers=args.workers)
-    _ensure_parent(args.output)
-    result.to_csv(args.output)
+    with atomic_output(args.output) as tmp:
+        result.to_csv(tmp)
     _say(
         args,
         f"{args.trials} trials -> {args.output}; median distance to reference: "
@@ -306,8 +303,8 @@ def cmd_synth_estimators(args) -> int:
 
 def cmd_synth_cycle(args) -> int:
     result = cycle_counterexample(k=args.k, omega=args.omega, cycles=args.cycles)
-    _ensure_parent(args.output)
-    result.to_csv(args.output)
+    with atomic_output(args.output) as tmp:
+        result.to_csv(tmp)
     _say(
         args,
         f"{4 * args.cycles} steps -> {args.output}; return error {result.return_error():.3e}, "
@@ -326,8 +323,7 @@ def cmd_synth_convergence(args) -> int:
         init=np.array([args.omega, 0.0]),
     )
     if args.output is not None:
-        _ensure_parent(args.output)
-        with open(args.output, "w", newline="") as fh:
+        with atomic_output(args.output) as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "x", "y", "l1_norm"])
             for step, pt in enumerate(trajectory):
@@ -354,8 +350,8 @@ def cmd_synth_wlln(args) -> int:
         seed=args.seed,
         epsilon=args.epsilon,
     )
-    _ensure_parent(args.output)
-    result.to_csv(args.output)
+    with atomic_output(args.output) as tmp:
+        result.to_csv(tmp)
     _say(args, "coverage: " + ", ".join(f"n={n}: {f:.3f}" for n, f in result.rows))
     return 0
 
@@ -396,10 +392,10 @@ def cmd_fed(args) -> int:
     result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
     out_log = os.path.join(out_dir, cfg.out_log)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
-    _ensure_parent(out_log)
-    _ensure_parent(out_ckpt)
-    result.to_csv(out_log)
-    save_checkpoint(result.final, out_ckpt)
+    # Both files are complete before either replaces its predecessor.
+    with atomic_output(out_log) as tmp_log, atomic_output(out_ckpt) as tmp_ckpt:
+        result.to_csv(tmp_log)
+        save_checkpoint(result.final, tmp_ckpt)
     _say(
         args,
         f"{cfg.algorithm}: {cfg.rounds} rounds -> {out_ckpt}; final distance to center mean "

@@ -10,18 +10,21 @@ of it.
 A run is logically sequential. Independent runs (e.g. sweep cells) can
 execute concurrently with isolated states. Each step is one blocked pass of
 ``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
-is summed straight from the ingredient buffers, turned into the
+members' values are read from their sources (views of in-memory maps, or
+reads of stored maps that stay in their files), summed, turned into the
 pseudogradient, and fed to the optimizer, and the new values are checked to
 be finite (a NaN/Inf aborts the run with an EngineError naming the step and
 batch) and staged for the log norms. No model-size mean or pseudogradient is
-ever built. A run owns one iterate buffer, a copy of the initialization,
-and steps it in place; greedy and projected runs, which still need the
-pre-step iterate, step into a new buffer instead.
+ever built, and stored ingredients are never held whole (only an
+IngredientInit's ingredient is read into memory, as the initialization). A
+run owns one iterate buffer, a copy of the initialization, and steps it in
+place; greedy and projected runs, which still need the pre-step iterate,
+step into a new buffer instead.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
 tensor carries a leading replica axis, and replica r walks its own shuffle
-stream through the same loop. Only then is the sweep stacked into one
+stream through the same loop. Only then is the sweep read into one
 (ingredient, element) array, so that a block of a batch is one gather.
 """
 
@@ -57,6 +60,7 @@ from .pseudograd import (
 )
 from .weightstore import (
     Schema,
+    StoredMap,
     WeightMap,
     blocks,
     l2_distance,
@@ -97,10 +101,14 @@ class EngineError(ValueError):
 
 @dataclass(frozen=True)
 class Ingredient:
-    """One model entering the ensemble, with an optional held-out metric."""
+    """One model entering the ensemble, with an optional held-out metric.
+
+    The weights may stay in their file (a StoredMap): the merge loop reads
+    them a block at a time.
+    """
 
     id: str
-    weights: WeightMap
+    weights: WeightMap | StoredMap
     metric: float | None = None
 
 
@@ -243,7 +251,8 @@ def _resolve_pivot_init(
         if not matches:
             raise EngineError(f"pivot_init ingredient {init.id!r} not found")
         sweep = [ing for ing in ordered if ing.id != init.id]
-        return matches[0].weights, sweep
+        weights = matches[0].weights
+        return (weights.load() if isinstance(weights, StoredMap) else weights), sweep
     return init.weights, ordered
 
 
@@ -451,26 +460,30 @@ def _batch_mean_fn(
     """The batch mean as a function of a (batch, replica) block of sweep
     indices and a slice of the flat buffer; it returns a new float32 array.
 
-    One replica: the chosen ingredients' elements are added in batch order in
-    float32 and the sum divided by float32(batch), with no copy of the sweep.
-    Several replicas: the sweep is stacked once as (ingredient, element); every
-    element of a (replicas, ...) tensor belongs to one replica, and each takes
-    its own replica's batch members.
+    One replica: the chosen ingredients' blocks are read from their sources
+    (views of an in-memory map, reads of a stored one), added in batch order
+    in float32, and the sum divided by float32(batch), with no copy of the
+    sweep. Several replicas: the sweep is read once into an (ingredient,
+    element) stack; every element of a (replicas, ...) tensor belongs to one
+    replica, and each takes its own replica's batch members.
     """
+    sources = [ing.weights for ing in sweep]
     if replicas == 1:
-        buffers = [ing.weights.flat for ing in sweep]
 
         def mean(batch_idx: np.ndarray, s: slice) -> np.ndarray:
             rows = batch_idx[:, 0]
-            acc = buffers[rows[0]][s].copy()
+            acc = sources[rows[0]].read(s, np.empty(s.stop - s.start, dtype=np.float32))
             for i in rows[1:]:
-                acc += buffers[i][s]
+                acc += sources[i].read(s)
             acc /= np.float32(len(rows))
             return acc
 
         return mean
 
-    stacked = np.stack([ing.weights.flat for ing in sweep]).ravel() if sweep else None
+    stacked = np.empty((len(sources), schema.size), dtype=np.float32)
+    for row, source in zip(stacked, sources):
+        source.read(slice(None), row)
+    stacked = stacked.ravel()
     offsets = np.asarray(schema.offsets)
     sizes = np.diff(offsets)
     columns = np.arange(schema.size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weightstore import WeightMap, _check_compatible, blocks, validate_compatible
+from .weightstore import StoredMap, WeightMap, _check_compatible, blocks, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -161,17 +161,21 @@ def pseudogradient(pivot: WeightMap, ingredient: WeightMap, zeta: float, n_divis
     return WeightMap._wrap(out, pivot.schema())
 
 
-def soup(ingredients: list[WeightMap]) -> WeightMap:
-    """Uniform arithmetic mean, accumulated at float64 in list order."""
+def soup(ingredients: list[WeightMap | StoredMap]) -> WeightMap:
+    """Uniform arithmetic mean, accumulated at float64 in list order.
+
+    Each block is read from every ingredient in turn, so stored maps are
+    souped without holding more than the result and a few blocks.
+    """
     if not ingredients:
         raise ValueError("soup requires at least one ingredient")
     schema = validate_compatible(ingredients)
     n = float(len(ingredients))
     out = np.empty(schema.size, dtype=np.float32)
     for s in blocks(out.size):
-        acc = ingredients[0].flat[s].astype(np.float64)
+        acc = ingredients[0].read(s).astype(np.float64)
         for m in ingredients[1:]:
-            acc += m.flat[s]
+            acc += m.read(s)
         acc /= n
         out[s] = acc
     return WeightMap._wrap(out, schema)

@@ -26,7 +26,7 @@ from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
 from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
-from .weightstore import Schema, WeightMap, global_l2_norm, l2_distance
+from .weightstore import Schema, WeightMap
 
 __all__ = [
     "DistributionSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "cycle_counterexample",
     "convergence_check",
     "soup_wlln",
-    "eval_quadratic_loss",
     "sequential_mean",
 ]
 
@@ -528,11 +527,3 @@ def soup_wlln(
                 hits += 1
         rows.append((n, hits / trials))
     return WllnResult(rows=rows, epsilon=epsilon)
-
-
-# --- quadratic loss -------------------------------------------------------------------------
-
-
-def eval_quadratic_loss(x: WeightMap, xi: WeightMap) -> float:
-    """0.5 * (||x - xi||^2 - ||xi||^2), the regret-logging objective."""
-    return 0.5 * (l2_distance(x, xi) ** 2 - global_l2_norm(xi) ** 2)

@@ -29,21 +29,30 @@ Checkpoint file layout (little-endian throughout):
     raw tensor buffer; offsets are relative to the buffer start, and the
     tensors' byte ranges tile it exactly (no overlaps, gaps or trailing bytes)
 
-A body that is all F32 in name order is read straight into the map's buffer.
-Narrow float tensors (F16/BF16) are widened to float32 on load and written
-back as F32; float32 round-trips are byte-exact.
+A :class:`StoredMap` (from :func:`open_checkpoint`) is a checkpoint that
+stays in its file: it has a schema and metadata, is validated and checked
+finite when opened, and fills any slice of the flat buffer from the file on
+demand. Both kinds of map serve ``read(slice)``, so the soup and the merge
+loop read each block from whichever source they are given; a WeightMap's
+read is a view. :func:`load_checkpoint` opens a file and reads the whole
+body into one buffer. A run of F32 tensors stored in name order is read
+straight into place; narrow float tensors (F16/BF16) are widened to float32
+on read and written back as F32; float32 round-trips are byte-exact. Every
+output file is written through :func:`atomic_output`.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,15 +62,19 @@ __all__ = [
     "SchemaMismatch",
     "Schema",
     "WeightMap",
+    "StoredMap",
     "blocks",
+    "open_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
+    "atomic_output",
     "validate_compatible",
     "global_l2_norm",
     "l2_distance",
 ]
 
 _F32 = np.dtype("<f4")
+_NATIVE_F32 = sys.byteorder == "little"  # an F32 body can be read straight into float32
 _MAX_HEADER_BYTES = 100 * 1024 * 1024
 
 BLOCK = 1 << 16
@@ -182,6 +195,13 @@ class WeightMap:
         i = s.index[name]
         return self.flat[s.offsets[i] : s.offsets[i + 1]].reshape(s.shapes[i])
 
+    def read(self, s: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The float32 values of slice s of the flat buffer: a read-only view, or copied into ``out``."""
+        if out is None:
+            return self.flat[s]
+        out[...] = self.flat[s]
+        return out
+
     def schema(self) -> Schema:
         return self._schema
 
@@ -212,7 +232,7 @@ class WeightMap:
         return f"WeightMap({len(self)} tensors, {self.num_elements()} elements)"
 
 
-def _check_compatible(a: WeightMap, b: WeightMap) -> None:
+def _check_compatible(a: WeightMap | StoredMap, b: WeightMap | StoredMap) -> None:
     sa, sb = a._schema, b._schema
     if sa is sb or sa == sb:
         return
@@ -224,7 +244,7 @@ def _check_compatible(a: WeightMap, b: WeightMap) -> None:
             raise SchemaMismatch(f"shape mismatch for tensor {name!r}: {ours} vs {theirs}")
 
 
-def validate_compatible(maps: list[WeightMap]) -> Schema:
+def validate_compatible(maps: list[WeightMap | StoredMap]) -> Schema:
     """Check that all maps share one schema and return it.
 
     Raises :class:`SchemaMismatch` naming the first offending tensor.
@@ -367,52 +387,180 @@ def _parse_header(path: str, raw: bytes, body_len: int):
     return metadata, entries
 
 
-def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
-    """Load a checkpoint file into a WeightMap.
+class StoredMap:
+    """A checkpoint file opened for reading, block by block.
 
-    F16/BF16 tensors are widened to float32; metadata is preserved. NaN/Inf
-    elements are rejected unless ``allow_nonfinite`` is set.
+    It has a WeightMap's schema and metadata, but its tensors stay in the
+    file: :meth:`read` fills any slice of the flat float32 buffer from it on
+    demand, so only the blocks being worked on are in memory (the page
+    cache, not the process, holds the rest). A run of F32 tensors stored in
+    name order is read straight into the buffer; F16/BF16 or reordered tensors
+    are widened piece by piece.
+
+    Returned by :func:`open_checkpoint`, which has validated the header and
+    checked every element to be finite. The file stays open until
+    :meth:`close` (or the end of a ``with`` block): a file replaced by rename
+    keeps the old contents readable, and :meth:`check_unchanged` detects one
+    rewritten in place. Reads use positioned I/O, so threads may share a map.
     """
-    with open(path, "rb") as fh:
-        file_len = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
+
+    __slots__ = ("path", "metadata", "_schema", "_file", "_stat", "_header_names", "_runs", "_starts")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._parse()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _parse(self) -> None:
+        path, fd = self.path, self._file.fileno()
+        st = os.fstat(fd)
+        self._stat = (st.st_size, st.st_mtime_ns)
+        head = os.pread(fd, 8, 0)
         if len(head) < 8:
             raise CheckpointError(f"{path}: truncated buffer (no header length)")
         (header_len,) = struct.unpack("<Q", head)
         if header_len > _MAX_HEADER_BYTES:
             raise CheckpointError(f"{path}: malformed header (implausible length {header_len})")
-        if 8 + header_len > file_len:
+        if 8 + header_len > st.st_size:
             raise CheckpointError(f"{path}: truncated buffer (header extends past end of file)")
-        body_len = file_len - 8 - header_len
-        metadata, entries = _parse_header(path, fh.read(header_len), body_len)
-
-        schema = Schema.from_shapes({name: shape for name, (_d, shape, _b, _e) in entries.items()})
-        flat = np.empty(schema.size, dtype=np.float32)
-        direct = sys.byteorder == "little" and all(
-            entries[name][0] == "F32" and entries[name][2] == 4 * begin
-            for name, begin in zip(schema.names, schema.offsets)
-        )
-        if direct:
-            # The body is the buffer itself: read it in place.
-            got = fh.readinto(flat.view(np.uint8))
-        else:
-            body = fh.read(body_len)
-            got = len(body)
-            for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
-                dtype, _shape, lo, hi = entries[name]
-                flat[begin:end] = _widen(body[lo:hi], dtype)
-        if got != body_len:
+        raw = os.pread(fd, header_len, 8)
+        if len(raw) != header_len:
             raise CheckpointError(f"{path}: truncated buffer (file changed while reading)")
+        self.metadata, entries = _parse_header(path, raw, st.st_size - 8 - header_len)
+        self._header_names = tuple(entries)
+        self._schema = schema = Schema.from_shapes(
+            {name: shape for name, (_d, shape, _b, _e) in entries.items()}
+        )
+        # Runs of non-empty tensors, in buffer order, that are contiguous in
+        # the file and share a dtype: (begin, end, dtype, file offset of begin).
+        runs: list[tuple[int, int, str, int]] = []
+        for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
+            if begin == end:
+                continue
+            dtype, _shape, lo, _hi = entries[name]
+            offset = 8 + header_len + lo
+            if runs:
+                b, e, d, o = runs[-1]
+                if d == dtype and o + (e - b) * _DTYPE_SIZES[d] == offset:
+                    runs[-1] = (b, end, d, o)
+                    continue
+            runs.append((begin, end, dtype, offset))
+        self._runs = runs
+        self._starts = [run[0] for run in runs]
 
-    if not allow_nonfinite and not np.isfinite(flat).all():
-        for name in entries:  # header order, as the error has always named it
+    def read(self, s: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The float32 values of slice s of the flat buffer, in a new array or in ``out``."""
+        start, stop, _ = s.indices(self._schema.size)
+        if out is None:
+            out = np.empty(max(stop - start, 0), dtype=np.float32)
+        fd, base = self._file.fileno(), start
+        i = bisect.bisect_right(self._starts, start) - 1
+        while start < stop:
+            begin, end, dtype, offset = self._runs[i]
+            hi = min(end, stop)
+            piece = out[start - base : hi - base]
+            pos = offset + (start - begin) * _DTYPE_SIZES[dtype]
+            if dtype == "F32" and _NATIVE_F32:
+                self._read_bytes(fd, piece.view(np.uint8), pos)
+            else:
+                raw = np.empty(piece.size * _DTYPE_SIZES[dtype], dtype=np.uint8)
+                self._read_bytes(fd, raw, pos)
+                piece[...] = _widen(raw, dtype)
+            start = hi
+            i += 1
+        return out
+
+    def _read_bytes(self, fd: int, buf: np.ndarray, pos: int) -> None:
+        # A read may return less than asked (Linux caps one at about 2 GiB);
+        # only a read that returns nothing means the file ended early.
+        done = 0
+        while done < buf.size:
+            got = os.preadv(fd, [buf[done:]], pos + done)
+            if got == 0:
+                raise CheckpointError(f"{self.path}: truncated buffer (file changed while reading)")
+            done += got
+
+    def load(self) -> WeightMap:
+        """The whole map, read into memory."""
+        return WeightMap._wrap(self.read(slice(None)), self._schema, dict(self.metadata))
+
+    def check_unchanged(self) -> None:
+        """Raise CheckpointError if the file's size or mtime changed since it was opened."""
+        st = os.fstat(self._file.fileno())
+        if (st.st_size, st.st_mtime_ns) != self._stat:
+            raise CheckpointError(f"{self.path}: file changed while it was open")
+
+    def _reject_nonfinite(self, values: Callable[[int, int], np.ndarray]) -> None:
+        # values(begin, end) gives those elements of the flat buffer. One pass
+        # in blocks; only on a failure are the tensors searched, in header
+        # order, for the one the error names.
+        def finite(begin: int, end: int) -> bool:
+            return all(
+                np.isfinite(values(lo, min(lo + BLOCK, end))).all() for lo in range(begin, end, BLOCK)
+            )
+
+        schema = self._schema
+        if finite(0, schema.size):
+            return
+        for name in self._header_names:
             i = schema.index[name]
-            if not np.isfinite(flat[schema.offsets[i] : schema.offsets[i + 1]]).all():
+            if not finite(schema.offsets[i], schema.offsets[i + 1]):
                 raise CheckpointError(
-                    f"{path}: tensor {name!r} contains NaN/Inf "
+                    f"{self.path}: tensor {name!r} contains NaN/Inf "
                     f"(pass allow_nonfinite=True to accept)"
                 )
-    return WeightMap._wrap(flat, schema, metadata)
+
+    def schema(self) -> Schema:
+        return self._schema
+
+    def num_elements(self) -> int:
+        return self._schema.size
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "StoredMap":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return f"StoredMap({self.path!r}, {len(self._schema)} tensors, {self.num_elements()} elements)"
+
+
+def open_checkpoint(path: str) -> StoredMap:
+    """Open a checkpoint file for block reads.
+
+    The header is parsed and validated, and every element is checked to be
+    finite in one blocked pass (a NaN/Inf raises the same CheckpointError as
+    :func:`load_checkpoint`). Close the map, or use it in a ``with`` block.
+    """
+    stored = StoredMap(path)
+    try:
+        scratch = np.empty(min(BLOCK, stored.num_elements()), dtype=np.float32)
+        stored._reject_nonfinite(lambda lo, hi: stored.read(slice(lo, hi), scratch[: hi - lo]))
+    except BaseException:
+        stored.close()
+        raise
+    return stored
+
+
+def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
+    """Load a checkpoint file into a WeightMap: open it, then read the whole body.
+
+    F16/BF16 tensors are widened to float32; metadata is preserved. NaN/Inf
+    elements are rejected unless ``allow_nonfinite`` is set.
+    """
+    with StoredMap(path) as stored:
+        m = stored.load()
+        if not allow_nonfinite:
+            stored._reject_nonfinite(lambda lo, hi: m.flat[lo:hi])
+    return m
 
 
 def save_checkpoint(weightmap: WeightMap, path: str) -> None:
@@ -431,3 +579,25 @@ def save_checkpoint(weightmap: WeightMap, path: str) -> None:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         fh.write(np.ascontiguousarray(weightmap.flat, dtype=_F32).data)
+
+
+@contextmanager
+def atomic_output(path: str) -> Iterator[str]:
+    """Yield a temporary path beside `path` to write an output to.
+
+    When the block completes the file replaces `path` in one rename, so a
+    failed or interrupted write leaves the previous file (or none) and no
+    temporary behind. There is no fsync: this covers a crash of the process,
+    not of the machine.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,28 @@ def random_weightmaps(seed: int, count: int, shapes=None, low=-1.0, high=1.0) ->
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def write_checkpoint(path, arrays, order=None, dtypes=None) -> None:
+    """Write float32 `arrays` as a checkpoint by hand: tensor bodies in
+    `order` (default: name order), each stored as dtypes[name] (default F32;
+    F16 rounds, BF16 keeps the top half of each float32)."""
+    dtypes = dtypes or {}
+    header, chunks, offset = {}, [], 0
+    for name in order if order is not None else sorted(arrays):
+        values = np.asarray(arrays[name], dtype=np.float32)
+        dtype = dtypes.get(name, "F32")
+        if dtype == "F16":
+            raw = values.astype("<f2").tobytes()
+        elif dtype == "BF16":
+            raw = (values.view(np.uint32) >> 16).astype("<u2").tobytes()
+        else:
+            raw = values.astype("<f4").tobytes()
+        header[name] = {"dtype": dtype, "shape": list(values.shape), "data_offsets": [offset, offset + len(raw)]}
+        chunks.append(raw)
+        offset += len(raw)
+    encoded = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(encoded)))
+        fh.write(encoded)
+        fh.write(b"".join(chunks))

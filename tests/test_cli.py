@@ -1,14 +1,17 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from soupstock.cli import main
 from soupstock.config import ConfigError, enumerate_sweep, parse_merge_config, sweep_cell_name
-from soupstock.optim import Adam
+from soupstock.engine import EnsembleConfig, Ingredient, run_ensemble
+from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import default_estimator_config
-from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, save_checkpoint
+from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
 
 
 def write_ingredients(directory, count=4, seed=0, shapes=((2, 3), (3,))):
@@ -182,10 +185,11 @@ def test_merge_sweep_loads_ingredients_once(tmp_path, monkeypatch):
     doc = merge_doc(count=3)
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1], "ensemble.n_divisor": [1, 3]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    loaded = []
+    opened, loaded = [], []
+    monkeypatch.setattr(cli, "open_checkpoint", lambda path: opened.append(path) or open_checkpoint(path))
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
     assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
-    assert len(loaded) == 3
+    assert len(opened) == 3 and loaded == []
 
 
 def test_merge_sweep_load_failure_fails_every_cell(tmp_path):
@@ -231,6 +235,86 @@ def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
     assert not (tmp_path / "g" / manifest[1e30]["cell"] / "merged.safetensors").exists()
 
 
+def _rewrite_in_place(path):
+    st = path.stat()
+    with open(path, "r+b") as fh:  # same inode, same size, new contents
+        fh.seek(st.st_size - 4)
+        fh.write(np.float32(0.25).tobytes())
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def _truncate_in_place(path):
+    os.truncate(path, path.stat().st_size - 4)
+
+
+@pytest.mark.parametrize(
+    "change, during_run, message",
+    [
+        (_rewrite_in_place, False, "file changed while it was open"),
+        (_truncate_in_place, False, "file changed while it was open"),
+        (_truncate_in_place, True, "truncated buffer"),
+    ],
+    ids=["rewritten", "truncated", "truncated-mid-run"],
+)
+def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
+    tmp_path, monkeypatch, capsys, change, during_run, message
+):
+    # The change comes after the files were opened: before the run reads
+    # them, or after it has read them and before the outputs are written.
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=3)))
+    real_run = cli.run_ensemble
+
+    def run_with_change(cfg, ingredients):
+        if during_run:
+            change(tmp_path / "ing1.safetensors")
+        result = real_run(cfg, ingredients)
+        change(tmp_path / "ing1.safetensors")
+        return result
+
+    monkeypatch.setattr(cli, "run_ensemble", run_with_change)
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"ing1.safetensors: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
+
+
+def test_merge_may_write_over_an_ingredient(tmp_path):
+    # The output replaces the ingredient's path by rename; the open file keeps
+    # the old contents, so the merge reads what it would have read from memory.
+    paths = write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3, epochs=2)
+    doc["output"]["checkpoint"] = "ing0.safetensors"
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(GD(lr=Harmonic(offset=0))), n_divisor=1, ordering="given", epochs=2
+    )
+    merged, _ = run_ensemble(cfg, [Ingredient(p.stem, load_checkpoint(str(p))) for p in paths])
+    save_checkpoint(merged, str(tmp_path / "expected.safetensors"))
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 0
+    assert paths[0].read_bytes() == (tmp_path / "expected.safetensors").read_bytes()
+
+
+def test_merge_peak_memory_does_not_grow_with_ingredients(tmp_path):
+    # 8 ingredients are streamed: an Adam merge holds the iterate, both
+    # moments, the norm scratch and a few blocks, not the ingredients.
+    rng = np.random.default_rng(1)
+    for i in range(8):
+        m = WeightMap({f"t{j:02d}": rng.standard_normal(40000).astype(np.float32) for j in range(12)})
+        save_checkpoint(m, str(tmp_path / f"ing{i}.safetensors"))
+    doc = merge_doc(count=8, batch_size=2, shuffle=True, optimizer={"kind": "adam", "lr": 0.01})
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    model = 4 * 12 * 40000
+    tracemalloc.start()
+    try:
+        assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * model
+
+
 def _fail_mid_write(*args, **kwargs):
     """Stands in for a writer: writes part of its output to its last argument
     (a path or an open file), then fails."""
@@ -264,6 +348,58 @@ def test_merge_outputs_survive_a_failed_rewrite(tmp_path, monkeypatch, target):
     assert main(argv) == 2
 
     after = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+    assert after == before  # old bytes intact, and no temporary file left behind
+
+
+def _soup_argv(tmp_path, out):
+    write_ingredients(tmp_path, count=2)
+    return ["soup", str(tmp_path / "ing0.safetensors"), str(tmp_path / "ing1.safetensors"),
+            "-o", str(out / "soup.safetensors"), "--quiet"]
+
+
+def _fed_argv(tmp_path, out):
+    (tmp_path / "fed.json").write_text(json.dumps(fed_doc("fedopt", server={"kind": "gd", "lr": 1.0})))
+    return ["fed", "--config", str(tmp_path / "fed.json"), "--out", str(out), "--quiet"]
+
+
+OTHER_OUTPUTS = {
+    "soup": (_soup_argv, "soupstock.cli.save_checkpoint"),
+    "estimators": (
+        lambda tmp_path, out: ["synth", "estimators", "--dist", "gaussian", "--population", "500",
+                               "--subsample", "40", "--trials", "3", "--batch-size", "8", "--epochs", "5",
+                               "-o", str(out / "est.csv"), "--quiet"],
+        "soupstock.synthlab.EstimatorResult.to_csv",
+    ),
+    "cycle": (
+        lambda tmp_path, out: ["synth", "cycle", "--cycles", "5", "-o", str(out / "cycle.csv"), "--quiet"],
+        "soupstock.synthlab.CycleResult.to_csv",
+    ),
+    "convergence": (
+        lambda tmp_path, out: ["synth", "convergence", "--steps", "20000", "-o", str(out / "conv.csv"), "--quiet"],
+        "soupstock.cli.csv.writer",
+    ),
+    "wlln": (
+        lambda tmp_path, out: ["synth", "wlln", "--sizes", "10", "--trials", "5", "-o", str(out / "w.csv"), "--quiet"],
+        "soupstock.synthlab.WllnResult.to_csv",
+    ),
+    "fed-log": (_fed_argv, "soupstock.fedlab.FedResult.to_csv"),
+    "fed-checkpoint": (_fed_argv, "soupstock.cli.save_checkpoint"),
+}
+
+
+@pytest.mark.parametrize("site", OTHER_OUTPUTS)
+def test_other_outputs_survive_a_failed_rewrite(tmp_path, monkeypatch, site):
+    build_argv, writer = OTHER_OUTPUTS[site]
+    out = tmp_path / "out"
+    argv = build_argv(tmp_path, out)
+    assert main(argv) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert before
+
+    monkeypatch.setattr(writer, _fail_mid_write)
+    assert main(argv) == 2
+
+    after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert after == before  # old bytes intact, and no temporary file left behind
 
 

@@ -10,6 +10,7 @@ exercised.
 import copy
 import math
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,9 @@ from soupstock.pseudograd import (
     pivot_identity,
     soup,
 )
-from soupstock.weightstore import BLOCK, WeightMap, blocks, global_l2_norm, l2_distance
+from soupstock.weightstore import BLOCK, WeightMap, blocks, global_l2_norm, l2_distance, open_checkpoint
+
+from conftest import write_checkpoint
 
 SHAPES = {
     "a.scalar": (),
@@ -288,9 +291,14 @@ MERGE_VARIANTS = [
     "policy", [FixedPivot(), AdaptivePivot(), EmaPivot(decay=0.6)], ids=["fixed", "adaptive", "ema"]
 )
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-def test_fused_merge_matches_separate_passes(variant, policy, weight_decay):
+def test_fused_merge_matches_separate_passes(tmp_path, variant, policy, weight_decay):
     rng = np.random.default_rng(15)
     ingredients = [Ingredient(f"m{i}", merge_map(rng)) for i in range(5)]
+    # The same ingredients streamed from their files; every other one is
+    # stored in reverse order, so it is read piece by piece.
+    for i, ing in enumerate(ingredients):
+        order = None if i % 2 == 0 else sorted(MERGE_SHAPES, reverse=True)
+        write_checkpoint(tmp_path / f"{ing.id}.safetensors", ing.weights.arrays(), order=order)
     target = merge_map(rng)
     base = EnsembleConfig(
         optimizer=OptimizerSpec(variant, weight_decay=weight_decay),
@@ -309,16 +317,22 @@ def test_fused_merge_matches_separate_passes(variant, policy, weight_decay):
         "projection": (replace(base, batch_size=3, projection=Projection(zeros, 0.9 * soup_norm)), None),
         "greedy": (replace(base, batch_size=1), lambda m: -ref_distance(m, target)),
     }
-    for name, (cfg, evaluate) in runs.items():
-        if evaluate is None:
-            merged, record = run_ensemble(cfg, ingredients)
-        else:
-            merged, record = greedy_run(cfg, ingredients, evaluate)
-        expected, log = ref_merge(cfg, ingredients, evaluate)
-        assert merged == expected, name
-        assert record.total_steps == len(log), name
-        got = [(s.grad_norm, s.displacement, s.metric, s.accepted) for s in record.steps]
-        assert got == (log if cfg.record_steps else []), name
+    with ExitStack() as stack:
+        stored = [
+            Ingredient(ing.id, stack.enter_context(open_checkpoint(str(tmp_path / f"{ing.id}.safetensors"))))
+            for ing in ingredients
+        ]
+        for name, (cfg, evaluate) in runs.items():
+            expected, log = ref_merge(cfg, ingredients, evaluate)
+            for source, inputs in (("memory", ingredients), ("stored", stored)):
+                if evaluate is None:
+                    merged, record = run_ensemble(cfg, inputs)
+                else:
+                    merged, record = greedy_run(cfg, inputs, evaluate)
+                assert merged == expected, (name, source)
+                assert record.total_steps == len(log), (name, source)
+                got = [(s.grad_norm, s.displacement, s.metric, s.accepted) for s in record.steps]
+                assert got == (log if cfg.record_steps else []), (name, source)
 
 
 def test_fused_step_allocates_only_state_and_norm_scratch():

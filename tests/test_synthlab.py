@@ -17,7 +17,6 @@ from soupstock.synthlab import (
     cycle_counterexample,
     cycle_ingredients,
     default_estimator_config,
-    eval_quadratic_loss,
     run_estimator_trials,
     sample_population,
     sequential_mean,
@@ -25,10 +24,6 @@ from soupstock.synthlab import (
     _tail_schedule_sum,
 )
 from soupstock.weightstore import WeightMap
-
-
-def wm(**tensors):
-    return WeightMap({k: np.asarray(v, dtype=np.float32) for k, v in tensors.items()})
 
 
 # --- sampling -------------------------------------------------------------------
@@ -62,16 +57,6 @@ def test_custom_affine_and_validation():
         DistributionSpec(kind="pareto")
     with pytest.raises(ValueError):
         DistributionSpec(kind="gaussian", scale=-1.0)
-
-
-# --- quadratic loss --------------------------------------------------------------
-
-
-def test_quadratic_loss_values():
-    xi = wm(p=[1.0, 0.0])
-    assert eval_quadratic_loss(xi, xi) == pytest.approx(-0.5)
-    assert eval_quadratic_loss(wm(p=[0.0, 0.0]), xi) == pytest.approx(0.0)
-    assert eval_quadratic_loss(wm(p=[3.0, 0.0]), xi) == pytest.approx(1.5)
 
 
 # --- cycle ----------------------------------------------------------------------

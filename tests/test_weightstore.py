@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,17 +6,19 @@ import pytest
 
 from soupstock import weightstore as ws
 from soupstock.weightstore import (
+    BLOCK,
     CheckpointError,
     SchemaMismatch,
     WeightMap,
     global_l2_norm,
     l2_distance,
     load_checkpoint,
+    open_checkpoint,
     save_checkpoint,
     validate_compatible,
 )
 
-from conftest import random_weightmaps
+from conftest import random_weightmaps, write_checkpoint
 
 
 def write_raw(path, header: dict, buffer: bytes) -> None:
@@ -187,14 +190,105 @@ def test_direct_read_and_copy_paths_agree(tmp_path):
 
 
 def test_nonfinite_error_names_first_tensor_in_header_order(tmp_path):
+    # Opening a file rejects it with the same error as loading it.
     path = tmp_path / "nan2.safetensors"
     header = {
         "b": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
         "a": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]},
     }
     write_raw(path, header, np.array([np.inf, np.nan], dtype="<f4").tobytes())
-    with pytest.raises(CheckpointError, match="tensor 'b' contains NaN/Inf"):
-        load_checkpoint(str(path))
+    for reader in (load_checkpoint, open_checkpoint):
+        with pytest.raises(CheckpointError, match="tensor 'b' contains NaN/Inf"):
+            reader(str(path))
+    # A NaN past the first block of the buffer, in the tensor first in header order.
+    big = np.zeros(2 * BLOCK, dtype=np.float32)
+    big[-1] = np.nan
+    write_checkpoint(path, {"a": np.float32([np.inf]), "z": big}, order=["z", "a"], dtypes={"a": "F16"})
+    for reader in (load_checkpoint, open_checkpoint):
+        with pytest.raises(CheckpointError, match=f"{path}: tensor 'z' contains NaN/Inf"):
+            reader(str(path))
+
+
+# --- stored maps --------------------------------------------------------------
+
+STORED_SHAPES = {
+    "a.scalar": (),
+    "b.empty": (0,),
+    "c.small": (3, 5),
+    "d.big": (BLOCK + 1234,),  # larger than a block
+    "e.straddle": (2, 40000),  # crosses the second block edge
+    "f.empty": (0, 4),
+    "g.tail": (7,),
+}
+LAYOUTS = {
+    "f32-name-order": ({}, sorted(STORED_SHAPES)),
+    "f32-reversed": ({}, sorted(STORED_SHAPES, reverse=True)),
+    "mixed": (
+        {"a.scalar": "BF16", "c.small": "F16", "d.big": "F16", "e.straddle": "BF16"},
+        ["e.straddle", "a.scalar", "b.empty", "c.small", "g.tail", "d.big", "f.empty"],
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_stored_map_block_reads_equal_load(tmp_path, layout):
+    dtypes, order = LAYOUTS[layout]
+    rng = np.random.default_rng(3)
+    arrays = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in STORED_SHAPES.items()}
+    path = str(tmp_path / "m.safetensors")
+    write_checkpoint(path, arrays, order=order, dtypes=dtypes)
+    loaded = load_checkpoint(path)
+    if not dtypes:
+        assert loaded == WeightMap(arrays)
+    flat = loaded.flat
+    size = flat.size
+    edges = loaded.schema().offsets
+    slices = [slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK)]
+    slices += [slice(max(e - 3, 0), min(e + 5, size)) for e in edges]  # across each tensor edge
+    slices += [slice(None), slice(0, 0), slice(size, size), slice(1, size - 1), slice(BLOCK - 7, 2 * BLOCK + 9)]
+    with open_checkpoint(path) as stored:
+        assert stored.schema() == loaded.schema() and stored.metadata == loaded.metadata
+        for s in slices:
+            expected = flat[s].view(np.uint32)
+            np.testing.assert_array_equal(stored.read(s).view(np.uint32), expected)
+            out = np.full(expected.size, np.nan, dtype=np.float32)
+            assert stored.read(s, out) is out
+            np.testing.assert_array_equal(out.view(np.uint32), expected)
+        assert stored.load() == loaded
+
+
+def test_stored_map_reads_a_name_ordered_f32_body_in_one_call(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.safetensors")
+    save_checkpoint(random_weightmaps(5, 1, shapes=STORED_SHAPES)[0], path)
+    calls = []
+    preadv = ws.os.preadv
+    monkeypatch.setattr(ws.os, "preadv", lambda *a: calls.append(a) or preadv(*a))
+    with open_checkpoint(path) as stored:
+        calls.clear()  # the finiteness pass at open reads block by block
+        stored.read(slice(None))
+    assert len(calls) == 1
+
+
+def test_stored_map_detects_a_file_changed_in_place(tmp_path):
+    path = tmp_path / "m.safetensors"
+    m = random_weightmaps(6, 1)[0]
+    save_checkpoint(m, str(path))
+    with open_checkpoint(str(path)) as stored:
+        stored.check_unchanged()
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        with pytest.raises(CheckpointError, match="changed while it was open"):
+            stored.check_unchanged()
+        os.truncate(path, st.st_size - 4)
+        with pytest.raises(CheckpointError, match="truncated buffer"):
+            stored.read(slice(None))
+    # A file replaced by rename leaves the open one readable and unchanged.
+    save_checkpoint(m, str(tmp_path / "first.safetensors"))
+    with open_checkpoint(str(tmp_path / "first.safetensors")) as stored:
+        save_checkpoint(random_weightmaps(7, 1)[0], str(tmp_path / "second.safetensors"))
+        os.replace(tmp_path / "second.safetensors", tmp_path / "first.safetensors")
+        stored.check_unchanged()
+        assert stored.load() == m
 
 
 def test_f16_widened_exactly(tmp_path):
