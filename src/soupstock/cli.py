@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -113,7 +114,15 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
         if reader.fieldnames != ["id", "metric"]:
             raise UsageError(f"{path}: metrics CSV must have header 'id,metric'")
         for row in reader:
-            metrics[row["id"]] = float(row["metric"])
+            try:
+                metric = float(row["metric"])
+            except (TypeError, ValueError):
+                metric = math.nan
+            if not math.isfinite(metric):
+                raise UsageError(
+                    f"{path}: metric of {row['id']!r} must be a finite number, got {row['metric']!r}"
+                )
+            metrics[row["id"]] = metric
     return metrics
 
 

@@ -15,6 +15,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -104,7 +105,13 @@ def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None, str
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         ctx.err(path, f"expected a number, got {type(value).__name__}")
         return None
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer too large for a float
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v):
+        ctx.err(path, f"must be finite, got {v}")
+        return None
     if minimum is not None and (v <= minimum if strict_min else v < minimum):
         ctx.err(path, f"must be {'>' if strict_min else '>='} {minimum}, got {value}")
         return None
@@ -155,7 +162,8 @@ _SCHEDULE_KEYS = {
 
 def parse_schedule(ctx: _Ctx, path: str, value: Any) -> Schedule | None:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Constant(float(value))
+        v = _number(ctx, path, value)
+        return None if v is None else Constant(v)
     if not isinstance(value, dict):
         ctx.err(path, "expected a schedule object or a number")
         return None

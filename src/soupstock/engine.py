@@ -178,7 +178,7 @@ class EnsembleConfig:
             raise EngineError(f"n_divisor must be >= 1, got {self.n_divisor}")
         if self.ordering not in ORDERINGS:
             raise EngineError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        if self.projection is not None and self.projection.radius <= 0:
+        if self.projection is not None and not self.projection.radius > 0:
             raise EngineError("projection radius must be > 0")
 
 

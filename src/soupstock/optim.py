@@ -353,7 +353,7 @@ def optimizer_step(
     new = np.empty_like(old) if out is None else out
     schema = w.schema()
     grad_sq = disp_sq = 0.0
-    for begin, end, bounds in schema.norm_chunks:
+    for begin, end, groups in schema.norm_chunks:
         for lo in range(begin, end, BLOCK):
             s = slice(lo, min(lo + BLOCK, end))
             gb = g(s)
@@ -369,8 +369,8 @@ def optimizer_step(
                 disp -= old[s]
             new[s] = work
         if norms is not None:
-            grad_sq = _add_tensor_squares(grad_sq, norms.grad64, bounds)
-            disp_sq = _add_tensor_squares(disp_sq, norms.disp64, bounds)
+            grad_sq = _add_tensor_squares(grad_sq, norms.grad64, groups)
+            disp_sq = _add_tensor_squares(disp_sq, norms.disp64, groups)
     if norms is not None:
         norms.grad_norm = math.sqrt(grad_sq)
         norms.displacement = math.sqrt(disp_sq)
@@ -379,7 +379,7 @@ def optimizer_step(
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:
     """Euclidean projection onto the closed ball of given radius around center."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     _check_compatible(w, center)
     dist = math.sqrt(_sq_distance(w, center))

@@ -15,9 +15,11 @@ optimizer step, which also sums the engine's batches) runs over the flat
 buffer, one block of :data:`BLOCK` elements at a time, so temporaries stay
 small whatever the model size. Blocking changes no float32 result: every
 element sees the same operations in the same order. The norms accumulate in
-float64 per tensor and add the tensors up in name order; the optimizer step
-takes its log norms the same way, one norm chunk (:attr:`Schema.norm_chunks`)
-at a time.
+float64 per tensor, one BLAS ddot each, and add the tensors up in name order;
+the optimizer step takes its log norms the same way, one norm chunk
+(:attr:`Schema.norm_chunks`) at a time. The dots of a run of adjacent
+equal-sized tensors are taken in one stacked call, which is the same ddot on
+each tensor, so batching changes no bit either.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -32,13 +34,15 @@ Checkpoint file layout (little-endian throughout):
 A :class:`StoredMap` (from :func:`open_checkpoint`) is a checkpoint that
 stays in its file: it has a schema and metadata, is validated and checked
 finite when opened, and fills any slice of the flat buffer from the file on
-demand. Both kinds of map serve ``read(slice)``, so the soup and the merge
-loop read each block from whichever source they are given; a WeightMap's
-read is a view. :func:`load_checkpoint` opens a file and reads the whole
-body into one buffer. A run of F32 tensors stored in name order is read
-straight into place; narrow float tensors (F16/BF16) are widened to float32
-on read and written back as F32; float32 round-trips are byte-exact. Every
-output file is written through :func:`atomic_output`.
+demand. A header is parsed and validated once per distinct header bytes and
+file size, so the fine-tunes of one model share one Schema. Both kinds of
+map serve ``read(slice)``, so the soup and the merge loop read each block
+from whichever source they are given; a WeightMap's read is a view.
+:func:`load_checkpoint` opens a file and reads the whole body into one
+buffer. A run of F32 tensors stored in name order is read straight into
+place; narrow float tensors (F16/BF16) are widened to float32 on read and
+written back as F32; float32 round-trips are byte-exact. Every output file
+is written through :func:`atomic_output`.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -128,9 +132,10 @@ class Schema:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def norm_chunks(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    def norm_chunks(self) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
         """Runs of whole tensors of at most BLOCK elements (a larger tensor
-        forms a run alone): (begin, end, tensor bounds relative to begin)."""
+        forms a run alone): (begin, end, groups). A group (lo, count, size) is
+        count adjacent tensors of size elements each, from lo relative to begin."""
         chunks = []
         start = 0
         offsets = self.offsets
@@ -138,7 +143,14 @@ class Schema:
             last = i == len(offsets) - 1
             if last or offsets[i + 1] - offsets[start] > BLOCK:
                 base = offsets[start]
-                chunks.append((base, offsets[i], tuple(o - base for o in offsets[start : i + 1])))
+                groups: list[tuple[int, int, int]] = []
+                for lo, hi in zip(offsets[start:i], offsets[start + 1 : i + 1]):
+                    if groups and groups[-1][2] == hi - lo:
+                        g_lo, count, size = groups[-1]
+                        groups[-1] = (g_lo, count + 1, size)
+                    else:
+                        groups.append((lo - base, 1, hi - lo))
+                chunks.append((base, offsets[i], tuple(groups)))
                 start = i
         return tuple(chunks)
 
@@ -257,21 +269,28 @@ def validate_compatible(maps: list[WeightMap | StoredMap]) -> Schema:
     return first.schema()
 
 
-def _add_tensor_squares(total: float, values: np.ndarray, bounds: tuple[int, ...]) -> float:
+def _add_tensor_squares(total: float, values: np.ndarray, groups: tuple[tuple[int, int, int], ...]) -> float:
     # Adds, tensor by tensor in name order, the float64 dot product of each
-    # tensor's own elements; values holds one norm chunk, tensor i at
-    # bounds[i]:bounds[i + 1].
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = values[lo:hi]
-        total += float(np.dot(part, part))
+    # tensor's own elements; values holds one norm chunk, split into groups
+    # as in Schema.norm_chunks. A group of equal-sized tensors takes its dots
+    # in one stacked matmul of 1xn by nx1 products, each the same BLAS ddot
+    # that np.dot takes of that tensor alone.
+    for lo, count, size in groups:
+        if count == 1:
+            part = values[lo : lo + size]
+            total += float(np.dot(part, part))
+        else:
+            rows = values[lo : lo + count * size].reshape(count, size)
+            for square in np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist():
+                total += square
     return total
 
 
 def _sum_tensor_squares(schema: Schema, chunk64) -> float:
     # chunk64(begin, end) gives float64 values for a norm chunk.
     total = 0.0
-    for begin, end, bounds in schema.norm_chunks:
-        total = _add_tensor_squares(total, chunk64(begin, end), bounds)
+    for begin, end, groups in schema.norm_chunks:
+        total = _add_tensor_squares(total, chunk64(begin, end), groups)
     return total
 
 
@@ -318,16 +337,20 @@ def _widen(raw: bytes, dtype: str) -> np.ndarray:
     return (bits << np.uint32(16)).view(np.float32)
 
 
-def _parse_header(path: str, raw: bytes, body_len: int):
+class _HeaderFault(CheckpointError):
+    """A fault found in a header without its file; the opener adds the path."""
+
+
+def _parse_header(raw: bytes, body_len: int):
     """Validate a header; returns (metadata, {name: (dtype, shape, begin, end)})."""
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_names)
     except CheckpointError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+        raise _HeaderFault(f"malformed header ({exc})") from exc
     if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: malformed header (not a JSON object)")
+        raise _HeaderFault("malformed header (not a JSON object)")
 
     metadata: dict[str, str] = {}
     entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
@@ -336,37 +359,36 @@ def _parse_header(path: str, raw: bytes, body_len: int):
             if not isinstance(entry, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in entry.items()
             ):
-                raise CheckpointError(f"{path}: malformed header (__metadata__ must map str to str)")
+                raise _HeaderFault("malformed header (__metadata__ must map str to str)")
             metadata = dict(entry)
             continue
         if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: malformed header (entry {name!r} not an object)")
+            raise _HeaderFault(f"malformed header (entry {name!r} not an object)")
         dtype = entry.get("dtype")
         shape = entry.get("shape")
         offsets = entry.get("data_offsets")
         if dtype not in _DTYPE_SIZES:
-            raise CheckpointError(f"{path}: malformed header (unsupported dtype {dtype!r} for {name!r})")
+            raise _HeaderFault(f"malformed header (unsupported dtype {dtype!r} for {name!r})")
         if (
             not isinstance(shape, list)
             or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
         ):
-            raise CheckpointError(f"{path}: malformed header (bad shape for {name!r})")
+            raise _HeaderFault(f"malformed header (bad shape for {name!r})")
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
             or not all(isinstance(o, int) and not isinstance(o, bool) for o in offsets)
         ):
-            raise CheckpointError(f"{path}: malformed header (bad data_offsets for {name!r})")
+            raise _HeaderFault(f"malformed header (bad data_offsets for {name!r})")
         begin, end = offsets
         if begin < 0 or end < begin:
-            raise CheckpointError(f"{path}: malformed header (inverted offsets for {name!r})")
+            raise _HeaderFault(f"malformed header (inverted offsets for {name!r})")
         if end > body_len:
-            raise CheckpointError(f"{path}: truncated buffer (tensor {name!r} ends past end of data)")
+            raise _HeaderFault(f"truncated buffer (tensor {name!r} ends past end of data)")
         expected = math.prod(shape) * _DTYPE_SIZES[dtype]
         if end - begin != expected:
-            raise CheckpointError(
-                f"{path}: malformed header (tensor {name!r} declares {end - begin} bytes, "
-                f"shape needs {expected})"
+            raise _HeaderFault(
+                f"malformed header (tensor {name!r} declares {end - begin} bytes, shape needs {expected})"
             )
         entries[name] = (dtype, tuple(shape), begin, end)
 
@@ -374,17 +396,42 @@ def _parse_header(path: str, raw: bytes, body_len: int):
     covered, last = 0, None
     for begin, end, name in ranges:
         if begin < covered:
-            raise CheckpointError(f"{path}: overlapping data ranges ({last!r} and {name!r})")
+            raise _HeaderFault(f"overlapping data ranges ({last!r} and {name!r})")
         if begin > covered:
-            raise CheckpointError(
-                f"{path}: malformed header ({begin - covered} unused bytes before tensor {name!r})"
-            )
+            raise _HeaderFault(f"malformed header ({begin - covered} unused bytes before tensor {name!r})")
         covered, last = end, name
     if covered != body_len:
-        raise CheckpointError(
-            f"{path}: malformed buffer ({body_len - covered} trailing bytes after the last tensor)"
-        )
+        raise _HeaderFault(f"malformed buffer ({body_len - covered} trailing bytes after the last tensor)")
     return metadata, entries
+
+
+@lru_cache(maxsize=8)  # distinct headers kept, each with its header bytes as the key
+def _layout(raw: bytes, file_size: int):
+    """The validated layout of a checkpoint file of file_size bytes whose
+    header is raw: (metadata items, header names, schema, runs, run starts).
+
+    Pure, and memoised: the fine-tunes of one model have byte-identical
+    headers, so a merge parses and validates theirs once, and their maps
+    share one Schema. Every part of the result is immutable, since callers
+    share it. A fault is raised without the path (and never cached).
+    Runs are the non-empty tensors, in buffer order, that are contiguous in
+    the file and share a dtype: (begin, end, dtype, file offset of begin).
+    """
+    metadata, entries = _parse_header(raw, file_size - 8 - len(raw))
+    schema = Schema.from_shapes({name: shape for name, (_d, shape, _b, _e) in entries.items()})
+    runs: list[tuple[int, int, str, int]] = []
+    for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
+        if begin == end:
+            continue
+        dtype, _shape, lo, _hi = entries[name]
+        offset = 8 + len(raw) + lo
+        if runs:
+            b, e, d, o = runs[-1]
+            if d == dtype and o + (e - b) * _DTYPE_SIZES[d] == offset:
+                runs[-1] = (b, end, d, o)
+                continue
+        runs.append((begin, end, dtype, offset))
+    return tuple(metadata.items()), tuple(entries), schema, tuple(runs), tuple(run[0] for run in runs)
 
 
 class StoredMap:
@@ -398,7 +445,10 @@ class StoredMap:
     are widened piece by piece.
 
     Returned by :func:`open_checkpoint`, which has validated the header and
-    checked every element to be finite. The file stays open until
+    checked every element to be finite. The header's validated layout is
+    shared with the maps of other files with the same header and size (see
+    :func:`_layout`); the finiteness check, the metadata dict and the record
+    of the file's size and mtime are the map's own. The file stays open until
     :meth:`close` (or the end of a ``with`` block): a file replaced by rename
     keeps the old contents readable, and :meth:`check_unchanged` detects one
     rewritten in place. Reads use positioned I/O, so threads may share a map.
@@ -430,27 +480,11 @@ class StoredMap:
         raw = os.pread(fd, header_len, 8)
         if len(raw) != header_len:
             raise CheckpointError(f"{path}: truncated buffer (file changed while reading)")
-        self.metadata, entries = _parse_header(path, raw, st.st_size - 8 - header_len)
-        self._header_names = tuple(entries)
-        self._schema = schema = Schema.from_shapes(
-            {name: shape for name, (_d, shape, _b, _e) in entries.items()}
-        )
-        # Runs of non-empty tensors, in buffer order, that are contiguous in
-        # the file and share a dtype: (begin, end, dtype, file offset of begin).
-        runs: list[tuple[int, int, str, int]] = []
-        for name, begin, end in zip(schema.names, schema.offsets, schema.offsets[1:]):
-            if begin == end:
-                continue
-            dtype, _shape, lo, _hi = entries[name]
-            offset = 8 + header_len + lo
-            if runs:
-                b, e, d, o = runs[-1]
-                if d == dtype and o + (e - b) * _DTYPE_SIZES[d] == offset:
-                    runs[-1] = (b, end, d, o)
-                    continue
-            runs.append((begin, end, dtype, offset))
-        self._runs = runs
-        self._starts = [run[0] for run in runs]
+        try:
+            metadata, self._header_names, self._schema, self._runs, self._starts = _layout(raw, st.st_size)
+        except _HeaderFault as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc.__cause__
+        self.metadata = dict(metadata)
 
     def read(self, s: slice, out: np.ndarray | None = None) -> np.ndarray:
         """The float32 values of slice s of the flat buffer, in a new array or in ``out``."""

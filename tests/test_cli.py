@@ -119,7 +119,11 @@ def test_merge_schema_violations_reported_all_at_once(tmp_path, capsys):
     doc = {
         "version": 99,
         "ingredients": [],
-        "ensemble": {"optimizer": {"kind": "sgd", "lr": 1.0}, "mystery": True},
+        "ensemble": {
+            "optimizer": {"kind": "sgd", "lr": 1.0},
+            "mystery": True,
+            "projection": {"center": "soup", "radius": float("nan")},
+        },
         "output": {"checkpoint": "m.safetensors", "log": "run.csv"},
     }
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -130,9 +134,10 @@ def test_merge_schema_violations_reported_all_at_once(tmp_path, capsys):
     assert "$.ingredients" in err
     assert "$.ensemble.optimizer.kind" in err
     assert "$.ensemble.mystery" in err and "unknown key" in err
+    assert "$.ensemble.projection.radius: must be finite, got nan" in err
 
 
-def test_merge_metrics_csv_and_ordering(tmp_path):
+def test_merge_metrics_csv_and_ordering(tmp_path, capsys):
     write_ingredients(tmp_path, count=3)
     (tmp_path / "metrics.csv").write_text("id,metric\ning0,0.1\ning1,0.9\ning2,0.5\n")
     doc = merge_doc(count=3, ordering="metric_desc")
@@ -142,6 +147,12 @@ def test_merge_metrics_csv_and_ordering(tmp_path):
     rows = (tmp_path / "run.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[2] == "ing1"  # best metric first
     assert rows[2].split(",")[2] == "ing2"
+    # A metric that is not a finite number names the file and the id.
+    for bad in ("nan", "-inf", "abc", ""):
+        (tmp_path / "metrics.csv").write_text(f"id,metric\ning0,0.1\ning1,{bad}\ning2,0.5\n")
+        assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'metrics.csv'}: metric of 'ing1' must be a finite number, got {bad!r}" in err
 
 
 def test_merge_sweep_grid_runs_all_cells(tmp_path):
@@ -407,11 +418,18 @@ def test_merge_negative_lr_is_a_config_error(tmp_path, capsys):
     doc = merge_doc()
     doc["version"] = 99
     doc["ensemble"]["optimizer"] = {"kind": "adam", "lr": {"kind": "power", "coeff": -1.0, "exponent": -0.5}}
+    # Python's json reads NaN and Infinity; as config numbers they are errors too.
+    doc["ingredients"][0]["metric"] = float("nan")
+    doc["ingredients"][1]["metric"] = 10**400
+    doc["ensemble"]["amplification"] = float("inf")
     (tmp_path / "merge.json").write_text(json.dumps(doc))
     assert main(["merge", "--config", str(tmp_path / "merge.json")]) == 1
     err = capsys.readouterr().err
     assert "$.version" in err
     assert "$.ensemble.optimizer" in err and "Power.coeff must be >= 0" in err
+    assert "$.ingredients[0].metric: must be finite, got nan" in err
+    assert "$.ingredients[1].metric: must be finite, got inf" in err
+    assert "$.ensemble.amplification: must be finite, got inf" in err
 
 
 def test_sweep_cell_names_deterministic_and_order_independent():

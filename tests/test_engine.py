@@ -248,6 +248,10 @@ def test_invalid_configs_rejected():
         gd_cfg(ordering="best_first")
     with pytest.raises(EngineError):
         gd_cfg(n_divisor=0)
+    center = random_weightmaps(seed=13, count=1)[0]
+    for radius in (0.0, float("nan")):
+        with pytest.raises(EngineError, match="radius"):
+            gd_cfg(projection=Projection(center, radius))
 
 
 def test_duplicate_ids_rejected():

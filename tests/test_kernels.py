@@ -52,6 +52,18 @@ SHAPES = {
 }
 
 
+def equal_runs(big, even, broken):
+    """Runs of adjacent equal-sized tensors, whose log-norm dots are taken
+    together, under three name prefixes: three of 20,000 elements (a size
+    BLAS splits over threads), which share one norm chunk when they start
+    one; 500s with an empty tensor inside; and 300s broken by one odd size."""
+    return {
+        **{f"{big}{i}": (20000,) for i in range(3)},
+        **{f"{even}{i:02d}": (0,) if i == 6 else (500,) for i in range(12)},
+        **{f"{broken}{i:02d}": (301,) if i == 4 else (300,) for i in range(9)},
+    }
+
+
 def random_map(rng, scale=1.0):
     return WeightMap(
         {name: (rng.standard_normal(shape) * scale).astype(np.float32) for name, shape in SHAPES.items()}
@@ -246,8 +258,10 @@ def test_norms_match_per_tensor_reference():
     assert global_l2_norm(a) == ref_norm(a)
     assert l2_distance(a, b) == ref_distance(a, b)
     # Many small tensors of mixed magnitude share one float64 chunk; each is
-    # still summed on its own and the totals added in name order.
+    # still summed on its own and the totals added in name order, also in the
+    # runs of equal-sized tensors whose dots are taken together.
     shapes = {f"t{i:02d}": (int(rng.integers(50, 900)),) for i in range(40)}
+    shapes.update(equal_runs("s", "u", "v"))
     many = [
         WeightMap({n: rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 3) for n, s in shapes.items()})
         for _ in range(2)
@@ -265,8 +279,13 @@ def test_projection_matches_per_tensor_reference():
 
 # --- the fused merge step vs the separate passes -------------------------------------
 
-# SHAPES plus small tensors of mixed magnitude, which share one norm chunk.
-MERGE_SHAPES = {**SHAPES, **{f"h.{i:02d}": (50 + 21 * i,) for i in range(40)}}
+# SHAPES plus small tensors of mixed magnitude, which share one norm chunk,
+# and runs of equal-sized tensors (see equal_runs).
+MERGE_SHAPES = {
+    **SHAPES,
+    **{f"h.{i:02d}": (50 + 21 * i,) for i in range(40)},
+    **equal_runs("e.t", "i.", "j."),
+}
 
 
 def merge_map(rng):

@@ -272,8 +272,9 @@ def test_projection_idempotent():
 
 def test_projection_rejects_bad_radius():
     w = wm(a=[1.0])
-    with pytest.raises(ValueError):
-        project_to_ball(w, w, radius=0.0)
+    for radius in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            project_to_ball(w, w, radius=radius)
 
 
 # --- shared invariants ------------------------------------------------------------------

@@ -291,6 +291,84 @@ def test_stored_map_detects_a_file_changed_in_place(tmp_path):
         assert stored.load() == m
 
 
+# --- the layout cache -------------------------------------------------------
+
+
+def save_family(tmp_path, count, seed=21):
+    """Save `count` maps of STORED_SHAPES with one header; returns (maps, paths)."""
+    maps = random_weightmaps(seed, count, shapes=STORED_SHAPES)
+    maps = [WeightMap(m.arrays(), {"origin": "family"}) for m in maps]
+    paths = [str(tmp_path / f"m{i}.safetensors") for i in range(count)]
+    for m, path in zip(maps, paths):
+        save_checkpoint(m, path)
+    return maps, paths
+
+
+def test_files_with_one_header_share_one_schema(tmp_path):
+    maps, paths = save_family(tmp_path, 3)
+    with open_checkpoint(paths[0]) as a, open_checkpoint(paths[1]) as b:
+        assert a.schema() is b.schema()
+        assert load_checkpoint(paths[2]).schema() is a.schema()
+        assert a.load() == maps[0] and b.load() == maps[1]
+
+
+def test_cached_header_still_checks_each_body(tmp_path):
+    maps, paths = save_family(tmp_path, 2)
+    open_checkpoint(paths[0]).close()
+    arrays = maps[1].arrays()
+    arrays["c.small"] = arrays["c.small"].copy()
+    arrays["c.small"][1, 2] = np.nan
+    save_checkpoint(WeightMap(arrays, maps[1].metadata), paths[1])
+    with pytest.raises(CheckpointError, match=f"^{paths[1]}: tensor 'c.small' contains NaN/Inf"):
+        open_checkpoint(paths[1])
+    # The same header bytes over a shorter body is another layout, not a hit.
+    short = tmp_path / "short.safetensors"
+    short.write_bytes((tmp_path / "m0.safetensors").read_bytes()[:-4])
+    hits = ws._layout.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(CheckpointError) as err:
+            open_checkpoint(str(short))
+        assert str(err.value) == f"{short}: truncated buffer (tensor 'g.tail' ends past end of data)"
+    assert ws._layout.cache_info().hits == hits
+
+
+def test_each_map_owns_its_metadata(tmp_path):
+    _, paths = save_family(tmp_path, 2)
+    with open_checkpoint(paths[0]) as a, open_checkpoint(paths[1]) as b:
+        a.metadata["origin"] = "changed"
+        assert b.metadata == {"origin": "family"}
+        assert a.load().metadata == {"origin": "changed"}
+    assert load_checkpoint(paths[0]).metadata == {"origin": "family"}
+
+
+def test_malformed_header_fails_alike_on_every_open(tmp_path):
+    bad_dtype = tmp_path / "dtype.safetensors"
+    write_raw(bad_dtype, {"a": {"dtype": "I8", "shape": [1], "data_offsets": [0, 1]}}, b"\x00")
+    bad_json = tmp_path / "json.safetensors"
+    with open(bad_json, "wb") as fh:
+        fh.write(struct.pack("<Q", 9) + b"{not json")
+    for path, text in (
+        (bad_dtype, "malformed header (unsupported dtype 'I8' for 'a')"),
+        (bad_json, "malformed header (Expecting property name enclosed in double quotes"),
+    ):
+        for reader in (open_checkpoint, open_checkpoint, load_checkpoint):
+            with pytest.raises(CheckpointError) as err:
+                reader(str(path))
+            assert str(err.value).startswith(f"{path}: {text}")
+    assert isinstance(err.value.__cause__, ValueError)  # the JSON decoder's error
+
+
+def test_layout_cache_stays_within_its_bound(tmp_path):
+    bound = ws._layout.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    for i in range(bound + 3):
+        path = str(tmp_path / f"m{i}.safetensors")
+        save_checkpoint(WeightMap({"a": np.zeros(i + 1, dtype=np.float32)}), path)
+        open_checkpoint(path).close()
+        assert ws._layout.cache_info().currsize <= bound
+    assert ws._layout.cache_info().currsize == bound
+
+
 def test_f16_widened_exactly(tmp_path):
     path = tmp_path / "f16.safetensors"
     vals = np.array([1.5, -0.25, 3.0], dtype="<f2")
