@@ -11,6 +11,18 @@ checkpoint files, mid-run errors).
 
 Input paths inside a config resolve relative to the config file's directory;
 output paths resolve relative to --out (default: the config directory).
+
+A sweep opens its ingredients once and runs its cells in up to one process
+per usable CPU (its CPU affinity, within any cgroup v2 cpu.max quota): this
+one and children forked from it, as many as the cells' model-size buffers
+fit into the memory available (MemAvailable, within any cgroup v2
+memory.max). Each worker runs a fixed, interleaved share of the cells and
+writes their outputs itself; the children report each cell's manifest entry
+and warnings over a pipe. The manifest, the outputs and the warnings
+(re-issued in cell order) do not depend on the number of workers: with one
+worker, as for a sweep whose ingredients failed to open, this process runs
+every cell through the same reporting, forking nothing. A single-cell merge
+is not a sweep and runs here directly.
 """
 
 from __future__ import annotations
@@ -20,9 +32,12 @@ import csv
 import json
 import math
 import os
+import pickle
 import sys
+import threading
+import warnings
 from contextlib import ExitStack
-from typing import Any
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -50,7 +65,7 @@ from .engine import (
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
-from .pseudograd import ScheduleError, soup
+from .pseudograd import EmaPivot, ScheduleError, soup
 from .synthlab import (
     DistributionSpec,
     TrialConfig,
@@ -230,26 +245,32 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
         ingredients = _open_ingredients(cells[0][1], base_dir, stack)
     except Exception as exc:  # recorded per cell below
         open_error = exc
-    manifest: list[dict[str, Any]] = []
-    failures = 0
-    for overrides, cell_cfg in cells:
-        name = sweep_cell_name(overrides)
-        cell_dir = os.path.join(out_dir, name)
-        entry: dict[str, Any] = {"cell": name, "overrides": overrides}
+
+    def run_cell(index: int) -> dict[str, Any]:
+        """Cell `index`'s manifest fields besides its name and overrides."""
+        overrides, cell_cfg = cells[index]
         try:
             if open_error is not None:
                 raise open_error
             out_ckpt, out_log = _run_merge_cell(
-                cell_cfg, base_dir, cell_dir, force_greedy, ingredients
+                cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
+                force_greedy, ingredients,
             )
-            entry["status"] = "ok"
-            entry["checkpoint"] = os.path.relpath(out_ckpt, out_dir)
-            entry["log"] = os.path.relpath(out_log, out_dir)
         except Exception as exc:  # a failing cell must not abort the others
-            failures += 1
-            entry["status"] = "error"
-            entry["error"] = str(exc)
-        manifest.append(entry)
+            return {"status": "error", "error": str(exc)}
+        return {
+            "status": "ok",
+            "checkpoint": os.path.relpath(out_ckpt, out_dir),
+            "log": os.path.relpath(out_log, out_dir),
+        }
+
+    workers = 1 if open_error is not None else _sweep_workers(cells, ingredients, force_greedy)
+    outcomes = _run_cells(run_cell, len(cells), workers)
+    manifest: list[dict[str, Any]] = [
+        {"cell": sweep_cell_name(overrides), "overrides": overrides, **outcome}
+        for (overrides, _), outcome in zip(cells, outcomes)
+    ]
+    failures = sum(entry["status"] != "ok" for entry in manifest)
     manifest_path = os.path.join(out_dir, "sweep_manifest.json")
     with atomic_output(manifest_path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -260,6 +281,211 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
         _say(args, f"{entry['cell']}: {entry['status']}")
     _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
     return 0 if failures == 0 else 2
+
+
+def _cell_buffers(cfg: MergeConfig, force_greedy: bool) -> int:
+    """Model-size buffers a cell holds at its peak: the initialization, the
+    iterate and the optimizer state, plus an EMA pivot, greedy's target,
+    candidate and saved state, and a projection's center and candidate where
+    the config has them."""
+    state = cfg.optimizer.variant.state_buffers
+    buffers = 2 + state
+    if isinstance(cfg.pivot_policy, EmaPivot):
+        buffers += 1
+    if cfg.greedy.enabled or force_greedy:
+        buffers += 2 + state
+    if cfg.projection is not None:
+        buffers += 2
+    return buffers
+
+
+def _cgroup_dirs(proc: str = "/proc/self") -> list[str]:
+    """This process's cgroup v2 directory and its ancestors up to the mount
+    of the v2 hierarchy, innermost first; [] where there is none to read."""
+    try:
+        with open(os.path.join(proc, "cgroup"), encoding="utf-8") as fh:
+            paths = [line[3:].rstrip("\n") for line in fh if line.startswith("0::")]
+        with open(os.path.join(proc, "mountinfo"), encoding="utf-8") as fh:
+            mounts = [line.split() for line in fh if " - cgroup2 " in line]
+    except OSError:
+        return []
+    if not paths or not mounts:
+        return []
+    root, mount = mounts[0][3], mounts[0][4]  # the mounted subtree, and where
+    relative = os.path.relpath(paths[0], root)
+    if relative.startswith(".."):  # this cgroup lies outside the mounted subtree
+        return []
+    directory = os.path.normpath(os.path.join(mount, relative))
+    dirs = [directory]
+    while directory != mount:
+        directory = os.path.dirname(directory)
+        dirs.append(directory)
+    return dirs
+
+
+def _cgroup_values(directory: str, name: str) -> list[str] | None:
+    """The fields of the cgroup file `name` in `directory`, or None if it cannot be read."""
+    try:
+        with open(os.path.join(directory, name), encoding="ascii") as fh:
+            return fh.read().split()
+    except OSError:
+        return None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, as many as the cpu.max quotas of
+    its cgroups grant whole; 1 where it cannot fork workers safely: the
+    platform has no fork, or other threads run (a child would start with
+    whatever locks they hold held for good)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    for directory in _cgroup_dirs():
+        quota = _cgroup_values(directory, "cpu.max")  # "<quota> <period>" or "max <period>"
+        if quota and quota[0] != "max":
+            cpus = min(cpus, max(1, int(quota[0]) // int(quota[1])))
+    return cpus
+
+
+def _available_memory() -> int:
+    """Bytes of memory the kernel reports as available (MemAvailable), or 0
+    if it reports none, and no more than any of this process's cgroups has
+    left below its memory.max (the page cache counts against that, so the
+    cap errs toward fewer workers)."""
+    available = 0
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    available = int(line.split()[1]) * 1024
+                    break
+    except OSError:
+        pass
+    for directory in _cgroup_dirs():
+        limit = _cgroup_values(directory, "memory.max")
+        used = _cgroup_values(directory, "memory.current")
+        if limit and used and limit[0] != "max":
+            available = min(available, max(0, int(limit[0]) - int(used[0])))
+    return available
+
+
+def _sweep_workers(
+    cells: list[tuple[dict[str, Any], MergeConfig]], ingredients: list[Ingredient], force_greedy: bool
+) -> int:
+    """Processes to run the sweep's cells in: one per usable CPU, at most one
+    per cell, and only as many as hold their cells' buffers at once in the
+    available memory."""
+    workers = min(len(cells), _usable_cpus())
+    if workers > 1:
+        cell_bytes = 4 * ingredients[0].weights.num_elements() * max(
+            _cell_buffers(cfg, force_greedy) for _, cfg in cells
+        )
+        if cell_bytes > 0:
+            workers = min(workers, _available_memory() // cell_bytes)
+    return max(workers, 1)
+
+
+def _report_cell(run_cell: Callable[[int], dict[str, Any]], index: int) -> tuple[dict[str, Any], list]:
+    """run_cell(index) with its warnings held back: (outcome, [(text, category, file, line)])."""
+    with warnings.catch_warnings(record=True) as caught:
+        outcome = run_cell(index)
+    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _work_in_child(run_cell: Callable[[int], dict[str, Any]], share: range, fd: int) -> NoReturn:
+    """A forked worker's whole life: run its cells, write each one's report
+    to the pipe `fd` as it ends, and leave by os._exit, so that nothing of the
+    parent's (its open files' cleanup, atexit hooks, callers' finally blocks)
+    runs twice."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for index in share:
+                pickle.dump((index, _report_cell(run_cell, index)), pipe)
+                pipe.flush()
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _death_message(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    return f"sweep worker process {how} before reporting this cell"
+
+
+def _run_cells(
+    run_cell: Callable[[int], dict[str, Any]], count: int, workers: int
+) -> list[dict[str, Any]]:
+    """Cells 0..count-1 run by this process and workers - 1 forked children
+    (none for one worker); worker w runs cells w, w + workers, ... Returns
+    their outcomes in cell order, after re-issuing every cell's warnings in
+    cell order.
+
+    A child that ends without reporting a cell fails that cell with its exit
+    status. Every child is reaped; on an exception here (an interrupt) the
+    children left are killed and reaped before it propagates.
+    """
+    reports: list[Any] = [None] * count
+    children: list[tuple[int, Any, range]] = []  # (pid, read end of its pipe, its cells) until reaped
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for worker in range(1, workers):
+            share = range(worker, count, workers)
+            fd_read, fd_write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_read)
+                os.close(fd_write)
+                raise
+            if pid == 0:
+                os.close(fd_read)
+                _work_in_child(run_cell, share, fd_write)
+            os.close(fd_write)
+            children.append((pid, open(fd_read, "rb"), share))
+        for index in range(0, count, workers):
+            reports[index] = _report_cell(run_cell, index)
+        while children:
+            pid, reader, share = children[0]
+            with reader:
+                while True:
+                    try:
+                        index, report = pickle.load(reader)
+                    except (EOFError, pickle.UnpicklingError):  # the end, or a torn last record
+                        break
+                    reports[index] = report
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            for index in share:
+                if reports[index] is None:
+                    reports[index] = ({"status": "error", "error": _death_message(status)}, [])
+    finally:
+        if children:
+            import signal
+
+            for pid, reader, _ in children:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    # One registry per source file, as warnings.warn keeps one per module: a
+    # warning shown once per location is shown once per sweep.
+    registries: dict[str, dict] = {}
+    for _, caught in reports:
+        for text, category, filename, lineno in caught:
+            warnings.warn_explicit(
+                text, category, filename, lineno, registry=registries.setdefault(filename, {})
+            )
+    return [outcome for outcome, _ in reports]
 
 
 def cmd_greedy(args) -> int:
@@ -525,10 +751,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite_flags(args) -> None:
+    """Every float flag (the synth labs' parameters) must be a finite number."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite_flags(args)
         return args.func(args)
     except ConfigError as exc:
         for line in exc.errors:

@@ -7,8 +7,10 @@ configured optimizer. The pivot evolves per policy: fixed at the
 initialization, tracking the latest iterate, or an exponential moving average
 of it.
 
-A run is logically sequential. Independent runs (e.g. sweep cells) can
-execute concurrently with isolated states. Each step is one blocked pass of
+A run is logically sequential. Independent runs share nothing but their
+read-only ingredients, so they can execute concurrently with isolated
+states: the CLI runs the cells of a sweep in forked worker processes, one
+per usable CPU (see ``cli``). Each step is one blocked pass of
 ``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
 reads of stored maps that stay in their files), summed, turned into the

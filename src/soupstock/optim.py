@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -74,11 +74,15 @@ __all__ = [
 class GD:
     lr: Schedule
 
+    state_buffers: ClassVar[int] = 0  # model-size buffers in its OptimizerState
+
 
 @dataclass(frozen=True)
 class Adagrad:
     lr: Schedule
     eps: float = 1e-8
+
+    state_buffers: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,16 @@ class Adam:
     m0: float = 0.0
     v0: float = 0.0
 
+    state_buffers: ClassVar[int] = 2
+
 
 @dataclass(frozen=True)
 class Adadelta:
     lr: Schedule
     rho: float = 0.9
     eps: float = 1e-6
+
+    state_buffers: ClassVar[int] = 2
 
 
 OptimizerVariant = GD | Adagrad | Adam | Adadelta
@@ -164,7 +172,8 @@ class OptimizerState:
     map's buffer order) plus the global step counter.
 
     Buffers are allocated lazily at the first step: sq_sum (Adagrad), m/v
-    (Adam moments), acc_grad_sq/acc_update_sq (Adadelta).
+    (Adam moments), acc_grad_sq/acc_update_sq (Adadelta); each variant's
+    ``state_buffers`` says how many it uses.
     """
 
     step: int = 0

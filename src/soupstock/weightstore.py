@@ -322,7 +322,7 @@ def _reject_duplicate_names(pairs: list[tuple[str, object]]) -> dict:
     seen: dict[str, object] = {}
     for key, value in pairs:
         if key in seen:
-            raise CheckpointError(f"duplicate tensor name in header: {key!r}")
+            raise _HeaderFault(f"duplicate tensor name in header: {key!r}")
         seen[key] = value
     return seen
 
@@ -345,7 +345,7 @@ def _parse_header(raw: bytes, body_len: int):
     """Validate a header; returns (metadata, {name: (dtype, shape, begin, end)})."""
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_names)
-    except CheckpointError:
+    except _HeaderFault:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _HeaderFault(f"malformed header ({exc})") from exc

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,18 @@ def random_weightmap(rng: np.random.Generator, shapes=None, low=-1.0, high=1.0) 
 def random_weightmaps(seed: int, count: int, shapes=None, low=-1.0, high=1.0) -> list[WeightMap]:
     rng = np.random.default_rng(seed)
     return [random_weightmap(rng, shapes, low, high) for _ in range(count)]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """A test that ends with an exited, unreaped child process fails."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child processes at all
+        return
+    if pid:
+        pytest.fail(f"child process {pid} was left unreaped (wait status {status})")
 
 
 @pytest.fixture

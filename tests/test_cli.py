@@ -1,5 +1,8 @@
 import json
 import os
+import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -88,6 +91,18 @@ def test_soup_incompatible_inputs_exit_2(tmp_path, capsys):
                  "-o", str(tmp_path / "s.safetensors")])
     assert code == 2
     assert "'a'" in capsys.readouterr().err
+
+
+def test_soup_duplicate_tensor_name_names_its_file(tmp_path, capsys):
+    good, dup = tmp_path / "good.safetensors", tmp_path / "dup.safetensors"
+    save_checkpoint(WeightMap({"a": np.zeros(1, dtype=np.float32)}), str(good))
+    header = (b'{"a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},'
+              b' "a": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]}}')
+    dup.write_bytes(struct.pack("<Q", len(header)) + header + bytes(8))
+    code = main(["soup", str(good), str(dup), "-o", str(tmp_path / "s.safetensors")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {dup}: duplicate tensor name in header: 'a'\n"
+    assert not (tmp_path / "s.safetensors").exists()
 
 
 # --- merge ------------------------------------------------------------------------
@@ -244,6 +259,226 @@ def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
     assert manifest[1e30]["status"] == "error"
     assert "non-finite iterate" in manifest[1e30]["error"]
     assert not (tmp_path / "g" / manifest[1e30]["cell"] / "merged.safetensors").exists()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Sweeps run in two workers, whatever the CPUs; the pids forked are recorded."""
+    import soupstock.cli as cli
+
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _sweep_outputs(argv, out_dir):
+    code = main(argv + ["--out", str(out_dir), "--quiet"])
+    return code, {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
+def test_merge_sweep_in_workers_matches_serial_byte_for_byte(tmp_path, monkeypatch, forked):
+    import soupstock.cli as cli
+
+    # 12,000 elements in one tensor: its norms take the BLAS dot.
+    write_ingredients(tmp_path, count=3, shapes=((120, 100), (3,)))
+    doc = merge_doc(count=3, shuffle=True, record_steps=True,
+                    optimizer={"kind": "adam", "lr": 0.01, "weight_decay": 0.01})
+    doc["sweep"] = {"ensemble.batch_size": [2, 1, 4, 3]}  # 4 > 3 ingredients fails its cell
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    argv = ["merge", "--config", str(tmp_path / "sweep.json")]
+
+    code, parallel = _sweep_outputs(argv, tmp_path / "parallel")
+    assert len(forked) == 1
+    _assert_reaped(forked)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert _sweep_outputs(argv, tmp_path / "serial") == (code, parallel)
+    assert len(forked) == 1
+
+    assert code == 2
+    manifest = json.loads(parallel["sweep_manifest.json"])
+    assert [entry["status"] for entry in manifest] == ["ok", "ok", "error", "ok"]
+    assert manifest[2]["error"] == "batch_size 4 exceeds the 3 ingredients in the sweep"
+    assert sorted(parallel) == sorted(
+        [f"{entry['cell']}/{name}" for entry in manifest if entry["status"] == "ok"
+         for name in ("merged.safetensors", "run.csv")] + ["sweep_manifest.json"]
+    )
+
+
+def test_merge_sweep_dead_worker_fails_only_its_cells(tmp_path, monkeypatch, forked):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2, 0.3, 0.4]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    parent, in_parent = os.getpid(), []
+    real_cell = cli._run_merge_cell
+
+    def cell_or_exit(cfg, base_dir, out_dir, *rest):
+        if os.getpid() != parent:
+            os._exit(3)
+        in_parent.append(os.path.basename(out_dir))
+        return real_cell(cfg, base_dir, out_dir, *rest)
+
+    monkeypatch.setattr(cli, "_run_merge_cell", cell_or_exit)
+    code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
+    assert code == 2
+    _assert_reaped(forked)
+    manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+    assert len(manifest) == 4 and 0 < len(in_parent) < 4
+    for entry in manifest:
+        if entry["cell"] in in_parent:
+            assert entry["status"] == "ok"
+        else:
+            assert entry["status"] == "error"
+            assert entry["error"] == "sweep worker process exited with status 3 before reporting this cell"
+
+
+def test_merge_sweep_interrupt_kills_and_reaps_workers(tmp_path, monkeypatch, forked):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    parent = os.getpid()
+
+    def interrupt_or_hang(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        os._exit(4)
+
+    monkeypatch.setattr(cli, "_run_merge_cell", interrupt_or_hang)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
+    assert time.monotonic() - start < 30
+    _assert_reaped(forked)
+    assert not (tmp_path / "g" / "sweep_manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "ensemble, force_greedy, buffers",
+    [
+        ({}, False, 2),  # GD: the initialization and the iterate
+        ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 3),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 5),
+        ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0}},
+         False, 6),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}}, True, 8),
+    ],
+    ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adam-greedy"],
+)
+def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemble, force_greedy, buffers):
+    import soupstock.cli as cli
+
+    doc = merge_doc(count=3, **ensemble)
+    doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1, 0.2, 0.3, 0.4]}
+    cells = enumerate_sweep(doc)
+    model = WeightMap({"w": np.zeros((10, 25), dtype=np.float32)})
+    ingredients = [Ingredient(f"ing{i}", model) for i in range(3)]
+    cell_bytes = 4 * 250 * buffers
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    for available, workers in [(10**12, 4), (3 * cell_bytes, 3), (2 * cell_bytes - 1, 1), (0, 1)]:
+        monkeypatch.setattr(cli, "_available_memory", lambda: available)
+        assert cli._sweep_workers(cells, ingredients, force_greedy) == workers
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli._sweep_workers(cells, ingredients, force_greedy) == 1
+
+
+def _write_cgroup(directory, **files):
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name.replace("_", ".")).write_text(text + "\n")
+    return str(directory)
+
+
+def test_cgroup_dirs_walk_from_this_cgroup_to_the_v2_mount(tmp_path):
+    import soupstock.cli as cli
+
+    proc = tmp_path / "proc"
+    proc.mkdir()
+    (proc / "cgroup").write_text("4:memory:/v1/elsewhere\n0::/jobs/job7/task\n")
+    (proc / "mountinfo").write_text(
+        "32 24 0:28 / /sys/fs/cgroup rw,relatime - tmpfs tmpfs rw\n"
+        "42 32 0:38 /jobs /sys/fs/cgroup/unified rw,relatime - cgroup2 cgroup2 rw\n"
+    )
+    assert cli._cgroup_dirs(str(proc)) == [
+        "/sys/fs/cgroup/unified/job7/task", "/sys/fs/cgroup/unified/job7", "/sys/fs/cgroup/unified"
+    ]
+    (proc / "cgroup").write_text("0::/other\n")  # outside the mounted subtree
+    assert cli._cgroup_dirs(str(proc)) == []
+    (proc / "cgroup").write_text("4:memory:/v1\n")  # no v2 hierarchy
+    assert cli._cgroup_dirs(str(proc)) == []
+    assert cli._cgroup_dirs(str(tmp_path / "missing")) == []
+
+
+def test_cgroup_limits_cap_cpus_and_memory(tmp_path, monkeypatch):
+    import soupstock.cli as cli
+
+    cpus = len(os.sched_getaffinity(0))
+    unlimited = _write_cgroup(tmp_path / "free", cpu_max="max 100000", memory_max="max", memory_current="7")
+    monkeypatch.setattr(cli, "_cgroup_dirs", lambda: [unlimited])
+    assert cli._usable_cpus() == cpus
+    machine = cli._available_memory()
+    assert machine > 0
+
+    inner = _write_cgroup(tmp_path / "root" / "job", cpu_max="250000 100000",
+                          memory_max=str(10**6), memory_current=str(4 * 10**5))
+    outer = _write_cgroup(tmp_path / "root", cpu_max="50000 100000", memory_max=str(2 * 10**6),
+                          memory_current=str(19 * 10**5))
+    monkeypatch.setattr(cli, "_cgroup_dirs", lambda: [inner, unlimited])
+    assert cli._usable_cpus() == min(cpus, 2)  # whole CPUs of a 2.5-CPU quota
+    assert cli._available_memory() == 6 * 10**5
+    monkeypatch.setattr(cli, "_cgroup_dirs", lambda: [inner, outer])
+    assert cli._usable_cpus() == 1  # half a CPU still runs one worker
+    assert cli._available_memory() == 10**5  # the ancestor has less left
+    _write_cgroup(tmp_path / "root", memory_current=str(3 * 10**6))  # over its limit
+    assert cli._available_memory() == 0
+
+
+def test_sweep_forks_no_workers_beside_other_threads():
+    import soupstock.cli as cli
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._usable_cpus() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_merge_sweep_runs_serially_when_memory_is_short(tmp_path, monkeypatch):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2, 0.3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 4 * 9 * 2 - 1)  # one GD cell of 9 elements fits
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
 
 
 def _rewrite_in_place(path):
@@ -516,6 +751,23 @@ def test_synth_estimators_bad_optimizer_flag_exit_1(tmp_path, capsys, flag, valu
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["estimators", "--dist", "cauchy", "--lr", "nan"], "--lr", "nan"),
+        (["cycle", "--k", "nan", "--cycles", "3"], "--k", "nan"),
+        (["convergence", "--alpha=-inf", "--steps", "10"], "--alpha", "-inf"),
+        (["wlln", "--epsilon", "inf"], "--epsilon", "inf"),
+    ],
+    ids=["estimators", "cycle", "convergence", "wlln"],
+)
+def test_synth_nonfinite_float_flag_exit_1(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "lab.csv"
+    assert main(["synth", *argv, "-o", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {value}\n"
+    assert not out.exists()
 
 
 def test_synth_wlln_cauchy_rejected(capsys):

@@ -280,6 +280,15 @@ def test_projection_rejects_bad_radius():
 # --- shared invariants ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("variant", [GD, Adagrad, Adam, Adadelta], ids=lambda v: v.__name__.lower())
+def test_state_buffers_counts_the_buffers_a_step_allocates(variant):
+    state = OptimizerState()
+    optimizer_step(wm(a=[1.0, 2.0]), grad(wm(a=[0.5, -0.5])), state, OptimizerSpec(variant(lr=Constant(0.1))))
+    buffers = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
+    assert len(buffers) == variant.state_buffers
+    assert all(buf.size == 2 for buf in buffers)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
