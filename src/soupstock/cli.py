@@ -496,14 +496,17 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_synth_estimators(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     base = default_estimator_config(args.dist, seed=args.seed)
     optimizer = base.optimizer
-    if args.lr is not None or args.beta1 is not None or args.beta2 is not None or args.eps is not None:
-        from .optim import Adam
-        from .pseudograd import Constant
+    # Building the optimizer and the trial config checks every other flag.
+    try:
+        if args.lr is not None or args.beta1 is not None or args.beta2 is not None or args.eps is not None:
+            from .optim import Adam
+            from .pseudograd import Constant
 
-        variant: Adam = base.optimizer.variant
-        try:
+            variant: Adam = base.optimizer.variant
             optimizer = OptimizerSpec(
                 Adam(
                     lr=Constant(args.lr if args.lr is not None else variant.lr.value),
@@ -512,20 +515,21 @@ def cmd_synth_estimators(args) -> int:
                     eps=args.eps if args.eps is not None else variant.eps,
                 )
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    cfg = TrialConfig(
-        distribution=DistributionSpec(kind=args.dist),
-        optimizer=optimizer,
-        population_size=args.population,
-        subsample_size=args.subsample,
-        trials=args.trials,
-        init_point=(args.init_x, args.init_y),
-        batch_size=args.batch_size,
-        ensemble_epochs=args.epochs,
-        seed=args.seed,
-    )
-    result = run_estimator_trials(cfg, workers=args.workers)
+        cfg = TrialConfig(
+            distribution=DistributionSpec(kind=args.dist),
+            optimizer=optimizer,
+            population_size=args.population,
+            subsample_size=args.subsample,
+            trials=args.trials,
+            init_point=(args.init_x, args.init_y),
+            batch_size=args.batch_size,
+            ensemble_epochs=args.epochs,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # The rows do not depend on the worker count; more workers than CPUs only cost memory.
+    result = run_estimator_trials(cfg, workers=min(args.workers, _usable_cpus()))
     with atomic_output(args.output) as tmp:
         result.to_csv(tmp)
     _say(
@@ -536,7 +540,14 @@ def cmd_synth_estimators(args) -> int:
     return 0
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
 def cmd_synth_cycle(args) -> int:
+    _require(args.k > 0 and args.omega > 0, f"--k and --omega must be > 0, got {args.k} and {args.omega}")
+    _require(args.cycles >= 1, f"--cycles must be >= 1, got {args.cycles}")
     result = cycle_counterexample(k=args.k, omega=args.omega, cycles=args.cycles)
     with atomic_output(args.output) as tmp:
         result.to_csv(tmp)
@@ -549,6 +560,10 @@ def cmd_synth_cycle(args) -> int:
 
 
 def cmd_synth_convergence(args) -> int:
+    _require(args.alpha < -1, f"--alpha must be < -1, got {args.alpha}")
+    _require(args.c > 0, f"--c must be > 0, got {args.c}")
+    _require(args.steps >= 10, f"--steps must be >= 10, got {args.steps}")
+    _require(args.omega > 0, f"--omega must be > 0, got {args.omega}")
     pts = cycle_ingredients(args.k, args.omega)
     trajectory, report = convergence_check(
         alpha=args.alpha,
@@ -577,7 +592,12 @@ def cmd_synth_convergence(args) -> int:
 def cmd_synth_wlln(args) -> int:
     if args.dist == "cauchy":
         raise UsageError("first moment undefined for the Cauchy family; soups do not converge")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(size) for size in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
+    _require(min(sizes) >= 1, f"--sizes must all be >= 1, got {args.sizes}")
+    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     result = soup_wlln(
         DistributionSpec(kind=args.dist),
         sizes=sizes,

@@ -27,7 +27,9 @@ Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
 tensor carries a leading replica axis, and replica r walks its own shuffle
 stream through the same loop. Only then is the sweep read into one
-(ingredient, element) array, so that a block of a batch is one gather.
+(ingredient, element) array, so that the block means of several
+consecutive batches are one gather. A shuffled run draws every epoch's
+orders from one generator of its own, restarted at each replica's stream.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .pseudograd import (
     soup,
 )
 from .weightstore import (
+    BLOCK,
     Schema,
     StoredMap,
     WeightMap,
@@ -258,12 +261,27 @@ def _resolve_pivot_init(
     return init.weights, ordered
 
 
-def _epoch_order(sweep_size: int, cfg: EnsembleConfig, seeds: list[int], epoch: int) -> np.ndarray:
-    """The (replicas, sweep_size) visiting order of one epoch; replica r shuffles with seeds[r]."""
+def _epoch_order_fn(sweep_size: int, cfg: EnsembleConfig, seeds: list[int]) -> Callable[[int], np.ndarray]:
+    """The (replicas, sweep_size) visiting order as a function of the epoch,
+    a new array each epoch; replica r shuffles with seeds[r].
+
+    Row r is ``rng.stream(seeds[r], DOMAIN_SHUFFLE, epoch).permutation(sweep_size)``,
+    drawn from one generator of the run's own, restarted for every replica
+    and epoch.
+    """
     if not cfg.shuffle:
-        return np.broadcast_to(np.arange(sweep_size), (len(seeds), sweep_size))
-    streams = [rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE, epoch) for seed in seeds]
-    return np.stack([stream.permutation(sweep_size) for stream in streams])
+        return lambda epoch: np.broadcast_to(np.arange(sweep_size), (len(seeds), sweep_size))
+    gen = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_SHUFFLE)
+
+    def order(epoch: int) -> np.ndarray:
+        rows = np.empty((len(seeds), sweep_size), dtype=np.int64)
+        rows[...] = np.arange(sweep_size)
+        for row, seed in zip(rows, seeds):
+            # What permutation(n) does: shuffle arange(n) in place.
+            rng_mod.restart(gen, seed, rng_mod.DOMAIN_SHUFFLE, epoch).shuffle(row)
+        return rows
+
+    return order
 
 
 def run_ensemble(
@@ -368,7 +386,8 @@ def _run(
     n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
 
     schema = init.schema()
-    batch_mean = _batch_mean_fn(sweep, schema, len(seeds))
+    batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
+    epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
     sweep_ids = [ing.id for ing in sweep]
 
     state = OptimizerState()
@@ -395,9 +414,8 @@ def _run(
     for epoch in range(1, cfg.epochs + 1):
         if not sweep:
             break
-        order = _epoch_order(len(sweep), cfg, seeds, epoch)
+        order = epoch_order(epoch)
         for step_in_epoch, start in enumerate(range(0, len(sweep), cfg.batch_size), 1):
-            batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
             attempt += 1
             global_step = state.step + 1
             sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
@@ -406,13 +424,14 @@ def _run(
             if adaptive:
                 pivot = w
             scale = pseudogradient_scale(zeta, n_div)
-            grad = partial(_pseudogradient_block, batch_mean, batch_idx, pivot.flat, scale)
+            grad = partial(_pseudogradient_block, batch_mean, order, start, pivot.flat, scale)
             saved_state = state.clone() if evaluate is not None else None
             try:
                 w_new = optimizer_step(
                     w, grad, state, cfg.optimizer, sched_idx, out=iterate, norms=norms
                 )
             except NonFiniteStep as exc:
+                batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
                 message = _nonfinite_message(schema, exc.index, batch_idx, sweep_ids, attempt, epoch)
                 raise EngineError(message, record=record) from exc
             if norms is not None:
@@ -433,7 +452,7 @@ def _run(
                     StepRecord(
                         step=attempt,
                         epoch=epoch,
-                        batch_ids=tuple(sweep_ids[i] for i in batch_idx[:, 0]),
+                        batch_ids=tuple(sweep_ids[i] for i in order[0, start : start + cfg.batch_size]),
                         eta=schedule_eval(cfg.optimizer.variant.lr, sched_idx),
                         zeta=zeta,
                         grad_norm=grad_norm,
@@ -457,23 +476,29 @@ def _run(
 
 
 def _batch_mean_fn(
-    sweep: list[Ingredient], schema: Schema, replicas: int
-) -> Callable[[np.ndarray, slice], np.ndarray]:
-    """The batch mean as a function of a (batch, replica) block of sweep
-    indices and a slice of the flat buffer; it returns a new float32 array.
+    sweep: list[Ingredient], schema: Schema, replicas: int, batch_size: int
+) -> Callable[[np.ndarray, int, slice], np.ndarray]:
+    """The batch mean as a function of an epoch's (replica, sweep) order, the
+    start of a batch in it, and a slice of the flat buffer; it returns a
+    float32 array of that slice's values, which the caller may overwrite.
 
     One replica: the chosen ingredients' blocks are read from their sources
     (views of an in-memory map, reads of a stored one), added in batch order
     in float32, and the sum divided by float32(batch), with no copy of the
     sweep. Several replicas: the sweep is read once into an (ingredient,
     element) stack; every element of a (replicas, ...) tensor belongs to one
-    replica, and each takes its own replica's batch members.
+    replica, and each takes its own replica's batch members. The means of k
+    consecutive full batches, k = max(1, BLOCK // (batch * map size)), are
+    gathered and reduced at once and held until the last of them is taken;
+    a short last batch is gathered alone, and a map of more than one block
+    batch by batch. Each epoch's order must be a new array, and each batch's
+    block is taken once.
     """
     sources = [ing.weights for ing in sweep]
     if replicas == 1:
 
-        def mean(batch_idx: np.ndarray, s: slice) -> np.ndarray:
-            rows = batch_idx[:, 0]
+        def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
+            rows = order[0, start : start + batch_size]
             acc = sources[rows[0]].read(s, np.empty(s.stop - s.start, dtype=np.float32))
             for i in rows[1:]:
                 acc += sources[i].read(s)
@@ -490,32 +515,45 @@ def _batch_mean_fn(
     sizes = np.diff(offsets)
     columns = np.arange(schema.size)
     replica_of = (columns - np.repeat(offsets[:-1], sizes)) * replicas // np.repeat(sizes, sizes)
+    chunk_size = max(1, BLOCK // (batch_size * schema.size)) * batch_size
+    full_end = len(sources) - len(sources) % batch_size  # where a short last batch starts
+    held: tuple = (None, None, None, None)  # (order, chunk start, block start, means)
 
-    def mean(batch_idx: np.ndarray, s: slice) -> np.ndarray:
-        # A C-ordered (batch, column) gather keeps the reduction a sum in batch
-        # order, as above, except over a lone column, which numpy sums
-        # pairwise: that block is widened by the column before it (the map has
-        # at least `replicas` elements).
+    def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
+        nonlocal held
+        if start < full_end:
+            chunk, width = start - start % chunk_size, batch_size
+            end = min(chunk + chunk_size, full_end)
+        else:
+            chunk, width, end = start, len(sources) - start, len(sources)
+        # A lone column is widened by the one before it (the map has at least
+        # `replicas` elements): numpy would sum it pairwise, not in batch order.
         lo = min(s.start, s.stop - 2)
-        index = batch_idx.take(replica_of[lo : s.stop], axis=1)
-        index *= schema.size
-        index += columns[lo : s.stop]
-        acc = np.add.reduce(stacked.take(index), axis=0, dtype=np.float32)
-        acc /= np.float32(len(batch_idx))
-        return acc[s.start - lo :]
+        if held[0] is not order or held[1:3] != (chunk, s.start):
+            # A C-ordered (batch, member, column) gather keeps each batch's
+            # reduction a float32 sum in member order, as above.
+            members = order[:, chunk:end].reshape(replicas, -1, width).transpose(1, 2, 0)
+            index = members.take(replica_of[lo : s.stop], axis=2)
+            index *= schema.size
+            index += columns[lo : s.stop]
+            means = np.add.reduce(stacked.take(index), axis=1, dtype=np.float32)
+            means /= np.float32(width)
+            held = (order, chunk, s.start, means)
+        return held[3][(start - chunk) // width, s.start - lo :]
 
     return mean
 
 
 def _pseudogradient_block(
-    batch_mean: Callable[[np.ndarray, slice], np.ndarray],
-    batch_idx: np.ndarray,
+    batch_mean: Callable[[np.ndarray, int, slice], np.ndarray],
+    order: np.ndarray,
+    start: int,
     pivot: np.ndarray,
     scale: np.float32,
     s: slice,
 ) -> np.ndarray:
     """(pivot - batch mean) * scale over slice s: pseudograd.pseudogradient's operations."""
-    g = batch_mean(batch_idx, s)
+    g = batch_mean(order, start, s)
     np.subtract(pivot[s], g, out=g)
     g *= scale
     return g

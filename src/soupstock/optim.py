@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -84,6 +85,11 @@ class Adagrad:
 
     state_buffers: ClassVar[int] = 1
 
+    @cached_property
+    def _float32(self) -> tuple[np.float32, ...]:
+        """eps in float32; the constants every step uses are converted once."""
+        return (np.float32(self.eps),)
+
 
 @dataclass(frozen=True)
 class Adam:
@@ -99,6 +105,12 @@ class Adam:
 
     state_buffers: ClassVar[int] = 2
 
+    @cached_property
+    def _float32(self) -> tuple[np.float32, ...]:
+        """beta1, beta2, 1 - beta1, 1 - beta2 and eps in float32."""
+        b1, b2 = self.beta1, self.beta2
+        return tuple(np.float32(x) for x in (b1, b2, 1.0 - b1, 1.0 - b2, self.eps))
+
 
 @dataclass(frozen=True)
 class Adadelta:
@@ -107,6 +119,11 @@ class Adadelta:
     eps: float = 1e-6
 
     state_buffers: ClassVar[int] = 2
+
+    @cached_property
+    def _float32(self) -> tuple[np.float32, ...]:
+        """rho, 1 - rho and eps in float32."""
+        return tuple(np.float32(x) for x in (self.rho, 1.0 - self.rho, self.eps))
 
 
 OptimizerVariant = GD | Adagrad | Adam | Adadelta
@@ -226,7 +243,7 @@ def _adagrad_update(
     """w - eta_i * g / (sqrt(sum of squared gradients) + eps), per element."""
     state.sq_sum = sq_sum = _buffer(state.sq_sum, size)
     eta32 = np.float32(eta)
-    eps32 = np.float32(variant.eps)
+    (eps32,) = variant._float32
 
     def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
         sq = sq_sum[s]
@@ -239,11 +256,7 @@ def _adagrad_update(
 def _adam_update(variant: Adam, state: OptimizerState, eta: float, step: int, size: int) -> BlockUpdate:
     state.m = m_all = _buffer(state.m, size, variant.m0)
     state.v = v_all = _buffer(state.v, size, variant.v0)
-    b1 = np.float32(variant.beta1)
-    b2 = np.float32(variant.beta2)
-    one_m_b1 = np.float32(1.0 - variant.beta1)
-    one_m_b2 = np.float32(1.0 - variant.beta2)
-    eps32 = np.float32(variant.eps)
+    b1, b2, one_m_b1, one_m_b2, eps32 = variant._float32
     bias1 = 1.0 - float(variant.beta1) ** step
     bias2 = 1.0 - float(variant.beta2) ** step
     standard_form = variant.standard_form
@@ -279,9 +292,7 @@ def _adadelta_update(
     """
     state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, size)
     state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, size)
-    rho = np.float32(variant.rho)
-    one_m_rho = np.float32(1.0 - variant.rho)
-    eps32 = np.float32(variant.eps)
+    rho, one_m_rho, eps32 = variant._float32
     eta32 = np.float32(eta)
 
     def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:

@@ -440,6 +440,8 @@ def convergence_check(
     n_divisor = 1
 
     radius = max(float(np.max(np.linalg.norm(pts, axis=1))), float(np.linalg.norm(init)))
+    if radius == 0.0:
+        raise ValueError("the ingredients and init are all at the origin; the step cap needs a radius > 0")
     cap = 1.0 / (2.0 * radius)
     sched = CappedPower(coeff=c, exponent=alpha, cap=cap)
     spec = optimizer or OptimizerSpec(GD(lr=sched))
@@ -513,6 +515,8 @@ def soup_wlln(
         raise ValueError("first moment undefined for the Cauchy family; soups do not converge")
     if trials < 1 or not sizes:
         raise ValueError("need at least one size and one trial")
+    if min(sizes) < 1:
+        raise ValueError(f"sample sizes must be >= 1, got {min(sizes)}")
     mean_true = np.full(spec.dimension, float(spec.mean), dtype=np.float64)
     rows: list[tuple[int, float]] = []
     for size_idx, n in enumerate(sizes):

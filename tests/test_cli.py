@@ -770,6 +770,66 @@ def test_synth_nonfinite_float_flag_exit_1(tmp_path, capsys, argv, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimators", "--dist", "cauchy", "--trials", "0"],
+        ["estimators", "--dist", "cauchy", "--batch-size", "0"],
+        ["estimators", "--dist", "cauchy", "--population", "100", "--subsample", "101"],
+        ["estimators", "--dist", "cauchy", "--workers", "0"],
+        ["estimators", "--dist", "cauchy", "--workers", "-2"],
+        ["cycle", "--cycles", "0"],
+        ["cycle", "--omega=-1"],
+        ["convergence", "--steps", "0"],
+        ["convergence", "--omega", "0", "--steps", "100"],
+        ["wlln", "--sizes", "0"],
+        ["wlln", "--sizes", "10,a"],
+        ["wlln", "--trials", "0"],
+    ],
+    ids=["trials", "batch-size", "subsample", "workers-0", "workers-neg", "cycles", "omega",
+         "steps", "conv-omega", "sizes-0", "sizes-a", "wlln-trials"],
+)
+def test_synth_bad_flag_value_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "lab.csv"
+    assert main(["synth", *argv, "-o", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_synth_estimators_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    import soupstock.cli as cli
+
+    pools = []
+
+    class FakePool:
+        """Runs the chunks in this process and records the worker count asked for."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ["synth", "estimators", "--dist", "cauchy", "--population", "200", "--subsample", "20",
+            "--trials", "5", "--batch-size", "5", "--epochs", "3", "--quiet"]
+    assert main([*argv, "--workers", "64", "-o", str(tmp_path / "many.csv")]) == 0
+    assert pools == [2]
+    assert main([*argv, "--workers", "1", "-o", str(tmp_path / "one.csv")]) == 0
+    assert pools == [2]  # one worker runs in this process, without a pool
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
 def test_synth_wlln_cauchy_rejected(capsys):
     assert main(["synth", "wlln", "--dist", "cauchy"]) == 1
     assert "first moment undefined" in capsys.readouterr().err

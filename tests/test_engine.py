@@ -1,9 +1,11 @@
 import csv
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from soupstock import rng as rng_mod
 from soupstock.engine import (
     EngineError,
     EnsembleConfig,
@@ -12,6 +14,7 @@ from soupstock.engine import (
     Projection,
     ProvidedInit,
     SoupInit,
+    _epoch_order_fn,
     greedy_run,
     order_ingredients,
     run_ensemble,
@@ -606,3 +609,84 @@ def test_replicas_need_a_leading_axis_per_seed():
         run_ensemble(gd_cfg(record_steps=False), stacked, replica_seeds=[1, 2, 3])
     with pytest.raises(EngineError, match="at least one replica"):
         run_ensemble(gd_cfg(record_steps=False), stacked, replica_seeds=[])
+
+
+def test_replica_batch_means_gathered_several_batches_at_a_time_match_separate_runs():
+    # Two replicas of 8192 elements: a batch of 2 spans BLOCK / 2 gathered
+    # values, so the means are gathered two batches at a time. 11 ingredients
+    # make five full batches (chunks of 2, 2 and 1) and a short last batch.
+    rng = np.random.default_rng(8)
+    values = rng.uniform(-2, 2, size=(11, 2, 8192)).astype(np.float32)
+    stacked = [Ingredient(f"m{i:02d}", WeightMap({"w": values[i]})) for i in range(11)]
+    cfg = gd_cfg(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8)),
+        n_divisor=None,
+        epochs=2,
+        batch_size=2,
+        shuffle=True,
+        record_steps=False,
+    )
+    seeds = [3, 4]
+    merged, _ = run_ensemble(cfg, stacked, replica_seeds=seeds)
+    for r, seed in enumerate(seeds):
+        single = [Ingredient(ing.id, WeightMap({"w": values[i, r]})) for i, ing in enumerate(stacked)]
+        expected, _ = run_ensemble(replace(cfg, seed=seed), single)
+        assert merged.array("w")[r].tobytes() == expected.array("w").tobytes()
+
+
+# --- shuffle streams --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_epoch_order_rows_are_the_shuffle_streams(n):
+    seeds = [0, 7, 2**63 - 1]
+    order = _epoch_order_fn(n, gd_cfg(shuffle=True), seeds)
+    for epoch in (1, 2, 3, 200):
+        rows = order(epoch)
+        assert rows.shape == (len(seeds), n)
+        for row, seed in zip(rows, seeds):
+            expected = rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE, epoch).permutation(n)
+            assert row.tolist() == expected.tolist()
+
+
+def test_replica_run_builds_at_most_one_philox_per_epoch(monkeypatch):
+    real = np.random.Philox
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    _, stacked = replica_ingredients(count=6)
+    cfg = gd_cfg(epochs=3, batch_size=2, shuffle=True, record_steps=False)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    run_ensemble(cfg, stacked, replica_seeds=REPLICA_SEEDS)
+    assert 1 <= len(built) <= cfg.epochs  # not one per replica and epoch
+
+
+def test_concurrent_replica_runs_match_serial_runs():
+    sets, stacked = replica_ingredients(count=9)
+    cfgs = [
+        gd_cfg(
+            optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8)),
+            n_divisor=None, epochs=60, batch_size=2, shuffle=True, record_steps=False,
+        ),
+        gd_cfg(epochs=60, batch_size=3, shuffle=True, record_steps=False),
+    ]
+    seed_lists = [REPLICA_SEEDS, REPLICA_SEEDS[::-1]]
+    serial = [run_ensemble(c, stacked, replica_seeds=s)[0] for c, s in zip(cfgs, seed_lists)]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        start.wait()
+        results[i] = run_ensemble(cfgs[i], stacked, replica_seeds=seed_lists[i])[0]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for got, want in zip(results, serial):
+        assert got is not None and got.flat.tobytes() == want.flat.tobytes()
