@@ -22,7 +22,10 @@ and warnings over a pipe. The manifest, the outputs and the warnings
 (re-issued in cell order) do not depend on the number of workers: with one
 worker, as for a sweep whose ingredients failed to open, this process runs
 every cell through the same reporting, forking nothing. A single-cell merge
-is not a sweep and runs here directly.
+is not a sweep and runs here directly. The steps of a run split their blocks
+across threads: as many as the usable CPUs for a single cell, and the usable
+CPUs divided by the workers (at least one) for each cell of a sweep. No
+output depends on the number of workers or threads.
 """
 
 from __future__ import annotations
@@ -192,6 +195,7 @@ def _run_merge_cell(
     out_dir: str,
     force_greedy: bool,
     ingredients: list[Ingredient],
+    threads: int,
 ) -> tuple[str, str]:
     engine_cfg = _build_engine_config(cfg, base_dir, ingredients)
     greedy: GreedySpec = cfg.greedy
@@ -202,10 +206,10 @@ def _run_merge_cell(
     if greedy.enabled:
         target = load_checkpoint(os.path.join(base_dir, greedy.target_path))
         merged, record = greedy_run(
-            engine_cfg, ingredients, evaluate=lambda m: -l2_distance(m, target)
+            engine_cfg, ingredients, evaluate=lambda m: -l2_distance(m, target), threads=threads
         )
     else:
-        merged, record = run_ensemble(engine_cfg, ingredients)
+        merged, record = run_ensemble(engine_cfg, ingredients, threads=threads)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     # Both files are complete before either replaces its predecessor.
@@ -231,7 +235,7 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
     if len(cells) == 1 and not cells[0][0]:
         ingredients = _open_ingredients(cells[0][1], base_dir, stack)
         out_ckpt, out_log = _run_merge_cell(
-            cells[0][1], base_dir, out_dir, force_greedy, ingredients
+            cells[0][1], base_dir, out_dir, force_greedy, ingredients, _usable_cpus()
         )
         _say(args, f"merged -> {out_ckpt} (log {out_log})")
         return 0
@@ -246,6 +250,9 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
     except Exception as exc:  # recorded per cell below
         open_error = exc
 
+    workers = 1 if open_error is not None else _sweep_workers(cells, ingredients, force_greedy)
+    threads = max(1, _usable_cpus() // workers)  # each worker's share of the CPUs, for its steps
+
     def run_cell(index: int) -> dict[str, Any]:
         """Cell `index`'s manifest fields besides its name and overrides."""
         overrides, cell_cfg = cells[index]
@@ -254,7 +261,7 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
                 raise open_error
             out_ckpt, out_log = _run_merge_cell(
                 cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
-                force_greedy, ingredients,
+                force_greedy, ingredients, threads,
             )
         except Exception as exc:  # a failing cell must not abort the others
             return {"status": "error", "error": str(exc)}
@@ -264,7 +271,6 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
             "log": os.path.relpath(out_log, out_dir),
         }
 
-    workers = 1 if open_error is not None else _sweep_workers(cells, ingredients, force_greedy)
     outcomes = _run_cells(run_cell, len(cells), workers)
     manifest: list[dict[str, Any]] = [
         {"cell": sweep_cell_name(overrides), "overrides": overrides, **outcome}

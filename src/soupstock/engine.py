@@ -11,7 +11,8 @@ A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
 states: the CLI runs the cells of a sweep in forked worker processes, one
 per usable CPU (see ``cli``). Each step is one blocked pass of
-``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
+``optim.optimizer_step`` over the maps' flat buffers, its blocks split
+across the run's ``threads``: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
 reads of stored maps that stay in their files), summed, turned into the
 pseudogradient, and fed to the optimizer, and the new values are checked to
@@ -289,6 +290,7 @@ def run_ensemble(
     ingredients: Sequence[Ingredient],
     *,
     replica_seeds: Sequence[int] | None = None,
+    threads: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
     """Execute the full merge loop and return the final model plus its log.
 
@@ -299,14 +301,21 @@ def run_ensemble(
     plain run on replica r's slices, bit for bit. Greedy acceptance,
     projection and per-step logs reduce over a whole map, so they need a
     single replica.
+
+    Each step splits its blocks across up to ``threads`` threads
+    (:func:`optim.optimizer_step`); the result does not depend on their
+    number. A replica run holds its batch means between steps, so it runs
+    with one thread.
     """
-    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds)
+    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, threads=threads)
 
 
 def greedy_run(
     cfg: EnsembleConfig,
     ingredients: Sequence[Ingredient],
     evaluate: Callable[[WeightMap], float],
+    *,
+    threads: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
     """Merge loop with greedy acceptance.
 
@@ -314,10 +323,12 @@ def greedy_run(
     strictly improves, the model, the optimizer state, and the pivot are all
     restored to their pre-step snapshots. An evaluator that raises or
     returns NaN aborts the run with an EngineError carrying the partial log.
+    ``threads`` is as for :func:`run_ensemble`; the evaluator runs in the
+    caller's thread.
     """
     if evaluate is None:
         raise EngineError("greedy_run requires a metric evaluator")
-    return _run(cfg, ingredients, evaluate=evaluate)
+    return _run(cfg, ingredients, evaluate=evaluate, threads=threads)
 
 
 def _score(
@@ -363,6 +374,7 @@ def _run(
     ingredients: Sequence[Ingredient],
     evaluate: Callable[[WeightMap], float] | None,
     replica_seeds: Sequence[int] | None = None,
+    threads: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
     items = list(ingredients)
     if not items:
@@ -384,6 +396,8 @@ def _run(
             f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
         )
     n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
+    if len(seeds) > 1:
+        threads = 1  # the replica batch mean keeps state between calls
 
     schema = init.schema()
     batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
@@ -428,7 +442,7 @@ def _run(
             saved_state = state.clone() if evaluate is not None else None
             try:
                 w_new = optimizer_step(
-                    w, grad, state, cfg.optimizer, sched_idx, out=iterate, norms=norms
+                    w, grad, state, cfg.optimizer, sched_idx, out=iterate, norms=norms, threads=threads
                 )
             except NonFiniteStep as exc:
                 batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)

@@ -2,12 +2,14 @@
 
 Four update rules — GD, Adagrad, Adam, Adadelta — consume pseudogradients and
 produce new iterates. :func:`optimizer_step` is the one driver: it makes a
-single pass over the weight map's flat float32 buffer in blocks of
-``weightstore.BLOCK`` elements and, per block, takes the pseudogradient (from
-a map or a per-block function), applies decoupled weight decay and the rule's
-block update, checks the result is finite, and, when asked, stages the
-float64 values its log norms are taken from. All state lives in flat float32
-buffers of the same layout; the step counter increments inside each step call
+single pass over the weight map's flat float32 buffer in blocks of at most
+``weightstore.BLOCK`` elements (``Schema.blocks``) and, per block, takes the
+pseudogradient (from a map or a per-block function), applies decoupled weight
+decay and the rule's block update, checks the result is finite, and, when
+asked, sums the float64 squares its log norms are taken from. With
+``threads``, it splits the blocks into contiguous ranges run at once, one per
+thread; numpy's kernels and the positioned reads of stored maps release the
+GIL. All state lives in flat float32 buffers of the same layout; the step counter increments inside each step call
 *before* the learning-rate schedule is evaluated, so the first update runs at
 index 1.
 
@@ -31,7 +33,9 @@ Weight decay is decoupled: w <- w - eta_i*lambda*w before the optimizer update.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,8 +55,9 @@ from .weightstore import (
     BLOCK,
     Schema,
     WeightMap,
-    _add_tensor_squares,
+    _add_pieces,
     _check_compatible,
+    _piece_sums,
     _sq_distance,
 )
 
@@ -322,18 +327,20 @@ class NonFiniteStep(ValueError):
 
 
 class StepNorms:
-    """The log norms of a step, and the float64 scratch they are taken from.
+    """The log norms of a step, and the per-piece sums they are added up from.
 
     After each step given it, ``grad_norm`` is the pseudogradient's Euclidean
     norm and ``displacement`` the distance from the old iterate to the new
-    one, accumulated exactly as :func:`global_l2_norm` and :func:`l2_distance`
-    do. The two scratch vectors hold one of the schema's norm chunks each.
+    one, taken exactly as :func:`global_l2_norm` and :func:`l2_distance`
+    take them: per block of :attr:`Schema.blocks`, widened to float64 in a
+    scratch of one block per thread, squared, and summed per piece into
+    ``grad_sums`` and ``disp_sums``, which are then added up in order.
     """
 
     def __init__(self, schema: Schema) -> None:
-        largest = max((end - begin for begin, end, _ in schema.norm_chunks), default=0)
-        self.grad64 = np.empty(largest)
-        self.disp64 = np.empty(largest)
+        pieces = len(schema.piece_ends)
+        self.grad_sums = np.empty(pieces)
+        self.disp_sums = np.empty(pieces)
         self.grad_norm = 0.0
         self.displacement = 0.0
 
@@ -347,19 +354,26 @@ def optimizer_step(
     *,
     out: np.ndarray | None = None,
     norms: StepNorms | None = None,
+    threads: int = 1,
 ) -> WeightMap:
     """One step of spec's rule: decoupled weight decay, then the update.
 
     ``g`` is the pseudogradient: a map, or a function that returns the float32
-    values of any slice of the flat buffer. The step makes one pass over the
-    buffer, walking the schema's norm chunks in blocks of at most BLOCK
-    elements; each block is decayed, updated and checked to be finite (a
-    NaN/Inf raises :class:`NonFiniteStep`, leaving the state and ``out``
+    values of any slice of the flat buffer; with more than one thread it is
+    called from several threads at once. The step makes one pass over the
+    schema's blocks; each block is decayed, updated and checked to be finite
+    (a NaN/Inf raises :class:`NonFiniteStep`, leaving the state and ``out``
     partly stepped) before it is written to ``out``, a new buffer by default.
     ``out`` may be w's own buffer: every block is read before it is written.
-    With ``norms``, the block's pseudogradient and displacement also go to
-    its float64 scratch, and the norms are added up per tensor once each
-    chunk is complete.
+    With ``norms``, the block's pseudogradient and displacement are also
+    squared and summed per piece, and the norms are added up at the end.
+
+    The blocks are split into up to ``threads`` contiguous ranges (no more
+    than one per block) of about equal size, each run in a thread of its own,
+    and every thread is joined before the step returns or raises. An error in
+    any range reaches the caller unchanged: that of the first range that
+    failed, so a NonFiniteStep names the lowest bad element. No result
+    depends on the thread count.
     """
     if isinstance(g, WeightMap):
         _check_compatible(w, g)
@@ -372,29 +386,66 @@ def optimizer_step(
     decay = np.float32(1.0 - eta * spec.weight_decay) if spec.weight_decay > 0.0 else None
     new = np.empty_like(old) if out is None else out
     schema = w.schema()
-    grad_sq = disp_sq = 0.0
-    for begin, end, groups in schema.norm_chunks:
-        for lo in range(begin, end, BLOCK):
-            s = slice(lo, min(lo + BLOCK, end))
+    blocks = schema.blocks
+
+    def run(first: int, last: int) -> None:
+        scratch = np.empty(min(BLOCK, old.size)) if norms is not None else None
+        for lo, hi, count, piece in blocks[first:last]:
+            s = slice(lo, hi)
             gb = g(s)
             work = old[s] * decay if decay is not None else old[s].copy()
             update(s, gb, work)
             if not np.isfinite(work).all():
                 raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
             if norms is not None:
-                part = slice(lo - begin, s.stop - begin)
-                norms.grad64[part] = gb
-                disp = norms.disp64[part]
-                disp[...] = work
-                disp -= old[s]
+                part = slice(piece, piece + count)
+                _piece_sums(gb, None, count, scratch[: hi - lo], norms.grad_sums[part])
+                _piece_sums(work, old[s], count, scratch[: hi - lo], norms.disp_sums[part])
             new[s] = work
-        if norms is not None:
-            grad_sq = _add_tensor_squares(grad_sq, norms.grad64, groups)
-            disp_sq = _add_tensor_squares(disp_sq, norms.disp64, groups)
+
+    _run_ranges(run, blocks, threads)
     if norms is not None:
-        norms.grad_norm = math.sqrt(grad_sq)
-        norms.displacement = math.sqrt(disp_sq)
+        norms.grad_norm = math.sqrt(_add_pieces(norms.grad_sums, schema.piece_ends))
+        norms.displacement = math.sqrt(_add_pieces(norms.disp_sums, schema.piece_ends))
     return WeightMap._wrap(new if out is None else new.view(), schema)
+
+
+def _run_ranges(
+    run: Callable[[int, int], None], blocks: tuple[tuple[int, int, int, int], ...], threads: int
+) -> None:
+    """run(first, last) over contiguous ranges of blocks of about equal
+    numbers of elements, up to ``threads`` of them at once: the first in this
+    thread, each other one in a thread of its own. Joins every thread it
+    started, then raises the error of the first range that failed."""
+    count = min(threads, len(blocks))
+    if count <= 1:
+        run(0, len(blocks))
+        return
+    starts = [begin for begin, _end, _count, _piece in blocks]
+    begin, size = starts[0], blocks[-1][1] - starts[0]
+    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    errors: list[BaseException | None] = [None] * len(ranges)
+
+    def guarded(i: int) -> None:
+        try:
+            run(*ranges[i])
+        except BaseException as exc:  # re-raised by the caller's thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(ranges)):
+            thread = threading.Thread(target=guarded, args=(i,))
+            thread.start()
+            started.append(thread)
+        guarded(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:

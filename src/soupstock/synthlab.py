@@ -181,15 +181,28 @@ class EstimatorResult:
                 )
 
     def median_dist_soup(self) -> float:
-        return float(np.median([r.dist_soup for r in self.rows]))
+        return float(_median([r.dist_soup for r in self.rows]))
 
     def median_dist_ame(self) -> float:
-        return float(np.median([r.dist_ame for r in self.rows]))
+        return float(_median([r.dist_ame for r in self.rows]))
 
     def median_abs_gap(self) -> np.ndarray:
         """Per-coordinate median over trials of |ame - soup|."""
         gaps = np.abs(np.array([r.ame for r in self.rows]) - np.array([r.soup for r in self.rows]))
-        return np.median(gaps, axis=0)
+        return _median(gaps)
+
+
+def _median(values) -> np.ndarray:
+    """np.median(values, axis=0) of non-empty float64 values, bit for bit:
+    the same partition and mean of the middle one or two, and NaN wherever a
+    column holds one. np.median's own NaN check imports numpy.ma (a
+    noticeable share of a short estimator run) on first use."""
+    a = np.asarray(values, dtype=np.float64)
+    half = len(a) // 2
+    middle = [half - 1, half] if len(a) % 2 == 0 else [half]
+    part = np.partition(a, [*middle, -1], axis=0)
+    result = np.mean(part[middle[0] : half + 1], axis=0)
+    return np.where(np.isnan(part[-1]), part[-1], result)
 
 
 @lru_cache(maxsize=4)
@@ -260,7 +273,7 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
         dist.kind, dist.dimension, dist.mean, dist.scale, cfg.population_size, cfg.seed
     )
     pop_mean = sequential_mean(pts)
-    pop_median = np.median(pts.astype(np.float64), axis=0)
+    pop_median = _median(pts)
     reference = pop_median if dist.kind == "cauchy" else pop_mean
 
     workers = max(1, min(workers, cfg.trials))

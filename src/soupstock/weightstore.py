@@ -14,12 +14,14 @@ Elementwise work elsewhere in the package (soups, pseudogradients, and the
 optimizer step, which also sums the engine's batches) runs over the flat
 buffer, one block of :data:`BLOCK` elements at a time, so temporaries stay
 small whatever the model size. Blocking changes no float32 result: every
-element sees the same operations in the same order. The norms accumulate in
-float64 per tensor, one BLAS ddot each, and add the tensors up in name order;
-the optimizer step takes its log norms the same way, one norm chunk
-(:attr:`Schema.norm_chunks`) at a time. The dots of a run of adjacent
-equal-sized tensors are taken in one stacked call, which is the same ddot on
-each tensor, so batching changes no bit either.
+element sees the same operations in the same order. The norms are defined by
+an order that numpy fixes, so their bits do not depend on any thread count:
+each tensor is cut into pieces of BLOCK elements from its start, each piece
+is widened to float64, squared and summed by ``np.add.reduce``, a tensor's
+pieces are added in order, and the tensors in name order. The optimizer step
+takes its log norms the same way, block by block (:attr:`Schema.blocks`); a
+block of several equal-sized tensors is summed as one (count, size) view
+along its rows, which sums each row as it would alone.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -132,27 +134,39 @@ class Schema:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def norm_chunks(self) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
-        """Runs of whole tensors of at most BLOCK elements (a larger tensor
-        forms a run alone): (begin, end, groups). A group (lo, count, size) is
-        count adjacent tensors of size elements each, from lo relative to begin."""
-        chunks = []
-        start = 0
-        offsets = self.offsets
-        for i in range(1, len(offsets)):
-            last = i == len(offsets) - 1
-            if last or offsets[i + 1] - offsets[start] > BLOCK:
-                base = offsets[start]
-                groups: list[tuple[int, int, int]] = []
-                for lo, hi in zip(offsets[start:i], offsets[start + 1 : i + 1]):
-                    if groups and groups[-1][2] == hi - lo:
-                        g_lo, count, size = groups[-1]
-                        groups[-1] = (g_lo, count + 1, size)
-                    else:
-                        groups.append((lo - base, 1, hi - lo))
-                chunks.append((base, offsets[i], tuple(groups)))
-                start = i
-        return tuple(chunks)
+    def blocks(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The blocks the optimizer step and the norms walk, in buffer order:
+        (begin, end, count, piece). A block is a run of ``count`` adjacent
+        non-empty tensors of one size, whole, of at most BLOCK elements in
+        all, or (count 1) one piece of a larger tensor, cut every BLOCK
+        elements from its start. Empty tensors are in no block. ``piece`` is
+        the index of the block's first piece: a whole small tensor is one
+        piece, and :attr:`piece_ends` marks the last piece of each tensor."""
+        out: list[tuple[int, int, int, int]] = []
+        offsets, pieces, i = self.offsets, 0, 0
+        while i < len(self.names):
+            begin, size = offsets[i], offsets[i + 1] - offsets[i]
+            j = i + 1
+            if size > BLOCK:
+                for lo in range(begin, begin + size, BLOCK):
+                    out.append((lo, min(lo + BLOCK, begin + size), 1, pieces))
+                    pieces += 1
+            elif size > 0:
+                fits = BLOCK // size
+                while j < min(i + fits, len(self.names)) and offsets[j + 1] - offsets[j] == size:
+                    j += 1
+                out.append((begin, offsets[j], j - i, pieces))
+                pieces += j - i
+            i = j
+        return tuple(out)
+
+    @cached_property
+    def piece_ends(self) -> tuple[bool, ...]:
+        """Per piece of :attr:`blocks`, whether it ends its tensor."""
+        bounds = set(self.offsets)
+        return tuple(
+            count > 1 or end in bounds for _begin, end, count, _piece in self.blocks for _ in range(count)
+        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -269,43 +283,49 @@ def validate_compatible(maps: list[WeightMap | StoredMap]) -> Schema:
     return first.schema()
 
 
-def _add_tensor_squares(total: float, values: np.ndarray, groups: tuple[tuple[int, int, int], ...]) -> float:
-    # Adds, tensor by tensor in name order, the float64 dot product of each
-    # tensor's own elements; values holds one norm chunk, split into groups
-    # as in Schema.norm_chunks. A group of equal-sized tensors takes its dots
-    # in one stacked matmul of 1xn by nx1 products, each the same BLAS ddot
-    # that np.dot takes of that tensor alone.
-    for lo, count, size in groups:
-        if count == 1:
-            part = values[lo : lo + size]
-            total += float(np.dot(part, part))
-        else:
-            rows = values[lo : lo + count * size].reshape(count, size)
-            for square in np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist():
-                total += square
+def _piece_sums(a: np.ndarray, b: np.ndarray | None, count: int, scratch: np.ndarray, out: np.ndarray) -> None:
+    # Writes to out the float64 sums of squares of the count equal parts of a
+    # block's values a (or of a - b): the parts are its tensors, or its one
+    # piece. scratch is float64 scratch of the block's size. Widening by a
+    # copy first is about twice as fast as a multiply that casts float32
+    # operands itself, through buffers.
+    scratch[...] = a
+    if b is not None:
+        scratch -= b
+    np.multiply(scratch, scratch, out=scratch)
+    np.add.reduce(scratch.reshape(count, -1), axis=1, out=out)
+
+
+def _add_pieces(sums: np.ndarray, ends: tuple[bool, ...]) -> float:
+    """The sum of squares from the sums of the pieces (Schema.blocks): each
+    tensor's pieces added in order, then the tensors in name order."""
+    total = partial = 0.0
+    for value, end in zip(sums.tolist(), ends):
+        partial += value
+        if end:
+            total += partial
+            partial = 0.0
     return total
 
 
-def _sum_tensor_squares(schema: Schema, chunk64) -> float:
-    # chunk64(begin, end) gives float64 values for a norm chunk.
-    total = 0.0
-    for begin, end, groups in schema.norm_chunks:
-        total = _add_tensor_squares(total, chunk64(begin, end), groups)
-    return total
+def _sum_squares(schema: Schema, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """The float64 sum of squares of the flat buffer a (or of a - b), as the norms define it."""
+    sums = np.empty(len(schema.piece_ends))
+    scratch = np.empty(min(BLOCK, schema.size))
+    for begin, end, count, piece in schema.blocks:
+        part = None if b is None else b[begin:end]
+        _piece_sums(a[begin:end], part, count, scratch[: end - begin], sums[piece : piece + count])
+    return _add_pieces(sums, schema.piece_ends)
 
 
 def global_l2_norm(m: WeightMap) -> float:
     """Euclidean norm over all elements of all tensors (float64 accumulation)."""
-    flat = m.flat
-    return math.sqrt(
-        _sum_tensor_squares(m._schema, lambda b, e: flat[b:e].astype(np.float64))
-    )
+    return math.sqrt(_sum_squares(m._schema, m.flat))
 
 
 def _sq_distance(a: WeightMap, b: WeightMap) -> float:
     """Squared Euclidean distance of two compatible maps (float64 accumulation)."""
-    fa, fb = a.flat, b.flat
-    return _sum_tensor_squares(a._schema, lambda lo, hi: fa[lo:hi].astype(np.float64) - fb[lo:hi])
+    return _sum_squares(a._schema, a.flat, b.flat)
 
 
 def l2_distance(a: WeightMap, b: WeightMap) -> float:

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ def no_child_left_unreaped():
         return
     if pid:
         pytest.fail(f"child process {pid} was left unreaped (wait status {status})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """A test after which more threads run than before it fails: a sweep
+    quietly runs its cells serially while other threads run (cli._usable_cpus)."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    if after > before:
+        pytest.fail(f"{after - before} thread(s) left running: {threading.enumerate()}")
 
 
 @pytest.fixture

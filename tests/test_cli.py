@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -295,7 +297,7 @@ def _sweep_outputs(argv, out_dir):
 def test_merge_sweep_in_workers_matches_serial_byte_for_byte(tmp_path, monkeypatch, forked):
     import soupstock.cli as cli
 
-    # 12,000 elements in one tensor: its norms take the BLAS dot.
+    # 12,000 elements in one tensor, summed for the norms in one piece.
     write_ingredients(tmp_path, count=3, shapes=((120, 100), (3,)))
     doc = merge_doc(count=3, shuffle=True, record_steps=True,
                     optimizer={"kind": "adam", "lr": 0.01, "weight_decay": 0.01})
@@ -513,10 +515,10 @@ def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
     (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=3)))
     real_run = cli.run_ensemble
 
-    def run_with_change(cfg, ingredients):
+    def run_with_change(cfg, ingredients, **kwargs):
         if during_run:
             change(tmp_path / "ing1.safetensors")
-        result = real_run(cfg, ingredients)
+        result = real_run(cfg, ingredients, **kwargs)
         change(tmp_path / "ing1.safetensors")
         return result
 
@@ -601,6 +603,61 @@ def _soup_argv(tmp_path, out):
     write_ingredients(tmp_path, count=2)
     return ["soup", str(tmp_path / "ing0.safetensors"), str(tmp_path / "ing1.safetensors"),
             "-o", str(out / "soup.safetensors"), "--quiet"]
+
+
+def _main_in_subprocess(argv, **env):
+    """main(argv) in a fresh interpreter with the extra environment variables `env`."""
+    import soupstock
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(soupstock.__file__)))
+    code = "import sys; from soupstock.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_merge_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 30,000 elements in one tensor: OpenBLAS splits a dot product that long
+    # across its threads. The projection makes the checkpoint depend on a norm.
+    write_ingredients(tmp_path, count=3, shapes=((300, 100), (3,)))
+    doc = merge_doc(count=3, epochs=2, shuffle=True, seed=3,
+                    optimizer={"kind": "adam", "lr": 0.01, "weight_decay": 0.01},
+                    projection={"center": "soup", "radius": 1e-3})
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        argv = ["merge", "--config", str(tmp_path / "merge.json"), "--out", str(out), "--quiet"]
+        done = _main_in_subprocess(argv, OPENBLAS_NUM_THREADS=blas_threads)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("merged.safetensors", "run.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    (tmp_path / "one.json").write_text(json.dumps(doc))
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    threads = []
+    real_run = cli.run_ensemble
+
+    def recording_run(cfg, ingredients, **kwargs):
+        threads.append(kwargs["threads"])
+        return real_run(cfg, ingredients, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", recording_run)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    monkeypatch.setattr(cli, "_sweep_workers", lambda *args: 2)
+    monkeypatch.setattr(cli, "_run_cells", lambda run_cell, count, workers: [run_cell(i) for i in range(count)])
+    for name in ("one", "sweep"):
+        assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
+    assert threads == [5, 2, 2]
 
 
 def _fed_argv(tmp_path, out):

@@ -53,10 +53,10 @@ SHAPES = {
 
 
 def equal_runs(big, even, broken):
-    """Runs of adjacent equal-sized tensors, whose log-norm dots are taken
-    together, under three name prefixes: three of 20,000 elements (a size
-    BLAS splits over threads), which share one norm chunk when they start
-    one; 500s with an empty tensor inside; and 300s broken by one odd size."""
+    """Runs of adjacent equal-sized tensors, which share a block and are
+    summed as rows of one view, under three name prefixes: three of 20,000
+    elements (a size BLAS would split over threads); 500s with an empty
+    tensor inside; and 300s broken by one odd size."""
     return {
         **{f"{big}{i}": (20000,) for i in range(3)},
         **{f"{even}{i:02d}": (0,) if i == 6 else (500,) for i in range(12)},
@@ -77,6 +77,24 @@ def test_fixture_layout_covers_block_edges():
     assert offsets["d.big"] < BLOCK < offsets["e.straddle"] < 2 * BLOCK
     assert offsets["e.straddle"] + 80000 > 2 * BLOCK
     assert len(blocks(m.flat.size)) == 3
+
+
+def test_blocks_tile_the_buffer_in_runs_of_one_size_or_pieces():
+    schema = WeightMap({name: np.zeros(shape, np.float32) for name, shape in MERGE_SHAPES.items()}).schema()
+    covered, pieces = 0, 0
+    for begin, end, count, piece in schema.blocks:
+        assert (begin, piece) == (covered, pieces)
+        assert 0 < end - begin <= BLOCK and (end - begin) % count == 0
+        covered, pieces = end, pieces + count
+    assert covered == schema.size and pieces == len(schema.piece_ends)
+    assert sum(schema.piece_ends) == sum(1 for shape in MERGE_SHAPES.values() if math.prod(shape) > 0)
+    big = schema.index["d.big"]
+    assert [b[:3] for b in schema.blocks if schema.offsets[big] <= b[0] < schema.offsets[big + 1]] == [
+        (schema.offsets[big], schema.offsets[big] + BLOCK, 1),
+        (schema.offsets[big] + BLOCK, schema.offsets[big + 1], 1),
+    ]
+    runs = [count for _begin, _end, count, _piece in schema.blocks if count > 1]
+    assert runs == [3, 6, 5, 4, 4]  # e.t0-2; i.00-05 and i.07-11 around the empty i.06; j.00-03, j.05-08
 
 
 # --- per-tensor references ---------------------------------------------------------
@@ -137,19 +155,28 @@ def ref_soup(maps):
     return WeightMap(out)
 
 
+def ref_squares(values):
+    """A tensor's float64 sum of squares as the norms define it: the squares
+    of each piece of BLOCK elements from its start summed by np.add.reduce,
+    the pieces added in order."""
+    total = 0.0
+    for lo in range(0, values.size, BLOCK):
+        piece = values[lo : lo + BLOCK]
+        total += float(np.add.reduce(piece * piece))
+    return total
+
+
 def ref_norm(m):
     total = 0.0
     for arr in m.arrays().values():
-        flat = arr.reshape(-1).astype(np.float64)
-        total += float(np.dot(flat, flat))
+        total += ref_squares(arr.reshape(-1).astype(np.float64))
     return math.sqrt(total)
 
 
 def ref_distance(a, b):
     total = 0.0
     for name, arr in a.arrays().items():
-        d = arr.reshape(-1).astype(np.float64) - b.array(name).reshape(-1).astype(np.float64)
-        total += float(np.dot(d, d))
+        total += ref_squares(arr.reshape(-1).astype(np.float64) - b.array(name).reshape(-1).astype(np.float64))
     return math.sqrt(total)
 
 
@@ -257,9 +284,9 @@ def test_norms_match_per_tensor_reference():
     a, b = random_map(rng), random_map(rng)
     assert global_l2_norm(a) == ref_norm(a)
     assert l2_distance(a, b) == ref_distance(a, b)
-    # Many small tensors of mixed magnitude share one float64 chunk; each is
-    # still summed on its own and the totals added in name order, also in the
-    # runs of equal-sized tensors whose dots are taken together.
+    # Many small tensors of mixed magnitude; each is still summed on its own
+    # and the totals added in name order, also in the runs of equal-sized
+    # tensors that share a block.
     shapes = {f"t{i:02d}": (int(rng.integers(50, 900)),) for i in range(40)}
     shapes.update(equal_runs("s", "u", "v"))
     many = [
@@ -279,8 +306,8 @@ def test_projection_matches_per_tensor_reference():
 
 # --- the fused merge step vs the separate passes -------------------------------------
 
-# SHAPES plus small tensors of mixed magnitude, which share one norm chunk,
-# and runs of equal-sized tensors (see equal_runs).
+# SHAPES plus small tensors of mixed sizes and magnitudes, and runs of
+# equal-sized tensors (see equal_runs).
 MERGE_SHAPES = {
     **SHAPES,
     **{f"h.{i:02d}": (50 + 21 * i,) for i in range(40)},
@@ -354,11 +381,51 @@ def test_fused_merge_matches_separate_passes(tmp_path, variant, policy, weight_d
                 assert got == (log if cfg.record_steps else []), (name, source)
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_merge_matches_one_thread(tmp_path, threads):
+    rng = np.random.default_rng(17)
+    ingredients = [Ingredient(f"m{i}", merge_map(rng)) for i in range(4)]
+    for ing in ingredients:
+        write_checkpoint(tmp_path / f"{ing.id}.safetensors", ing.weights.arrays())
+    target = merge_map(rng)
+    zeros = WeightMap({name: np.zeros(shape, np.float32) for name, shape in MERGE_SHAPES.items()})
+    base = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.05),
+        amplification=Constant(1.3),
+        epochs=2,
+        batch_size=2,
+        shuffle=True,
+        seed=5,
+        ordering="given",
+    )
+    radius = 0.9 * ref_norm(ref_soup([ing.weights for ing in ingredients]))
+    runs = {
+        "plain": (base, None),
+        "projection": (replace(base, projection=Projection(zeros, radius)), None),
+        "greedy": (base, lambda m: -l2_distance(m, target)),
+    }
+    with ExitStack() as stack:
+        stored = [
+            Ingredient(ing.id, stack.enter_context(open_checkpoint(str(tmp_path / f"{ing.id}.safetensors"))))
+            for ing in ingredients
+        ]
+        for name, (cfg, evaluate) in runs.items():
+            results = []
+            for n in (1, threads):
+                if evaluate is None:
+                    results.append(run_ensemble(cfg, stored, threads=n))
+                else:
+                    results.append(greedy_run(cfg, stored, evaluate, threads=n))
+            (want, want_log), (got, got_log) = results
+            assert got == want, name
+            assert got_log.steps == want_log.steps, name
+
+
 def test_fused_step_allocates_only_state_and_norm_scratch():
     # A plain Adam run steps its iterate in place: beyond the iterate and the
-    # two moments, it holds two float64 vectors of one norm chunk (here, the
-    # largest tensor) and a few blocks of temporaries. The separate passes
-    # also held a batch mean, a pseudogradient and a second iterate.
+    # two moments, each thread holds one block of float64 norm scratch and a
+    # few blocks of temporaries. The separate passes also held a batch mean,
+    # a pseudogradient and a second iterate.
     rng = np.random.default_rng(16)
     shapes = {f"t{i}": (3 * BLOCK + 17 * i,) for i in range(8)}
     maps = [
@@ -371,11 +438,11 @@ def test_fused_step_allocates_only_state_and_norm_scratch():
         ordering="given",
     )
     model = 4 * ingredients[0].weights.flat.size
-    largest = max(math.prod(s) for s in shapes.values())
-    tracemalloc.start()
-    try:
-        run_ensemble(cfg, ingredients)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * model + 2 * 8 * largest + 8 * 4 * BLOCK
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, ingredients, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * model + threads * (8 * BLOCK + 8 * 4 * BLOCK), threads

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,13 +12,15 @@ from soupstock.optim import (
     Adadelta,
     Adagrad,
     Adam,
+    NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
+    StepNorms,
     optimizer_step,
     project_to_ball,
 )
 from soupstock.pseudograd import CappedPower, Constant, Explicit, Harmonic, Power, pseudogradient
-from soupstock.weightstore import WeightMap, l2_distance
+from soupstock.weightstore import BLOCK, CheckpointError, WeightMap, l2_distance, open_checkpoint, save_checkpoint
 
 
 
@@ -407,3 +412,54 @@ def test_zero_learning_rate_freezes_the_iterate():
     spec = OptimizerSpec(GD(lr=Explicit(values=(0.0, 0.0))))
     w = wm(a=[1.0, -2.0])
     assert optimizer_step(w, grad(wm(a=[3.0, 4.0])), OptimizerState(), spec) == w
+
+
+# --- threaded steps ----------------------------------------------------------------
+
+# Four tensors of two blocks each: two threads take blocks 0-3 and 4-7.
+THREADED = {f"t{i}": np.arange(2 * BLOCK, dtype=np.float32) / BLOCK for i in range(4)}
+
+
+def test_steps_in_more_threads_than_blocks_and_cpus_match_one_thread():
+    spec = OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.01)
+    w = WeightMap(THREADED)
+    g = WeightMap({name: np.cos(a) for name, a in THREADED.items()})
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 12):
+            state, norms, out = OptimizerState(), StepNorms(w.schema()), w
+            for _ in range(3):
+                out = optimizer_step(out, g, state, spec, norms=norms, threads=threads)
+            runs.append((out.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), norms.grad_norm, norms.displacement))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+def test_threaded_nonfinite_step_names_the_lowest_bad_element():
+    spec = OptimizerSpec(GD(lr=Constant(1.0)))
+    w = WeightMap(THREADED)
+    before = threading.active_count()
+    for bad, first in (([6 * BLOCK + 3, BLOCK + 5], BLOCK + 5), ([7 * BLOCK + 1, 5 * BLOCK], 5 * BLOCK)):
+        g = np.zeros(w.flat.size, dtype=np.float32)
+        g[bad] = np.nan
+        with pytest.raises(NonFiniteStep) as info:
+            optimizer_step(w, g.__getitem__, OptimizerState(), spec, threads=2)
+        assert info.value.index == first
+        assert threading.active_count() == before
+
+
+def test_threaded_step_raises_a_read_error_of_any_range(tmp_path):
+    path = str(tmp_path / "g.safetensors")
+    save_checkpoint(WeightMap(THREADED), path)
+    spec = OptimizerSpec(GD(lr=Constant(1.0)))
+    before = threading.active_count()
+    with open_checkpoint(path) as stored:
+        os.truncate(path, os.path.getsize(path) - 4 * BLOCK)  # cuts block 7, in the second range
+        with pytest.raises(CheckpointError, match="truncated buffer \\(file changed while reading\\)") as info:
+            optimizer_step(WeightMap(THREADED), stored.read, OptimizerState(), spec, threads=2)
+    assert path in str(info.value)
+    assert threading.active_count() == before
+

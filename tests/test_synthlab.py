@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from soupstock.synthlab import (
     sample_population,
     sequential_mean,
     soup_wlln,
+    _median,
     _tail_schedule_sum,
 )
 from soupstock.weightstore import WeightMap
@@ -346,3 +350,38 @@ def test_sequential_mean_matches_loop():
     for row in pts[1:]:
         acc += row
     np.testing.assert_array_equal(sequential_mean(pts), acc / 500.0)
+
+
+# --- median ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (301, 2), (300, 3)], ids=str)
+def test_median_matches_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(31)
+    values = rng.standard_cauchy(shape)
+    values.flat[::5] = 0.0
+    values.flat[1::5] = -0.0
+    assert np.asarray(_median(values)).tobytes() == np.asarray(np.median(values, axis=0)).tobytes()
+    listed = values.tolist()
+    assert np.asarray(_median(listed)).tobytes() == np.asarray(np.median(listed, axis=0)).tobytes()
+    values[len(values) // 2] = np.nan
+    assert np.asarray(_median(values)).tobytes() == np.asarray(np.median(values, axis=0)).tobytes()
+
+
+def test_estimator_run_does_not_import_numpy_ma(tmp_path):
+    import soupstock
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(soupstock.__file__)))
+    code = (
+        "import sys; from soupstock.cli import main; "
+        "code = main(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    argv = ["synth", "estimators", "--dist", "cauchy", "--population", "2000", "--subsample", "40",
+            "--trials", "3", "--batch-size", "8", "--epochs", "5", "-o", str(tmp_path / "est.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
