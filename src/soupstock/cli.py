@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -49,7 +50,6 @@ from .config import (
     FedRunConfig,
     GreedySpec,
     MergeConfig,
-    PivotInitSpec,
     enumerate_sweep,
     load_json,
     parse_fed_config,
@@ -59,16 +59,15 @@ from .engine import (
     EngineError,
     EnsembleConfig,
     Ingredient,
-    IngredientInit,
     Projection,
     ProvidedInit,
-    SoupInit,
     greedy_run,
     run_ensemble,
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
 from .pseudograd import EmaPivot, ScheduleError, soup
+from .rng import MAX_SEED
 from .synthlab import (
     DistributionSpec,
     TrialConfig,
@@ -158,13 +157,9 @@ def _open_ingredients(cfg: MergeConfig, base_dir: str, stack: ExitStack) -> list
 
 
 def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingredient]) -> EnsembleConfig:
-    init = cfg.pivot_init
-    if init.kind == "soup":
-        pivot_init = SoupInit()
-    elif init.kind == "ingredient":
-        pivot_init = IngredientInit(init.ingredient_id)
-    else:
-        pivot_init = ProvidedInit(load_checkpoint(os.path.join(base_dir, init.path)))
+    pivot_init = cfg.ensemble.pivot_init
+    if cfg.pivot_init_path is not None:
+        pivot_init = ProvidedInit(load_checkpoint(os.path.join(base_dir, cfg.pivot_init_path)))
     projection = None
     if cfg.projection is not None:
         if cfg.projection.center == "soup":
@@ -172,21 +167,7 @@ def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingr
         else:
             center = load_checkpoint(os.path.join(base_dir, cfg.projection.center))
         projection = Projection(center=center, radius=cfg.projection.radius)
-    return EnsembleConfig(
-        optimizer=cfg.optimizer,
-        pivot_policy=cfg.pivot_policy,
-        pivot_init=pivot_init,
-        amplification=cfg.amplification,
-        n_divisor=cfg.n_divisor,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        shuffle=cfg.shuffle,
-        seed=cfg.seed,
-        ordering=cfg.ordering,
-        projection=projection,
-        epoch_lr_reset=cfg.epoch_lr_reset,
-        record_steps=cfg.record_steps,
-    )
+    return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection)
 
 
 def _run_merge_cell(
@@ -294,9 +275,9 @@ def _cell_buffers(cfg: MergeConfig, force_greedy: bool) -> int:
     iterate and the optimizer state, plus an EMA pivot, greedy's target,
     candidate and saved state, and a projection's center and candidate where
     the config has them."""
-    state = cfg.optimizer.variant.state_buffers
+    state = cfg.ensemble.optimizer.variant.state_buffers
     buffers = 2 + state
-    if isinstance(cfg.pivot_policy, EmaPivot):
+    if isinstance(cfg.ensemble.pivot_policy, EmaPivot):
         buffers += 1
     if cfg.greedy.enabled or force_greedy:
         buffers += 2 + state
@@ -777,18 +758,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite_flags(args) -> None:
-    """Every float flag (the synth labs' parameters) must be a finite number."""
+def _check_flags(args) -> None:
+    """Every float flag (the synth labs' parameters) must be a finite number,
+    and a --seed must fit the 64-bit word it keys the random streams with."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
+    seed = getattr(args, "seed", 0)
+    if not 0 <= seed <= MAX_SEED:
+        raise UsageError(f"--seed must be in [0, {MAX_SEED}], got {seed}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_finite_flags(args)
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         for line in exc.errors:

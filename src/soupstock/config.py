@@ -17,9 +17,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
-from .engine import ORDERINGS
+from .engine import ORDERINGS, EnsembleConfig, IngredientInit, SoupInit
 from .optim import GD, Adadelta, Adagrad, Adam, OptimizerSpec
 from .pseudograd import (
     AdaptivePivot,
@@ -33,11 +34,11 @@ from .pseudograd import (
     Power,
     Schedule,
 )
+from .rng import MAX_SEED
 
 __all__ = [
     "ConfigError",
     "IngredientEntry",
-    "PivotInitSpec",
     "ProjectionSpec",
     "GreedySpec",
     "MergeConfig",
@@ -94,7 +95,7 @@ def _expect_object(ctx: _Ctx, path: str, value: Any, allowed: set[str], required
         if key not in allowed:
             ctx.err(f"{path}.{key}", "unknown key")
     ok = True
-    for key in required:
+    for key in sorted(required):  # a set's order depends on the string hash seed
         if key not in value:
             ctx.err(f"{path}.{key}", "missing required key")
             ok = False
@@ -121,12 +122,15 @@ def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None, str
     return v
 
 
-def _integer(ctx: _Ctx, path: str, value: Any, *, minimum=None):
+def _integer(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         ctx.err(path, f"expected an integer, got {type(value).__name__}")
         return None
     if minimum is not None and value < minimum:
         ctx.err(path, f"must be >= {minimum}, got {value}")
+        return None
+    if maximum is not None and value > maximum:
+        ctx.err(path, f"must be <= {maximum}, got {value}")
         return None
     return value
 
@@ -289,13 +293,6 @@ class IngredientEntry:
 
 
 @dataclass(frozen=True)
-class PivotInitSpec:
-    kind: str  # "soup" | "ingredient" | "provided"
-    ingredient_id: str | None = None
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class ProjectionSpec:
     center: str  # "soup" or a checkpoint path
     radius: float
@@ -309,32 +306,20 @@ class GreedySpec:
 
 @dataclass(frozen=True)
 class MergeConfig:
+    """A parsed merge config. `ensemble` holds the engine's settings except
+    those that need a file: a provided pivot initialization (its path is
+    `pivot_init_path`, and `ensemble.pivot_init` is then the default) and a
+    projection, which the command loads before the run."""
+
     ingredients: tuple[IngredientEntry, ...]
     metrics_csv: str | None
-    optimizer: OptimizerSpec
-    pivot_policy: PivotPolicy
-    pivot_init: PivotInitSpec
-    amplification: Schedule
-    n_divisor: int | None
-    epochs: int
-    batch_size: int
-    shuffle: bool
-    seed: int
-    ordering: str
+    ensemble: EnsembleConfig
+    pivot_init_path: str | None
     projection: ProjectionSpec | None
-    epoch_lr_reset: bool
     greedy: GreedySpec
     out_checkpoint: str
     out_log: str
     sweep: dict[str, list[Any]] | None = None
-    record_steps: bool = True
-
-
-_ENSEMBLE_KEYS = {
-    "optimizer", "pivot_policy", "pivot_init", "amplification", "n_divisor",
-    "epochs", "batch_size", "shuffle", "seed", "ordering", "projection",
-    "epoch_lr_reset", "greedy", "record_steps",
-}
 
 
 def _parse_pivot_policy(ctx: _Ctx, path: str, value: Any) -> PivotPolicy | None:
@@ -361,26 +346,81 @@ def _parse_pivot_policy(ctx: _Ctx, path: str, value: Any) -> PivotPolicy | None:
     return FixedPivot() if kind == "fixed" else AdaptivePivot()
 
 
-def _parse_pivot_init(ctx: _Ctx, path: str, value: Any) -> PivotInitSpec | None:
+_PIVOT_INIT_KEYS = {"soup": {"kind"}, "ingredient": {"kind", "id"}, "provided": {"kind", "path"}}
+
+
+def _parse_pivot_init(ctx: _Ctx, path: str, value: Any) -> SoupInit | IngredientInit | str | None:
+    """SoupInit(), IngredientInit(id), or the checkpoint path of a provided initialization."""
     if not isinstance(value, dict):
         ctx.err(path, "expected an object")
         return None
-    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices={"soup", "ingredient", "provided"})
-    if kind is None:
+    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices=set(_PIVOT_INIT_KEYS))
+    if kind is None or not _expect_object(ctx, path, value, _PIVOT_INIT_KEYS[kind], _PIVOT_INIT_KEYS[kind]):
         return None
     if kind == "soup":
-        if not _expect_object(ctx, path, value, {"kind"}, {"kind"}):
-            return None
-        return PivotInitSpec(kind="soup")
+        return SoupInit()
     if kind == "ingredient":
-        if not _expect_object(ctx, path, value, {"kind", "id"}, {"kind", "id"}):
-            return None
         ing_id = _string(ctx, f"{path}.id", value["id"])
-        return None if ing_id is None else PivotInitSpec(kind="ingredient", ingredient_id=ing_id)
-    if not _expect_object(ctx, path, value, {"kind", "path"}, {"kind", "path"}):
+        return None if ing_id is None else IngredientInit(ing_id)
+    return _string(ctx, f"{path}.path", value["path"])
+
+
+def _parse_n_divisor(ctx: _Ctx, path: str, value: Any) -> int | None:
+    return None if value == "auto" else _integer(ctx, path, value, minimum=1)
+
+
+def _parse_projection(ctx: _Ctx, path: str, value: Any) -> ProjectionSpec | None:
+    if value is None:
         return None
-    p = _string(ctx, f"{path}.path", value["path"])
-    return None if p is None else PivotInitSpec(kind="provided", path=p)
+    if not _expect_object(ctx, path, value, {"center", "radius"}, {"center", "radius"}):
+        return None
+    center = value["center"]
+    if not isinstance(center, str):
+        ctx.err(f"{path}.center", "expected 'soup' or a checkpoint path")
+    radius = _number(ctx, f"{path}.radius", value["radius"], minimum=0.0, strict_min=True)
+    if not isinstance(center, str) or radius is None:
+        return None
+    return ProjectionSpec(center=center, radius=radius)
+
+
+def _parse_greedy(ctx: _Ctx, path: str, value: Any) -> GreedySpec | None:
+    if not _expect_object(ctx, path, value, {"enabled", "evaluator"}, {"enabled"}):
+        return None
+    enabled = _boolean(ctx, f"{path}.enabled", value["enabled"])
+    target = None
+    if "evaluator" in value:
+        ev = value["evaluator"]
+        if _expect_object(ctx, f"{path}.evaluator", ev, {"kind", "target"}, {"kind", "target"}):
+            kind = _string(ctx, f"{path}.evaluator.kind", ev["kind"], choices={"neg_distance"})
+            target = _string(ctx, f"{path}.evaluator.target", ev["target"])
+            if kind is None:
+                target = None
+    if enabled and target is None:
+        ctx.err(path, "enabled greedy runs need a neg_distance evaluator")
+        return None
+    return None if enabled is None else GreedySpec(enabled=enabled, target_path=target)
+
+
+# The keys of the `ensemble` section, each with its parser(ctx, path, value),
+# in the order their errors are reported. A key left out takes the default of
+# the EnsembleConfig field of its name. `pivot_init`, `projection` and
+# `greedy` may parse to what MergeConfig holds beside `ensemble`.
+_ENSEMBLE_FIELDS: dict[str, Callable[[_Ctx, str, Any], Any]] = {
+    "optimizer": parse_optimizer,
+    "pivot_policy": _parse_pivot_policy,
+    "pivot_init": _parse_pivot_init,
+    "amplification": parse_schedule,
+    "n_divisor": _parse_n_divisor,
+    "epochs": partial(_integer, minimum=1),
+    "batch_size": partial(_integer, minimum=1),
+    "shuffle": _boolean,
+    "seed": partial(_integer, minimum=0, maximum=MAX_SEED),
+    "ordering": partial(_string, choices=set(ORDERINGS)),
+    "epoch_lr_reset": _boolean,
+    "record_steps": _boolean,
+    "projection": _parse_projection,
+    "greedy": _parse_greedy,
+}
 
 
 def parse_merge_config(doc: Any) -> MergeConfig:
@@ -390,7 +430,7 @@ def parse_merge_config(doc: Any) -> MergeConfig:
     if not isinstance(doc, dict):
         ctx.raise_if_failed()
     version = doc.get("version")
-    if version != SUPPORTED_VERSION:
+    if "version" in doc and version != SUPPORTED_VERSION:
         ctx.err("$.version", f"expected {SUPPORTED_VERSION}, got {version!r}")
 
     entries: list[IngredientEntry] = []
@@ -428,74 +468,11 @@ def parse_merge_config(doc: Any) -> MergeConfig:
     if "metrics_csv" in doc:
         metrics_csv = _string(ctx, "$.metrics_csv", doc["metrics_csv"])
 
+    fields: dict[str, Any] = {}
     ens = doc.get("ensemble")
-    optimizer = None
-    pivot_policy: PivotPolicy | None = AdaptivePivot()
-    pivot_init: PivotInitSpec | None = PivotInitSpec(kind="soup")
-    amplification: Schedule | None = Constant(1.0)
-    n_divisor: int | None = None
-    epochs, batch_size, shuffle, seed = 1, 1, False, 0
-    ordering = "metric_desc"
-    projection: ProjectionSpec | None = None
-    epoch_lr_reset = False
-    record_steps = True
-    greedy = GreedySpec()
-    if "ensemble" in doc and _expect_object(ctx, "$.ensemble", ens, _ENSEMBLE_KEYS, {"optimizer"}):
-        optimizer = parse_optimizer(ctx, "$.ensemble.optimizer", ens["optimizer"])
-        if "pivot_policy" in ens:
-            pivot_policy = _parse_pivot_policy(ctx, "$.ensemble.pivot_policy", ens["pivot_policy"])
-        if "pivot_init" in ens:
-            pivot_init = _parse_pivot_init(ctx, "$.ensemble.pivot_init", ens["pivot_init"])
-        if "amplification" in ens:
-            amplification = parse_schedule(ctx, "$.ensemble.amplification", ens["amplification"])
-        if "n_divisor" in ens:
-            raw = ens["n_divisor"]
-            if raw == "auto":
-                n_divisor = None
-            else:
-                n_divisor = _integer(ctx, "$.ensemble.n_divisor", raw, minimum=1)
-        if "epochs" in ens:
-            epochs = _integer(ctx, "$.ensemble.epochs", ens["epochs"], minimum=1)
-        if "batch_size" in ens:
-            batch_size = _integer(ctx, "$.ensemble.batch_size", ens["batch_size"], minimum=1)
-        if "shuffle" in ens:
-            shuffle = _boolean(ctx, "$.ensemble.shuffle", ens["shuffle"])
-        if "seed" in ens:
-            seed = _integer(ctx, "$.ensemble.seed", ens["seed"], minimum=0)
-        if "ordering" in ens:
-            ordering = _string(ctx, "$.ensemble.ordering", ens["ordering"], choices=set(ORDERINGS))
-        if "epoch_lr_reset" in ens:
-            epoch_lr_reset = _boolean(ctx, "$.ensemble.epoch_lr_reset", ens["epoch_lr_reset"])
-        if "record_steps" in ens:
-            record_steps = _boolean(ctx, "$.ensemble.record_steps", ens["record_steps"])
-        if "projection" in ens and ens["projection"] is not None:
-            proj = ens["projection"]
-            if _expect_object(ctx, "$.ensemble.projection", proj, {"center", "radius"}, {"center", "radius"}):
-                center = proj["center"]
-                if not isinstance(center, str):
-                    ctx.err("$.ensemble.projection.center", "expected 'soup' or a checkpoint path")
-                    center = None
-                radius = _number(ctx, "$.ensemble.projection.radius", proj["radius"], minimum=0.0, strict_min=True)
-                if center is not None and radius is not None:
-                    projection = ProjectionSpec(center=center, radius=radius)
-        if "greedy" in ens:
-            gr = ens["greedy"]
-            if _expect_object(ctx, "$.ensemble.greedy", gr, {"enabled", "evaluator"}, {"enabled"}):
-                enabled = _boolean(ctx, "$.ensemble.greedy.enabled", gr["enabled"])
-                target = None
-                if "evaluator" in gr:
-                    ev = gr["evaluator"]
-                    if _expect_object(ctx, "$.ensemble.greedy.evaluator", ev,
-                                      {"kind", "target"}, {"kind", "target"}):
-                        kind = _string(ctx, "$.ensemble.greedy.evaluator.kind", ev["kind"],
-                                       choices={"neg_distance"})
-                        target = _string(ctx, "$.ensemble.greedy.evaluator.target", ev["target"])
-                        if kind is None:
-                            target = None
-                if enabled and target is None:
-                    ctx.err("$.ensemble.greedy", "enabled greedy runs need a neg_distance evaluator")
-                elif enabled is not None:
-                    greedy = GreedySpec(enabled=enabled, target_path=target)
+    if "ensemble" in doc and _expect_object(ctx, "$.ensemble", ens, set(_ENSEMBLE_FIELDS), {"optimizer"}):
+        fields = {key: parse(ctx, f"$.ensemble.{key}", ens[key])
+                  for key, parse in _ENSEMBLE_FIELDS.items() if key in ens}
 
     out_checkpoint = out_log = None
     out = doc.get("output")
@@ -520,26 +497,19 @@ def parse_merge_config(doc: Any) -> MergeConfig:
                 sweep[key] = values
 
     ctx.raise_if_failed()
+    pivot_init_path = fields.pop("pivot_init") if isinstance(fields.get("pivot_init"), str) else None
+    projection = fields.pop("projection", None)
+    greedy = fields.pop("greedy", GreedySpec())
     return MergeConfig(
         ingredients=tuple(entries),
         metrics_csv=metrics_csv,
-        optimizer=optimizer,
-        pivot_policy=pivot_policy,
-        pivot_init=pivot_init,
-        amplification=amplification,
-        n_divisor=n_divisor,
-        epochs=epochs,
-        batch_size=batch_size,
-        shuffle=shuffle,
-        seed=seed,
-        ordering=ordering,
+        ensemble=EnsembleConfig(**fields),
+        pivot_init_path=pivot_init_path,
         projection=projection,
-        epoch_lr_reset=epoch_lr_reset,
         greedy=greedy,
         out_checkpoint=out_checkpoint,
         out_log=out_log,
         sweep=sweep,
-        record_steps=record_steps,
     )
 
 
@@ -644,22 +614,29 @@ def parse_fed_config(doc: Any) -> FedRunConfig:
     allowed = {"version", "algorithm", "rounds", "sample_size", "seed", "init",
                "clients", "server", "client_soup", "server_stew", "output"}
     required = {"version", "algorithm", "rounds", "sample_size", "init", "clients", "output"}
-    if not _expect_object(ctx, "$", doc, allowed, required):
+    _expect_object(ctx, "$", doc, allowed, required)
+    if not isinstance(doc, dict):
         ctx.raise_if_failed()
-    if doc.get("version") != SUPPORTED_VERSION:
-        ctx.err("$.version", f"expected {SUPPORTED_VERSION}, got {doc.get('version')!r}")
-    algorithm = _string(ctx, "$.algorithm", doc.get("algorithm"), choices={"fedopt", "fedsoup"})
-    rounds = _integer(ctx, "$.rounds", doc.get("rounds"), minimum=1)
+    # A missing required key is reported once, above; the walk goes on without it.
+    if "version" in doc and doc["version"] != SUPPORTED_VERSION:
+        ctx.err("$.version", f"expected {SUPPORTED_VERSION}, got {doc['version']!r}")
+    algorithm = rounds = sample_size = None
+    if "algorithm" in doc:
+        algorithm = _string(ctx, "$.algorithm", doc["algorithm"], choices={"fedopt", "fedsoup"})
+    if "rounds" in doc:
+        rounds = _integer(ctx, "$.rounds", doc["rounds"], minimum=1)
     seed = 0
     if "seed" in doc:
-        seed = _integer(ctx, "$.seed", doc["seed"], minimum=0)
+        seed = _integer(ctx, "$.seed", doc["seed"], minimum=0, maximum=MAX_SEED)
     init_values = init_path = None
     if "init" in doc:
         init_values, init_path = _parse_point(ctx, "$.init", doc["init"])
 
     clients: list[ClientEntry] = []
     raw_clients = doc.get("clients")
-    if not isinstance(raw_clients, list) or not raw_clients:
+    if "clients" not in doc:
+        pass  # already reported as missing
+    elif not isinstance(raw_clients, list) or not raw_clients:
         ctx.err("$.clients", "expected a non-empty list")
     else:
         for i, item in enumerate(raw_clients):
@@ -678,7 +655,8 @@ def parse_fed_config(doc: Any) -> FedRunConfig:
             clients.append(ClientEntry(id=cid, center_values=cvals, center_path=cpath,
                                        optimizer=opt, local_steps=steps))
 
-    sample_size = _integer(ctx, "$.sample_size", doc.get("sample_size"), minimum=1)
+    if "sample_size" in doc:
+        sample_size = _integer(ctx, "$.sample_size", doc["sample_size"], minimum=1)
     if sample_size is not None and clients and sample_size > len(clients):
         ctx.err("$.sample_size", f"must be <= number of clients ({len(clients)})")
 

@@ -20,12 +20,16 @@ DOMAIN_WLLN = 5
 DOMAIN_FIXTURE = 6
 
 _MASK64 = (1 << 64) - 1
+MAX_SEED = _MASK64  # a seed is one 64-bit word of the Philox key
 _ZEROS4 = np.zeros(4, dtype=np.uint64)  # Philox's state setter copies it
 _ZEROS4.setflags(write=False)
 
 
-def _key(seed: int, domain: int, index: int) -> list[int]:
-    return [seed & _MASK64, ((domain & 0xFFFF) << 48 | (index & _MASK64 >> 16)) & _MASK64]
+def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    # A uint64 array: from a list, numpy would make words >= 2**63 float64.
+    return np.array(
+        [seed & _MASK64, ((domain & 0xFFFF) << 48 | (index & _MASK64 >> 16)) & _MASK64], dtype=np.uint64
+    )
 
 
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
@@ -47,7 +51,7 @@ def restart(gen: np.random.Generator, seed: int, domain: int, index: int = 0) ->
         "bit_generator": "Philox",
         "state": {
             "counter": _ZEROS4,
-            "key": np.array(_key(seed, domain, index), dtype=np.uint64),
+            "key": _key(seed, domain, index),
         },
         "buffer": _ZEROS4,
         "buffer_pos": 4,  # empty: the next draw computes a block from counter 0

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from soupstock.cli import main
-from soupstock.config import ConfigError, enumerate_sweep, parse_merge_config, sweep_cell_name
-from soupstock.engine import EnsembleConfig, Ingredient, run_ensemble
+from soupstock.config import (
+    ConfigError,
+    GreedySpec,
+    enumerate_sweep,
+    parse_fed_config,
+    parse_merge_config,
+    sweep_cell_name,
+)
+from soupstock.engine import EnsembleConfig, Ingredient, IngredientInit, run_ensemble
 from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import default_estimator_config
@@ -854,6 +861,15 @@ def test_synth_bad_flag_value_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lab", [["estimators", "--dist", "cauchy"], ["wlln"]], ids=["estimators", "wlln"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_synth_seed_outside_64_bits_exit_1(tmp_path, capsys, lab, seed):
+    out = tmp_path / "lab.csv"
+    assert main(["synth", *lab, "--seed", seed, "-o", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, {2**64 - 1}], got {seed}\n"
+    assert not out.exists()
+
+
 def test_synth_estimators_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
     import concurrent.futures
 
@@ -961,6 +977,32 @@ def test_fed_zero_rounds_rejected(tmp_path, capsys):
     assert "$.rounds" in capsys.readouterr().err
 
 
+def test_fed_config_reports_every_error():
+    doc = fed_doc("nope", version=2, sample_size=0, clients=[])
+    del doc["rounds"]
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config(doc)
+    assert info.value.errors == [
+        "$.rounds: missing required key",
+        "$.version: expected 1, got 2",
+        "$.algorithm: must be one of ['fedopt', 'fedsoup'], got 'nope'",
+        "$.clients: expected a non-empty list",
+        "$.sample_size: must be >= 1, got 0",
+    ]
+
+
+def test_seed_fields_take_any_64_bit_seed():
+    doc = fed_doc("fedopt", seed=2**64 - 1, server={"kind": "gd", "lr": 1.0})
+    assert parse_fed_config(doc).seed == 2**64 - 1
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config({**doc, "seed": 2**64})
+    assert info.value.errors == [f"$.seed: must be <= {2**64 - 1}, got {2**64}"]
+    assert parse_merge_config(merge_doc(seed=2**64 - 1)).ensemble.seed == 2**64 - 1
+    with pytest.raises(ConfigError) as info:
+        parse_merge_config(merge_doc(seed=2**64))
+    assert info.value.errors == [f"$.ensemble.seed: must be <= {2**64 - 1}, got {2**64}"]
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -1029,19 +1071,34 @@ def test_fed_command_byte_deterministic(tmp_path):
 
 def test_parse_merge_defaults():
     cfg = parse_merge_config(merge_doc())
-    assert cfg.epochs == 1 and cfg.batch_size == 1
-    assert cfg.ordering == "given"
-    assert cfg.n_divisor == 1
+    assert cfg.ensemble.epochs == 1 and cfg.ensemble.batch_size == 1
+    assert cfg.ensemble.ordering == "given"
+    assert cfg.ensemble.n_divisor == 1
     assert cfg.greedy.enabled is False
-    assert cfg.amplification == Constant(1.0)
-    assert isinstance(cfg.optimizer.variant.lr, Harmonic)
+    assert cfg.ensemble.amplification == Constant(1.0)
+    assert isinstance(cfg.ensemble.optimizer.variant.lr, Harmonic)
+
+
+def test_parse_merge_leaves_absent_keys_at_the_engine_defaults():
+    doc = merge_doc()
+    doc["ensemble"] = {"optimizer": {"kind": "gd", "lr": 0.5}}
+    cfg = parse_merge_config(doc)
+    assert cfg.ensemble == EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))))
+    assert (cfg.pivot_init_path, cfg.projection, cfg.greedy) == (None, None, GreedySpec())
+    doc["ensemble"].update(pivot_init={"kind": "provided", "path": "init.safetensors"}, n_divisor="auto")
+    cfg = parse_merge_config(doc)
+    assert cfg.pivot_init_path == "init.safetensors"
+    assert cfg.ensemble == EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))))
+    doc["ensemble"]["pivot_init"] = {"kind": "ingredient", "id": "ing1"}
+    cfg = parse_merge_config(doc)
+    assert cfg.pivot_init_path is None and cfg.ensemble.pivot_init == IngredientInit("ing1")
 
 
 def test_parse_number_shorthand_schedule():
     doc = merge_doc()
     doc["ensemble"]["optimizer"] = {"kind": "gd", "lr": 0.25}
     cfg = parse_merge_config(doc)
-    assert cfg.optimizer.variant.lr == Constant(0.25)
+    assert cfg.ensemble.optimizer.variant.lr == Constant(0.25)
 
 
 def test_parse_rejects_duplicate_ingredient_ids():
@@ -1060,3 +1117,75 @@ def test_parse_projection_and_ema():
     doc["ensemble"]["pivot_policy"] = {"kind": "fixed", "decay": 0.9}
     with pytest.raises(ConfigError, match="ema"):
         parse_merge_config(doc)
+
+
+def test_merge_config_errors_do_not_depend_on_the_string_hash_seed(tmp_path):
+    (tmp_path / "empty.json").write_text("{}")
+    argv = ["merge", "--config", str(tmp_path / "empty.json")]
+    runs = [_main_in_subprocess(argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [run.returncode for run in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr == "".join(
+        f"config error: $.{key}: missing required key\n"
+        for key in ("ensemble", "ingredients", "output", "version")
+    )
+
+
+def test_parse_merge_reports_every_bad_ensemble_key_in_order():
+    doc = merge_doc(count=2)
+    doc["ensemble"] = {
+        "optimizer": {"kind": "sgd", "lr": 1.0},
+        "pivot_policy": {"kind": "ema"},
+        "pivot_init": {"kind": "provided"},
+        "amplification": "fast",
+        "n_divisor": 0,
+        "epochs": 1.5,
+        "batch_size": 0,
+        "shuffle": "yes",
+        "seed": -1,
+        "ordering": "random",
+        "epoch_lr_reset": 1,
+        "record_steps": None,
+        "projection": {"center": 3, "radius": 0},
+        "greedy": {"enabled": True},
+        "mystery": True,
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_merge_config(doc)
+    assert info.value.errors == [
+        "$.ensemble.mystery: unknown key",
+        "$.ensemble.optimizer.kind: must be one of ['adadelta', 'adagrad', 'adam', 'gd'], got 'sgd'",
+        "$.ensemble.pivot_policy.decay: missing required key for ema policy",
+        "$.ensemble.pivot_init.path: missing required key",
+        "$.ensemble.amplification: expected a schedule object or a number",
+        "$.ensemble.n_divisor: must be >= 1, got 0",
+        "$.ensemble.epochs: expected an integer, got float",
+        "$.ensemble.batch_size: must be >= 1, got 0",
+        "$.ensemble.shuffle: expected a boolean, got str",
+        "$.ensemble.seed: must be >= 0, got -1",
+        "$.ensemble.ordering: must be one of ['given', 'metric_asc', 'metric_desc'], got 'random'",
+        "$.ensemble.epoch_lr_reset: expected a boolean, got int",
+        "$.ensemble.record_steps: expected a boolean, got NoneType",
+        "$.ensemble.projection.center: expected 'soup' or a checkpoint path",
+        "$.ensemble.projection.radius: must be > 0.0, got 0",
+        "$.ensemble.greedy: enabled greedy runs need a neg_distance evaluator",
+    ]
+
+
+def test_sweep_reports_the_errors_of_every_bad_cell_in_order():
+    doc = merge_doc(count=2)
+    doc["ensemble"] = {"optimizer": {"kind": "gd", "lr": 1.0}}
+    doc["sweep"] = {
+        "ensemble.pivot_init": [
+            {"kind": "soup"},
+            {"kind": "ingredient", "id": 3, "path": "x"},
+            {"kind": "provided"},
+        ],
+        "ensemble.epochs": [2],
+    }
+    with pytest.raises(ConfigError) as info:
+        enumerate_sweep(doc)
+    assert info.value.errors == [
+        "cell-98fee16dd767: $.ensemble.pivot_init.path: unknown key",
+        "cell-98fee16dd767: $.ensemble.pivot_init.id: expected a string, got int",
+        "cell-c341d82d0a08: $.ensemble.pivot_init.path: missing required key",
+    ]

@@ -649,6 +649,18 @@ def test_epoch_order_rows_are_the_shuffle_streams(n):
             assert row.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("seed", [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_streams_are_keyed_exactly_up_to_the_largest_seed(seed):
+    gen = rng_mod.stream(0, rng_mod.DOMAIN_SHUFFLE)
+    for index in (0, 5):
+        expected = rng_mod.restart(gen, seed, rng_mod.DOMAIN_SHUFFLE, index).integers(2**63, size=4)
+        got = rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE, index).integers(2**63, size=4)
+        assert got.tolist() == expected.tolist()
+    # Neighbouring seeds key distinct streams (a float64 key word once merged them).
+    neighbour = rng_mod.stream(seed - 1, rng_mod.DOMAIN_SHUFFLE).integers(2**63, size=4)
+    assert neighbour.tolist() != rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE).integers(2**63, size=4).tolist()
+
+
 def test_replica_run_builds_at_most_one_philox_per_epoch(monkeypatch):
     real = np.random.Philox
     built = []
