@@ -22,10 +22,12 @@ and warnings over a pipe. The manifest, the outputs and the warnings
 (re-issued in cell order) do not depend on the number of workers: with one
 worker, as for a sweep whose ingredients failed to open, this process runs
 every cell through the same reporting, forking nothing. A single-cell merge
-is not a sweep and runs here directly. The steps of a run split their blocks
-across threads: as many as the usable CPUs for a single cell, and the usable
-CPUs divided by the workers (at least one) for each cell of a sweep. No
-output depends on the number of workers or threads.
+is not a sweep and runs here directly. A run that is neither greedy nor
+projected splits its blocks into ranges run in forked processes of their own
+(``engine.run_ensemble``): as many as the usable CPUs for a single cell, and
+the usable CPUs divided by the sweep's workers (at least one) for each cell
+of a sweep; greedy and projected runs step in one process. No output depends
+on the number of workers.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ import dataclasses
 import json
 import math
 import os
-import pickle
 import sys
 import threading
-import warnings
 from contextlib import ExitStack
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -61,8 +61,11 @@ from .engine import (
     Ingredient,
     Projection,
     ProvidedInit,
+    _exit_text,
+    _reissue,
     greedy_run,
     run_ensemble,
+    run_in_workers,
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
@@ -176,7 +179,7 @@ def _run_merge_cell(
     out_dir: str,
     force_greedy: bool,
     ingredients: list[Ingredient],
-    threads: int,
+    workers: int,
 ) -> tuple[str, str]:
     engine_cfg = _build_engine_config(cfg, base_dir, ingredients)
     greedy: GreedySpec = cfg.greedy
@@ -186,11 +189,9 @@ def _run_merge_cell(
         greedy = GreedySpec(enabled=True, target_path=greedy.target_path)
     if greedy.enabled:
         target = load_checkpoint(os.path.join(base_dir, greedy.target_path))
-        merged, record = greedy_run(
-            engine_cfg, ingredients, evaluate=lambda m: -l2_distance(m, target), threads=threads
-        )
+        merged, record = greedy_run(engine_cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
     else:
-        merged, record = run_ensemble(engine_cfg, ingredients, threads=threads)
+        merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     # Both files are complete before either replaces its predecessor.
@@ -232,7 +233,7 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
         open_error = exc
 
     workers = 1 if open_error is not None else _sweep_workers(cells, ingredients, force_greedy)
-    threads = max(1, _usable_cpus() // workers)  # each worker's share of the CPUs, for its steps
+    cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
 
     def run_cell(index: int) -> dict[str, Any]:
         """Cell `index`'s manifest fields besides its name and overrides."""
@@ -242,7 +243,7 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
                 raise open_error
             out_ckpt, out_log = _run_merge_cell(
                 cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
-                force_greedy, ingredients, threads,
+                force_greedy, ingredients, cell_workers,
             )
         except Exception as exc:  # a failing cell must not abort the others
             return {"status": "error", "error": str(exc)}
@@ -372,106 +373,29 @@ def _sweep_workers(
     return max(workers, 1)
 
 
-def _report_cell(run_cell: Callable[[int], dict[str, Any]], index: int) -> tuple[dict[str, Any], list]:
-    """run_cell(index) with its warnings held back: (outcome, [(text, category, file, line)])."""
-    with warnings.catch_warnings(record=True) as caught:
-        outcome = run_cell(index)
-    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-
-def _work_in_child(run_cell: Callable[[int], dict[str, Any]], share: range, fd: int) -> NoReturn:
-    """A forked worker's whole life: run its cells, write each one's report
-    to the pipe `fd` as it ends, and leave by os._exit, so that nothing of the
-    parent's (its open files' cleanup, atexit hooks, callers' finally blocks)
-    runs twice."""
-    code = 1
-    try:
-        with open(fd, "wb") as pipe:
-            for index in share:
-                pickle.dump((index, _report_cell(run_cell, index)), pipe)
-                pipe.flush()
-        code = 0
-    except BaseException:
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-
-
-def _death_message(status: int) -> str:
-    code = os.waitstatus_to_exitcode(status)
-    how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-    return f"sweep worker process {how} before reporting this cell"
-
-
 def _run_cells(
     run_cell: Callable[[int], dict[str, Any]], count: int, workers: int
 ) -> list[dict[str, Any]]:
     """Cells 0..count-1 run by this process and workers - 1 forked children
-    (none for one worker); worker w runs cells w, w + workers, ... Returns
-    their outcomes in cell order, after re-issuing every cell's warnings in
-    cell order.
-
-    A child that ends without reporting a cell fails that cell with its exit
-    status. Every child is reaped; on an exception here (an interrupt) the
-    children left are killed and reaped before it propagates.
+    (none for one worker, see engine.run_in_workers); worker w runs cells w,
+    w + workers, ... Returns their outcomes in cell order, after re-issuing
+    every cell's warnings in cell order. A child that ends without reporting
+    a cell fails that cell with its exit status.
     """
-    reports: list[Any] = [None] * count
-    children: list[tuple[int, Any, range]] = []  # (pid, read end of its pipe, its cells) until reaped
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for worker in range(1, workers):
-            share = range(worker, count, workers)
-            fd_read, fd_write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(fd_read)
-                os.close(fd_write)
-                raise
-            if pid == 0:
-                os.close(fd_read)
-                _work_in_child(run_cell, share, fd_write)
-            os.close(fd_write)
-            children.append((pid, open(fd_read, "rb"), share))
-        for index in range(0, count, workers):
-            reports[index] = _report_cell(run_cell, index)
-        while children:
-            pid, reader, share = children[0]
-            with reader:
-                while True:
-                    try:
-                        index, report = pickle.load(reader)
-                    except (EOFError, pickle.UnpicklingError):  # the end, or a torn last record
-                        break
-                    reports[index] = report
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            for index in share:
-                if reports[index] is None:
-                    reports[index] = ({"status": "error", "error": _death_message(status)}, [])
-    finally:
-        if children:
-            import signal
 
-            for pid, reader, _ in children:
-                reader.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    # One registry per source file, as warnings.warn keeps one per module: a
-    # warning shown once per location is shown once per sweep.
-    registries: dict[str, dict] = {}
-    for _, caught in reports:
-        for text, category, filename, lineno in caught:
-            warnings.warn_explicit(
-                text, category, filename, lineno, registry=registries.setdefault(filename, {})
-            )
+    def share(worker: int) -> Iterator[tuple[int, dict[str, Any]]]:
+        for index in range(worker, count, workers):
+            yield index, run_cell(index)
+
+    reports: list[Any] = [None] * count
+    for worker, (held, status) in enumerate(run_in_workers(share, workers)):
+        for (index, outcome), caught in held:
+            reports[index] = (outcome, caught)
+        for index in range(worker, count, workers):
+            if reports[index] is None:
+                error = f"sweep worker process {_exit_text(status)} before reporting this cell"
+                reports[index] = ({"status": "error", "error": error}, [])
+    _reissue([caught for _, caught in reports])
     return [outcome for outcome, _ in reports]
 
 

@@ -11,18 +11,27 @@ A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
 states: the CLI runs the cells of a sweep in forked worker processes, one
 per usable CPU (see ``cli``). Each step is one blocked pass of
-``optim.optimizer_step`` over the maps' flat buffers, its blocks split
-across the run's ``threads``: per block, the batch
+``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
 reads of stored maps that stay in their files), summed, turned into the
 pseudogradient, and fed to the optimizer, and the new values are checked to
 be finite (a NaN/Inf aborts the run with an EngineError naming the step and
 batch) and staged for the log norms. No model-size mean or pseudogradient is
-ever built, and stored ingredients are never held whole (only an
-IngredientInit's ingredient is read into memory, as the initialization). A
-run owns one iterate buffer, a copy of the initialization, and steps it in
+ever built, and stored ingredients are never held whole. A run writes its
+initialization straight into the one iterate buffer it owns and steps it in
 place; greedy and projected runs, which still need the pre-step iterate,
 step into a new buffer instead.
+
+Everything model-sized in a run (the initialization, the batch mean, the
+pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
+each element alone, and the batch order and the schedules never depend on
+the weights. So a run that is neither greedy, projected nor of several
+replicas splits into independent trajectories over contiguous ranges of
+``Schema.blocks``, which share only their per-piece sums of squares for the
+log: with ``workers``, each range runs the whole run in a process of its
+own, in one shared iterate, and this process adds the sums up into the log
+in the serial order and raises the failure a serial run would meet first.
+No output depends on the number of workers.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -35,11 +44,16 @@ orders from one generator of its own, restarted at each replica's stream.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
+import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,7 +62,6 @@ from .optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
-    StepNorms,
     optimizer_step,
     project_to_ball,
 )
@@ -68,8 +81,9 @@ from .weightstore import (
     Schema,
     StoredMap,
     WeightMap,
+    _add_pieces,
+    _pieces_squared,
     blocks,
-    l2_distance,
     validate_compatible,
 )
 
@@ -88,6 +102,7 @@ __all__ = [
     "order_ingredients",
     "run_ensemble",
     "greedy_run",
+    "run_in_workers",
 ]
 
 ORDERINGS = ("given", "metric_desc", "metric_asc")
@@ -184,6 +199,8 @@ class EnsembleConfig:
             raise EngineError(f"n_divisor must be >= 1, got {self.n_divisor}")
         if self.ordering not in ORDERINGS:
             raise EngineError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
+        if not 0 <= self.seed <= rng_mod.MAX_SEED:
+            raise EngineError(f"seed must lie in [0, {rng_mod.MAX_SEED}], got {self.seed}")
         if self.projection is not None and not self.projection.radius > 0:
             raise EngineError("projection radius must be > 0")
 
@@ -248,18 +265,17 @@ def order_ingredients(ingredients: Sequence[Ingredient], ordering: str) -> list[
 
 def _resolve_pivot_init(
     cfg: EnsembleConfig, ordered: list[Ingredient]
-) -> tuple[WeightMap, list[Ingredient]]:
+) -> tuple[list[WeightMap | StoredMap], list[Ingredient]]:
+    """The maps whose soup is the initialization, and the sweep."""
     init = cfg.pivot_init
     if isinstance(init, SoupInit):
-        return soup([ing.weights for ing in ordered]), ordered
+        return [ing.weights for ing in ordered], ordered
     if isinstance(init, IngredientInit):
         matches = [ing for ing in ordered if ing.id == init.id]
         if not matches:
             raise EngineError(f"pivot_init ingredient {init.id!r} not found")
-        sweep = [ing for ing in ordered if ing.id != init.id]
-        weights = matches[0].weights
-        return (weights.load() if isinstance(weights, StoredMap) else weights), sweep
-    return init.weights, ordered
+        return [matches[0].weights], [ing for ing in ordered if ing.id != init.id]
+    return [init.weights], ordered
 
 
 def _epoch_order_fn(sweep_size: int, cfg: EnsembleConfig, seeds: list[int]) -> Callable[[int], np.ndarray]:
@@ -290,7 +306,7 @@ def run_ensemble(
     ingredients: Sequence[Ingredient],
     *,
     replica_seeds: Sequence[int] | None = None,
-    threads: int = 1,
+    workers: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
     """Execute the full merge loop and return the final model plus its log.
 
@@ -298,48 +314,44 @@ def run_ensemble(
     one: every tensor (ingredients, a provided pivot, the result) carries a
     leading replica axis of that length, and replica r shuffles with
     replica_seeds[r] in place of cfg.seed. Replica r of the result equals a
-    plain run on replica r's slices, bit for bit. Greedy acceptance,
-    projection and per-step logs reduce over a whole map, so they need a
-    single replica.
+    plain run on replica r's slices, bit for bit. Projection and per-step
+    logs reduce over a whole map, so they need a single replica.
 
-    Each step splits its blocks across up to ``threads`` threads
-    (:func:`optim.optimizer_step`); the result does not depend on their
-    number. A replica run holds its batch means between steps, so it runs
-    with one thread.
+    With ``workers``, the blocks of the maps (``Schema.blocks``) are split
+    into up to that many contiguous ranges of about equal size, and each
+    range runs the whole run on its own: this process one, and a child
+    forked from it each other one (see :func:`run_in_workers`; fork only
+    where no other thread runs). A projected or replica run reduces over
+    the whole map between steps, so it runs in this process alone. No
+    result depends on the number of workers.
     """
-    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, threads=threads)
+    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, workers=workers)
 
 
 def greedy_run(
     cfg: EnsembleConfig,
     ingredients: Sequence[Ingredient],
     evaluate: Callable[[WeightMap], float],
-    *,
-    threads: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
-    """Merge loop with greedy acceptance.
+    """Merge loop with greedy acceptance, in this process.
 
     After each optimizer step the candidate is scored; unless the metric
     strictly improves, the model, the optimizer state, and the pivot are all
     restored to their pre-step snapshots. An evaluator that raises or
     returns NaN aborts the run with an EngineError carrying the partial log.
-    ``threads`` is as for :func:`run_ensemble`; the evaluator runs in the
-    caller's thread.
     """
     if evaluate is None:
         raise EngineError("greedy_run requires a metric evaluator")
-    return _run(cfg, ingredients, evaluate=evaluate, threads=threads)
+    return _run(cfg, ingredients, evaluate=evaluate)
 
 
-def _score(
-    evaluate: Callable[[WeightMap], float], w: WeightMap, where: str, record: RunRecord
-) -> float:
+def _score(evaluate: Callable[[WeightMap], float], w: WeightMap, where: str) -> float:
     try:
         metric = float(evaluate(w))
     except Exception as exc:
-        raise EngineError(f"greedy evaluator failed {where}: {exc}", record=record) from exc
+        raise EngineError(f"greedy evaluator failed {where}: {exc}") from exc
     if math.isnan(metric):
-        raise EngineError(f"greedy evaluator returned NaN {where}", record=record)
+        raise EngineError(f"greedy evaluator returned NaN {where}")
     return metric
 
 
@@ -369,124 +381,207 @@ def _check_replicas(
     return seeds
 
 
+class _Plan:
+    """A checked run: what every block range of it shares, namely its
+    config, the initialization's sources and the weight-independent parts
+    of its steps."""
+
+    def __init__(
+        self, cfg: EnsembleConfig, ingredients: Sequence[Ingredient], replica_seeds: Sequence[int] | None
+    ) -> None:
+        items = list(ingredients)
+        if not items:
+            raise EngineError("run requires at least one ingredient")
+        ids = [ing.id for ing in items]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})[0]
+            raise EngineError(f"duplicate ingredient id {dup!r}")
+        self.schema = schema = validate_compatible([ing.weights for ing in items])
+        seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
+
+        ordered = order_ingredients(items, cfg.ordering)
+        self.init_sources, sweep = _resolve_pivot_init(cfg, ordered)
+        validate_compatible([self.init_sources[0], items[0].weights])
+        if cfg.projection is not None:
+            validate_compatible([cfg.projection.center, items[0].weights])
+        if sweep and cfg.batch_size > len(sweep):
+            raise EngineError(
+                f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
+            )
+        self.cfg = cfg
+        self.sweep_ids = [ing.id for ing in sweep]
+        self.n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
+        self.batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
+        self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
+
+    def init(self, out: np.ndarray, span: slice) -> WeightMap:
+        """Write the span of the initialization into out; a view of out."""
+        if isinstance(self.cfg.pivot_init, SoupInit):
+            return soup(self.init_sources, out, span)
+        self.init_sources[0].read(span, out[span])
+        return WeightMap._wrap(out.view(), self.schema)
+
+
+def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> list[range]:
+    """Up to ``count`` contiguous, non-empty ranges of block indices with
+    about equal numbers of elements; one range when count or the blocks
+    allow no more."""
+    count = min(count, len(blocks))
+    if count <= 1:
+        return [range(len(blocks))]
+    starts = [begin for begin, _end, _count, _piece in blocks]
+    begin, size = starts[0], blocks[-1][1] - starts[0]
+    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
 def _run(
     cfg: EnsembleConfig,
     ingredients: Sequence[Ingredient],
     evaluate: Callable[[WeightMap], float] | None,
     replica_seeds: Sequence[int] | None = None,
-    threads: int = 1,
+    workers: int = 1,
 ) -> tuple[WeightMap, RunRecord]:
-    items = list(ingredients)
-    if not items:
-        raise EngineError("run requires at least one ingredient")
-    ids = [ing.id for ing in items]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise EngineError(f"duplicate ingredient id {dup!r}")
-    validate_compatible([ing.weights for ing in items])
-    seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
-
-    ordered = order_ingredients(items, cfg.ordering)
-    init, sweep = _resolve_pivot_init(cfg, ordered)
-    validate_compatible([init, items[0].weights])
-    if cfg.projection is not None:
-        validate_compatible([cfg.projection.center, items[0].weights])
-    if sweep and cfg.batch_size > len(sweep):
-        raise EngineError(
-            f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
-        )
-    n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
-    if len(seeds) > 1:
-        threads = 1  # the replica batch mean keeps state between calls
-
-    schema = init.schema()
-    batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
-    epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
-    sweep_ids = [ing.id for ing in sweep]
-
-    state = OptimizerState()
-    record = RunRecord()
-    norms = StepNorms(schema) if cfg.record_steps else None
-    # Greedy restores the pre-step iterate on a reject, and a projected step
-    # measures its displacement from it, so those runs step into a new buffer.
-    # Every other run steps a private copy of the initialization in place.
-    iterate = None if evaluate is not None or cfg.projection is not None else init.flat.copy()
-    w = init if iterate is None else WeightMap._wrap(iterate.view(), schema)
-    adaptive = isinstance(cfg.pivot_policy, AdaptivePivot)
-    ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
-    ema = init.flat.copy() if ema_decay is not None else None  # updated in place
-    if ema is not None:
-        pivot = WeightMap._wrap(ema.view(), schema)
+    plan = _Plan(cfg, ingredients, replica_seeds)
+    schema = plan.schema
+    whole_map = evaluate is not None or cfg.projection is not None or replica_seeds is not None
+    ranges = _block_ranges(schema.blocks, 1 if whole_map else workers)
+    if len(ranges) == 1:
+        iterate = np.empty(schema.size, dtype=np.float32)
+        w, *report = _trajectory(plan, ranges[0], iterate, evaluate)
+        reports = [tuple(report)]
     else:
-        pivot = w if adaptive else init
-    del init  # a soup initialization lives on only as a fixed pivot or greedy's iterate
-    best_metric = (
-        _score(evaluate, w, "for the initial model", record) if evaluate is not None else None
-    )
-    attempt = 0
+        import mmap  # one shared anonymous mapping, which every range writes its part of
 
-    for epoch in range(1, cfg.epochs + 1):
-        if not sweep:
-            break
-        order = epoch_order(epoch)
-        for step_in_epoch, start in enumerate(range(0, len(sweep), cfg.batch_size), 1):
-            attempt += 1
-            global_step = state.step + 1
-            sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
-            zeta = schedule_eval(cfg.amplification, global_step)
+        iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
+        w = WeightMap._wrap(iterate.view(), schema)
 
-            if adaptive:
-                pivot = w
-            scale = pseudogradient_scale(zeta, n_div)
-            grad = partial(_pseudogradient_block, batch_mean, order, start, pivot.flat, scale)
-            saved_state = state.clone() if evaluate is not None else None
-            try:
-                w_new = optimizer_step(
-                    w, grad, state, cfg.optimizer, sched_idx, out=iterate, norms=norms, threads=threads
-                )
-            except NonFiniteStep as exc:
-                batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
-                message = _nonfinite_message(schema, exc.index, batch_idx, sweep_ids, attempt, epoch)
-                raise EngineError(message, record=record) from exc
-            if norms is not None:
-                grad_norm, displacement = norms.grad_norm, norms.displacement
-            if cfg.projection is not None:
-                projected = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
-                if norms is not None and projected is not w_new:
-                    displacement = l2_distance(projected, w)
-                w_new = projected
+        def task(r: int) -> Iterator[tuple]:
+            _, done, entries, sums, failure = _trajectory(plan, ranges[r], iterate, None)
+            yield done, entries if r == 0 else None, sums, failure
 
-            metric: float | None = None
-            accepted: bool | None = None
-            if evaluate is not None:
-                metric = _score(evaluate, w_new, f"at step {attempt}", record)
-                accepted = metric > best_metric
-            if norms is not None:
-                record.steps.append(
-                    StepRecord(
-                        step=attempt,
-                        epoch=epoch,
-                        batch_ids=tuple(sweep_ids[i] for i in order[0, start : start + cfg.batch_size]),
-                        eta=schedule_eval(cfg.optimizer.variant.lr, sched_idx),
-                        zeta=zeta,
-                        grad_norm=grad_norm,
-                        displacement=displacement,
-                        metric=metric,
-                        accepted=accepted,
-                    )
-                )
-            if evaluate is not None and not accepted:
-                state = saved_state
-            else:
-                w = w_new
-                if accepted:
-                    best_metric = metric
-                if ema is not None:
-                    _ema_update(ema, w.flat, ema_decay)
-    record.total_steps = attempt
-    if iterate is not None:
-        iterate.setflags(write=False)
+        results = run_in_workers(task, len(ranges))
+        for held, status in results:
+            if not held:
+                raise EngineError(f"merge worker process {_exit_text(status)} before reporting")
+        _reissue([held[0][1] for held, _ in results])
+        reports = [held[0][0] for held, _ in results]
+
+    # The run ends at the earliest failure, as a serial run would: the lowest
+    # step, then the lowest range, so the lowest element.
+    done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
+    entries = reports[0][1]
+    record = RunRecord()
+    if cfg.record_steps:
+        ends = schema.piece_ends
+        for k in range(done):
+            sums = np.concatenate([report[2][k] for report in reports], axis=1)
+            grad_norm, displacement = (math.sqrt(_add_pieces(row, ends)) for row in sums)
+            record.steps.append(StepRecord(*entries[k][:5], grad_norm, displacement, *entries[k][5:]))
+    if failure is not None:
+        exc, message = failure
+        if message is not None:
+            raise EngineError(message, record=record) from exc
+        if isinstance(exc, EngineError):
+            exc.record = record
+        raise exc
+    record.total_steps = done
+    iterate.setflags(write=False)
     return w, record
+
+
+def _trajectory(
+    plan: _Plan, block_range: range, iterate: np.ndarray, evaluate: Callable[[WeightMap], float] | None
+) -> tuple[WeightMap | None, int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]:
+    """Every step of the run over the blocks of ``block_range``, from its
+    share of the initialization, written into ``iterate``, to its share of
+    the EMA pivot; no other element of any model-size buffer is touched.
+
+    Returns (the final map, the steps done, entries, sums, failure). Per
+    step done when the run records steps, entries holds the log entry's
+    fields other than the norms, and sums the range's per-piece sums of
+    squares for them, shape (2, pieces). A run stops at its first failure, returned
+    as (the exception, the engine's message for a non-finite step or None).
+    An in-place run (neither greedy nor projected) steps ``iterate`` in
+    place; the others leave it at the initialization.
+    """
+    cfg, schema = plan.cfg, plan.schema
+    stepped = schema.blocks[block_range.start : block_range.stop]
+    span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
+    pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
+    in_place = evaluate is None and cfg.projection is None
+    entries: list[tuple] = []
+    sums: list[np.ndarray] = []
+    w, done = None, 0
+    try:
+        w = plan.init(iterate, span)
+        adaptive = isinstance(cfg.pivot_policy, AdaptivePivot)
+        ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
+        pivot, ema = w, None
+        if ema_decay is not None or (not adaptive and in_place):
+            # An EMA pivot is updated in place, and a fixed one must outlive
+            # an in-place iterate: each starts as a copy of the initialization.
+            copy = np.empty(schema.size, dtype=np.float32)
+            copy[span] = iterate[span]
+            pivot = WeightMap._wrap(copy.view(), schema)
+            ema = copy if ema_decay is not None else None
+        state = OptimizerState()
+        norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
+        best_metric = _score(evaluate, w, "for the initial model") if evaluate is not None else None
+
+        for epoch in range(1, cfg.epochs + 1):
+            if not plan.sweep_ids:
+                break
+            order = plan.epoch_order(epoch)
+            for step_in_epoch, start in enumerate(range(0, len(plan.sweep_ids), cfg.batch_size), 1):
+                attempt = done + 1
+                global_step = state.step + 1
+                sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
+                zeta = schedule_eval(cfg.amplification, global_step)
+
+                if adaptive:
+                    pivot = w
+                scale = pseudogradient_scale(zeta, plan.n_div)
+                grad = partial(_pseudogradient_block, plan.batch_mean, order, start, pivot.flat, scale)
+                saved_state = state.clone() if evaluate is not None else None
+                try:
+                    w_new = optimizer_step(
+                        w, grad, state, cfg.optimizer, sched_idx,
+                        out=iterate if in_place else None, norms=norms, block_range=block_range,
+                    )
+                except NonFiniteStep as exc:
+                    batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
+                    message = _nonfinite_message(schema, exc.index, batch_idx, plan.sweep_ids, attempt, epoch)
+                    return w, done, entries, sums, (exc, message)
+                step_sums = norms[:, pieces].copy() if norms is not None else None
+                if cfg.projection is not None:
+                    projected = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
+                    if norms is not None and projected is not w_new:
+                        _pieces_squared(schema, projected.flat, w.flat, out=step_sums[1])
+                    w_new = projected
+
+                metric: float | None = None
+                accepted: bool | None = None
+                if evaluate is not None:
+                    metric = _score(evaluate, w_new, f"at step {attempt}")
+                    accepted = metric > best_metric
+                if norms is not None:
+                    batch_ids = tuple(plan.sweep_ids[i] for i in order[0, start : start + cfg.batch_size])
+                    eta = schedule_eval(cfg.optimizer.variant.lr, sched_idx)
+                    entries.append((attempt, epoch, batch_ids, eta, zeta, metric, accepted))
+                    sums.append(step_sums)
+                if evaluate is not None and not accepted:
+                    state = saved_state
+                else:
+                    w = w_new
+                    if accepted:
+                        best_metric = metric
+                    if ema is not None:
+                        _ema_update(ema[span], w.flat[span], ema_decay)
+                done = attempt
+    except Exception as exc:  # reported with the steps done before it
+        return w, done, entries, sums, (exc, None)
+    return w, done, entries, sums, None
 
 
 def _batch_mean_fn(
@@ -602,3 +697,113 @@ def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float) -> None:
         part = pivot[s]
         part *= d
         part += omd * w[s]
+
+
+# --- forked workers ----------------------------------------------------------------
+
+
+def run_in_workers(
+    task: Callable[[int], Iterator[Any]], workers: int
+) -> list[tuple[list[tuple[Any, list]], int]]:
+    """Run task(0) in this process and task(1), ..., task(workers - 1) in
+    children forked from it, all at once; returns, per worker, its reports
+    and its wait status (0 for this process).
+
+    A report is an item the task yields, with the warnings raised while it
+    was made held back: (item, [(text, category, file, line)]); see
+    :func:`_reissue`. A child pickles each report through a pipe as it is
+    made and leaves by os._exit, so that nothing of this process's (its
+    open files' cleanup, atexit hooks, callers' finally blocks) runs twice;
+    a child that dies early has reported less. Every child is reaped; on an
+    exception here (an interrupt) the children left are killed and reaped
+    before it propagates. Fork only where no other thread runs: a child
+    would start with whatever locks they hold held for good.
+    """
+    reports: list[list[tuple[Any, list]]] = [[] for _ in range(workers)]
+    statuses = [0] * workers
+    children: list[tuple[int, int, Any]] = []  # (worker, pid, read end of its pipe) until reaped
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for worker in range(1, workers):
+            fd_read, fd_write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_read)
+                os.close(fd_write)
+                raise
+            if pid == 0:
+                os.close(fd_read)
+                _work_in_child(task, worker, fd_write)
+            os.close(fd_write)
+            children.append((worker, pid, open(fd_read, "rb")))
+        reports[0] = list(_held_back(task(0)))
+        while children:
+            worker, pid, reader = children[0]
+            with reader:
+                while True:
+                    try:
+                        reports[worker].append(pickle.load(reader))
+                    except (EOFError, pickle.UnpicklingError):  # the end, or a torn last record
+                        break
+            statuses[worker] = os.waitpid(pid, 0)[1]
+            children.pop(0)
+    finally:
+        if children:
+            import signal
+
+            for _, pid, reader in children:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return list(zip(reports, statuses))
+
+
+def _held_back(items: Iterator[Any]) -> Iterator[tuple[Any, list]]:
+    """Each item, with the warnings raised while it was made."""
+    items = iter(items)
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                item = next(items)
+            except StopIteration:
+                return
+        yield item, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _work_in_child(task: Callable[[int], Iterator[Any]], worker: int, fd: int) -> NoReturn:
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for report in _held_back(task(worker)):
+                pickle.dump(report, pipe)
+                pipe.flush()
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _exit_text(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+
+
+def _reissue(caught: list[list]) -> None:
+    """Issue held-back warnings, list by list. One registry per source file,
+    as warnings.warn keeps one per module: a warning shown once per location
+    is shown once over all the lists."""
+    registries: dict[str, dict] = {}
+    for held in caught:
+        for text, category, filename, lineno in held:
+            warnings.warn_explicit(
+                text, category, filename, lineno, registry=registries.setdefault(filename, {})
+            )

@@ -7,11 +7,11 @@ single pass over the weight map's flat float32 buffer in blocks of at most
 pseudogradient (from a map or a per-block function), applies decoupled weight
 decay and the rule's block update, checks the result is finite, and, when
 asked, sums the float64 squares its log norms are taken from. With
-``threads``, it splits the blocks into contiguous ranges run at once, one per
-thread; numpy's kernels and the positioned reads of stored maps release the
-GIL. All state lives in flat float32 buffers of the same layout; the step counter increments inside each step call
-*before* the learning-rate schedule is evaluated, so the first update runs at
-index 1.
+``block_range``, it steps only a contiguous range of those blocks, and reads
+and writes no element outside it: the engine runs the ranges of one merge in
+separate processes. All state lives in flat float32 buffers of the same
+layout; the step counter increments inside each step call *before* the
+learning-rate schedule is evaluated, so the first update runs at index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -33,9 +33,7 @@ Weight decay is decoupled: w <- w - eta_i*lambda*w before the optimizer update.
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,9 +51,7 @@ from .pseudograd import (
 )
 from .weightstore import (
     BLOCK,
-    Schema,
     WeightMap,
-    _add_pieces,
     _check_compatible,
     _piece_sums,
     _sq_distance,
@@ -70,7 +66,6 @@ __all__ = [
     "OptimizerSpec",
     "OptimizerState",
     "NonFiniteStep",
-    "StepNorms",
     "optimizer_step",
     "project_to_ball",
 ]
@@ -219,20 +214,31 @@ class OptimizerState:
         )
 
 
-def _buffer(buf: np.ndarray | None, size: int, fill: float = 0.0) -> np.ndarray:
-    return np.full(size, np.float32(fill), dtype=np.float32) if buf is None else buf
+def _buffer(buf: np.ndarray | None, size: int, span: slice, fill: float = 0.0) -> np.ndarray:
+    """buf, or a new buffer of size elements holding fill over span and 0
+    elsewhere. np.zeros maps pages that are faulted in only when first
+    touched, so a process that steps one range of the blocks holds only that
+    range of its state."""
+    if buf is None:
+        buf = np.zeros(size, dtype=np.float32)
+        if fill:
+            buf[span] = fill
+    return buf
 
 
 # --- block updates ------------------------------------------------------------------
 #
-# Each rule is a factory: given the state, the step size and the global step, it
-# returns update(s, g, out), which applies the rule to the elements in slice s,
-# with g their pseudogradient and out their decayed iterate (updated in place).
+# Each rule is a factory: given the state, the step size, the global step, the
+# buffer size and the span of elements the step covers, it returns
+# update(s, g, out), which applies the rule to the elements in slice s, with g
+# their pseudogradient and out their decayed iterate (updated in place).
 
 BlockUpdate = Callable[[slice, np.ndarray, np.ndarray], None]
 
 
-def _gd_update(variant: GD, state: OptimizerState, eta: float, step: int, size: int) -> BlockUpdate:
+def _gd_update(
+    variant: GD, state: OptimizerState, eta: float, step: int, size: int, span: slice
+) -> BlockUpdate:
     """w - eta_i * g."""
     eta32 = np.float32(eta)
 
@@ -243,10 +249,10 @@ def _gd_update(variant: GD, state: OptimizerState, eta: float, step: int, size: 
 
 
 def _adagrad_update(
-    variant: Adagrad, state: OptimizerState, eta: float, step: int, size: int
+    variant: Adagrad, state: OptimizerState, eta: float, step: int, size: int, span: slice
 ) -> BlockUpdate:
     """w - eta_i * g / (sqrt(sum of squared gradients) + eps), per element."""
-    state.sq_sum = sq_sum = _buffer(state.sq_sum, size)
+    state.sq_sum = sq_sum = _buffer(state.sq_sum, size, span)
     eta32 = np.float32(eta)
     (eps32,) = variant._float32
 
@@ -258,9 +264,11 @@ def _adagrad_update(
     return update
 
 
-def _adam_update(variant: Adam, state: OptimizerState, eta: float, step: int, size: int) -> BlockUpdate:
-    state.m = m_all = _buffer(state.m, size, variant.m0)
-    state.v = v_all = _buffer(state.v, size, variant.v0)
+def _adam_update(
+    variant: Adam, state: OptimizerState, eta: float, step: int, size: int, span: slice
+) -> BlockUpdate:
+    state.m = m_all = _buffer(state.m, size, span, variant.m0)
+    state.v = v_all = _buffer(state.v, size, span, variant.v0)
     b1, b2, one_m_b1, one_m_b2, eps32 = variant._float32
     bias1 = 1.0 - float(variant.beta1) ** step
     bias2 = 1.0 - float(variant.beta2) ** step
@@ -286,7 +294,7 @@ def _adam_update(variant: Adam, state: OptimizerState, eta: float, step: int, si
 
 
 def _adadelta_update(
-    variant: Adadelta, state: OptimizerState, eta: float, step: int, size: int
+    variant: Adadelta, state: OptimizerState, eta: float, step: int, size: int, span: slice
 ) -> BlockUpdate:
     """Accumulator-ratio updates, scaled by eta_i.
 
@@ -295,8 +303,8 @@ def _adadelta_update(
     acc_u <- rho*acc_u + (1-rho)*delta^2
     w     <- w + eta_i*delta
     """
-    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, size)
-    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, size)
+    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, size, span)
+    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, size, span)
     rho, one_m_rho, eps32 = variant._float32
     eta32 = np.float32(eta)
 
@@ -325,24 +333,8 @@ class NonFiniteStep(ValueError):
         super().__init__(f"non-finite iterate at element {index}")
         self.index = index
 
-
-class StepNorms:
-    """The log norms of a step, and the per-piece sums they are added up from.
-
-    After each step given it, ``grad_norm`` is the pseudogradient's Euclidean
-    norm and ``displacement`` the distance from the old iterate to the new
-    one, taken exactly as :func:`global_l2_norm` and :func:`l2_distance`
-    take them: per block of :attr:`Schema.blocks`, widened to float64 in a
-    scratch of one block per thread, squared, and summed per piece into
-    ``grad_sums`` and ``disp_sums``, which are then added up in order.
-    """
-
-    def __init__(self, schema: Schema) -> None:
-        pieces = len(schema.piece_ends)
-        self.grad_sums = np.empty(pieces)
-        self.disp_sums = np.empty(pieces)
-        self.grad_norm = 0.0
-        self.displacement = 0.0
+    def __reduce__(self):  # pickled with its index, as from another process
+        return NonFiniteStep, (self.index,)
 
 
 def optimizer_step(
@@ -353,27 +345,27 @@ def optimizer_step(
     schedule_step: int | None = None,
     *,
     out: np.ndarray | None = None,
-    norms: StepNorms | None = None,
-    threads: int = 1,
+    norms: np.ndarray | None = None,
+    block_range: range | None = None,
 ) -> WeightMap:
     """One step of spec's rule: decoupled weight decay, then the update.
 
     ``g`` is the pseudogradient: a map, or a function that returns the float32
-    values of any slice of the flat buffer; with more than one thread it is
-    called from several threads at once. The step makes one pass over the
-    schema's blocks; each block is decayed, updated and checked to be finite
-    (a NaN/Inf raises :class:`NonFiniteStep`, leaving the state and ``out``
-    partly stepped) before it is written to ``out``, a new buffer by default.
-    ``out`` may be w's own buffer: every block is read before it is written.
-    With ``norms``, the block's pseudogradient and displacement are also
-    squared and summed per piece, and the norms are added up at the end.
+    values of any slice of the flat buffer. The step makes one pass over the
+    schema's blocks (:attr:`Schema.blocks`), or over the blocks of
+    ``block_range``, indices into them; each block is decayed, updated and
+    checked to be finite (a NaN/Inf raises :class:`NonFiniteStep`, leaving
+    the state and ``out`` partly stepped) before it is written to ``out``, a
+    new buffer by default. ``out`` may be w's own buffer: every block is read
+    before it is written. A step of some of the blocks reads, writes and
+    allocates state for none of the other elements, so ``out`` must then be
+    given: the step leaves its other elements as they are.
 
-    The blocks are split into up to ``threads`` contiguous ranges (no more
-    than one per block) of about equal size, each run in a thread of its own,
-    and every thread is joined before the step returns or raises. An error in
-    any range reaches the caller unchanged: that of the first range that
-    failed, so a NonFiniteStep names the lowest bad element. No result
-    depends on the thread count.
+    With ``norms``, a float64 array of shape (2, len(schema.piece_ends)), the
+    block's pseudogradient and displacement are also widened to float64,
+    squared and summed per piece into ``norms[0]`` and ``norms[1]`` (those
+    of the stepped blocks only); ``weightstore._add_pieces`` adds a row up
+    to the square of :func:`global_l2_norm` or :func:`l2_distance`.
     """
     if isinstance(g, WeightMap):
         _check_compatible(w, g)
@@ -382,70 +374,26 @@ def optimizer_step(
     idx = state.step if schedule_step is None else schedule_step
     eta = schedule_eval(spec.variant.lr, idx)
     old = w.flat
-    update = _UPDATES[type(spec.variant)](spec.variant, state, eta, state.step, old.size)
+    schema = w.schema()
+    stepped = schema.blocks if block_range is None else schema.blocks[block_range.start : block_range.stop]
+    span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
+    update = _UPDATES[type(spec.variant)](spec.variant, state, eta, state.step, old.size, span)
     decay = np.float32(1.0 - eta * spec.weight_decay) if spec.weight_decay > 0.0 else None
     new = np.empty_like(old) if out is None else out
-    schema = w.schema()
-    blocks = schema.blocks
-
-    def run(first: int, last: int) -> None:
-        scratch = np.empty(min(BLOCK, old.size)) if norms is not None else None
-        for lo, hi, count, piece in blocks[first:last]:
-            s = slice(lo, hi)
-            gb = g(s)
-            work = old[s] * decay if decay is not None else old[s].copy()
-            update(s, gb, work)
-            if not np.isfinite(work).all():
-                raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
-            if norms is not None:
-                part = slice(piece, piece + count)
-                _piece_sums(gb, None, count, scratch[: hi - lo], norms.grad_sums[part])
-                _piece_sums(work, old[s], count, scratch[: hi - lo], norms.disp_sums[part])
-            new[s] = work
-
-    _run_ranges(run, blocks, threads)
-    if norms is not None:
-        norms.grad_norm = math.sqrt(_add_pieces(norms.grad_sums, schema.piece_ends))
-        norms.displacement = math.sqrt(_add_pieces(norms.disp_sums, schema.piece_ends))
+    scratch = np.empty(min(BLOCK, old.size)) if norms is not None else None
+    for lo, hi, count, piece in stepped:
+        s = slice(lo, hi)
+        gb = g(s)
+        work = old[s] * decay if decay is not None else old[s].copy()
+        update(s, gb, work)
+        if not np.isfinite(work).all():
+            raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
+        if norms is not None:
+            part = slice(piece, piece + count)
+            _piece_sums(gb, None, count, scratch[: hi - lo], norms[0, part])
+            _piece_sums(work, old[s], count, scratch[: hi - lo], norms[1, part])
+        new[s] = work
     return WeightMap._wrap(new if out is None else new.view(), schema)
-
-
-def _run_ranges(
-    run: Callable[[int, int], None], blocks: tuple[tuple[int, int, int, int], ...], threads: int
-) -> None:
-    """run(first, last) over contiguous ranges of blocks of about equal
-    numbers of elements, up to ``threads`` of them at once: the first in this
-    thread, each other one in a thread of its own. Joins every thread it
-    started, then raises the error of the first range that failed."""
-    count = min(threads, len(blocks))
-    if count <= 1:
-        run(0, len(blocks))
-        return
-    starts = [begin for begin, _end, _count, _piece in blocks]
-    begin, size = starts[0], blocks[-1][1] - starts[0]
-    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
-    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    errors: list[BaseException | None] = [None] * len(ranges)
-
-    def guarded(i: int) -> None:
-        try:
-            run(*ranges[i])
-        except BaseException as exc:  # re-raised by the caller's thread below
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(ranges)):
-            thread = threading.Thread(target=guarded, args=(i,))
-            thread.start()
-            started.append(thread)
-        guarded(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weightstore import StoredMap, WeightMap, _check_compatible, blocks, validate_compatible
+from .weightstore import BLOCK, StoredMap, WeightMap, _check_compatible, blocks, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -161,24 +161,31 @@ def pseudogradient(pivot: WeightMap, ingredient: WeightMap, zeta: float, n_divis
     return WeightMap._wrap(out, pivot.schema())
 
 
-def soup(ingredients: list[WeightMap | StoredMap]) -> WeightMap:
+def soup(
+    ingredients: list[WeightMap | StoredMap], out: np.ndarray | None = None, span: slice = slice(None)
+) -> WeightMap:
     """Uniform arithmetic mean, accumulated at float64 in list order.
 
     Each block is read from every ingredient in turn, so stored maps are
-    souped without holding more than the result and a few blocks.
+    souped without holding more than the result and a few blocks. With
+    ``out``, a writable float32 buffer of the maps' size, only the elements
+    of ``span`` are souped, into ``out``, and the map returned is a view of
+    it; every element's mean is the same however the buffer is cut.
     """
     if not ingredients:
         raise ValueError("soup requires at least one ingredient")
     schema = validate_compatible(ingredients)
     n = float(len(ingredients))
-    out = np.empty(schema.size, dtype=np.float32)
-    for s in blocks(out.size):
+    buf = np.empty(schema.size, dtype=np.float32) if out is None else out
+    lo, hi, _ = span.indices(schema.size)
+    for begin in range(lo, hi, BLOCK):
+        s = slice(begin, min(begin + BLOCK, hi))
         acc = ingredients[0].read(s).astype(np.float64)
         for m in ingredients[1:]:
             acc += m.read(s)
         acc /= n
-        out[s] = acc
-    return WeightMap._wrap(out, schema)
+        buf[s] = acc
+    return WeightMap._wrap(buf if out is None else buf.view(), schema)
 
 
 def pivot_identity(pivot: WeightMap, ingredients: list[WeightMap]) -> WeightMap:

@@ -26,9 +26,11 @@ _ZEROS4.setflags(write=False)
 
 
 def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    if not 0 <= seed <= MAX_SEED:  # masked, it would alias a seed in range
+        raise ValueError(f"seed must lie in [0, {MAX_SEED}], got {seed}")
     # A uint64 array: from a list, numpy would make words >= 2**63 float64.
     return np.array(
-        [seed & _MASK64, ((domain & 0xFFFF) << 48 | (index & _MASK64 >> 16)) & _MASK64], dtype=np.uint64
+        [seed, ((domain & 0xFFFF) << 48 | (index & _MASK64 >> 16)) & _MASK64], dtype=np.uint64
     )
 
 

@@ -8,7 +8,7 @@ are all WeightMaps. Its tensors live in one contiguous float32 buffer
 a :class:`Schema` of (name, shape, offset) describes it and is shared by the
 maps derived from one another. ``array(name)`` and ``arrays()`` return
 read-only views into the buffer. Maps are immutable after construction and
-safe to share across threads.
+safe to share across threads and forked processes.
 
 Elementwise work elsewhere in the package (soups, pseudogradients, and the
 optimizer step, which also sums the engine's batches) runs over the flat
@@ -308,14 +308,22 @@ def _add_pieces(sums: np.ndarray, ends: tuple[bool, ...]) -> float:
     return total
 
 
-def _sum_squares(schema: Schema, a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """The float64 sum of squares of the flat buffer a (or of a - b), as the norms define it."""
-    sums = np.empty(len(schema.piece_ends))
+def _pieces_squared(
+    schema: Schema, a: np.ndarray, b: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per piece of Schema.blocks, the float64 sum of squares of the flat
+    buffer a (or of a - b), in ``out`` if given."""
+    sums = np.empty(len(schema.piece_ends)) if out is None else out
     scratch = np.empty(min(BLOCK, schema.size))
     for begin, end, count, piece in schema.blocks:
         part = None if b is None else b[begin:end]
         _piece_sums(a[begin:end], part, count, scratch[: end - begin], sums[piece : piece + count])
-    return _add_pieces(sums, schema.piece_ends)
+    return sums
+
+
+def _sum_squares(schema: Schema, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """The float64 sum of squares of the flat buffer a (or of a - b), as the norms define it."""
+    return _add_pieces(_pieces_squared(schema, a, b), schema.piece_ends)
 
 
 def global_l2_norm(m: WeightMap) -> float:

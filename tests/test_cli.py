@@ -651,11 +651,11 @@ def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
     (tmp_path / "one.json").write_text(json.dumps(doc))
     doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    threads = []
+    workers = []
     real_run = cli.run_ensemble
 
     def recording_run(cfg, ingredients, **kwargs):
-        threads.append(kwargs["threads"])
+        workers.append(kwargs["workers"])
         return real_run(cfg, ingredients, **kwargs)
 
     monkeypatch.setattr(cli, "run_ensemble", recording_run)
@@ -664,7 +664,7 @@ def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_run_cells", lambda run_cell, count, workers: [run_cell(i) for i in range(count)])
     for name in ("one", "sweep"):
         assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
-    assert threads == [5, 2, 2]
+    assert workers == [5, 2, 2]
 
 
 def _fed_argv(tmp_path, out):

@@ -661,6 +661,28 @@ def test_streams_are_keyed_exactly_up_to_the_largest_seed(seed):
     assert neighbour.tolist() != rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE).integers(2**63, size=4).tolist()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_one_key_word_are_rejected(seed):
+    # Masked to 64 bits, -1 drew what 2**64 - 1 draws and 2**64 + 5 what 5 does.
+    with pytest.raises(EngineError, match=r"seed must lie in \[0, 18446744073709551615\], got"):
+        gd_cfg(seed=seed)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE)
+    gen = rng_mod.stream(0, rng_mod.DOMAIN_SHUFFLE)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        rng_mod.restart(gen, seed, rng_mod.DOMAIN_SHUFFLE, 1)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        run_ensemble(gd_cfg(shuffle=True, record_steps=False), replica_ingredients(count=3, replicas=3)[1],
+                     replica_seeds=[1, seed, 2])
+
+
+def test_the_largest_seed_is_accepted():
+    ingredients = make_ingredients(seed=30, count=3)
+    assert rng_mod.MAX_SEED == 2**64 - 1
+    run_ensemble(gd_cfg(seed=rng_mod.MAX_SEED, shuffle=True), ingredients)
+    rng_mod.stream(rng_mod.MAX_SEED, rng_mod.DOMAIN_SHUFFLE).integers(2**63, size=4)
+
+
 def test_replica_run_builds_at_most_one_philox_per_epoch(monkeypatch):
     real = np.random.Philox
     built = []

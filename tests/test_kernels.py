@@ -9,6 +9,7 @@ exercised.
 
 import copy
 import math
+import os
 import tracemalloc
 from contextlib import ExitStack
 from dataclasses import replace
@@ -17,7 +18,17 @@ import numpy as np
 import pytest
 
 from soupstock import rng as rng_mod
-from soupstock.engine import EnsembleConfig, Ingredient, Projection, greedy_run, run_ensemble
+from soupstock.engine import (
+    EngineError,
+    EnsembleConfig,
+    Ingredient,
+    IngredientInit,
+    Projection,
+    ProvidedInit,
+    SoupInit,
+    greedy_run,
+    run_ensemble,
+)
 from soupstock.optim import (
     GD,
     Adadelta,
@@ -37,7 +48,16 @@ from soupstock.pseudograd import (
     pivot_identity,
     soup,
 )
-from soupstock.weightstore import BLOCK, WeightMap, blocks, global_l2_norm, l2_distance, open_checkpoint
+from soupstock.weightstore import (
+    BLOCK,
+    CheckpointError,
+    WeightMap,
+    blocks,
+    global_l2_norm,
+    l2_distance,
+    open_checkpoint,
+    save_checkpoint,
+)
 
 from conftest import write_checkpoint
 
@@ -383,6 +403,9 @@ def test_fused_merge_matches_separate_passes(tmp_path, variant, policy, weight_d
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_threaded_merge_matches_one_thread(tmp_path, threads):
+    # Named for the step threads it once compared: a plain run now splits
+    # into block ranges run in `threads` forked workers, and projected and
+    # greedy runs step in one process whatever they are given.
     rng = np.random.default_rng(17)
     ingredients = [Ingredient(f"m{i}", merge_map(rng)) for i in range(4)]
     for ing in ingredients:
@@ -413,9 +436,9 @@ def test_threaded_merge_matches_one_thread(tmp_path, threads):
             results = []
             for n in (1, threads):
                 if evaluate is None:
-                    results.append(run_ensemble(cfg, stored, threads=n))
+                    results.append(run_ensemble(cfg, stored, workers=n))
                 else:
-                    results.append(greedy_run(cfg, stored, evaluate, threads=n))
+                    results.append(greedy_run(cfg, stored, evaluate))
             (want, want_log), (got, got_log) = results
             assert got == want, name
             assert got_log.steps == want_log.steps, name
@@ -423,9 +446,10 @@ def test_threaded_merge_matches_one_thread(tmp_path, threads):
 
 def test_fused_step_allocates_only_state_and_norm_scratch():
     # A plain Adam run steps its iterate in place: beyond the iterate and the
-    # two moments, each thread holds one block of float64 norm scratch and a
+    # two moments, each worker holds one block of float64 norm scratch and a
     # few blocks of temporaries. The separate passes also held a batch mean,
-    # a pseudogradient and a second iterate.
+    # a pseudogradient and a second iterate. (tracemalloc sees this process:
+    # with two workers, its moments and the scratch, not the shared iterate.)
     rng = np.random.default_rng(16)
     shapes = {f"t{i}": (3 * BLOCK + 17 * i,) for i in range(8)}
     maps = [
@@ -438,11 +462,119 @@ def test_fused_step_allocates_only_state_and_norm_scratch():
         ordering="given",
     )
     model = 4 * ingredients[0].weights.flat.size
-    for threads in (1, 2):
+    for workers in (1, 2):
         tracemalloc.start()
         try:
-            run_ensemble(cfg, ingredients, threads=threads)
+            run_ensemble(cfg, ingredients, workers=workers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * model + threads * (8 * BLOCK + 8 * 4 * BLOCK), threads
+        assert peak < 3 * model + workers * (8 * BLOCK + 8 * 4 * BLOCK), workers
+
+
+@pytest.mark.parametrize("init", ["soup", "ingredient", "provided"])
+def test_merge_in_workers_matches_one_process(tmp_path, init):
+    # Each range initializes, steps and averages its own elements; the
+    # checkpoint and the log (norms added up from every range's pieces)
+    # are those of one process, for every pivot policy and initialization.
+    rng = np.random.default_rng(18)
+    ingredients = [Ingredient(f"m{i}", merge_map(rng)) for i in range(4)]
+    for ing in ingredients:
+        write_checkpoint(tmp_path / f"{ing.id}.safetensors", ing.weights.arrays())
+    pivot_init = {"soup": SoupInit(), "ingredient": IngredientInit("m2"), "provided": ProvidedInit(merge_map(rng))}
+    with ExitStack() as stack:
+        stored = [
+            Ingredient(ing.id, stack.enter_context(open_checkpoint(str(tmp_path / f"{ing.id}.safetensors"))))
+            for ing in ingredients
+        ]
+        for policy in (AdaptivePivot(), FixedPivot(), EmaPivot(decay=0.6)):
+            for weight_decay in (0.0, 0.05):
+                # Non-zero initial moments fill only each worker's range.
+                variant = Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8,
+                               m0=0.1 if weight_decay else 0.0, v0=0.5 if weight_decay else 0.0)
+                cfg = EnsembleConfig(
+                    optimizer=OptimizerSpec(variant, weight_decay=weight_decay),
+                    pivot_policy=policy,
+                    pivot_init=pivot_init[init],
+                    amplification=Constant(1.3),
+                    epochs=2,
+                    shuffle=True,
+                    seed=9,
+                    ordering="given",
+                )
+                (want, want_log), *others = [run_ensemble(cfg, stored, workers=n) for n in (1, 2, 3)]
+                assert want_log.total_steps == 2 * (3 if init == "ingredient" else 4)
+                assert len(want_log.steps) == want_log.total_steps
+                for got, got_log in others:
+                    assert got == want, (policy, weight_decay)
+                    assert got_log == want_log, (policy, weight_decay)
+
+
+# Eight blocks in four tensors: two workers take blocks 0-3 and 4-7.
+RANGED = {f"t{i}": (2 * BLOCK,) for i in range(4)}
+
+
+def ranged_map(rng):
+    return WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in RANGED.items()})
+
+
+def test_later_range_failing_at_an_earlier_step_fails_as_one_process():
+    # GD with lr 2 from zeros, batches of one in the given order: step k
+    # lands on 2 * m_k - w, which overflows where m_k holds 3e38. m2 does in
+    # the second range (step 2), m3 in the first (step 3).
+    zeros = WeightMap({n: np.zeros(s, np.float32) for n, s in RANGED.items()})
+
+    def ingredient(i, bad):
+        values = np.zeros(8 * BLOCK, dtype=np.float32)
+        values[bad] = 3e38
+        return Ingredient(f"m{i}", WeightMap._wrap(values, zeros.schema()))
+
+    ingredients = [ingredient(1, []), ingredient(2, [6 * BLOCK + 3]), ingredient(3, [BLOCK + 5]), ingredient(4, [])]
+    cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(2.0))), pivot_init=ProvidedInit(zeros),
+                         n_divisor=1, ordering="given")
+    errors = []
+    for workers in (1, 2):
+        with pytest.warns(RuntimeWarning), pytest.raises(EngineError) as info:
+            run_ensemble(cfg, ingredients, workers=workers)
+        errors.append(info.value)
+    serial, ranged = errors
+    assert str(serial) == "non-finite iterate after step 2 (epoch 1, batch m2; first in tensor 't3')"
+    assert str(ranged) == str(serial)
+    assert ranged.__cause__.index == serial.__cause__.index == 6 * BLOCK + 3
+    assert [s.step for s in ranged.record.steps] == [1]
+    assert ranged.record == serial.record
+
+
+def test_range_worker_that_dies_fails_the_run(monkeypatch):
+    import soupstock.engine as engine
+
+    parent, real = os.getpid(), engine._trajectory
+
+    def trajectory_or_exit(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_trajectory", trajectory_or_exit)
+    rng = np.random.default_rng(20)
+    ingredients = [Ingredient(f"m{i}", ranged_map(rng)) for i in range(2)]
+    cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))), ordering="given")
+    with pytest.raises(EngineError, match="^merge worker process exited with status 3 before reporting$"):
+        run_ensemble(cfg, ingredients, workers=2)
+
+
+def test_file_truncated_under_a_child_range_raises_its_checkpoint_error(tmp_path):
+    rng = np.random.default_rng(19)
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"m{i}.safetensors"))
+        save_checkpoint(ranged_map(rng), paths[i])
+    cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))), ordering="given")
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with ExitStack() as stack:
+        stored = [Ingredient(f"m{i}", stack.enter_context(open_checkpoint(p))) for i, p in enumerate(paths)]
+        os.truncate(paths[1], os.path.getsize(paths[1]) - 4 * BLOCK)  # cuts block 7, in the second range
+        with pytest.raises(CheckpointError, match="truncated buffer \\(file changed while reading\\)") as info:
+            run_ensemble(cfg, stored, workers=2)
+    assert paths[1] in str(info.value)
+    assert sorted(os.listdir("/proc/self/fd")) == fds

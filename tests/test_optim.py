@@ -1,6 +1,5 @@
 import math
 import os
-import sys
 import threading
 import warnings
 
@@ -15,12 +14,20 @@ from soupstock.optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
-    StepNorms,
     optimizer_step,
     project_to_ball,
 )
+from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, _block_ranges, run_ensemble
 from soupstock.pseudograd import CappedPower, Constant, Explicit, Harmonic, Power, pseudogradient
-from soupstock.weightstore import BLOCK, CheckpointError, WeightMap, l2_distance, open_checkpoint, save_checkpoint
+from soupstock.weightstore import (
+    BLOCK,
+    CheckpointError,
+    WeightMap,
+    _add_pieces,
+    l2_distance,
+    open_checkpoint,
+    save_checkpoint,
+)
 
 
 
@@ -414,40 +421,61 @@ def test_zero_learning_rate_freezes_the_iterate():
     assert optimizer_step(w, grad(wm(a=[3.0, 4.0])), OptimizerState(), spec) == w
 
 
-# --- threaded steps ----------------------------------------------------------------
+# --- steps in block ranges ----------------------------------------------------------
+#
+# The names of the tests below are kept from when the ranges ran in threads
+# of one step; the ranges now run as whole runs in forked workers.
 
-# Four tensors of two blocks each: two threads take blocks 0-3 and 4-7.
+# Four tensors of two blocks each: two workers take blocks 0-3 and 4-7.
 THREADED = {f"t{i}": np.arange(2 * BLOCK, dtype=np.float32) / BLOCK for i in range(4)}
+
+
+def _provided_run(ingredients, spec, **kwargs):
+    cfg = EnsembleConfig(optimizer=spec, pivot_init=ProvidedInit(WeightMap(THREADED)), n_divisor=1,
+                         ordering="given", **kwargs)
+    return cfg, [Ingredient(f"g{i}", g) for i, g in enumerate(ingredients)]
 
 
 def test_steps_in_more_threads_than_blocks_and_cpus_match_one_thread():
     spec = OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.01)
     w = WeightMap(THREADED)
     g = WeightMap({name: np.cos(a) for name, a in THREADED.items()})
+    schema = w.schema()
+    # Each range stepped alone, with a state of its own, gives the whole step's bits.
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (1, 12):
-            state, norms, out = OptimizerState(), StepNorms(w.schema()), w
+    for ranges in ([range(8)], _block_ranges(schema.blocks, 12)):
+        out, norms, m, v = w.flat.copy(), np.empty((2, len(schema.piece_ends))), [], []
+        for block_range in ranges:
+            state = OptimizerState()
             for _ in range(3):
-                out = optimizer_step(out, g, state, spec, norms=norms, threads=threads)
-            runs.append((out.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), norms.grad_norm, norms.displacement))
-    finally:
-        sys.setswitchinterval(interval)
+                optimizer_step(WeightMap._wrap(out.view(), schema), g, state, spec, out=out, norms=norms,
+                               block_range=block_range)
+            span = slice(schema.blocks[block_range[0]][0], schema.blocks[block_range[-1]][1])
+            m.append(state.m[span])
+            v.append(state.v[span])
+        runs.append((out.tobytes(), np.concatenate(m).tobytes(), np.concatenate(v).tobytes(),
+                     _add_pieces(norms[0], schema.piece_ends), _add_pieces(norms[1], schema.piece_ends)))
+    assert len(_block_ranges(schema.blocks, 12)) == 8
     assert runs[0] == runs[1]
+    # The same three steps as a run in 12 workers, more than blocks and CPUs.
+    cfg, ingredients = _provided_run([g, g, g], spec)
+    results = [run_ensemble(cfg, ingredients, workers=workers) for workers in (1, 12)]
+    assert [(merged.flat.tobytes(), record.steps) for merged, record in results] == [
+        (results[0][0].flat.tobytes(), results[0][1].steps)
+    ] * 2
 
 
 def test_threaded_nonfinite_step_names_the_lowest_bad_element():
     spec = OptimizerSpec(GD(lr=Constant(1.0)))
-    w = WeightMap(THREADED)
     before = threading.active_count()
     for bad, first in (([6 * BLOCK + 3, BLOCK + 5], BLOCK + 5), ([7 * BLOCK + 1, 5 * BLOCK], 5 * BLOCK)):
-        g = np.zeros(w.flat.size, dtype=np.float32)
+        g = np.zeros(4 * 2 * BLOCK, dtype=np.float32)
         g[bad] = np.nan
-        with pytest.raises(NonFiniteStep) as info:
-            optimizer_step(w, g.__getitem__, OptimizerState(), spec, threads=2)
-        assert info.value.index == first
+        cfg, ingredients = _provided_run([WeightMap._wrap(g, WeightMap(THREADED).schema())], spec)
+        with pytest.raises(EngineError, match=f"first in tensor 't{first // (2 * BLOCK)}'") as info:
+            run_ensemble(cfg, ingredients, workers=2)
+        assert isinstance(info.value.__cause__, NonFiniteStep)
+        assert info.value.__cause__.index == first
         assert threading.active_count() == before
 
 
@@ -458,8 +486,8 @@ def test_threaded_step_raises_a_read_error_of_any_range(tmp_path):
     before = threading.active_count()
     with open_checkpoint(path) as stored:
         os.truncate(path, os.path.getsize(path) - 4 * BLOCK)  # cuts block 7, in the second range
+        cfg, ingredients = _provided_run([stored], spec)
         with pytest.raises(CheckpointError, match="truncated buffer \\(file changed while reading\\)") as info:
-            optimizer_step(WeightMap(THREADED), stored.read, OptimizerState(), spec, threads=2)
+            run_ensemble(cfg, ingredients, workers=2)
     assert path in str(info.value)
     assert threading.active_count() == before
-
