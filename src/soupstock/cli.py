@@ -12,22 +12,21 @@ checkpoint files, mid-run errors).
 Input paths inside a config resolve relative to the config file's directory;
 output paths resolve relative to --out (default: the config directory).
 
-A sweep opens its ingredients once and runs its cells in up to one process
-per usable CPU (its CPU affinity, within any cgroup v2 cpu.max quota): this
-one and children forked from it, as many as the cells' model-size buffers
-fit into the memory available (MemAvailable, within any cgroup v2
-memory.max). Each worker runs a fixed, interleaved share of the cells and
-writes their outputs itself; the children report each cell's manifest entry
-and warnings over a pipe. The manifest, the outputs and the warnings
-(re-issued in cell order) do not depend on the number of workers: with one
-worker, as for a sweep whose ingredients failed to open, this process runs
-every cell through the same reporting, forking nothing. A single-cell merge
-is not a sweep and runs here directly. A run that is neither greedy nor
-projected splits its blocks into ranges run in forked processes of their own
-(``engine.run_ensemble``): as many as the usable CPUs for a single cell, and
-the usable CPUs divided by the sweep's workers (at least one) for each cell
-of a sweep; greedy and projected runs step in one process. No output depends
-on the number of workers.
+A sweep opens its ingredients once and runs its cells in up to one worker
+per usable CPU (its CPU affinity, within any cgroup v2 cpu.max quota), as
+many as the cells' model-size buffers fit into the memory available
+(MemAvailable, within any cgroup v2 memory.max); one where its ingredients
+failed to open. Each worker runs a fixed, interleaved share of the cells,
+writes their outputs itself and reports each cell's manifest entry and
+warnings (re-issued in cell order). A single-cell merge is not a sweep and
+runs here directly. A run that is neither greedy nor projected splits its
+blocks into ranges run by workers of their own (``engine.run_ensemble``): as
+many as the usable CPUs for a single cell, and the usable CPUs divided by
+the sweep's workers (at least one) for each cell of a sweep; greedy and
+projected runs step in one process. ``synth estimators`` runs its trial
+chunks in at most one worker per usable CPU. Worker 0 is this process, and
+``engine.run_in_workers`` forks the others, or, while other threads run,
+runs them here one after another. No output depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import json
 import math
 import os
 import sys
-import threading
 from contextlib import ExitStack
 from typing import Any, Callable, Iterator
 
@@ -321,13 +319,9 @@ def _cgroup_values(directory: str, name: str) -> list[str] | None:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, as many as the cpu.max quotas of
-    its cgroups grant whole; 1 where it cannot fork workers safely: the
-    platform has no fork, or other threads run (a child would start with
-    whatever locks they hold held for good)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0))
+    """The CPUs this process may run on (1 where the platform does not say),
+    as many as the cpu.max quotas of its cgroups grant whole."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     for directory in _cgroup_dirs():
         quota = _cgroup_values(directory, "cpu.max")  # "<quota> <period>" or "max <period>"
         if quota and quota[0] != "max":
@@ -407,8 +401,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_synth_estimators(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     base = default_estimator_config(args.dist, seed=args.seed)
     optimizer = base.optimizer
     # Building the optimizer and the trial config checks every other flag.
@@ -474,7 +467,7 @@ def cmd_synth_convergence(args) -> int:
     _require(args.alpha < -1, f"--alpha must be < -1, got {args.alpha}")
     _require(args.c > 0, f"--c must be > 0, got {args.c}")
     _require(args.steps >= 10, f"--steps must be >= 10, got {args.steps}")
-    _require(args.omega > 0, f"--omega must be > 0, got {args.omega}")
+    _require(args.k > 0 and args.omega > 0, f"--k and --omega must be > 0, got {args.k} and {args.omega}")
     pts = cycle_ingredients(args.k, args.omega)
     trajectory, report = convergence_check(
         alpha=args.alpha,
@@ -501,14 +494,14 @@ def cmd_synth_convergence(args) -> int:
 
 
 def cmd_synth_wlln(args) -> int:
-    if args.dist == "cauchy":
-        raise UsageError("first moment undefined for the Cauchy family; soups do not converge")
+    _require(args.dist != "cauchy", "first moment undefined for the Cauchy family; soups do not converge")
     try:
         sizes = [int(size) for size in args.sizes.split(",")]
     except ValueError:
         raise UsageError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
     _require(min(sizes) >= 1, f"--sizes must all be >= 1, got {args.sizes}")
     _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _require(args.epsilon > 0, f"--epsilon must be > 0, got {args.epsilon}")
     result = soup_wlln(
         DistributionSpec(kind=args.dist),
         sizes=sizes,

@@ -9,8 +9,8 @@ of it.
 
 A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
-states: the CLI runs the cells of a sweep in forked worker processes, one
-per usable CPU (see ``cli``). Each step is one blocked pass of
+states: the CLI runs the cells of a sweep in worker processes, one per
+usable CPU (see ``cli`` and ``run_in_workers``). Each step is one pass of
 ``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
 reads of stored maps that stay in their files), summed, turned into the
@@ -50,6 +50,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,7 +84,6 @@ from .weightstore import (
     WeightMap,
     _add_pieces,
     _pieces_squared,
-    blocks,
     validate_compatible,
 )
 
@@ -320,10 +320,10 @@ def run_ensemble(
     With ``workers``, the blocks of the maps (``Schema.blocks``) are split
     into up to that many contiguous ranges of about equal size, and each
     range runs the whole run on its own: this process one, and a child
-    forked from it each other one (see :func:`run_in_workers`; fork only
-    where no other thread runs). A projected or replica run reduces over
-    the whole map between steps, so it runs in this process alone. No
-    result depends on the number of workers.
+    forked from it each other one, or this process every one while other
+    threads run (see :func:`run_in_workers`). A projected or replica run
+    reduces over the whole map between steps, so it runs in this process
+    alone. No result depends on the number of workers.
     """
     return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, workers=workers)
 
@@ -460,12 +460,7 @@ def _run(
             _, done, entries, sums, failure = _trajectory(plan, ranges[r], iterate, None)
             yield done, entries if r == 0 else None, sums, failure
 
-        results = run_in_workers(task, len(ranges))
-        for held, status in results:
-            if not held:
-                raise EngineError(f"merge worker process {_exit_text(status)} before reporting")
-        _reissue([held[0][1] for held, _ in results])
-        reports = [held[0][0] for held, _ in results]
+        reports = _first_reports(run_in_workers(task, len(ranges)), "merge")
 
     # The run ends at the earliest failure, as a serial run would: the lowest
     # step, then the lowest range, so the lowest element.
@@ -577,7 +572,7 @@ def _trajectory(
                     if accepted:
                         best_metric = metric
                     if ema is not None:
-                        _ema_update(ema[span], w.flat[span], ema_decay)
+                        _ema_update(ema, w.flat, ema_decay, stepped)
                 done = attempt
     except Exception as exc:  # reported with the steps done before it
         return w, done, entries, sums, (exc, None)
@@ -689,14 +684,14 @@ def _nonfinite_message(
     )
 
 
-def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float) -> None:
-    """pivot <- decay * pivot + (1 - decay) * w, in place."""
+def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, stepped: Sequence[tuple]) -> None:
+    """pivot <- decay * pivot + (1 - decay) * w, in place, over the blocks ``stepped``."""
     d = np.float32(decay)
     omd = np.float32(1.0 - decay)
-    for s in blocks(pivot.size):
-        part = pivot[s]
+    for begin, end, _count, _piece in stepped:
+        part = pivot[begin:end]
         part *= d
-        part += omd * w[s]
+        part += omd * w[begin:end]
 
 
 # --- forked workers ----------------------------------------------------------------
@@ -706,8 +701,10 @@ def run_in_workers(
     task: Callable[[int], Iterator[Any]], workers: int
 ) -> list[tuple[list[tuple[Any, list]], int]]:
     """Run task(0) in this process and task(1), ..., task(workers - 1) in
-    children forked from it, all at once; returns, per worker, its reports
-    and its wait status (0 for this process).
+    children forked from it, all at once, or every task here, one after
+    another, where the platform has no fork or other threads run (a child
+    would start with whatever locks they hold held for good); returns, per
+    worker, its reports and its wait status (0 for this process).
 
     A report is an item the task yields, with the warnings raised while it
     was made held back: (item, [(text, category, file, line)]); see
@@ -716,9 +713,10 @@ def run_in_workers(
     open files' cleanup, atexit hooks, callers' finally blocks) runs twice;
     a child that dies early has reported less. Every child is reaped; on an
     exception here (an interrupt) the children left are killed and reaped
-    before it propagates. Fork only where no other thread runs: a child
-    would start with whatever locks they hold held for good.
+    before it propagates.
     """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(list(_held_back(task(worker))), 0) for worker in range(workers)]
     reports: list[list[tuple[Any, list]]] = [[] for _ in range(workers)]
     statuses = [0] * workers
     children: list[tuple[int, int, Any]] = []  # (worker, pid, read end of its pipe) until reaped
@@ -790,6 +788,17 @@ def _work_in_child(task: Callable[[int], Iterator[Any]], worker: int, fd: int) -
             sys.stderr.flush()
         finally:
             os._exit(code)
+
+
+def _first_reports(results: list[tuple[list[tuple[Any, list]], int]], what: str) -> list[Any]:
+    """The first report of every worker of :func:`run_in_workers`, after
+    their warnings are re-issued in worker order; a worker that ended before
+    reporting raises an EngineError that names its exit status."""
+    for held, status in results:
+        if not held:
+            raise EngineError(f"{what} worker process {_exit_text(status)} before reporting")
+    _reissue([held[0][1] for held, _ in results])
+    return [held[0][0] for held, _ in results]
 
 
 def _exit_text(status: int) -> str:

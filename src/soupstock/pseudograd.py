@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weightstore import BLOCK, StoredMap, WeightMap, _check_compatible, blocks, validate_compatible
+from .weightstore import BLOCK, StoredMap, WeightMap, _check_compatible, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -199,7 +199,8 @@ def pivot_identity(pivot: WeightMap, ingredients: list[WeightMap]) -> WeightMap:
     schema = validate_compatible([pivot, *ingredients])
     n = float(len(ingredients))
     out = np.empty(schema.size, dtype=np.float32)
-    for s in blocks(out.size):
+    for begin, end, _count, _piece in schema.blocks:
+        s = slice(begin, end)
         p64 = pivot.flat[s].astype(np.float64)
         acc = np.zeros_like(p64)
         for ing in ingredients:

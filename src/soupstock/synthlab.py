@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Any, Iterator
 
 import numpy as np
 
 from . import rng as rng_mod
-from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
+from .engine import EnsembleConfig, Ingredient, ProvidedInit, _first_reports, run_ensemble, run_in_workers
 from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
 from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
 from .weightstore import Schema, WeightMap
@@ -264,9 +265,10 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
 
     Each trial owns the stream (seed, trial index) for its subsample and its
     shuffle seed. All trials run as replicas of a single engine run, one
-    (trials, d) iterate; with workers > 1 each worker process runs one
-    contiguous chunk of trials that way. Rows are identical for any worker
-    count and come back in trial order.
+    (trials, d) iterate; with workers > 1 each worker (see
+    :func:`engine.run_in_workers`) runs one contiguous chunk of trials that
+    way, and the first chunk to fail raises its exception here. Rows are
+    identical for any worker count and come back in trial order.
     """
     dist = cfg.distribution
     pts = _population_cached(
@@ -278,14 +280,17 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
 
     workers = max(1, min(workers, cfg.trials))
     bounds = [cfg.trials * k // workers for k in range(workers + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_estimates, [cfg] * workers, chunks))
-    else:
-        parts = [_trial_estimates(cfg, chunks[0])]
+    def task(k: int) -> Iterator[Any]:
+        try:
+            yield _trial_estimates(cfg, range(bounds[k], bounds[k + 1]))
+        except Exception as exc:  # raised in the caller, in chunk order
+            yield exc
+
+    parts = _first_reports(run_in_workers(task, workers), "estimator")
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
     soups = np.concatenate([soup_est for soup_est, _ in parts])
     ames = np.concatenate([ame_est for _, ame_est in parts])
 
@@ -528,6 +533,8 @@ def soup_wlln(
         raise ValueError("first moment undefined for the Cauchy family; soups do not converge")
     if trials < 1 or not sizes:
         raise ValueError("need at least one size and one trial")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if min(sizes) < 1:
         raise ValueError(f"sample sizes must be >= 1, got {min(sizes)}")
     mean_true = np.full(spec.dimension, float(spec.mean), dtype=np.float64)

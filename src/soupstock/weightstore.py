@@ -69,7 +69,6 @@ __all__ = [
     "Schema",
     "WeightMap",
     "StoredMap",
-    "blocks",
     "open_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
@@ -85,15 +84,6 @@ _MAX_HEADER_BYTES = 100 * 1024 * 1024
 
 BLOCK = 1 << 16
 """Elements per block of the elementwise kernels (256 KiB of float32)."""
-
-_WHOLE = (slice(None),)
-
-
-def blocks(size: int) -> tuple[slice, ...] | list[slice]:
-    """Slices covering range(size) in blocks of at most BLOCK elements."""
-    if size <= BLOCK:
-        return _WHOLE
-    return [slice(i, i + BLOCK) for i in range(0, size, BLOCK)]
 
 
 class CheckpointError(ValueError):

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -43,13 +44,31 @@ def no_child_left_unreaped():
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """A test after which more threads run than before it fails: a sweep
-    quietly runs its cells serially while other threads run (cli._usable_cpus)."""
+    """A test after which more threads run than before it fails: while other
+    threads run, engine.run_in_workers forks nothing and quietly runs every
+    worker's task in this process, one after another."""
     before = threading.active_count()
     yield
     after = threading.active_count()
     if after > before:
         pytest.fail(f"{after - before} thread(s) left running: {threading.enumerate()}")
+
+
+@contextmanager
+def another_thread_running():
+    """A second thread runs until the block ends, and a fork inside the block
+    fails the test."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", lambda: pytest.fail("forked while another thread ran"))
+        thread.start()
+        try:
+            yield
+        finally:
+            release.set()
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

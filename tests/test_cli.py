@@ -3,7 +3,6 @@ import os
 import struct
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 
@@ -24,6 +23,8 @@ from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import default_estimator_config
 from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
+
+from conftest import another_thread_running
 
 
 def write_ingredients(directory, count=4, seed=0, shapes=((2, 3), (3,))):
@@ -463,18 +464,20 @@ def test_cgroup_limits_cap_cpus_and_memory(tmp_path, monkeypatch):
     assert cli._available_memory() == 0
 
 
-def test_sweep_forks_no_workers_beside_other_threads():
+def test_sweep_forks_no_workers_beside_other_threads(tmp_path, monkeypatch):
     import soupstock.cli as cli
 
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert cli._usable_cpus() == 1
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+    write_ingredients(tmp_path, count=3, shapes=((120, 100), (3,)))
+    doc = merge_doc(count=3, shuffle=True, record_steps=True, optimizer={"kind": "adam", "lr": 0.01})
+    doc["sweep"] = {"ensemble.batch_size": [2, 1]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    argv = ["merge", "--config", str(tmp_path / "sweep.json")]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = _sweep_outputs(argv, tmp_path / "serial")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two sweep workers, as on two CPUs
+    with another_thread_running():
+        assert _sweep_outputs(argv, tmp_path / "threaded") == serial
+    assert serial[0] == 0 and len(serial[1]) == 5
 
 
 def test_merge_sweep_runs_serially_when_memory_is_short(tmp_path, monkeypatch):
@@ -846,12 +849,16 @@ def test_synth_nonfinite_float_flag_exit_1(tmp_path, capsys, argv, flag, value):
         ["cycle", "--omega=-1"],
         ["convergence", "--steps", "0"],
         ["convergence", "--omega", "0", "--steps", "100"],
+        ["convergence", "--k", "0", "--steps", "100"],
+        ["convergence", "--k=-1", "--steps", "100"],
+        ["wlln", "--epsilon=-1"],
+        ["wlln", "--epsilon", "0"],
         ["wlln", "--sizes", "0"],
         ["wlln", "--sizes", "10,a"],
         ["wlln", "--trials", "0"],
     ],
-    ids=["trials", "batch-size", "subsample", "workers-0", "workers-neg", "cycles", "omega",
-         "steps", "conv-omega", "sizes-0", "sizes-a", "wlln-trials"],
+    ids=["trials", "batch-size", "subsample", "workers-0", "workers-neg", "cycles", "omega", "steps",
+         "conv-omega", "conv-k-0", "conv-k-neg", "epsilon-neg", "epsilon-0", "sizes-0", "sizes-a", "wlln-trials"],
 )
 def test_synth_bad_flag_value_exit_1(tmp_path, capsys, argv):
     out = tmp_path / "lab.csv"
@@ -871,36 +878,47 @@ def test_synth_seed_outside_64_bits_exit_1(tmp_path, capsys, lab, seed):
 
 
 def test_synth_estimators_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
-    import concurrent.futures
-
     import soupstock.cli as cli
+    import soupstock.synthlab as synthlab
 
-    pools = []
+    counts = []
+    real = synthlab.run_in_workers
 
-    class FakePool:
-        """Runs the chunks in this process and records the worker count asked for."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def run_in_workers(task, workers):
+        counts.append(workers)
+        return real(task, workers)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(synthlab, "run_in_workers", run_in_workers)
     argv = ["synth", "estimators", "--dist", "cauchy", "--population", "200", "--subsample", "20",
             "--trials", "5", "--batch-size", "5", "--epochs", "3", "--quiet"]
-    assert main([*argv, "--workers", "64", "-o", str(tmp_path / "many.csv")]) == 0
-    assert pools == [2]
-    assert main([*argv, "--workers", "1", "-o", str(tmp_path / "one.csv")]) == 0
-    assert pools == [2]  # one worker runs in this process, without a pool
-    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    for workers in (1, 2, 20, 64):
+        assert main([*argv, "--workers", str(workers), "-o", str(tmp_path / f"{workers}.csv")]) == 0
+    assert counts == [1, 2, 2, 2]
+    want = (tmp_path / "1.csv").read_bytes()
+    assert [(tmp_path / f"{workers}.csv").read_bytes() for workers in (2, 20, 64)] == [want] * 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_synth_estimators_chunk_failure_exits_2(tmp_path, monkeypatch, capsys, workers):
+    import soupstock.cli as cli
+    import soupstock.synthlab as synthlab
+
+    real = synthlab._trial_estimates
+
+    def estimates(cfg, trials):
+        if 4 in trials:  # the second of two chunks, run by a forked child
+            raise ValueError("trial 4 failed")
+        return real(cfg, trials)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(synthlab, "_trial_estimates", estimates)
+    out = tmp_path / "trials.csv"
+    argv = ["synth", "estimators", "--dist", "cauchy", "--population", "200", "--subsample", "20",
+            "--trials", "5", "--batch-size", "5", "--epochs", "3", "--workers", workers, "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: trial 4 failed\n"
+    assert not out.exists()
 
 
 def test_synth_wlln_cauchy_rejected(capsys):

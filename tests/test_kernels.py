@@ -52,14 +52,13 @@ from soupstock.weightstore import (
     BLOCK,
     CheckpointError,
     WeightMap,
-    blocks,
     global_l2_norm,
     l2_distance,
     open_checkpoint,
     save_checkpoint,
 )
 
-from conftest import write_checkpoint
+from conftest import another_thread_running, write_checkpoint
 
 SHAPES = {
     "a.scalar": (),
@@ -96,7 +95,7 @@ def test_fixture_layout_covers_block_edges():
     assert m.array("a.scalar").shape == ()
     assert offsets["d.big"] < BLOCK < offsets["e.straddle"] < 2 * BLOCK
     assert offsets["e.straddle"] + 80000 > 2 * BLOCK
-    assert len(blocks(m.flat.size)) == 3
+    assert math.ceil(m.flat.size / BLOCK) == 3
 
 
 def test_blocks_tile_the_buffer_in_runs_of_one_size_or_pieces():
@@ -561,6 +560,26 @@ def test_range_worker_that_dies_fails_the_run(monkeypatch):
     cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))), ordering="given")
     with pytest.raises(EngineError, match="^merge worker process exited with status 3 before reporting$"):
         run_ensemble(cfg, ingredients, workers=2)
+
+
+def test_merge_in_workers_beside_another_thread_forks_nothing():
+    # A child forked now could start with the other thread's locks held for
+    # good, so both ranges run in this process, one after the other.
+    rng = np.random.default_rng(21)
+    ingredients = [Ingredient(f"m{i}", ranged_map(rng)) for i in range(3)]
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.05),
+        pivot_policy=EmaPivot(decay=0.6),
+        epochs=2,
+        shuffle=True,
+        seed=4,
+        ordering="given",
+    )
+    want, want_log = run_ensemble(cfg, ingredients)
+    with another_thread_running():
+        got, got_log = run_ensemble(cfg, ingredients, workers=2)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert got_log == want_log and len(got_log.steps) == 6
 
 
 def test_file_truncated_under_a_child_range_raises_its_checkpoint_error(tmp_path):

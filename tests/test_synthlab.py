@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from soupstock import rng as rng_mod
-from soupstock.engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
+from soupstock import synthlab
+from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from soupstock.optim import Adadelta, Adam, OptimizerSpec
 from soupstock.pseudograd import CappedPower, Constant
 from soupstock.synthlab import (
@@ -28,6 +29,8 @@ from soupstock.synthlab import (
     _tail_schedule_sum,
 )
 from soupstock.weightstore import WeightMap
+
+from conftest import another_thread_running
 
 
 # --- sampling -------------------------------------------------------------------
@@ -219,6 +222,12 @@ def test_wlln_rejects_cauchy():
         soup_wlln(DistributionSpec(kind="cauchy"), sizes=[10], trials=5, seed=0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_wlln_rejects_an_epsilon_that_covers_nothing(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        soup_wlln(DistributionSpec(kind="gaussian"), sizes=[10], trials=5, seed=0, epsilon=epsilon)
+
+
 def test_wlln_csv(tmp_path):
     result = soup_wlln(DistributionSpec(kind="gaussian"), sizes=[10, 100], trials=10, seed=3)
     path = tmp_path / "wlln.csv"
@@ -327,10 +336,47 @@ def test_estimator_trials_match_per_trial_engine_runs(kind):
 
 
 def test_estimator_worker_pool_matches_serial():
-    cfg = small_trial_config("gaussian", trials=4)
+    cfg = small_trial_config("gaussian", trials=6)
     serial = run_estimator_trials(cfg, workers=1)
-    for workers in (2, 3):
+    for workers in (2, 3, 20):  # 20 runs six chunks of one trial
         assert run_estimator_trials(cfg, workers=workers).rows == serial.rows
+    with another_thread_running():
+        assert run_estimator_trials(cfg, workers=2).rows == serial.rows
+
+
+def test_estimator_chunk_failing_in_a_child_raises_as_in_one_process(monkeypatch):
+    real_estimates, real_fork, forks = synthlab._trial_estimates, os.fork, []
+
+    def estimates(cfg, trials):
+        if 4 in trials:  # in the second of two chunks
+            raise ValueError("trial 4 failed")
+        return real_estimates(cfg, trials)
+
+    def fork():
+        forks.append(len(forks))
+        return real_fork()
+
+    monkeypatch.setattr(synthlab, "_trial_estimates", estimates)
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = small_trial_config("gaussian", trials=6)
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as info:
+            run_estimator_trials(cfg, workers=workers)
+        assert type(info.value) is ValueError and str(info.value) == "trial 4 failed"
+    assert forks == [0]
+
+
+def test_estimator_worker_that_dies_raises_its_exit_status(monkeypatch):
+    parent, real = os.getpid(), synthlab._trial_estimates
+
+    def estimates_or_exit(cfg, trials):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(cfg, trials)
+
+    monkeypatch.setattr(synthlab, "_trial_estimates", estimates_or_exit)
+    with pytest.raises(EngineError, match="^estimator worker process exited with status 3 before reporting$"):
+        run_estimator_trials(small_trial_config("gaussian", trials=4), workers=2)
 
 
 def test_trial_config_validation():
