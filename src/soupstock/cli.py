@@ -22,10 +22,11 @@ warnings (re-issued in cell order). A single-cell merge is not a sweep and
 runs here directly. A run that is neither greedy nor projected splits its
 blocks into ranges run by workers of their own (``engine.run_ensemble``): as
 many as the usable CPUs for a single cell, and the usable CPUs divided by
-the sweep's workers (at least one) for each cell of a sweep; greedy and
-projected runs step in one process. ``synth estimators`` runs its trial
-chunks in at most one worker per usable CPU. Worker 0 is this process, and
-``engine.run_in_workers`` forks the others, or, while other threads run,
+the sweep's workers (at least one) for each cell of a sweep; a greedy or
+projected run is one range, stepped in place in the process that runs its
+cell beside one pre-step copy of its iterate. ``synth estimators`` runs its
+trial chunks in at most one worker per usable CPU. Worker 0 is this process,
+and ``engine.run_in_workers`` forks the others, or, while other threads run,
 runs them here one after another. No output depends on the number of workers.
 """
 
@@ -132,6 +133,10 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
         if reader.fieldnames != ["id", "metric"]:
             raise UsageError(f"{path}: metrics CSV must have header 'id,metric'")
         for row in reader:
+            if None in row:
+                raise UsageError(f"{path}: row of {row['id']!r} has more fields than 'id,metric'")
+            if row["id"] in metrics:
+                raise UsageError(f"{path}: id {row['id']!r} appears on more than one row")
             try:
                 metric = float(row["metric"])
             except (TypeError, ValueError):
@@ -270,10 +275,12 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
 
 
 def _cell_buffers(cfg: MergeConfig, force_greedy: bool) -> int:
-    """Model-size buffers a cell holds at its peak: the initialization, the
-    iterate and the optimizer state, plus an EMA pivot, greedy's target,
-    candidate and saved state, and a projection's center and candidate where
-    the config has them."""
+    """An upper bound on the model-size buffers a cell holds at its peak: the
+    iterate, the optimizer state and one for the initialization (a fixed
+    pivot's copy of it, or a provided map), plus an EMA pivot, greedy's
+    target, pre-step iterate and spare state, and a projection's center and
+    pre-step iterate where the config has them (a greedy and projected run
+    holds one pre-step iterate)."""
     state = cfg.ensemble.optimizer.variant.state_buffers
     buffers = 2 + state
     if isinstance(cfg.ensemble.pivot_policy, EmaPivot):

@@ -19,19 +19,22 @@ be finite (a NaN/Inf aborts the run with an EngineError naming the step and
 batch) and staged for the log norms. No model-size mean or pseudogradient is
 ever built, and stored ingredients are never held whole. A run writes its
 initialization straight into the one iterate buffer it owns and steps it in
-place; greedy and projected runs, which still need the pre-step iterate,
-step into a new buffer instead.
+place. A greedy or projected run also copies the iterate before each step
+into one buffer it allocates once: a projection takes its displacement
+against that copy, and a rejected greedy step copies it back and swaps the
+optimizer state with a spare that holds a copy of the pre-step one.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
 each element alone, and the batch order and the schedules never depend on
-the weights. So a run that is neither greedy, projected nor of several
-replicas splits into independent trajectories over contiguous ranges of
-``Schema.blocks``, which share only their per-piece sums of squares for the
-log: with ``workers``, each range runs the whole run in a process of its
-own, in one shared iterate, and this process adds the sums up into the log
-in the serial order and raises the failure a serial run would meet first.
-No output depends on the number of workers.
+the weights. So a run splits into independent trajectories over contiguous
+ranges of ``Schema.blocks``, which share only their per-piece sums of
+squares for the log: with ``workers``, each range runs the whole run in a
+process of its own (:func:`run_in_workers`), in one shared iterate, and this
+process adds the sums up into the log in the serial order and raises the
+failure a serial run would meet first. No output depends on the number of
+workers. Greedy and projected runs, whose steps need a whole-map scalar, are
+one range.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -52,7 +55,7 @@ import pickle
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Iterator, NoReturn, Sequence
 
@@ -63,8 +66,8 @@ from .optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
+    _project,
     optimizer_step,
-    project_to_ball,
 )
 from .pseudograd import (
     AdaptivePivot,
@@ -321,9 +324,9 @@ def run_ensemble(
     into up to that many contiguous ranges of about equal size, and each
     range runs the whole run on its own: this process one, and a child
     forked from it each other one, or this process every one while other
-    threads run (see :func:`run_in_workers`). A projected or replica run
-    reduces over the whole map between steps, so it runs in this process
-    alone. No result depends on the number of workers.
+    threads run (see :func:`run_in_workers`). A projected run reduces over
+    the whole map between steps, so it is one range, run in this process.
+    No result depends on the number of workers.
     """
     return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, workers=workers)
 
@@ -337,8 +340,10 @@ def greedy_run(
 
     After each optimizer step the candidate is scored; unless the metric
     strictly improves, the model, the optimizer state, and the pivot are all
-    restored to their pre-step snapshots. An evaluator that raises or
-    returns NaN aborts the run with an EngineError carrying the partial log.
+    restored to their pre-step copies. ``evaluate`` gets a read-only view of
+    the live iterate, valid only during the call. An evaluator that raises
+    or returns NaN aborts the run with an EngineError carrying the partial
+    log.
     """
     if evaluate is None:
         raise EngineError("greedy_run requires a metric evaluator")
@@ -444,24 +449,19 @@ def _run(
 ) -> tuple[WeightMap, RunRecord]:
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
-    whole_map = evaluate is not None or cfg.projection is not None or replica_seeds is not None
+    whole_map = evaluate is not None or cfg.projection is not None
     ranges = _block_ranges(schema.blocks, 1 if whole_map else workers)
     if len(ranges) == 1:
         iterate = np.empty(schema.size, dtype=np.float32)
-        w, *report = _trajectory(plan, ranges[0], iterate, evaluate)
-        reports = [tuple(report)]
     else:
         import mmap  # one shared anonymous mapping, which every range writes its part of
-
         iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
-        w = WeightMap._wrap(iterate.view(), schema)
 
-        def task(r: int) -> Iterator[tuple]:
-            _, done, entries, sums, failure = _trajectory(plan, ranges[r], iterate, None)
-            yield done, entries if r == 0 else None, sums, failure
+    def task(r: int) -> Iterator[tuple]:
+        done, entries, sums, failure = _trajectory(plan, ranges[r], iterate, evaluate)
+        yield done, entries if r == 0 else None, sums, failure
 
-        reports = _first_reports(run_in_workers(task, len(ranges)), "merge")
-
+    reports = _first_reports(run_in_workers(task, len(ranges)), "merge")
     # The run ends at the earliest failure, as a serial run would: the lowest
     # step, then the lowest range, so the lowest element.
     done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
@@ -482,45 +482,45 @@ def _run(
         raise exc
     record.total_steps = done
     iterate.setflags(write=False)
-    return w, record
+    return WeightMap._wrap(iterate.view(), schema), record
 
 
 def _trajectory(
     plan: _Plan, block_range: range, iterate: np.ndarray, evaluate: Callable[[WeightMap], float] | None
-) -> tuple[WeightMap | None, int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]:
+) -> tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]:
     """Every step of the run over the blocks of ``block_range``, from its
-    share of the initialization, written into ``iterate``, to its share of
-    the EMA pivot; no other element of any model-size buffer is touched.
+    share of the initialization, written into ``iterate`` and stepped there,
+    to its share of the EMA pivot; no other element of any model-size buffer
+    is touched.
 
-    Returns (the final map, the steps done, entries, sums, failure). Per
-    step done when the run records steps, entries holds the log entry's
-    fields other than the norms, and sums the range's per-piece sums of
-    squares for them, shape (2, pieces). A run stops at its first failure, returned
-    as (the exception, the engine's message for a non-finite step or None).
-    An in-place run (neither greedy nor projected) steps ``iterate`` in
-    place; the others leave it at the initialization.
+    Returns (the steps done, entries, sums, failure). Per step done when the
+    run records steps, entries holds the log entry's fields other than the
+    norms, and sums the range's per-piece sums of squares for them, shape
+    (2, pieces). A run stops at its first failure, returned as (the
+    exception, the engine's message for a non-finite step or None).
     """
     cfg, schema = plan.cfg, plan.schema
     stepped = schema.blocks[block_range.start : block_range.stop]
     span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
     pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
-    in_place = evaluate is None and cfg.projection is None
     entries: list[tuple] = []
     sums: list[np.ndarray] = []
-    w, done = None, 0
+    done = 0
     try:
         w = plan.init(iterate, span)
-        adaptive = isinstance(cfg.pivot_policy, AdaptivePivot)
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
         pivot, ema = w, None
-        if ema_decay is not None or (not adaptive and in_place):
+        if not isinstance(cfg.pivot_policy, AdaptivePivot):
             # An EMA pivot is updated in place, and a fixed one must outlive
-            # an in-place iterate: each starts as a copy of the initialization.
+            # the iterate: each starts as a copy of the initialization.
             copy = np.empty(schema.size, dtype=np.float32)
             copy[span] = iterate[span]
             pivot = WeightMap._wrap(copy.view(), schema)
             ema = copy if ema_decay is not None else None
         state = OptimizerState()
+        spare = OptimizerState() if evaluate is not None else None
+        whole_map = evaluate is not None or cfg.projection is not None
+        before = np.empty(schema.size, dtype=np.float32) if whole_map else None  # the pre-step iterate
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
         best_metric = _score(evaluate, w, "for the initial model") if evaluate is not None else None
 
@@ -534,31 +534,31 @@ def _trajectory(
                 sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
                 zeta = schedule_eval(cfg.amplification, global_step)
 
-                if adaptive:
-                    pivot = w
                 scale = pseudogradient_scale(zeta, plan.n_div)
                 grad = partial(_pseudogradient_block, plan.batch_mean, order, start, pivot.flat, scale)
-                saved_state = state.clone() if evaluate is not None else None
+                if before is not None:
+                    before[span] = iterate[span]
+                if spare is not None:
+                    _copy_state(state, spare)
                 try:
-                    w_new = optimizer_step(
+                    optimizer_step(
                         w, grad, state, cfg.optimizer, sched_idx,
-                        out=iterate if in_place else None, norms=norms, block_range=block_range,
+                        out=iterate, norms=norms, block_range=block_range,
                     )
                 except NonFiniteStep as exc:
                     batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
                     message = _nonfinite_message(schema, exc.index, batch_idx, plan.sweep_ids, attempt, epoch)
-                    return w, done, entries, sums, (exc, message)
+                    return done, entries, sums, (exc, message)
                 step_sums = norms[:, pieces].copy() if norms is not None else None
                 if cfg.projection is not None:
-                    projected = project_to_ball(w_new, cfg.projection.center, cfg.projection.radius)
-                    if norms is not None and projected is not w_new:
-                        _pieces_squared(schema, projected.flat, w.flat, out=step_sums[1])
-                    w_new = projected
+                    projected = _project(w, cfg.projection.center, cfg.projection.radius, out=iterate)
+                    if norms is not None and projected is not w:
+                        _pieces_squared(schema, iterate, before, out=step_sums[1])
 
                 metric: float | None = None
                 accepted: bool | None = None
                 if evaluate is not None:
-                    metric = _score(evaluate, w_new, f"at step {attempt}")
+                    metric = _score(evaluate, w, f"at step {attempt}")
                     accepted = metric > best_metric
                 if norms is not None:
                     batch_ids = tuple(plan.sweep_ids[i] for i in order[0, start : start + cfg.batch_size])
@@ -566,17 +566,28 @@ def _trajectory(
                     entries.append((attempt, epoch, batch_ids, eta, zeta, metric, accepted))
                     sums.append(step_sums)
                 if evaluate is not None and not accepted:
-                    state = saved_state
+                    iterate[span] = before[span]
+                    state, spare = spare, state
                 else:
-                    w = w_new
                     if accepted:
                         best_metric = metric
                     if ema is not None:
-                        _ema_update(ema, w.flat, ema_decay, stepped)
+                        _ema_update(ema, iterate, ema_decay, stepped)
                 done = attempt
     except Exception as exc:  # reported with the steps done before it
-        return w, done, entries, sums, (exc, None)
-    return w, done, entries, sums, None
+        return done, entries, sums, (exc, None)
+    return done, entries, sums, None
+
+
+def _copy_state(state: OptimizerState, into: OptimizerState) -> None:
+    """into <- state, into's own buffers reused; a buffer that state has yet
+    to allocate is dropped from into too, so that a step makes it afresh."""
+    for f in fields(state):
+        value, kept = getattr(state, f.name), getattr(into, f.name)
+        if isinstance(value, np.ndarray) and kept is not None:
+            np.copyto(kept, value)
+        else:
+            setattr(into, f.name, value.copy() if isinstance(value, np.ndarray) else value)
 
 
 def _batch_mean_fn(

@@ -10,6 +10,8 @@ so every protocol identity is checkable in closed form. Two server protocols:
   descends along (x_{t-1} - w_t), the pull toward the round's soup.
 
 A GD server with lr 1 collapses both to FedAvg: x_t = mean of client results.
+With a linear client soup the two protocols are the same arithmetic: both run
+one round loop, which takes the server optimizer and the client soup.
 Client training within a round is independent; the server step is a
 sequential barrier between rounds.
 """
@@ -113,9 +115,8 @@ def client_train(start: WeightMap, spec: ClientSpec) -> WeightMap:
     validate_compatible([start, spec.objective_center])
     state = OptimizerState()
     w = start
-    center = spec.objective_center
     for _ in range(spec.local_steps):
-        w = optimizer_step(w, pseudogradient(w, center, 1.0, 1), state, spec.local_optimizer)
+        w = _descend(w, spec.objective_center, state, spec.local_optimizer)
     return w
 
 
@@ -128,75 +129,31 @@ def _sample_participants(cfg: FedConfig, round_idx: int) -> list[ClientSpec]:
     return [cfg.clients[i] for i in chosen]
 
 
-def _center_mean(cfg: FedConfig) -> WeightMap:
-    return soup([c.objective_center for c in cfg.clients])
+def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, spec: OptimizerSpec) -> WeightMap:
+    # One optimizer step on the pseudogradient x - target, which moves x toward target.
+    return optimizer_step(x, pseudogradient(x, target, 1.0, 1), state, spec)
 
 
-def _round_ingredients(participants: list[ClientSpec], start: WeightMap) -> list[WeightMap]:
-    return [client_train(start, client) for client in participants]
-
-
-def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, server: OptimizerSpec) -> WeightMap:
-    # Server pseudogradient: the pull away from the aggregated client signal.
-    return optimizer_step(x, pseudogradient(x, target, 1.0, 1), state, server)
-
-
-def simulate_fedopt(cfg: FedConfig) -> FedResult:
-    """Adaptive federated optimization: server optimizer over averaged deltas."""
-    if cfg.server is None:
-        raise ValueError("fedopt requires a server optimizer")
+def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | EnsembleConfig) -> FedResult:
+    """The rounds: train the sampled clients from the global iterate, soup
+    their results into w_t (linearly, or by a nested engine run), and take
+    one server step along x_{t-1} - w_t, with one optimizer state across
+    rounds."""
     validate_compatible([cfg.init, *(c.objective_center for c in cfg.clients)])
-    center_mean = _center_mean(cfg)
+    center_mean = soup([c.objective_center for c in cfg.clients])
     state = OptimizerState()
     x = cfg.init
     logs: list[RoundLog] = []
     iterates: list[WeightMap] = []
     for t in range(1, cfg.rounds + 1):
         participants = _sample_participants(cfg, t)
-        results = _round_ingredients(participants, x)
-        client_mean = soup(results)
-        x_prev = x
-        # delta_t = mean_i(x_{i,K} - x_{t-1}) = client_mean - x_{t-1}; the
-        # server descends along its negation, moving toward the client mean.
-        x = _descend(x, client_mean, state, cfg.server)
-        logs.append(
-            RoundLog(
-                round=t,
-                participants=tuple(c.id for c in participants),
-                delta_norm=l2_distance(client_mean, x_prev),
-                distance_to_center_mean=l2_distance(x, center_mean),
-            )
-        )
-        iterates.append(x)
-    return FedResult(rounds=logs, final=x, iterates=iterates)
-
-
-def simulate_fedsoup(cfg: FedConfig) -> FedResult:
-    """Nested ensembling: soup the round's clients, then stew on the server.
-
-    The stew's pseudogradient is x_{t-1} - w_t, the closed form whose GD lr-1
-    step reproduces FedAvg; the server optimizer state persists across rounds.
-    """
-    if cfg.server_stew is None:
-        raise ValueError("fedsoup requires a server_stew optimizer")
-    validate_compatible([cfg.init, *(c.objective_center for c in cfg.clients)])
-    center_mean = _center_mean(cfg)
-    state = OptimizerState()
-    x = cfg.init
-    logs: list[RoundLog] = []
-    iterates: list[WeightMap] = []
-    for t in range(1, cfg.rounds + 1):
-        participants = _sample_participants(cfg, t)
-        results = _round_ingredients(participants, x)
-        if isinstance(cfg.client_soup, EnsembleConfig):
-            ingredients = [
-                Ingredient(id=c.id, weights=w) for c, w in zip(participants, results)
-            ]
-            w_t, _ = run_ensemble(cfg.client_soup, ingredients)
+        results = [client_train(x, client) for client in participants]
+        if isinstance(client_soup, EnsembleConfig):
+            w_t, _ = run_ensemble(client_soup, [Ingredient(c.id, w) for c, w in zip(participants, results)])
         else:
             w_t = soup(results)
         x_prev = x
-        x = _descend(x, w_t, state, cfg.server_stew)
+        x = _descend(x, w_t, state, server)
         logs.append(
             RoundLog(
                 round=t,
@@ -207,3 +164,26 @@ def simulate_fedsoup(cfg: FedConfig) -> FedResult:
         )
         iterates.append(x)
     return FedResult(rounds=logs, final=x, iterates=iterates)
+
+
+def simulate_fedopt(cfg: FedConfig) -> FedResult:
+    """Adaptive federated optimization: server optimizer over averaged deltas.
+
+    delta_t = mean_i(x_{i,K} - x_{t-1}) = client_mean - x_{t-1}; the server
+    descends along its negation, moving toward the client mean.
+    """
+    if cfg.server is None:
+        raise ValueError("fedopt requires a server optimizer")
+    return _simulate(cfg, cfg.server, "linear")
+
+
+def simulate_fedsoup(cfg: FedConfig) -> FedResult:
+    """Nested ensembling: soup the round's clients, then stew on the server.
+
+    The stew's pseudogradient is x_{t-1} - w_t, the closed form whose GD lr-1
+    step reproduces FedAvg; the server optimizer state persists across rounds.
+    With a linear client soup this is fedopt with the stew as its server.
+    """
+    if cfg.server_stew is None:
+        raise ValueError("fedsoup requires a server_stew optimizer")
+    return _simulate(cfg, cfg.server_stew, cfg.client_soup)

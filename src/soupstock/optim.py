@@ -200,19 +200,6 @@ class OptimizerState:
     acc_grad_sq: np.ndarray | None = None
     acc_update_sq: np.ndarray | None = None
 
-    def clone(self) -> "OptimizerState":
-        def copy(buf: np.ndarray | None) -> np.ndarray | None:
-            return None if buf is None else buf.copy()
-
-        return OptimizerState(
-            step=self.step,
-            sq_sum=copy(self.sq_sum),
-            m=copy(self.m),
-            v=copy(self.v),
-            acc_grad_sq=copy(self.acc_grad_sq),
-            acc_update_sq=copy(self.acc_update_sq),
-        )
-
 
 def _buffer(buf: np.ndarray | None, size: int, span: slice, fill: float = 0.0) -> np.ndarray:
     """buf, or a new buffer of size elements holding fill over span and 0
@@ -398,6 +385,12 @@ def optimizer_step(
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:
     """Euclidean projection onto the closed ball of given radius around center."""
+    return _project(w, center, radius)
+
+
+def _project(w: WeightMap, center: WeightMap, radius: float, out: np.ndarray | None = None) -> WeightMap:
+    """project_to_ball, written into ``out`` (a new buffer by default; it may
+    be w's own) where it moves w; w itself where w lies in the ball."""
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     _check_compatible(w, center)
@@ -405,7 +398,7 @@ def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap
     if dist <= radius:
         return w
     shrink = np.float32(radius / dist)
-    out = np.subtract(w.flat, center.flat)
-    out *= shrink
-    out += center.flat
-    return WeightMap._wrap(out, w.schema())
+    new = np.subtract(w.flat, center.flat, out=out)
+    new *= shrink
+    new += center.flat
+    return WeightMap._wrap(new if out is None else new.view(), w.schema())

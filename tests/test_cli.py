@@ -180,6 +180,26 @@ def test_merge_metrics_csv_and_ordering(tmp_path, capsys):
         assert f"{tmp_path / 'metrics.csv'}: metric of 'ing1' must be a finite number, got {bad!r}" in err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("ing0,0.1\ning1,0.9\ning1,0.05\n", "id 'ing1' appears on more than one row"),
+        ("ing0,0.1\ning1,0.9,0.05\ning2,0.5\n", "row of 'ing1' has more fields than 'id,metric'"),
+    ],
+)
+def test_merge_metrics_csv_row_faults_fail(tmp_path, capsys, rows, message):
+    # A second row for one id would silently win, and an extra field would
+    # silently vanish: each names the file and the id, and runs nothing.
+    write_ingredients(tmp_path, count=3)
+    (tmp_path / "metrics.csv").write_text("id,metric\n" + rows)
+    doc = merge_doc(count=3, ordering="metric_desc")
+    doc["metrics_csv"] = "metrics.csv"
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 1
+    assert f"{tmp_path / 'metrics.csv'}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_merge_sweep_grid_runs_all_cells(tmp_path):
     write_ingredients(tmp_path)
     doc = merge_doc()
@@ -1028,6 +1048,14 @@ def test_verify_single_suite(capsys):
     assert main(["verify", "soup-eq"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "soup-eq" in out
+
+
+def test_verify_all_suites_pass(capsys):
+    assert main(["verify", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    passed = [line.split()[1] for line in lines if line.startswith("PASS")]
+    assert sorted(passed) == ["adagrad-gd", "convergence", "cycle", "fed-reduction", "soup-eq"]
+    assert not any(line.startswith("FAIL") for line in lines)
 
 
 # --- determinism ---------------------------------------------------------------------

@@ -611,6 +611,50 @@ def test_replicas_need_a_leading_axis_per_seed():
         run_ensemble(gd_cfg(record_steps=False), stacked, replica_seeds=[])
 
 
+def replica_range_run(monkeypatch, replicas, batch_size, record_steps):
+    """Maps, logs and range counts of a shuffled Adam replica run over
+    tensors of several blocks, at 1, 2 and 3 workers."""
+    import soupstock.engine as engine
+
+    counts, real = [], engine.run_in_workers
+    monkeypatch.setattr(engine, "run_in_workers", lambda task, n: counts.append(n) or real(task, n))
+    rng = np.random.default_rng(30)
+    shapes = {"a": (replicas, 70001), "b": (replicas, 5), "c": (replicas, 40000)}
+    ingredients = [
+        Ingredient(f"m{i}", WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}))
+        for i in range(6)
+    ]
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.05),
+        epochs=2,
+        batch_size=batch_size,
+        shuffle=True,
+        seed=4,
+        ordering="given",
+        record_steps=record_steps,
+    )
+    seeds = [7, 8, 9][:replicas]
+    runs = [run_ensemble(cfg, ingredients, replica_seeds=seeds, workers=w) for w in (1, 2, 3)]
+    return runs, counts
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_replica_run_splits_into_block_ranges(monkeypatch, batch_size):
+    # Several replicas reduce over no whole map, so their blocks split into
+    # ranges as a plain run's do, and the merged maps stay bit-identical.
+    runs, counts = replica_range_run(monkeypatch, 3, batch_size, record_steps=False)
+    assert counts == [1, 2, 3]
+    assert runs[1][0] == runs[0][0] and runs[2][0] == runs[0][0]
+
+
+def test_recorded_single_replica_run_splits_into_block_ranges(monkeypatch):
+    runs, counts = replica_range_run(monkeypatch, 1, 2, record_steps=True)
+    assert counts == [1, 2, 2]  # a (1, 110006) map has too few blocks for three ranges
+    for merged, record in runs[1:]:
+        assert merged == runs[0][0]
+        assert record == runs[0][1]
+
+
 def test_replica_batch_means_gathered_several_batches_at_a_time_match_separate_runs():
     # Two replicas of 8192 elements: a batch of 2 spans BLOCK / 2 gathered
     # values, so the means are gathered two batches at a time. 11 ingredients

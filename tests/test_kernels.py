@@ -471,6 +471,43 @@ def test_fused_step_allocates_only_state_and_norm_scratch():
         assert peak < 3 * model + workers * (8 * BLOCK + 8 * 4 * BLOCK), workers
 
 
+def test_greedy_and_projected_runs_hold_one_pre_step_copy():
+    # Every run steps its one iterate in place. Beyond the iterate and Adam's
+    # two moments, a projected run holds one pre-step copy of the iterate,
+    # and a greedy run that copy and a spare state (two more moments); a
+    # plain run holds neither. In model sizes of 6 x 2M-parameter ingredients.
+    rng = np.random.default_rng(22)
+    maps = [
+        WeightMap({f"t{j}": rng.standard_normal(250_000).astype(np.float32) for j in range(8)}) for _ in range(6)
+    ]
+    ingredients = [Ingredient(f"m{i}", m) for i, m in enumerate(maps)]
+    center, target = soup(maps), maps[3]
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8)),
+        batch_size=2,
+        ordering="given",
+        epochs=2,
+    )
+    runs = {
+        "plain": (3.5, lambda: run_ensemble(cfg, ingredients)),
+        "projected": (5.5, lambda: run_ensemble(replace(cfg, projection=Projection(center, 1.0)), ingredients)),
+        "greedy": (6.5, lambda: greedy_run(cfg, ingredients, lambda m: -l2_distance(m, target))),
+    }
+    model = 4 * maps[0].flat.size
+    for name, (bound, run) in runs.items():
+        tracemalloc.start()
+        try:
+            merged, record = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / model <= bound, (name, peak / model)
+        if name == "projected":  # the last step was shrunk onto the ball
+            assert l2_distance(merged, center) == pytest.approx(1.0, rel=1e-5)
+        if name == "greedy":  # and steps were both accepted and rejected
+            assert {s.accepted for s in record.steps} == {True, False}
+
+
 @pytest.mark.parametrize("init", ["soup", "ingredient", "provided"])
 def test_merge_in_workers_matches_one_process(tmp_path, init):
     # Each range initializes, steps and averages its own elements; the
