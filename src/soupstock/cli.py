@@ -68,7 +68,7 @@ from .engine import (
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
-from .pseudograd import EmaPivot, ScheduleError, soup
+from .pseudograd import AdaptivePivot, ScheduleError, soup
 from .rng import MAX_SEED
 from .synthlab import (
     DistributionSpec,
@@ -275,20 +275,20 @@ def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
 
 
 def _cell_buffers(cfg: MergeConfig, force_greedy: bool) -> int:
-    """An upper bound on the model-size buffers a cell holds at its peak: the
-    iterate, the optimizer state and one for the initialization (a fixed
-    pivot's copy of it, or a provided map), plus an EMA pivot, greedy's
-    target, pre-step iterate and spare state, and a projection's center and
-    pre-step iterate where the config has them (a greedy and projected run
-    holds one pre-step iterate)."""
+    """The model-size buffers a cell holds at its peak (see
+    engine._trajectory): the iterate and the optimizer state, plus where the
+    config has them a fixed or EMA pivot's copy of the initialization, a
+    provided initialization, greedy's target and spare state, a projection's
+    center, and the pre-step iterate of a greedy or projected run."""
     state = cfg.ensemble.optimizer.variant.state_buffers
-    buffers = 2 + state
-    if isinstance(cfg.ensemble.pivot_policy, EmaPivot):
-        buffers += 1
-    if cfg.greedy.enabled or force_greedy:
-        buffers += 2 + state
-    if cfg.projection is not None:
-        buffers += 2
+    greedy = cfg.greedy.enabled or force_greedy
+    projected = cfg.projection is not None
+    buffers = 1 + state
+    buffers += not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
+    buffers += cfg.pivot_init_path is not None
+    buffers += 1 + state if greedy else 0
+    buffers += projected
+    buffers += greedy or projected
     return buffers
 
 

@@ -5,6 +5,13 @@ the document is reported in one pass, and no checkpoint file is touched until
 the schema has been accepted. Parsed configs carry file *paths*; commands load
 the referenced checkpoints afterwards.
 
+Every JSON object of a document is read by one walk, `_fields`, through a
+field table that maps each of its keys to a parser(ctx, path, value): the
+object reports its unknown keys, then its missing required keys, then the
+faults of every key it has, so each object reports all of its faults. An
+object with a `kind` key takes the table of its kind (`_kinds`). Only checks
+across fields are written out by hand.
+
 Schedules are JSON objects such as {"kind": "harmonic", "offset": 0}; a bare
 number is shorthand for a constant schedule (convenient in sweep lists).
 """
@@ -63,11 +70,16 @@ class ConfigError(ValueError):
 
 
 class _Ctx:
+    """A document's error lines, and a count of the faults among them: the
+    lines other than unknown keys, which leave a value unparsed."""
+
     def __init__(self) -> None:
         self.errors: list[str] = []
+        self.faults = 0
 
-    def err(self, path: str, message: str) -> None:
+    def err(self, path: str, message: str, fault: bool = True) -> None:
         self.errors.append(f"{path}: {message}")
+        self.faults += fault
 
     def raise_if_failed(self) -> None:
         if self.errors:
@@ -84,22 +96,63 @@ def load_json(path: str) -> Any:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
 
 
-def _expect_object(ctx: _Ctx, path: str, value: Any, allowed: set[str], required: set[str]) -> bool:
-    """Record unknown/missing keys; return False only when descending further
-    is impossible (not an object, or a required key absent). Unknown keys are
-    reported without aborting the walk so one pass surfaces every violation."""
+_Parser = Callable[[_Ctx, str, Any], Any]
+_Kind = tuple[dict[str, _Parser], set[str], Callable[..., Any]]  # (table, required keys, build)
+
+
+def _fields(
+    ctx: _Ctx,
+    path: str,
+    value: Any,
+    table: dict[str, _Parser],
+    required: set[str] = frozenset(),
+    build: Callable[..., Any] | None = None,
+    expected: str | None = None,
+) -> Any:
+    """Walk the object `value` through `table`, whose keys are parsed in the
+    order their errors are reported: report its unknown keys, then its
+    missing required ones, then parse every key it has.
+
+    Without `build`, returns the parsed keys (a key with a fault parses to
+    None). With it, returns build(**parsed keys), or None if a key is
+    missing or has a fault; a ValueError of build is reported at `path`.
+    A value that is not an object is reported as `expected` (default:
+    "expected an object, got <type>") and gives None.
+    """
     if not isinstance(value, dict):
-        ctx.err(path, f"expected an object, got {type(value).__name__}")
-        return False
+        ctx.err(path, expected or f"expected an object, got {type(value).__name__}")
+        return None
+    faults = ctx.faults
     for key in value:
-        if key not in allowed:
-            ctx.err(f"{path}.{key}", "unknown key")
-    ok = True
+        if key not in table:
+            ctx.err(f"{path}.{key}", "unknown key", fault=False)
     for key in sorted(required):  # a set's order depends on the string hash seed
         if key not in value:
             ctx.err(f"{path}.{key}", "missing required key")
-            ok = False
-    return ok
+    parsed = {key: parse(ctx, f"{path}.{key}", value[key]) for key, parse in table.items() if key in value}
+    if build is None:
+        return parsed
+    if ctx.faults > faults:
+        return None
+    try:
+        return build(**parsed)
+    except ValueError as exc:
+        ctx.err(path, str(exc))
+        return None
+
+
+def _kinds(ctx: _Ctx, path: str, value: Any, kinds: dict[str, _Kind], expected: str) -> Any:
+    """`_fields` for an object whose `kind` picks its table, required keys
+    and build from `kinds`; a bad kind is the object's only fault reported."""
+    if not isinstance(value, dict):
+        ctx.err(path, expected)
+        return None
+    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices=set(kinds))
+    if kind is None:
+        return None
+    table, required, build = kinds[kind]
+    rest = {key: item for key, item in value.items() if key != "kind"}
+    return _fields(ctx, path, rest, table, required, build)
 
 
 def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None, strict_min=False):
@@ -135,9 +188,9 @@ def _integer(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None):
     return value
 
 
-def _string(ctx: _Ctx, path: str, value: Any, choices=None):
+def _string(ctx: _Ctx, path: str, value: Any, choices=None, message=None):
     if not isinstance(value, str):
-        ctx.err(path, f"expected a string, got {type(value).__name__}")
+        ctx.err(path, message or f"expected a string, got {type(value).__name__}")
         return None
     if choices is not None and value not in choices:
         ctx.err(path, f"must be one of {sorted(choices)}, got {value!r}")
@@ -145,22 +198,79 @@ def _string(ctx: _Ctx, path: str, value: Any, choices=None):
     return value
 
 
-def _boolean(ctx: _Ctx, path: str, value: Any):
+def _boolean(ctx: _Ctx, path: str, value: Any, message=None):
     if not isinstance(value, bool):
-        ctx.err(path, f"expected a boolean, got {type(value).__name__}")
+        ctx.err(path, message or f"expected a boolean, got {type(value).__name__}")
         return None
     return value
 
 
-# --- schedules -------------------------------------------------------------------
+def _numbers(ctx: _Ctx, path: str, value: Any) -> tuple[float, ...] | None:
+    """A non-empty list of numbers, as a tuple."""
+    if not isinstance(value, list) or not value:
+        ctx.err(path, "expected a non-empty list of numbers")
+        return None
+    numbers = tuple(_number(ctx, f"{path}[{i}]", item) for i, item in enumerate(value))
+    return None if None in numbers else numbers
 
 
-_SCHEDULE_KEYS = {
-    "constant": {"value"},
-    "harmonic": {"offset"},
-    "power": {"coeff", "exponent"},
-    "capped_power": {"coeff", "exponent", "cap"},
-    "explicit": {"values"},
+def _version(ctx: _Ctx, path: str, value: Any) -> Any:
+    if value != SUPPORTED_VERSION:
+        ctx.err(path, f"expected {SUPPORTED_VERSION}, got {value!r}")
+    return value
+
+
+def _unless(special: Any, parse: _Parser) -> _Parser:
+    """`parse`, except that `special` parses to None."""
+    return lambda ctx, path, value: None if value == special else parse(ctx, path, value)
+
+
+_SEED = partial(_integer, minimum=0, maximum=MAX_SEED)
+_OUTPUT_FIELDS = {"checkpoint": _string, "log": _string}
+_parse_output = partial(_fields, table=_OUTPUT_FIELDS, required=set(_OUTPUT_FIELDS))
+
+
+def _unique_entries(
+    ctx: _Ctx, path: str, value: Any, *,
+    table: dict[str, _Parser], required: set[str], build: Callable[..., Any], noun: str,
+) -> tuple | None:
+    """A non-empty list of objects, each built by `build`; an entry whose id
+    an entry before it has is reported. The entries with no fault of their
+    own are returned, so that checks across fields count them."""
+    if not isinstance(value, list) or not value:
+        ctx.err(path, "expected a non-empty list")
+        return None
+    entries, ids = [], set()
+    for i, item in enumerate(value):
+        entry = _fields(ctx, f"{path}[{i}]", item, table, required, build)
+        if entry is not None:
+            if entry.id in ids:
+                ctx.err(f"{path}[{i}].id", f"duplicate {noun} id {entry.id!r}")
+            ids.add(entry.id)
+            entries.append(entry)
+    return tuple(entries)
+
+
+# --- schedules and optimizers ---------------------------------------------------------
+
+
+def _offset(ctx: _Ctx, path: str, value: Any) -> int | None:
+    offset = _integer(ctx, path, value, minimum=0)
+    if offset not in (None, 0, 1):
+        ctx.err(path, f"must be 0 or 1, got {offset}")
+        return None
+    return offset
+
+
+_SCHEDULES = {
+    kind: (table, set(table), build)
+    for kind, table, build in [
+        ("constant", {"value": _number}, Constant),
+        ("harmonic", {"offset": _offset}, Harmonic),
+        ("power", {"coeff": _number, "exponent": _number}, Power),
+        ("capped_power", {"coeff": _number, "exponent": _number, "cap": _number}, CappedPower),
+        ("explicit", {"values": _numbers}, Explicit),
+    ]
 }
 
 
@@ -168,118 +278,30 @@ def parse_schedule(ctx: _Ctx, path: str, value: Any) -> Schedule | None:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         v = _number(ctx, path, value)
         return None if v is None else Constant(v)
-    if not isinstance(value, dict):
-        ctx.err(path, "expected a schedule object or a number")
-        return None
-    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices=set(_SCHEDULE_KEYS))
-    if kind is None:
-        return None
-    if not _expect_object(ctx, path, value, {"kind"} | _SCHEDULE_KEYS[kind], {"kind"} | _SCHEDULE_KEYS[kind]):
-        return None
-    try:
-        if kind == "constant":
-            v = _number(ctx, f"{path}.value", value["value"])
-            return None if v is None else Constant(v)
-        if kind == "harmonic":
-            off = _integer(ctx, f"{path}.offset", value["offset"], minimum=0)
-            if off is None:
-                return None
-            if off not in (0, 1):
-                ctx.err(f"{path}.offset", f"must be 0 or 1, got {off}")
-                return None
-            return Harmonic(offset=off)
-        if kind == "power":
-            c = _number(ctx, f"{path}.coeff", value["coeff"])
-            e = _number(ctx, f"{path}.exponent", value["exponent"])
-            return None if None in (c, e) else Power(coeff=c, exponent=e)
-        if kind == "capped_power":
-            c = _number(ctx, f"{path}.coeff", value["coeff"])
-            e = _number(ctx, f"{path}.exponent", value["exponent"])
-            cap = _number(ctx, f"{path}.cap", value["cap"])
-            return None if None in (c, e, cap) else CappedPower(coeff=c, exponent=e, cap=cap)
-        values = value["values"]
-        if not isinstance(values, list) or not values:
-            ctx.err(f"{path}.values", "expected a non-empty list of numbers")
-            return None
-        nums = []
-        for i, item in enumerate(values):
-            n = _number(ctx, f"{path}.values[{i}]", item)
-            if n is None:
-                return None
-            nums.append(n)
-        return Explicit(values=tuple(nums))
-    except ValueError as exc:
-        ctx.err(path, str(exc))
-        return None
+    return _kinds(ctx, path, value, _SCHEDULES, "expected a schedule object or a number")
 
 
-# --- optimizer ----------------------------------------------------------------------
+def _optimizer(variant: type, weight_decay: float = 0.0, **rule: Any) -> OptimizerSpec:
+    """A key left out takes the default of the update rule's field of its name."""
+    return OptimizerSpec(variant=variant(**rule), weight_decay=weight_decay)
 
 
-_OPTIMIZER_KEYS = {
-    "gd": {"lr"},
-    "adagrad": {"lr", "eps"},
-    "adam": {"lr", "eps", "beta1", "beta2", "standard_form", "m0", "v0"},
-    "adadelta": {"lr", "eps", "rho"},
+_NON_NEGATIVE = partial(_number, minimum=0.0)
+_POSITIVE = partial(_number, minimum=0.0, strict_min=True)
+_RULE_FIELDS = {"lr": parse_schedule, "weight_decay": _NON_NEGATIVE}
+_OPTIMIZERS = {
+    kind: ({**_RULE_FIELDS, **table}, {"lr"}, partial(_optimizer, variant))
+    for kind, table, variant in [
+        ("gd", {}, GD),
+        ("adagrad", {"eps": _POSITIVE}, Adagrad),
+        ("adam", {"beta1": _NON_NEGATIVE, "beta2": _NON_NEGATIVE, "eps": _POSITIVE, "m0": _number,
+                  "v0": _number, "standard_form": partial(_boolean, message="expected a boolean")}, Adam),
+        ("adadelta", {"rho": _NON_NEGATIVE, "eps": _POSITIVE}, Adadelta),
+    ]
 }
 
 
-def parse_optimizer(ctx: _Ctx, path: str, value: Any) -> OptimizerSpec | None:
-    if not isinstance(value, dict):
-        ctx.err(path, "expected an optimizer object")
-        return None
-    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices=set(_OPTIMIZER_KEYS))
-    if kind is None:
-        return None
-    allowed = {"kind", "weight_decay"} | _OPTIMIZER_KEYS[kind]
-    if not _expect_object(ctx, path, value, allowed, {"kind", "lr"}):
-        return None
-    lr = parse_schedule(ctx, f"{path}.lr", value["lr"])
-    decay = 0.0
-    if "weight_decay" in value:
-        decay = _number(ctx, f"{path}.weight_decay", value["weight_decay"], minimum=0.0)
-        if decay is None:
-            return None
-    if lr is None:
-        return None
-
-    def num(key: str, default: float, **kw) -> float | None:
-        if key not in value:
-            return default
-        return _number(ctx, f"{path}.{key}", value[key], **kw)
-
-    try:
-        if kind == "gd":
-            variant = GD(lr=lr)
-        elif kind == "adagrad":
-            eps = num("eps", 1e-8, minimum=0.0, strict_min=True)
-            if eps is None:
-                return None
-            variant = Adagrad(lr=lr, eps=eps)
-        elif kind == "adam":
-            beta1 = num("beta1", 0.9, minimum=0.0)
-            beta2 = num("beta2", 0.999, minimum=0.0)
-            eps = num("eps", 1e-8, minimum=0.0, strict_min=True)
-            m0 = num("m0", 0.0)
-            v0 = num("v0", 0.0)
-            standard = value.get("standard_form", False)
-            if not isinstance(standard, bool):
-                ctx.err(f"{path}.standard_form", "expected a boolean")
-                return None
-            if None in (beta1, beta2, eps, m0, v0):
-                return None
-            variant = Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                           standard_form=standard, m0=m0, v0=v0)
-        else:
-            rho = num("rho", 0.9, minimum=0.0)
-            eps = num("eps", 1e-6, minimum=0.0, strict_min=True)
-            if None in (rho, eps):
-                return None
-            variant = Adadelta(lr=lr, rho=rho, eps=eps)
-        return OptimizerSpec(variant=variant, weight_decay=decay)
-    except ValueError as exc:
-        ctx.err(path, str(exc))
-        return None
+parse_optimizer = partial(_kinds, kinds=_OPTIMIZERS, expected="expected an optimizer object")
 
 
 # --- merge config ----------------------------------------------------------------------
@@ -322,194 +344,128 @@ class MergeConfig:
     sweep: dict[str, list[Any]] | None = None
 
 
+_PIVOT_POLICY_FIELDS = {"kind": partial(_string, choices={"fixed", "adaptive", "ema"}),
+                        "decay": _NON_NEGATIVE}
+
+
 def _parse_pivot_policy(ctx: _Ctx, path: str, value: Any) -> PivotPolicy | None:
-    if not _expect_object(ctx, path, value, {"kind", "decay"}, {"kind"}):
-        return None
-    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices={"fixed", "adaptive", "ema"})
-    if kind is None:
-        return None
-    if kind == "ema":
-        if "decay" not in value:
-            ctx.err(f"{path}.decay", "missing required key for ema policy")
-            return None
-        decay = _number(ctx, f"{path}.decay", value["decay"], minimum=0.0)
-        if decay is None:
-            return None
+    fields = _fields(ctx, path, value, _PIVOT_POLICY_FIELDS, {"kind"}) or {}
+    kind, decay = fields.get("kind"), fields.get("decay")
+    if kind in ("fixed", "adaptive") and "decay" in fields:
+        ctx.err(f"{path}.decay", f"only valid for the ema policy, not {kind!r}")
+    elif kind in ("fixed", "adaptive"):
+        return FixedPivot() if kind == "fixed" else AdaptivePivot()
+    elif kind == "ema" and "decay" not in fields:
+        ctx.err(f"{path}.decay", "missing required key for ema policy")
+    elif kind == "ema" and decay is not None:
         try:
             return EmaPivot(decay=decay)
         except ValueError as exc:
             ctx.err(f"{path}.decay", str(exc))
-            return None
-    if "decay" in value:
-        ctx.err(f"{path}.decay", f"only valid for the ema policy, not {kind!r}")
-        return None
-    return FixedPivot() if kind == "fixed" else AdaptivePivot()
+    return None
 
 
-_PIVOT_INIT_KEYS = {"soup": {"kind"}, "ingredient": {"kind", "id"}, "provided": {"kind", "path"}}
+# A provided initialization parses to the path of its checkpoint.
+_PIVOT_INITS = {
+    "soup": ({}, set(), SoupInit),
+    "ingredient": ({"id": _string}, {"id"}, IngredientInit),
+    "provided": ({"path": _string}, {"path"}, lambda path: path),
+}
 
 
-def _parse_pivot_init(ctx: _Ctx, path: str, value: Any) -> SoupInit | IngredientInit | str | None:
-    """SoupInit(), IngredientInit(id), or the checkpoint path of a provided initialization."""
-    if not isinstance(value, dict):
-        ctx.err(path, "expected an object")
-        return None
-    kind = _string(ctx, f"{path}.kind", value.get("kind"), choices=set(_PIVOT_INIT_KEYS))
-    if kind is None or not _expect_object(ctx, path, value, _PIVOT_INIT_KEYS[kind], _PIVOT_INIT_KEYS[kind]):
-        return None
-    if kind == "soup":
-        return SoupInit()
-    if kind == "ingredient":
-        ing_id = _string(ctx, f"{path}.id", value["id"])
-        return None if ing_id is None else IngredientInit(ing_id)
-    return _string(ctx, f"{path}.path", value["path"])
+_PROJECTION_FIELDS = {"center": partial(_string, message="expected 'soup' or a checkpoint path"),
+                      "radius": _POSITIVE}
 
 
-def _parse_n_divisor(ctx: _Ctx, path: str, value: Any) -> int | None:
-    return None if value == "auto" else _integer(ctx, path, value, minimum=1)
-
-
-def _parse_projection(ctx: _Ctx, path: str, value: Any) -> ProjectionSpec | None:
-    if value is None:
-        return None
-    if not _expect_object(ctx, path, value, {"center", "radius"}, {"center", "radius"}):
-        return None
-    center = value["center"]
-    if not isinstance(center, str):
-        ctx.err(f"{path}.center", "expected 'soup' or a checkpoint path")
-    radius = _number(ctx, f"{path}.radius", value["radius"], minimum=0.0, strict_min=True)
-    if not isinstance(center, str) or radius is None:
-        return None
-    return ProjectionSpec(center=center, radius=radius)
+# The evaluator parses to its target's path.
+_EVALUATOR_FIELDS = {"kind": partial(_string, choices={"neg_distance"}), "target": _string}
+_GREEDY_FIELDS = {
+    "enabled": _boolean,
+    "evaluator": partial(_fields, table=_EVALUATOR_FIELDS, required=set(_EVALUATOR_FIELDS),
+                         build=lambda kind, target: target),
+}
 
 
 def _parse_greedy(ctx: _Ctx, path: str, value: Any) -> GreedySpec | None:
-    if not _expect_object(ctx, path, value, {"enabled", "evaluator"}, {"enabled"}):
-        return None
-    enabled = _boolean(ctx, f"{path}.enabled", value["enabled"])
-    target = None
-    if "evaluator" in value:
-        ev = value["evaluator"]
-        if _expect_object(ctx, f"{path}.evaluator", ev, {"kind", "target"}, {"kind", "target"}):
-            kind = _string(ctx, f"{path}.evaluator.kind", ev["kind"], choices={"neg_distance"})
-            target = _string(ctx, f"{path}.evaluator.target", ev["target"])
-            if kind is None:
-                target = None
+    fields = _fields(ctx, path, value, _GREEDY_FIELDS, {"enabled"}) or {}
+    enabled, target = fields.get("enabled"), fields.get("evaluator")
     if enabled and target is None:
         ctx.err(path, "enabled greedy runs need a neg_distance evaluator")
         return None
     return None if enabled is None else GreedySpec(enabled=enabled, target_path=target)
 
 
-# The keys of the `ensemble` section, each with its parser(ctx, path, value),
-# in the order their errors are reported. A key left out takes the default of
-# the EnsembleConfig field of its name. `pivot_init`, `projection` and
-# `greedy` may parse to what MergeConfig holds beside `ensemble`.
-_ENSEMBLE_FIELDS: dict[str, Callable[[_Ctx, str, Any], Any]] = {
+# A key left out of `ensemble` takes the default of the EnsembleConfig field
+# of its name. `pivot_init`, `projection` and `greedy` may parse to what
+# MergeConfig holds beside `ensemble`.
+_ENSEMBLE_FIELDS: dict[str, _Parser] = {
     "optimizer": parse_optimizer,
     "pivot_policy": _parse_pivot_policy,
-    "pivot_init": _parse_pivot_init,
+    "pivot_init": partial(_kinds, kinds=_PIVOT_INITS, expected="expected an object"),
     "amplification": parse_schedule,
-    "n_divisor": _parse_n_divisor,
+    "n_divisor": _unless("auto", partial(_integer, minimum=1)),
     "epochs": partial(_integer, minimum=1),
     "batch_size": partial(_integer, minimum=1),
     "shuffle": _boolean,
-    "seed": partial(_integer, minimum=0, maximum=MAX_SEED),
+    "seed": _SEED,
     "ordering": partial(_string, choices=set(ORDERINGS)),
     "epoch_lr_reset": _boolean,
     "record_steps": _boolean,
-    "projection": _parse_projection,
+    "projection": _unless(None, partial(_fields, table=_PROJECTION_FIELDS, required=set(_PROJECTION_FIELDS),
+                                        build=ProjectionSpec)),
     "greedy": _parse_greedy,
+}
+
+
+def _ingredient(path: str, id: str | None = None, metric: float | None = None) -> IngredientEntry:
+    if id is None:  # no id, or null: the file name without its extension
+        id = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return IngredientEntry(path=path, id=id, metric=metric)
+
+
+def _parse_sweep(ctx: _Ctx, path: str, value: Any) -> dict[str, list[Any]] | None:
+    if not isinstance(value, dict) or not value:
+        ctx.err(path, "expected a non-empty object of field paths to value lists")
+        return None
+    for key, values in value.items():
+        if not key.startswith("ensemble."):
+            ctx.err(f"{path}.{key}", "sweep paths must start with 'ensemble.'")
+        elif not isinstance(values, list) or not values:
+            ctx.err(f"{path}.{key}", "expected a non-empty list of values")
+    return dict(value)
+
+
+_MERGE_FIELDS: dict[str, _Parser] = {
+    "version": _version,
+    "ingredients": partial(
+        _unique_entries, table={"path": _string, "id": _unless(None, _string), "metric": _number},
+        required={"path"}, build=_ingredient, noun="ingredient",
+    ),
+    "metrics_csv": _string,
+    "ensemble": partial(_fields, table=_ENSEMBLE_FIELDS, required={"optimizer"}),
+    "output": _parse_output,
+    "sweep": _parse_sweep,
 }
 
 
 def parse_merge_config(doc: Any) -> MergeConfig:
     ctx = _Ctx()
-    top_allowed = {"version", "ingredients", "metrics_csv", "ensemble", "output", "sweep"}
-    _expect_object(ctx, "$", doc, top_allowed, {"version", "ingredients", "ensemble", "output"})
-    if not isinstance(doc, dict):
-        ctx.raise_if_failed()
-    version = doc.get("version")
-    if "version" in doc and version != SUPPORTED_VERSION:
-        ctx.err("$.version", f"expected {SUPPORTED_VERSION}, got {version!r}")
-
-    entries: list[IngredientEntry] = []
-    raw_ings = doc.get("ingredients")
-    if "ingredients" not in doc:
-        pass  # already reported as missing
-    elif not isinstance(raw_ings, list) or not raw_ings:
-        ctx.err("$.ingredients", "expected a non-empty list")
-    else:
-        seen_ids: set[str] = set()
-        for i, item in enumerate(raw_ings):
-            path = f"$.ingredients[{i}]"
-            if not _expect_object(ctx, path, item, {"path", "id", "metric"}, {"path"}):
-                continue
-            p = _string(ctx, f"{path}.path", item["path"])
-            if p is None:
-                continue
-            ing_id = item.get("id")
-            if ing_id is not None and _string(ctx, f"{path}.id", ing_id) is None:
-                continue
-            if ing_id is None:
-                ing_id = p.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            metric = None
-            if "metric" in item:
-                metric = _number(ctx, f"{path}.metric", item["metric"])
-                if metric is None:
-                    continue
-            if ing_id in seen_ids:
-                ctx.err(f"{path}.id", f"duplicate ingredient id {ing_id!r}")
-                continue
-            seen_ids.add(ing_id)
-            entries.append(IngredientEntry(path=p, id=ing_id, metric=metric))
-
-    metrics_csv = None
-    if "metrics_csv" in doc:
-        metrics_csv = _string(ctx, "$.metrics_csv", doc["metrics_csv"])
-
-    fields: dict[str, Any] = {}
-    ens = doc.get("ensemble")
-    if "ensemble" in doc and _expect_object(ctx, "$.ensemble", ens, set(_ENSEMBLE_FIELDS), {"optimizer"}):
-        fields = {key: parse(ctx, f"$.ensemble.{key}", ens[key])
-                  for key, parse in _ENSEMBLE_FIELDS.items() if key in ens}
-
-    out_checkpoint = out_log = None
-    out = doc.get("output")
-    if "output" in doc and _expect_object(ctx, "$.output", out, {"checkpoint", "log"}, {"checkpoint", "log"}):
-        out_checkpoint = _string(ctx, "$.output.checkpoint", out["checkpoint"])
-        out_log = _string(ctx, "$.output.log", out["log"])
-
-    sweep = None
-    if "sweep" in doc:
-        raw_sweep = doc["sweep"]
-        if not isinstance(raw_sweep, dict) or not raw_sweep:
-            ctx.err("$.sweep", "expected a non-empty object of field paths to value lists")
-        else:
-            sweep = {}
-            for key, values in raw_sweep.items():
-                if not key.startswith("ensemble."):
-                    ctx.err(f"$.sweep.{key}", "sweep paths must start with 'ensemble.'")
-                    continue
-                if not isinstance(values, list) or not values:
-                    ctx.err(f"$.sweep.{key}", "expected a non-empty list of values")
-                    continue
-                sweep[key] = values
-
+    fields = _fields(ctx, "$", doc, _MERGE_FIELDS, {"version", "ingredients", "ensemble", "output"})
     ctx.raise_if_failed()
-    pivot_init_path = fields.pop("pivot_init") if isinstance(fields.get("pivot_init"), str) else None
-    projection = fields.pop("projection", None)
-    greedy = fields.pop("greedy", GreedySpec())
+    ensemble = fields["ensemble"]
+    pivot_init_path = ensemble.pop("pivot_init") if isinstance(ensemble.get("pivot_init"), str) else None
+    projection = ensemble.pop("projection", None)
+    greedy = ensemble.pop("greedy", GreedySpec())
     return MergeConfig(
-        ingredients=tuple(entries),
-        metrics_csv=metrics_csv,
-        ensemble=EnsembleConfig(**fields),
+        ingredients=fields["ingredients"],
+        metrics_csv=fields.get("metrics_csv"),
+        ensemble=EnsembleConfig(**ensemble),
         pivot_init_path=pivot_init_path,
         projection=projection,
         greedy=greedy,
-        out_checkpoint=out_checkpoint,
-        out_log=out_log,
-        sweep=sweep,
+        out_checkpoint=fields["output"]["checkpoint"],
+        out_log=fields["output"]["log"],
+        sweep=fields.get("sweep"),
     )
 
 
@@ -585,109 +541,61 @@ class FedRunConfig:
     out_checkpoint: str
 
 
-def _parse_point(ctx: _Ctx, path: str, value: Any) -> tuple[tuple[float, ...] | None, str | None]:
-    if not isinstance(value, dict):
-        ctx.err(path, "expected {'values': [...]} or {'path': ...}")
-        return None, None
-    if "values" in value:
-        if not _expect_object(ctx, path, value, {"values"}, {"values"}):
-            return None, None
-        raw = value["values"]
-        if not isinstance(raw, list) or not raw:
-            ctx.err(f"{path}.values", "expected a non-empty list of numbers")
-            return None, None
-        nums = []
-        for i, item in enumerate(raw):
-            n = _number(ctx, f"{path}.values[{i}]", item)
-            if n is None:
-                return None, None
-            nums.append(n)
-        return tuple(nums), None
-    if not _expect_object(ctx, path, value, {"path"}, {"path"}):
-        return None, None
-    p = _string(ctx, f"{path}.path", value["path"])
-    return None, p
+_POINT_FIELDS = {"values": _numbers, "path": _string}
+
+
+def _parse_point(ctx: _Ctx, path: str, value: Any) -> tuple[tuple[float, ...] | None, str | None] | None:
+    """{"values": [...]} or {"path": ...}, as (values, path) with one of them None."""
+    key = "values" if isinstance(value, dict) and "values" in value else "path"
+    return _fields(ctx, path, value, {key: _POINT_FIELDS[key]}, {key},
+                   lambda values=None, path=None: (values, path),
+                   expected="expected {'values': [...]} or {'path': ...}")
+
+
+_FED_FIELDS: dict[str, _Parser] = {
+    "version": _version,
+    "algorithm": partial(_string, choices={"fedopt", "fedsoup"}),
+    "rounds": partial(_integer, minimum=1),
+    "seed": _SEED,
+    "init": _parse_point,
+    "clients": partial(
+        _unique_entries,
+        table={"id": _string, "center": _parse_point, "optimizer": parse_optimizer,
+               "local_steps": partial(_integer, minimum=1)},
+        required={"id", "center", "optimizer"}, noun="client",
+        build=lambda id, center, optimizer, local_steps=1: ClientEntry(id, *center, optimizer, local_steps),
+    ),
+    "sample_size": partial(_integer, minimum=1),
+    "server": parse_optimizer,
+    "server_stew": parse_optimizer,
+    "client_soup": partial(_string, choices={"linear"}),
+    "output": _parse_output,
+}
 
 
 def parse_fed_config(doc: Any) -> FedRunConfig:
     ctx = _Ctx()
-    allowed = {"version", "algorithm", "rounds", "sample_size", "seed", "init",
-               "clients", "server", "client_soup", "server_stew", "output"}
     required = {"version", "algorithm", "rounds", "sample_size", "init", "clients", "output"}
-    _expect_object(ctx, "$", doc, allowed, required)
-    if not isinstance(doc, dict):
-        ctx.raise_if_failed()
-    # A missing required key is reported once, above; the walk goes on without it.
-    if "version" in doc and doc["version"] != SUPPORTED_VERSION:
-        ctx.err("$.version", f"expected {SUPPORTED_VERSION}, got {doc['version']!r}")
-    algorithm = rounds = sample_size = None
-    if "algorithm" in doc:
-        algorithm = _string(ctx, "$.algorithm", doc["algorithm"], choices={"fedopt", "fedsoup"})
-    if "rounds" in doc:
-        rounds = _integer(ctx, "$.rounds", doc["rounds"], minimum=1)
-    seed = 0
-    if "seed" in doc:
-        seed = _integer(ctx, "$.seed", doc["seed"], minimum=0, maximum=MAX_SEED)
-    init_values = init_path = None
-    if "init" in doc:
-        init_values, init_path = _parse_point(ctx, "$.init", doc["init"])
-
-    clients: list[ClientEntry] = []
-    raw_clients = doc.get("clients")
-    if "clients" not in doc:
-        pass  # already reported as missing
-    elif not isinstance(raw_clients, list) or not raw_clients:
-        ctx.err("$.clients", "expected a non-empty list")
-    else:
-        for i, item in enumerate(raw_clients):
-            path = f"$.clients[{i}]"
-            if not _expect_object(ctx, path, item, {"id", "center", "optimizer", "local_steps"},
-                                  {"id", "center", "optimizer"}):
-                continue
-            cid = _string(ctx, f"{path}.id", item["id"])
-            cvals, cpath = _parse_point(ctx, f"{path}.center", item["center"])
-            opt = parse_optimizer(ctx, f"{path}.optimizer", item["optimizer"])
-            steps = 1
-            if "local_steps" in item:
-                steps = _integer(ctx, f"{path}.local_steps", item["local_steps"], minimum=1)
-            if None in (cid, opt, steps) or (cvals is None and cpath is None):
-                continue
-            clients.append(ClientEntry(id=cid, center_values=cvals, center_path=cpath,
-                                       optimizer=opt, local_steps=steps))
-
-    if "sample_size" in doc:
-        sample_size = _integer(ctx, "$.sample_size", doc["sample_size"], minimum=1)
+    fields = _fields(ctx, "$", doc, _FED_FIELDS, required) or {}
+    algorithm, clients, sample_size = (fields.get(key) for key in ("algorithm", "clients", "sample_size"))
     if sample_size is not None and clients and sample_size > len(clients):
         ctx.err("$.sample_size", f"must be <= number of clients ({len(clients)})")
-
-    server = parse_optimizer(ctx, "$.server", doc["server"]) if "server" in doc else None
-    stew = parse_optimizer(ctx, "$.server_stew", doc["server_stew"]) if "server_stew" in doc else None
-    client_soup = "linear"
-    if "client_soup" in doc:
-        client_soup = _string(ctx, "$.client_soup", doc["client_soup"], choices={"linear"})
-    if algorithm == "fedopt" and server is None:
+    if algorithm == "fedopt" and fields.get("server") is None:
         ctx.err("$.server", "fedopt requires a server optimizer")
-    if algorithm == "fedsoup" and stew is None:
+    if algorithm == "fedsoup" and fields.get("server_stew") is None:
         ctx.err("$.server_stew", "fedsoup requires a server_stew optimizer")
-
-    out_log = out_checkpoint = None
-    out = doc.get("output")
-    if "output" in doc and _expect_object(ctx, "$.output", out, {"log", "checkpoint"}, {"log", "checkpoint"}):
-        out_log = _string(ctx, "$.output.log", out["log"])
-        out_checkpoint = _string(ctx, "$.output.checkpoint", out["checkpoint"])
-
     ctx.raise_if_failed()
     return FedRunConfig(
         algorithm=algorithm,
-        rounds=rounds,
+        rounds=fields["rounds"],
         sample_size=sample_size,
-        seed=seed,
-        init_values=init_values,
-        init_path=init_path,
-        clients=tuple(clients),
-        server=server,
-        client_soup=client_soup,
-        server_stew=stew,
-        out_log=out_log,
-        out_checkpoint=out_checkpoint,
+        seed=fields.get("seed", 0),
+        init_values=fields["init"][0],
+        init_path=fields["init"][1],
+        clients=clients,
+        server=fields.get("server"),
+        client_soup=fields.get("client_soup", "linear"),
+        server_stew=fields.get("server_stew"),
+        out_log=fields["output"]["log"],
+        out_checkpoint=fields["output"]["checkpoint"],
     )

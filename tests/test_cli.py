@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -404,18 +405,25 @@ def test_merge_sweep_interrupt_kills_and_reaps_workers(tmp_path, monkeypatch, fo
     assert not (tmp_path / "g" / "sweep_manifest.json").exists()
 
 
-@pytest.mark.parametrize(
+# (ensemble overrides, force_greedy, the model-size buffers a cell holds at its peak)
+CELL_VARIANTS = pytest.mark.parametrize(
     "ensemble, force_greedy, buffers",
     [
-        ({}, False, 2),  # GD: the initialization and the iterate
-        ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 3),
-        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 5),
+        ({}, False, 1),  # GD with an adaptive pivot: the iterate alone
+        ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 2),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 4),
         ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0}},
-         False, 6),
-        ({"optimizer": {"kind": "adam", "lr": 0.1}}, True, 8),
+         False, 5),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}}, True, 7),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "fixed"},
+          "pivot_init": {"kind": "provided", "path": "ing1.safetensors"},
+          "projection": {"center": "ing2.safetensors", "radius": 1.0}}, False, 7),
     ],
-    ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adam-greedy"],
+    ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adam-greedy", "adam-fixed-provided-projection"],
 )
+
+
+@CELL_VARIANTS
 def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemble, force_greedy, buffers):
     import soupstock.cli as cli
 
@@ -431,6 +439,33 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
         assert cli._sweep_workers(cells, ingredients, force_greedy) == workers
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli._sweep_workers(cells, ingredients, force_greedy) == 1
+
+
+@CELL_VARIANTS
+def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemble, force_greedy, buffers):
+    import soupstock.cli as cli
+
+    size = 1 << 20  # 16 blocks: the per-block temporaries stay well under one model size
+    rng = np.random.default_rng(0)
+    for i in range(3):
+        weights = WeightMap({"w": rng.standard_normal(size).astype(np.float32)})
+        save_checkpoint(weights, str(tmp_path / f"ing{i}.safetensors"))
+    doc = merge_doc(count=3, **ensemble)
+    # The first step moves the iterate toward ing0 and is accepted, so that
+    # a greedy run fills its spare state at the second.
+    evaluator = {"kind": "neg_distance", "target": "ing0.safetensors"}
+    doc["ensemble"]["greedy"] = {"enabled": False, "evaluator": evaluator}
+    [(_, cfg)] = enumerate_sweep(doc)
+    assert cli._cell_buffers(cfg, force_greedy) == buffers
+    with ExitStack() as stack:
+        ingredients = cli._open_ingredients(cfg, str(tmp_path), stack)
+        tracemalloc.start()
+        try:
+            cli._run_merge_cell(cfg, str(tmp_path), str(tmp_path / "out"), force_greedy, ingredients, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peak / (4 * size) - buffers) <= 1
 
 
 def _write_cgroup(directory, **files):
@@ -508,7 +543,7 @@ def test_merge_sweep_runs_serially_when_memory_is_short(tmp_path, monkeypatch):
     doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2, 0.3]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 4 * 9 * 2 - 1)  # one GD cell of 9 elements fits
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 4 * 9 * 1 - 1)  # one GD cell of 9 elements fits
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
     assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
 
@@ -1235,3 +1270,83 @@ def test_sweep_reports_the_errors_of_every_bad_cell_in_order():
         "cell-98fee16dd767: $.ensemble.pivot_init.id: expected a string, got int",
         "cell-c341d82d0a08: $.ensemble.pivot_init.path: missing required key",
     ]
+
+
+def _merge_errors(**ensemble):
+    doc = merge_doc()
+    doc["ensemble"] = ensemble
+    with pytest.raises(ConfigError) as info:
+        parse_merge_config(doc)
+    return info.value.errors
+
+
+def test_an_optimizer_reports_every_bad_key():
+    assert _merge_errors(optimizer={"kind": "adam", "lr": "x", "beta1": -1, "eps": 0}) == [
+        "$.ensemble.optimizer.lr: expected a schedule object or a number",
+        "$.ensemble.optimizer.beta1: must be >= 0.0, got -1",
+        "$.ensemble.optimizer.eps: must be > 0.0, got 0",
+    ]
+
+
+def test_a_negative_weight_decay_hides_no_other_optimizer_key():
+    optimizer = {"kind": "adam", "lr": 0.1, "weight_decay": -1, "beta2": "y", "m0": None, "standard_form": 1}
+    assert _merge_errors(optimizer=optimizer) == [
+        "$.ensemble.optimizer.weight_decay: must be >= 0.0, got -1",
+        "$.ensemble.optimizer.beta2: expected a number, got str",
+        "$.ensemble.optimizer.m0: expected a number, got NoneType",
+        "$.ensemble.optimizer.standard_form: expected a boolean",
+    ]
+
+
+def test_an_ensemble_without_an_optimizer_reports_its_other_keys():
+    assert _merge_errors(epochs=0, schedule=1, amplification={"kind": "power", "coeff": "a", "exponent": []}) == [
+        "$.ensemble.schedule: unknown key",
+        "$.ensemble.optimizer: missing required key",
+        "$.ensemble.amplification.coeff: expected a number, got str",
+        "$.ensemble.amplification.exponent: expected a number, got list",
+        "$.ensemble.epochs: must be >= 1, got 0",
+    ]
+
+
+def test_a_fed_client_reports_every_bad_key():
+    doc = fed_doc("fedopt", sample_size=1, server={"kind": "gd", "lr": 1.0})
+    doc["clients"][0].update(
+        center={"values": [1.0, "x", None]},
+        optimizer={"kind": "adagrad", "lr": "fast", "eps": -1},
+        local_steps=0,
+    )
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config(doc)
+    assert info.value.errors == [
+        "$.clients[0].center.values[1]: expected a number, got str",
+        "$.clients[0].center.values[2]: expected a number, got NoneType",
+        "$.clients[0].optimizer.lr: expected a schedule object or a number",
+        "$.clients[0].optimizer.eps: must be > 0.0, got -1",
+        "$.clients[0].local_steps: must be >= 1, got 0",
+    ]
+
+
+def test_fed_duplicate_client_ids_are_a_config_error(tmp_path, capsys):
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0})
+    doc["clients"][1]["id"] = "c0"
+    (tmp_path / "fed.json").write_text(json.dumps(doc))
+    assert main(["fed", "--config", str(tmp_path / "fed.json"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: $.clients[1].id: duplicate client id 'c0'\n"
+    assert not (tmp_path / "fedopt.csv").exists()
+
+
+def test_every_json_example_in_the_readme_parses():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = [block.split("```", 1)[0] for block in text.split("```json\n")[1:]]
+    kinds = []
+    for block in blocks:
+        doc = json.loads(block)
+        if "algorithm" in doc:
+            parse_fed_config(doc)
+            kinds.append("fed")
+        else:
+            enumerate_sweep(doc)
+            kinds.append("merge")
+    assert sorted(kinds) == ["fed", "merge"]
