@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Commands: soup, merge, greedy (merge with greedy acceptance forced on),
-synth {estimators,cycle,convergence,wlln}, fed, verify. All randomness comes
-from explicit seed fields; identical config + seed therefore produces
-byte-identical outputs.
+Commands: soup, merge, greedy (merge with greedy acceptance forced on in
+every cell), synth {estimators,cycle,convergence,wlln}, fed, verify. All
+randomness comes from explicit seed fields; identical config + seed therefore
+produces byte-identical outputs.
 
 Exit codes: 0 success; 1 config/flag validation failure (detected before any
 run starts); 2 runtime or I/O failure (unreadable, missing, or incompatible
@@ -19,15 +19,15 @@ many as the cells' model-size buffers fit into the memory available
 failed to open. Each worker runs a fixed, interleaved share of the cells,
 writes their outputs itself and reports each cell's manifest entry and
 warnings (re-issued in cell order). A single-cell merge is not a sweep and
-runs here directly. A run that is neither greedy nor projected splits its
-blocks into ranges run by workers of their own (``engine.run_ensemble``): as
-many as the usable CPUs for a single cell, and the usable CPUs divided by
-the sweep's workers (at least one) for each cell of a sweep; a greedy or
-projected run is one range, stepped in place in the process that runs its
-cell beside one pre-step copy of its iterate. ``synth estimators`` runs its
-trial chunks in at most one worker per usable CPU. Worker 0 is this process,
-and ``engine.run_in_workers`` forks the others, or, while other threads run,
-runs them here one after another. No output depends on the number of workers.
+runs here directly. Every cell is one ``engine.run_ensemble`` call, given
+as many block-range workers as the usable CPUs for a single cell, and the
+usable CPUs divided by the sweep's workers (at least one) for each cell of a
+sweep; the engine runs a greedy or projected cell as one range, stepped in
+place in the process that runs the cell beside one pre-step copy of its
+iterate. ``synth estimators`` runs its trial chunks in at most one worker
+per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
+forks the others, or, while other threads run, runs them here one after
+another. No output depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 from .config import (
     ConfigError,
     FedRunConfig,
-    GreedySpec,
     MergeConfig,
     enumerate_sweep,
     load_json,
@@ -57,12 +56,12 @@ from .config import (
 from .engine import (
     EngineError,
     EnsembleConfig,
+    Greedy,
     Ingredient,
     Projection,
     ProvidedInit,
     _exit_text,
     _reissue,
-    greedy_run,
     run_ensemble,
     run_in_workers,
 )
@@ -87,7 +86,6 @@ from .weightstore import (
     StoredMap,
     WeightMap,
     atomic_output,
-    l2_distance,
     load_checkpoint,
     open_checkpoint,
     save_checkpoint,
@@ -173,28 +171,17 @@ def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingr
         else:
             center = load_checkpoint(os.path.join(base_dir, cfg.projection.center))
         projection = Projection(center=center, radius=cfg.projection.radius)
-    return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection)
+    greedy = None
+    if cfg.greedy.enabled:
+        greedy = Greedy(load_checkpoint(os.path.join(base_dir, cfg.greedy.target_path)))
+    return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection, greedy=greedy)
 
 
 def _run_merge_cell(
-    cfg: MergeConfig,
-    base_dir: str,
-    out_dir: str,
-    force_greedy: bool,
-    ingredients: list[Ingredient],
-    workers: int,
+    cfg: MergeConfig, base_dir: str, out_dir: str, ingredients: list[Ingredient], workers: int
 ) -> tuple[str, str]:
     engine_cfg = _build_engine_config(cfg, base_dir, ingredients)
-    greedy: GreedySpec = cfg.greedy
-    if force_greedy and not greedy.enabled:
-        if greedy.target_path is None:
-            raise UsageError("greedy requested but the config has no greedy evaluator")
-        greedy = GreedySpec(enabled=True, target_path=greedy.target_path)
-    if greedy.enabled:
-        target = load_checkpoint(os.path.join(base_dir, greedy.target_path))
-        merged, record = greedy_run(engine_cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
-    else:
-        merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
+    merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     # Both files are complete before either replaces its predecessor.
@@ -205,83 +192,88 @@ def _run_merge_cell(
     return out_ckpt, out_log
 
 
-def cmd_merge(args, force_greedy: bool = False) -> int:
-    # The ingredients stay open, one file each, until the merge ends.
-    with ExitStack() as stack:
-        return _merge(args, force_greedy, stack)
+def cmd_merge(args) -> int:
+    return _merge(args, enumerate_sweep(load_json(args.config)))
 
 
-def _merge(args, force_greedy: bool, stack: ExitStack) -> int:
-    doc = load_json(args.config)
-    cells = enumerate_sweep(doc)
+def cmd_greedy(args) -> int:
+    cells = enumerate_sweep(load_json(args.config))
+    if any(cfg.greedy.target_path is None for _, cfg in cells):
+        raise UsageError("greedy requested but the config has no greedy evaluator")
+    forced = [(overrides, dataclasses.replace(cfg, greedy=dataclasses.replace(cfg.greedy, enabled=True)))
+              for overrides, cfg in cells]
+    return _merge(args, forced)
+
+
+def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
 
-    if len(cells) == 1 and not cells[0][0]:
-        ingredients = _open_ingredients(cells[0][1], base_dir, stack)
-        out_ckpt, out_log = _run_merge_cell(
-            cells[0][1], base_dir, out_dir, force_greedy, ingredients, _usable_cpus()
-        )
-        _say(args, f"merged -> {out_ckpt} (log {out_log})")
-        return 0
+    # The ingredients stay open, one file each, until the merge ends.
+    with ExitStack() as stack:
+        if len(cells) == 1 and not cells[0][0]:
+            ingredients = _open_ingredients(cells[0][1], base_dir, stack)
+            out_ckpt, out_log = _run_merge_cell(cells[0][1], base_dir, out_dir, ingredients, _usable_cpus())
+            _say(args, f"merged -> {out_ckpt} (log {out_log})")
+            return 0
 
-    # Sweep paths all start with "ensemble.", so every cell shares the
-    # ingredient list and metrics CSV: open them once. An open failure fails
-    # every cell, as it would if each cell opened them itself.
-    ingredients = []
-    open_error: Exception | None = None
-    try:
-        ingredients = _open_ingredients(cells[0][1], base_dir, stack)
-    except Exception as exc:  # recorded per cell below
-        open_error = exc
-
-    workers = 1 if open_error is not None else _sweep_workers(cells, ingredients, force_greedy)
-    cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
-
-    def run_cell(index: int) -> dict[str, Any]:
-        """Cell `index`'s manifest fields besides its name and overrides."""
-        overrides, cell_cfg = cells[index]
+        # Sweep paths all start with "ensemble.", so every cell shares the
+        # ingredient list and metrics CSV: open them once. An open failure
+        # fails every cell, as it would if each cell opened them itself.
+        ingredients = []
+        open_error: Exception | None = None
         try:
-            if open_error is not None:
-                raise open_error
-            out_ckpt, out_log = _run_merge_cell(
-                cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
-                force_greedy, ingredients, cell_workers,
-            )
-        except Exception as exc:  # a failing cell must not abort the others
-            return {"status": "error", "error": str(exc)}
-        return {
-            "status": "ok",
-            "checkpoint": os.path.relpath(out_ckpt, out_dir),
-            "log": os.path.relpath(out_log, out_dir),
-        }
+            ingredients = _open_ingredients(cells[0][1], base_dir, stack)
+        except Exception as exc:  # recorded per cell below
+            open_error = exc
 
-    outcomes = _run_cells(run_cell, len(cells), workers)
-    manifest: list[dict[str, Any]] = [
-        {"cell": sweep_cell_name(overrides), "overrides": overrides, **outcome}
-        for (overrides, _), outcome in zip(cells, outcomes)
-    ]
-    failures = sum(entry["status"] != "ok" for entry in manifest)
-    manifest_path = os.path.join(out_dir, "sweep_manifest.json")
-    with atomic_output(manifest_path) as tmp:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _check_unchanged([ing.weights for ing in ingredients])
-    for entry in manifest:
-        _say(args, f"{entry['cell']}: {entry['status']}")
-    _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
-    return 0 if failures == 0 else 2
+        workers = 1 if open_error is not None else _sweep_workers(cells, ingredients)
+        cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
+
+        def run_cell(index: int) -> dict[str, Any]:
+            """Cell `index`'s manifest fields besides its name and overrides."""
+            overrides, cell_cfg = cells[index]
+            try:
+                if open_error is not None:
+                    raise open_error
+                out_ckpt, out_log = _run_merge_cell(
+                    cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
+                    ingredients, cell_workers,
+                )
+            except Exception as exc:  # a failing cell must not abort the others
+                return {"status": "error", "error": str(exc)}
+            return {
+                "status": "ok",
+                "checkpoint": os.path.relpath(out_ckpt, out_dir),
+                "log": os.path.relpath(out_log, out_dir),
+            }
+
+        outcomes = _run_cells(run_cell, len(cells), workers)
+        manifest: list[dict[str, Any]] = [
+            {"cell": sweep_cell_name(overrides), "overrides": overrides, **outcome}
+            for (overrides, _), outcome in zip(cells, outcomes)
+        ]
+        failures = sum(entry["status"] != "ok" for entry in manifest)
+        manifest_path = os.path.join(out_dir, "sweep_manifest.json")
+        with atomic_output(manifest_path) as tmp:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            _check_unchanged([ing.weights for ing in ingredients])
+        for entry in manifest:
+            _say(args, f"{entry['cell']}: {entry['status']}")
+        _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
+        return 0 if failures == 0 else 2
 
 
-def _cell_buffers(cfg: MergeConfig, force_greedy: bool) -> int:
+def _cell_buffers(cfg: MergeConfig) -> int:
     """The model-size buffers a cell holds at its peak (see
     engine._trajectory): the iterate and the optimizer state, plus where the
     config has them a fixed or EMA pivot's copy of the initialization, a
     provided initialization, greedy's target and spare state, a projection's
     center, and the pre-step iterate of a greedy or projected run."""
     state = cfg.ensemble.optimizer.variant.state_buffers
-    greedy = cfg.greedy.enabled or force_greedy
+    greedy = cfg.greedy.enabled
     projected = cfg.projection is not None
     buffers = 1 + state
     buffers += not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
@@ -359,7 +351,7 @@ def _available_memory() -> int:
 
 
 def _sweep_workers(
-    cells: list[tuple[dict[str, Any], MergeConfig]], ingredients: list[Ingredient], force_greedy: bool
+    cells: list[tuple[dict[str, Any], MergeConfig]], ingredients: list[Ingredient]
 ) -> int:
     """Processes to run the sweep's cells in: one per usable CPU, at most one
     per cell, and only as many as hold their cells' buffers at once in the
@@ -367,7 +359,7 @@ def _sweep_workers(
     workers = min(len(cells), _usable_cpus())
     if workers > 1:
         cell_bytes = 4 * ingredients[0].weights.num_elements() * max(
-            _cell_buffers(cfg, force_greedy) for _, cfg in cells
+            _cell_buffers(cfg) for _, cfg in cells
         )
         if cell_bytes > 0:
             workers = min(workers, _available_memory() // cell_bytes)
@@ -398,10 +390,6 @@ def _run_cells(
                 reports[index] = ({"status": "error", "error": error}, [])
     _reissue([caught for _, caught in reports])
     return [outcome for outcome, _ in reports]
-
-
-def cmd_greedy(args) -> int:
-    return cmd_merge(args, force_greedy=True)
 
 
 # --- synth -----------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def _numbers(ctx: _Ctx, path: str, value: Any) -> tuple[float, ...] | None:
 
 
 def _version(ctx: _Ctx, path: str, value: Any) -> Any:
-    if value != SUPPORTED_VERSION:
+    if type(value) is not int or value != SUPPORTED_VERSION:  # not True, not 1.0
         ctx.err(path, f"expected {SUPPORTED_VERSION}, got {value!r}")
     return value
 
@@ -578,8 +578,9 @@ def parse_fed_config(doc: Any) -> FedRunConfig:
     required = {"version", "algorithm", "rounds", "sample_size", "init", "clients", "output"}
     fields = _fields(ctx, "$", doc, _FED_FIELDS, required) or {}
     algorithm, clients, sample_size = (fields.get(key) for key in ("algorithm", "clients", "sample_size"))
-    if sample_size is not None and clients and sample_size > len(clients):
-        ctx.err("$.sample_size", f"must be <= number of clients ({len(clients)})")
+    entries = doc["clients"] if clients is not None else []  # every entry, with a fault or not
+    if sample_size is not None and entries and sample_size > len(entries):
+        ctx.err("$.sample_size", f"must be <= number of clients ({len(entries)})")
     if algorithm == "fedopt" and fields.get("server") is None:
         ctx.err("$.server", "fedopt requires a server optimizer")
     if algorithm == "fedsoup" and fields.get("server_stew") is None:

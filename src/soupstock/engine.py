@@ -22,7 +22,9 @@ initialization straight into the one iterate buffer it owns and steps it in
 place. A greedy or projected run also copies the iterate before each step
 into one buffer it allocates once: a projection takes its displacement
 against that copy, and a rejected greedy step copies it back and swaps the
-optimizer state with a spare that holds a copy of the pre-step one.
+optimizer state with a spare that holds a copy of the pre-step one. Greedy
+acceptance scores each iterate by its distance to a target map (``Greedy``),
+the only metric a data-free merge has.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
@@ -34,7 +36,7 @@ process of its own (:func:`run_in_workers`), in one shared iterate, and this
 process adds the sums up into the log in the serial order and raises the
 failure a serial run would meet first. No output depends on the number of
 workers. Greedy and projected runs, whose steps need a whole-map scalar, are
-one range.
+one range, run in this process.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -73,7 +75,6 @@ from .pseudograd import (
     AdaptivePivot,
     Constant,
     EmaPivot,
-    FixedPivot,
     PivotPolicy,
     Schedule,
     pseudogradient_scale,
@@ -87,6 +88,7 @@ from .weightstore import (
     WeightMap,
     _add_pieces,
     _pieces_squared,
+    l2_distance,
     validate_compatible,
 )
 
@@ -98,13 +100,13 @@ __all__ = [
     "ProvidedInit",
     "PivotInit",
     "Projection",
+    "Greedy",
     "EnsembleConfig",
     "StepRecord",
     "RunRecord",
     "ORDERINGS",
     "order_ingredients",
     "run_ensemble",
-    "greedy_run",
     "run_in_workers",
 ]
 
@@ -114,8 +116,8 @@ ORDERINGS = ("given", "metric_desc", "metric_asc")
 class EngineError(ValueError):
     """Engine-level configuration or runtime failure.
 
-    Carries the partial RunRecord on aborts that happen mid-run (greedy
-    evaluator failures).
+    Carries the partial RunRecord on aborts that happen mid-run (a
+    non-finite step, or any other failure inside a step).
     """
 
     def __init__(self, message: str, record: "RunRecord | None" = None) -> None:
@@ -170,13 +172,25 @@ class Projection:
 
 
 @dataclass(frozen=True)
+class Greedy:
+    """Greedy acceptance: a step stands only if its metric,
+    -l2_distance(iterate, target), strictly exceeds the best so far (the
+    initialization's at first); otherwise the iterate, the optimizer state
+    and the pivot return to their pre-step values."""
+
+    target: WeightMap
+
+
+@dataclass(frozen=True)
 class EnsembleConfig:
     """Everything the merge loop leaves open.
 
     n_divisor=None means "number of supplied ingredients". epoch_lr_reset
     restarts the lr schedule index at 1 each epoch (the amplification schedule
     and optimizer moment recurrences always run on the global step).
-    record_steps=False drops per-step log entries for bulk runs.
+    record_steps=False drops per-step log entries for bulk runs. A
+    projection or greedy acceptance reduces over the whole map at every
+    step.
     """
 
     optimizer: OptimizerSpec
@@ -190,6 +204,7 @@ class EnsembleConfig:
     seed: int = 0
     ordering: str = "metric_desc"
     projection: Projection | None = None
+    greedy: Greedy | None = None
     epoch_lr_reset: bool = False
     record_steps: bool = True
 
@@ -317,140 +332,21 @@ def run_ensemble(
     one: every tensor (ingredients, a provided pivot, the result) carries a
     leading replica axis of that length, and replica r shuffles with
     replica_seeds[r] in place of cfg.seed. Replica r of the result equals a
-    plain run on replica r's slices, bit for bit. Projection and per-step
-    logs reduce over a whole map, so they need a single replica.
+    plain run on replica r's slices, bit for bit. Projection, greedy
+    acceptance and per-step logs reduce over a whole map, so they need a
+    single replica.
 
     With ``workers``, the blocks of the maps (``Schema.blocks``) are split
     into up to that many contiguous ranges of about equal size, and each
     range runs the whole run on its own: this process one, and a child
     forked from it each other one, or this process every one while other
-    threads run (see :func:`run_in_workers`). A projected run reduces over
-    the whole map between steps, so it is one range, run in this process.
-    No result depends on the number of workers.
+    threads run (see :func:`run_in_workers`). A greedy or projected run
+    reduces over the whole map between steps, so it is one range, run in
+    this process. No result depends on the number of workers.
     """
-    return _run(cfg, ingredients, evaluate=None, replica_seeds=replica_seeds, workers=workers)
-
-
-def greedy_run(
-    cfg: EnsembleConfig,
-    ingredients: Sequence[Ingredient],
-    evaluate: Callable[[WeightMap], float],
-) -> tuple[WeightMap, RunRecord]:
-    """Merge loop with greedy acceptance, in this process.
-
-    After each optimizer step the candidate is scored; unless the metric
-    strictly improves, the model, the optimizer state, and the pivot are all
-    restored to their pre-step copies. ``evaluate`` gets a read-only view of
-    the live iterate, valid only during the call. An evaluator that raises
-    or returns NaN aborts the run with an EngineError carrying the partial
-    log.
-    """
-    if evaluate is None:
-        raise EngineError("greedy_run requires a metric evaluator")
-    return _run(cfg, ingredients, evaluate=evaluate)
-
-
-def _score(evaluate: Callable[[WeightMap], float], w: WeightMap, where: str) -> float:
-    try:
-        metric = float(evaluate(w))
-    except Exception as exc:
-        raise EngineError(f"greedy evaluator failed {where}: {exc}") from exc
-    if math.isnan(metric):
-        raise EngineError(f"greedy evaluator returned NaN {where}")
-    return metric
-
-
-def _check_replicas(
-    cfg: EnsembleConfig, sample: WeightMap, replica_seeds: Sequence[int] | None
-) -> list[int]:
-    """Per-replica shuffle seeds, after checking that the run can carry them."""
-    if replica_seeds is None:
-        return [cfg.seed]
-    seeds = [int(seed) for seed in replica_seeds]
-    if not seeds:
-        raise EngineError("replica_seeds must name at least one replica")
-    schema = sample.schema()
-    for name, shape in zip(schema.names, schema.shapes):
-        if shape[:1] != (len(seeds),):
-            raise EngineError(
-                f"tensor {name!r} of shape {shape} has no leading replica axis "
-                f"of length {len(seeds)}"
-            )
-    # Greedy acceptance is the third whole-map reduction; greedy_run takes no replicas.
-    whole_map = {"projection": cfg.projection is not None, "record_steps": cfg.record_steps}
-    for feature, used in whole_map.items():
-        if used and len(seeds) > 1:
-            raise EngineError(
-                f"{feature} reduces over a whole map and needs a single replica, got {len(seeds)}"
-            )
-    return seeds
-
-
-class _Plan:
-    """A checked run: what every block range of it shares, namely its
-    config, the initialization's sources and the weight-independent parts
-    of its steps."""
-
-    def __init__(
-        self, cfg: EnsembleConfig, ingredients: Sequence[Ingredient], replica_seeds: Sequence[int] | None
-    ) -> None:
-        items = list(ingredients)
-        if not items:
-            raise EngineError("run requires at least one ingredient")
-        ids = [ing.id for ing in items]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-            raise EngineError(f"duplicate ingredient id {dup!r}")
-        self.schema = schema = validate_compatible([ing.weights for ing in items])
-        seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
-
-        ordered = order_ingredients(items, cfg.ordering)
-        self.init_sources, sweep = _resolve_pivot_init(cfg, ordered)
-        validate_compatible([self.init_sources[0], items[0].weights])
-        if cfg.projection is not None:
-            validate_compatible([cfg.projection.center, items[0].weights])
-        if sweep and cfg.batch_size > len(sweep):
-            raise EngineError(
-                f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
-            )
-        self.cfg = cfg
-        self.sweep_ids = [ing.id for ing in sweep]
-        self.n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
-        self.batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
-        self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
-
-    def init(self, out: np.ndarray, span: slice) -> WeightMap:
-        """Write the span of the initialization into out; a view of out."""
-        if isinstance(self.cfg.pivot_init, SoupInit):
-            return soup(self.init_sources, out, span)
-        self.init_sources[0].read(span, out[span])
-        return WeightMap._wrap(out.view(), self.schema)
-
-
-def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> list[range]:
-    """Up to ``count`` contiguous, non-empty ranges of block indices with
-    about equal numbers of elements; one range when count or the blocks
-    allow no more."""
-    count = min(count, len(blocks))
-    if count <= 1:
-        return [range(len(blocks))]
-    starts = [begin for begin, _end, _count, _piece in blocks]
-    begin, size = starts[0], blocks[-1][1] - starts[0]
-    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
-def _run(
-    cfg: EnsembleConfig,
-    ingredients: Sequence[Ingredient],
-    evaluate: Callable[[WeightMap], float] | None,
-    replica_seeds: Sequence[int] | None = None,
-    workers: int = 1,
-) -> tuple[WeightMap, RunRecord]:
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
-    whole_map = evaluate is not None or cfg.projection is not None
-    ranges = _block_ranges(schema.blocks, 1 if whole_map else workers)
+    ranges = _block_ranges(schema.blocks, 1 if plan.whole_map else workers)
     if len(ranges) == 1:
         iterate = np.empty(schema.size, dtype=np.float32)
     else:
@@ -458,7 +354,7 @@ def _run(
         iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
 
     def task(r: int) -> Iterator[tuple]:
-        done, entries, sums, failure = _trajectory(plan, ranges[r], iterate, evaluate)
+        done, entries, sums, failure = _trajectory(plan, ranges[r], iterate)
         yield done, entries if r == 0 else None, sums, failure
 
     reports = _first_reports(run_in_workers(task, len(ranges)), "merge")
@@ -485,8 +381,100 @@ def _run(
     return WeightMap._wrap(iterate.view(), schema), record
 
 
+def _check_replicas(
+    cfg: EnsembleConfig, sample: WeightMap, replica_seeds: Sequence[int] | None
+) -> list[int]:
+    """Per-replica shuffle seeds, after checking that the run can carry them."""
+    if replica_seeds is None:
+        return [cfg.seed]
+    seeds = [int(seed) for seed in replica_seeds]
+    if not seeds:
+        raise EngineError("replica_seeds must name at least one replica")
+    schema = sample.schema()
+    for name, shape in zip(schema.names, schema.shapes):
+        if shape[:1] != (len(seeds),):
+            raise EngineError(
+                f"tensor {name!r} of shape {shape} has no leading replica axis "
+                f"of length {len(seeds)}"
+            )
+    whole_map = {
+        "projection": cfg.projection is not None,
+        "greedy": cfg.greedy is not None,
+        "record_steps": cfg.record_steps,
+    }
+    for feature, used in whole_map.items():
+        if used and len(seeds) > 1:
+            raise EngineError(
+                f"{feature} reduces over a whole map and needs a single replica, got {len(seeds)}"
+            )
+    return seeds
+
+
+class _Plan:
+    """A checked run: what every block range of it shares, namely its
+    config, the initialization's sources and the weight-independent parts
+    of its steps. A whole-map run (greedy or projected) is one range."""
+
+    def __init__(
+        self, cfg: EnsembleConfig, ingredients: Sequence[Ingredient], replica_seeds: Sequence[int] | None
+    ) -> None:
+        items = list(ingredients)
+        if not items:
+            raise EngineError("run requires at least one ingredient")
+        ids = [ing.id for ing in items]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})[0]
+            raise EngineError(f"duplicate ingredient id {dup!r}")
+        self.schema = schema = validate_compatible([ing.weights for ing in items])
+        seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
+
+        ordered = order_ingredients(items, cfg.ordering)
+        self.init_sources, sweep = _resolve_pivot_init(cfg, ordered)
+        validate_compatible([self.init_sources[0], items[0].weights])
+        references = {
+            "projection center": cfg.projection.center if cfg.projection is not None else None,
+            "greedy target": cfg.greedy.target if cfg.greedy is not None else None,
+        }
+        for what, reference in references.items():
+            if reference is not None:
+                validate_compatible([reference, items[0].weights])
+                bad = next((name for name, a in reference.arrays().items() if not np.isfinite(a).all()), None)
+                if bad is not None:
+                    raise EngineError(f"{what} holds a non-finite value in tensor {bad!r}")
+        if sweep and cfg.batch_size > len(sweep):
+            raise EngineError(
+                f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
+            )
+        self.cfg = cfg
+        self.whole_map = cfg.projection is not None or cfg.greedy is not None
+        self.sweep_ids = [ing.id for ing in sweep]
+        self.n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
+        self.batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
+        self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
+
+    def init(self, out: np.ndarray, span: slice) -> WeightMap:
+        """Write the span of the initialization into out; a view of out."""
+        if isinstance(self.cfg.pivot_init, SoupInit):
+            return soup(self.init_sources, out, span)
+        self.init_sources[0].read(span, out[span])
+        return WeightMap._wrap(out.view(), self.schema)
+
+
+def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> list[range]:
+    """Up to ``count`` contiguous, non-empty ranges of block indices with
+    about equal numbers of elements; one range when count or the blocks
+    allow no more."""
+    count = min(count, len(blocks))
+    if count <= 1:
+        return [range(len(blocks))]
+    starts = [begin for begin, _end, _count, _piece in blocks]
+    begin, size = starts[0], blocks[-1][1] - starts[0]
+    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
 def _trajectory(
-    plan: _Plan, block_range: range, iterate: np.ndarray, evaluate: Callable[[WeightMap], float] | None
+    plan: _Plan, block_range: range, iterate: np.ndarray
 ) -> tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]:
     """Every step of the run over the blocks of ``block_range``, from its
     share of the initialization, written into ``iterate`` and stepped there,
@@ -499,7 +487,7 @@ def _trajectory(
     (2, pieces). A run stops at its first failure, returned as (the
     exception, the engine's message for a non-finite step or None).
     """
-    cfg, schema = plan.cfg, plan.schema
+    cfg, schema, greedy = plan.cfg, plan.schema, plan.cfg.greedy
     stepped = schema.blocks[block_range.start : block_range.stop]
     span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
     pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
@@ -518,11 +506,10 @@ def _trajectory(
             pivot = WeightMap._wrap(copy.view(), schema)
             ema = copy if ema_decay is not None else None
         state = OptimizerState()
-        spare = OptimizerState() if evaluate is not None else None
-        whole_map = evaluate is not None or cfg.projection is not None
-        before = np.empty(schema.size, dtype=np.float32) if whole_map else None  # the pre-step iterate
+        spare = OptimizerState() if greedy is not None else None
+        before = np.empty(schema.size, dtype=np.float32) if plan.whole_map else None  # the pre-step iterate
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
-        best_metric = _score(evaluate, w, "for the initial model") if evaluate is not None else None
+        best_metric = -l2_distance(w, greedy.target) if greedy is not None else None
 
         for epoch in range(1, cfg.epochs + 1):
             if not plan.sweep_ids:
@@ -557,15 +544,15 @@ def _trajectory(
 
                 metric: float | None = None
                 accepted: bool | None = None
-                if evaluate is not None:
-                    metric = _score(evaluate, w, f"at step {attempt}")
+                if greedy is not None:
+                    metric = -l2_distance(w, greedy.target)
                     accepted = metric > best_metric
                 if norms is not None:
                     batch_ids = tuple(plan.sweep_ids[i] for i in order[0, start : start + cfg.batch_size])
                     eta = schedule_eval(cfg.optimizer.variant.lr, sched_idx)
                     entries.append((attempt, epoch, batch_ids, eta, zeta, metric, accepted))
                     sums.append(step_sums)
-                if evaluate is not None and not accepted:
+                if greedy is not None and not accepted:
                     iterate[span] = before[span]
                     state, spare = spare, state
                 else:

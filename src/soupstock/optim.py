@@ -11,7 +11,7 @@ asked, sums the float64 squares its log norms are taken from. With
 and writes no element outside it: the engine runs the ranges of one merge in
 separate processes. All state lives in flat float32 buffers of the same
 layout; the step counter increments inside each step call *before* the
-learning-rate schedule is evaluated, so the first update runs at index 1.
+learning-rate schedule is read, so the first update runs at index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),

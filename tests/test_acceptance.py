@@ -7,6 +7,7 @@ recurrences, closed-form iterates, quadrature bounds).
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ import pytest
 from soupstock.cli import main
 from soupstock.engine import (
     EnsembleConfig,
+    Greedy,
     Ingredient,
     IngredientInit,
     ProvidedInit,
-    greedy_run,
     run_ensemble,
 )
 from soupstock.fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
@@ -274,7 +275,7 @@ def test_criterion_11_greedy_monotonicity():
                 n_divisor=6,
                 ordering="given",
             )
-            merged, record = greedy_run(cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
+            merged, record = run_ensemble(replace(cfg, greedy=Greedy(target)), ingredients)
             accepted_metrics = [s.metric for s in record.steps if s.accepted]
             assert all(b > a for a, b in zip(accepted_metrics, accepted_metrics[1:]))
             assert -l2_distance(merged, target) >= -l2_distance(start, target)
@@ -295,9 +296,7 @@ def test_criterion_11_greedy_monotonicity():
                 n_divisor=3,
                 ordering="given",
             )
-            _, adv_record = greedy_run(
-                adv_cfg, adv_ingredients, evaluate=lambda m: -l2_distance(m, target)
-            )
+            _, adv_record = run_ensemble(replace(adv_cfg, greedy=Greedy(target)), adv_ingredients)
             flags = {s.batch_ids[0]: s.accepted for s in adv_record.steps}
             assert flags == {"good0": True, "bad": False, "good1": True}
 

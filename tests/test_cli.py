@@ -405,9 +405,9 @@ def test_merge_sweep_interrupt_kills_and_reaps_workers(tmp_path, monkeypatch, fo
     assert not (tmp_path / "g" / "sweep_manifest.json").exists()
 
 
-# (ensemble overrides, force_greedy, the model-size buffers a cell holds at its peak)
+# (ensemble overrides, greedy acceptance on, the model-size buffers a cell holds at its peak)
 CELL_VARIANTS = pytest.mark.parametrize(
-    "ensemble, force_greedy, buffers",
+    "ensemble, greedy, buffers",
     [
         ({}, False, 1),  # GD with an adaptive pivot: the iterate alone
         ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 2),
@@ -423,11 +423,20 @@ CELL_VARIANTS = pytest.mark.parametrize(
 )
 
 
+def cell_doc(ensemble, greedy):
+    # The first step moves the iterate toward ing0 and is accepted, so that
+    # a greedy run fills its spare state at the second.
+    doc = merge_doc(count=3, **ensemble)
+    evaluator = {"kind": "neg_distance", "target": "ing0.safetensors"}
+    doc["ensemble"]["greedy"] = {"enabled": greedy, "evaluator": evaluator}
+    return doc
+
+
 @CELL_VARIANTS
-def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemble, force_greedy, buffers):
+def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemble, greedy, buffers):
     import soupstock.cli as cli
 
-    doc = merge_doc(count=3, **ensemble)
+    doc = cell_doc(ensemble, greedy)
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1, 0.2, 0.3, 0.4]}
     cells = enumerate_sweep(doc)
     model = WeightMap({"w": np.zeros((10, 25), dtype=np.float32)})
@@ -436,13 +445,13 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     for available, workers in [(10**12, 4), (3 * cell_bytes, 3), (2 * cell_bytes - 1, 1), (0, 1)]:
         monkeypatch.setattr(cli, "_available_memory", lambda: available)
-        assert cli._sweep_workers(cells, ingredients, force_greedy) == workers
+        assert cli._sweep_workers(cells, ingredients) == workers
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli._sweep_workers(cells, ingredients, force_greedy) == 1
+    assert cli._sweep_workers(cells, ingredients) == 1
 
 
 @CELL_VARIANTS
-def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemble, force_greedy, buffers):
+def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemble, greedy, buffers):
     import soupstock.cli as cli
 
     size = 1 << 20  # 16 blocks: the per-block temporaries stay well under one model size
@@ -450,18 +459,13 @@ def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemb
     for i in range(3):
         weights = WeightMap({"w": rng.standard_normal(size).astype(np.float32)})
         save_checkpoint(weights, str(tmp_path / f"ing{i}.safetensors"))
-    doc = merge_doc(count=3, **ensemble)
-    # The first step moves the iterate toward ing0 and is accepted, so that
-    # a greedy run fills its spare state at the second.
-    evaluator = {"kind": "neg_distance", "target": "ing0.safetensors"}
-    doc["ensemble"]["greedy"] = {"enabled": False, "evaluator": evaluator}
-    [(_, cfg)] = enumerate_sweep(doc)
-    assert cli._cell_buffers(cfg, force_greedy) == buffers
+    [(_, cfg)] = enumerate_sweep(cell_doc(ensemble, greedy))
+    assert cli._cell_buffers(cfg) == buffers
     with ExitStack() as stack:
         ingredients = cli._open_ingredients(cfg, str(tmp_path), stack)
         tracemalloc.start()
         try:
-            cli._run_merge_cell(cfg, str(tmp_path), str(tmp_path / "out"), force_greedy, ingredients, 1)
+            cli._run_merge_cell(cfg, str(tmp_path), str(tmp_path / "out"), ingredients, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -821,6 +825,30 @@ def test_greedy_cli_forces_greedy_and_needs_evaluator(tmp_path, capsys):
     assert all(row.split(",")[-1] in ("true", "false") for row in rows[1:])
 
 
+def test_greedy_sweep_without_evaluator_exits_1_before_any_cell_runs(tmp_path, capsys):
+    # No ingredient file exists: the evaluator check comes before any is opened.
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    assert main(["greedy", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err == "error: greedy requested but the config has no greedy evaluator\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_greedy_sweep_turns_greedy_on_in_every_cell(tmp_path):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    evaluator = {"kind": "neg_distance", "target": "ing0.safetensors"}
+    doc["ensemble"]["greedy"] = {"enabled": False, "evaluator": evaluator}
+    doc["sweep"] = {"ensemble.greedy.enabled": [False, True]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    assert main(["greedy", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
+    logs = [(tmp_path / "g" / cell / "run.csv").read_text() for cell in sorted(os.listdir(tmp_path / "g"))
+            if cell.startswith("cell-")]
+    assert len(logs) == 2 and logs[0] == logs[1]
+    assert all(row.split(",")[-1] in ("true", "false") for row in logs[0].strip().splitlines()[1:])
+
+
 # --- synth ------------------------------------------------------------------------
 
 
@@ -1062,6 +1090,31 @@ def test_fed_config_reports_every_error():
         "$.clients: expected a non-empty list",
         "$.sample_size: must be >= 1, got 0",
     ]
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_1(version):
+    merge = merge_doc()
+    merge["version"] = version
+    with pytest.raises(ConfigError) as info:
+        parse_merge_config(merge)
+    assert info.value.errors == [f"$.version: expected 1, got {version!r}"]
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config(fed_doc("fedopt", version=version, server={"kind": "gd", "lr": 1.0}))
+    assert info.value.errors == [f"$.version: expected 1, got {version!r}"]
+
+
+def test_fed_sample_size_counts_clients_with_faults_too():
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0})
+    doc["clients"][1]["optimizer"]["lr"] = "fast"
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config(doc)
+    assert info.value.errors == ["$.clients[1].optimizer.lr: expected a schedule object or a number"]
+    doc = fed_doc("fedopt", sample_size=3, server={"kind": "gd", "lr": 1.0})
+    doc["clients"][1]["optimizer"]["lr"] = "fast"
+    with pytest.raises(ConfigError) as info:
+        parse_fed_config(doc)
+    assert info.value.errors[-1] == "$.sample_size: must be <= number of clients (2)"
 
 
 def test_seed_fields_take_any_64_bit_seed():

@@ -1,4 +1,5 @@
 import csv
+import re
 import threading
 from dataclasses import replace
 
@@ -9,13 +10,13 @@ from soupstock import rng as rng_mod
 from soupstock.engine import (
     EngineError,
     EnsembleConfig,
+    Greedy,
     Ingredient,
     IngredientInit,
     Projection,
     ProvidedInit,
     SoupInit,
     _epoch_order_fn,
-    greedy_run,
     order_ingredients,
     run_ensemble,
 )
@@ -321,12 +322,14 @@ def test_record_steps_off_keeps_summary():
 
 
 def test_greedy_constant_evaluator_rejects_everything():
+    # The target is the initialization: no step can come nearer to it than 0.
     ingredients = make_ingredients(seed=21, count=6)
     pivot = random_weightmaps(seed=211, count=1)[0]
-    cfg = gd_cfg(pivot_init=ProvidedInit(pivot), n_divisor=6)
-    merged, record = greedy_run(cfg, ingredients, evaluate=lambda m: 1.0)
+    cfg = gd_cfg(pivot_init=ProvidedInit(pivot), n_divisor=6, greedy=Greedy(pivot))
+    merged, record = run_ensemble(cfg, ingredients)
     assert merged == pivot
-    assert all(s.accepted is False for s in record.steps)
+    assert len(record.steps) == 6
+    assert all(s.accepted is False and s.metric < 0 for s in record.steps)
 
 
 def test_greedy_monotone_acceptance_toward_target():
@@ -337,8 +340,9 @@ def test_greedy_monotone_acceptance_toward_target():
         optimizer=OptimizerSpec(GD(lr=Constant(0.4))),
         pivot_init=ProvidedInit(start),
         n_divisor=5,
+        greedy=Greedy(target),
     )
-    merged, record = greedy_run(cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
+    merged, record = run_ensemble(cfg, ingredients)
     metrics = [s.metric for s in record.steps]
     assert all(s.accepted for s in record.steps)
     assert all(b > a for a, b in zip(metrics, metrics[1:]))
@@ -360,15 +364,12 @@ def test_greedy_rejects_adversarial_ingredient_only():
         optimizer=OptimizerSpec(GD(lr=Constant(0.3))),
         pivot_init=ProvidedInit(start),
         n_divisor=3,
+        greedy=Greedy(target),
     )
-    merged, record = greedy_run(cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
+    merged, record = run_ensemble(cfg, ingredients)
     assert [s.accepted for s in record.steps] == [True, False, True]
     # The rejected step leaves no trace: replaying without it gives the same model.
-    replay, _ = greedy_run(
-        cfg,
-        [ingredients[0], ingredients[2]],
-        evaluate=lambda m: -l2_distance(m, target),
-    )
+    replay, _ = run_ensemble(cfg, [ingredients[0], ingredients[2]])
     # n_divisor differs (3 vs 2) would change steps, so pin it explicitly above.
     assert merged == replay
 
@@ -390,51 +391,33 @@ def test_greedy_reverts_optimizer_state():
         optimizer=OptimizerSpec(Adagrad(lr=Constant(0.5), eps=1e-8)),
         pivot_init=ProvidedInit(start),
         n_divisor=3,
+        greedy=Greedy(target),
     )
-    merged, record = greedy_run(cfg, ingredients, evaluate=lambda m: -l2_distance(m, target))
+    merged, record = run_ensemble(cfg, ingredients)
     assert [s.accepted for s in record.steps] == [True, False, True]
-    replay, _ = greedy_run(
-        cfg, [ingredients[0], ingredients[2]], evaluate=lambda m: -l2_distance(m, target)
-    )
+    replay, _ = run_ensemble(cfg, [ingredients[0], ingredients[2]])
     assert merged == replay
 
 
-def test_greedy_evaluator_failure_carries_partial_log():
-    ingredients = make_ingredients(seed=25, count=4)
-    calls = {"n": 0}
+@pytest.mark.parametrize("feature", ["projection", "greedy"])
+def test_nonfinite_reference_map_rejected_before_any_step(monkeypatch, feature):
+    # Unchecked, a NaN centre gives an all-NaN model when the projection
+    # lands on the last step, and an inf target rejects every step unseen.
+    import soupstock.engine as engine
 
-    def flaky(m):
-        calls["n"] += 1
-        if calls["n"] >= 3:  # baseline + first step succeed, second step fails
-            raise RuntimeError("scorer crashed")
-        return -calls["n"]
-
-    with pytest.raises(EngineError, match="scorer crashed") as excinfo:
-        greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=flaky)
-    assert excinfo.value.record is not None
-    assert len(excinfo.value.record.steps) == 1
-
-
-def test_greedy_nan_on_initial_model_raises():
-    ingredients = make_ingredients(seed=26, count=4)
-    with pytest.raises(EngineError, match="NaN for the initial model") as excinfo:
-        greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=lambda m: float("nan"))
-    assert excinfo.value.record is not None
-    assert excinfo.value.record.steps == []
-
-
-def test_greedy_nan_at_step_three_raises_with_partial_log():
-    ingredients = make_ingredients(seed=27, count=4)
-    calls = {"n": 0}
-
-    def scorer(m):
-        calls["n"] += 1  # call 1 scores the initial model, call k + 1 scores step k
-        return float("nan") if calls["n"] == 4 else float(calls["n"])
-
-    with pytest.raises(EngineError, match="NaN at step 3") as excinfo:
-        greedy_run(gd_cfg(n_divisor=4), ingredients, evaluate=scorer)
-    assert [s.step for s in excinfo.value.record.steps] == [1, 2]
-    assert all(s.accepted for s in excinfo.value.record.steps)
+    ingredients = make_ingredients(seed=26, count=3)
+    arrays = {name: np.full_like(a, 0.5) for name, a in ingredients[0].weights.arrays().items()}
+    name = list(arrays)[-1]
+    arrays[name].reshape(-1)[0] = np.nan if feature == "projection" else np.inf
+    bad = WeightMap(arrays)
+    extra = {"projection": Projection(bad, 1.0)} if feature == "projection" else {"greedy": Greedy(bad)}
+    cfg = gd_cfg(batch_size=3, **extra)
+    steps = []
+    monkeypatch.setattr(engine, "optimizer_step", lambda *a, **k: steps.append(1))
+    what = "projection center" if feature == "projection" else "greedy target"
+    with pytest.raises(EngineError, match=re.escape(f"{what} holds a non-finite value in tensor {name!r}")):
+        run_ensemble(cfg, ingredients)
+    assert steps == []
 
 
 def test_nonfinite_iterate_raises_naming_step_and_batch():
@@ -599,8 +582,8 @@ def test_replicas_reject_whole_map_reductions():
     projected = gd_cfg(record_steps=False, projection=Projection(center, 1.0))
     with pytest.raises(EngineError, match="projection"):
         run_ensemble(projected, stacked, replica_seeds=seeds)
-    with pytest.raises(TypeError):
-        greedy_run(gd_cfg(record_steps=False), stacked, lambda m: 0.0, replica_seeds=seeds)
+    with pytest.raises(EngineError, match="greedy reduces over a whole map"):
+        run_ensemble(gd_cfg(record_steps=False, greedy=Greedy(center)), stacked, replica_seeds=seeds)
 
 
 def test_replicas_need_a_leading_axis_per_seed():
@@ -636,6 +619,35 @@ def replica_range_run(monkeypatch, replicas, batch_size, record_steps):
     seeds = [7, 8, 9][:replicas]
     runs = [run_ensemble(cfg, ingredients, replica_seeds=seeds, workers=w) for w in (1, 2, 3)]
     return runs, counts
+
+
+def test_greedy_run_is_one_range_at_any_worker_count(monkeypatch):
+    # Acceptance needs the whole map's distance after every step, so a
+    # greedy run steps in this process whatever it is given; the map has
+    # blocks enough for a plain run to take three ranges.
+    import soupstock.engine as engine
+
+    counts, real = [], engine.run_in_workers
+    monkeypatch.setattr(engine, "run_in_workers", lambda task, n: counts.append(n) or real(task, n))
+    rng = np.random.default_rng(31)
+    shapes = {"a": (70001,), "b": (5,), "c": (90000,)}
+    maps = [WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}) for _ in range(5)]
+    cfg = EnsembleConfig(
+        optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.05),
+        epochs=2,
+        batch_size=2,
+        shuffle=True,
+        seed=4,
+        ordering="given",
+        greedy=Greedy(maps[2]),
+    )
+    ingredients = [Ingredient(f"m{i}", m) for i, m in enumerate(maps)]
+    (want, want_log), (got, got_log) = (run_ensemble(cfg, ingredients, workers=w) for w in (1, 3))
+    assert counts == [1, 1]
+    assert got == want and got_log == want_log
+    assert {s.accepted for s in got_log.steps} == {True, False}
+    run_ensemble(replace(cfg, greedy=None), ingredients, workers=3)
+    assert counts[-1] == 3
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])

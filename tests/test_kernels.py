@@ -21,12 +21,12 @@ from soupstock import rng as rng_mod
 from soupstock.engine import (
     EngineError,
     EnsembleConfig,
+    Greedy,
     Ingredient,
     IngredientInit,
     Projection,
     ProvidedInit,
     SoupInit,
-    greedy_run,
     run_ensemble,
 )
 from soupstock.optim import (
@@ -380,7 +380,7 @@ def test_fused_merge_matches_separate_passes(tmp_path, variant, policy, weight_d
         "batch-1": (replace(base, batch_size=1), None),
         "batch-3-unrecorded": (replace(base, batch_size=3, record_steps=False), None),
         "projection": (replace(base, batch_size=3, projection=Projection(zeros, 0.9 * soup_norm)), None),
-        "greedy": (replace(base, batch_size=1), lambda m: -ref_distance(m, target)),
+        "greedy": (replace(base, batch_size=1, greedy=Greedy(target)), lambda m: -ref_distance(m, target)),
     }
     with ExitStack() as stack:
         stored = [
@@ -390,10 +390,7 @@ def test_fused_merge_matches_separate_passes(tmp_path, variant, policy, weight_d
         for name, (cfg, evaluate) in runs.items():
             expected, log = ref_merge(cfg, ingredients, evaluate)
             for source, inputs in (("memory", ingredients), ("stored", stored)):
-                if evaluate is None:
-                    merged, record = run_ensemble(cfg, inputs)
-                else:
-                    merged, record = greedy_run(cfg, inputs, evaluate)
+                merged, record = run_ensemble(cfg, inputs)
                 assert merged == expected, (name, source)
                 assert record.total_steps == len(log), (name, source)
                 got = [(s.grad_norm, s.displacement, s.metric, s.accepted) for s in record.steps]
@@ -422,23 +419,17 @@ def test_threaded_merge_matches_one_thread(tmp_path, threads):
     )
     radius = 0.9 * ref_norm(ref_soup([ing.weights for ing in ingredients]))
     runs = {
-        "plain": (base, None),
-        "projection": (replace(base, projection=Projection(zeros, radius)), None),
-        "greedy": (base, lambda m: -l2_distance(m, target)),
+        "plain": base,
+        "projection": replace(base, projection=Projection(zeros, radius)),
+        "greedy": replace(base, greedy=Greedy(target)),
     }
     with ExitStack() as stack:
         stored = [
             Ingredient(ing.id, stack.enter_context(open_checkpoint(str(tmp_path / f"{ing.id}.safetensors"))))
             for ing in ingredients
         ]
-        for name, (cfg, evaluate) in runs.items():
-            results = []
-            for n in (1, threads):
-                if evaluate is None:
-                    results.append(run_ensemble(cfg, stored, workers=n))
-                else:
-                    results.append(greedy_run(cfg, stored, evaluate))
-            (want, want_log), (got, got_log) = results
+        for name, cfg in runs.items():
+            (want, want_log), (got, got_log) = (run_ensemble(cfg, stored, workers=n) for n in (1, threads))
             assert got == want, name
             assert got_log.steps == want_log.steps, name
 
@@ -491,7 +482,7 @@ def test_greedy_and_projected_runs_hold_one_pre_step_copy():
     runs = {
         "plain": (3.5, lambda: run_ensemble(cfg, ingredients)),
         "projected": (5.5, lambda: run_ensemble(replace(cfg, projection=Projection(center, 1.0)), ingredients)),
-        "greedy": (6.5, lambda: greedy_run(cfg, ingredients, lambda m: -l2_distance(m, target))),
+        "greedy": (6.5, lambda: run_ensemble(replace(cfg, greedy=Greedy(target)), ingredients)),
     }
     model = 4 * maps[0].flat.size
     for name, (bound, run) in runs.items():
