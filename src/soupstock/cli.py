@@ -6,8 +6,9 @@ randomness comes from explicit seed fields; identical config + seed therefore
 produces byte-identical outputs.
 
 Exit codes: 0 success; 1 config/flag validation failure (detected before any
-run starts); 2 runtime or I/O failure (unreadable, missing, or incompatible
-checkpoint files, mid-run errors).
+run starts, and for a merge's metrics before any checkpoint is opened); 2
+runtime or I/O failure (unreadable, missing, or incompatible checkpoint or
+metrics files, mid-run errors).
 
 Input paths inside a config resolve relative to the config file's directory;
 output paths resolve relative to --out (default: the config directory).
@@ -15,19 +16,20 @@ output paths resolve relative to --out (default: the config directory).
 A sweep opens its ingredients once and runs its cells in up to one worker
 per usable CPU (its CPU affinity, within any cgroup v2 cpu.max quota), as
 many as the cells' model-size buffers fit into the memory available
-(MemAvailable, within any cgroup v2 memory.max); one where its ingredients
-failed to open. Each worker runs a fixed, interleaved share of the cells,
-writes their outputs itself and reports each cell's manifest entry and
-warnings (re-issued in cell order). A single-cell merge is not a sweep and
-runs here directly. Every cell is one ``engine.run_ensemble`` call, given
-as many block-range workers as the usable CPUs for a single cell, and the
-usable CPUs divided by the sweep's workers (at least one) for each cell of a
-sweep; the engine runs a greedy or projected cell as one range, stepped in
-place in the process that runs the cell beside one pre-step copy of its
-iterate. ``synth estimators`` runs its trial chunks in at most one worker
-per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
-forks the others, or, while other threads run, runs them here one after
-another. No output depends on the number of workers.
+(MemAvailable, within any cgroup v2 memory.max); if the ingredients fail to
+open, every cell fails with that error. Each cell is one task of
+``engine.run_in_workers``; its worker writes its outputs and returns its
+manifest entry, or the cell fails with the worker's exit status. A
+single-cell merge is not a sweep and runs here directly. Every cell is one
+``engine.run_ensemble`` call, given as many block-range workers as the
+usable CPUs for a single cell, and the usable CPUs divided by the sweep's
+workers (at least one) for each cell of a sweep; the engine runs a greedy or
+projected cell as one range, stepped in place in the process that runs the
+cell beside one pre-step copy of its iterate. ``synth estimators`` runs one
+chunk of trials per worker, at most one per usable CPU. Worker 0 is this
+process, and ``engine.run_in_workers`` forks the others, or, while other
+threads run, runs every task here. No output depends on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from typing import Any, Callable, Iterator
+from functools import partial
+from typing import Any
 
 import numpy as np
 
@@ -60,8 +63,6 @@ from .engine import (
     Ingredient,
     Projection,
     ProvidedInit,
-    _exit_text,
-    _reissue,
     run_ensemble,
     run_in_workers,
 )
@@ -147,15 +148,24 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
     return metrics
 
 
-def _open_ingredients(cfg: MergeConfig, base_dir: str, stack: ExitStack) -> list[Ingredient]:
-    """Open the ingredient files in config order; `stack` closes them."""
+def _open_ingredients(
+    cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, stack: ExitStack
+) -> list[Ingredient]:
+    """Open the ingredient files in config order; `stack` closes them. The
+    metrics CSV is read first, and every metric some cell's ordering needs
+    is checked to be there, before any file is opened."""
+    cfg = cells[0][1]  # every cell shares the ingredient list and metrics CSV
     metrics: dict[str, float] = {}
     if cfg.metrics_csv is not None:
         metrics = _read_metrics_csv(os.path.join(base_dir, cfg.metrics_csv))
+    values = [entry.metric if entry.metric is not None else metrics.get(entry.id) for entry in cfg.ingredients]
+    needing = [cell.ensemble.ordering for _, cell in cells if cell.ensemble.ordering != "given"]
+    if needing and None in values:
+        missing = cfg.ingredients[values.index(None)].id
+        raise UsageError(f"ordering {needing[0]!r} requires metrics; missing for {missing!r}")
     ingredients = []
-    for entry in cfg.ingredients:
+    for entry, metric in zip(cfg.ingredients, values):
         weights = stack.enter_context(open_checkpoint(os.path.join(base_dir, entry.path)))
-        metric = entry.metric if entry.metric is not None else metrics.get(entry.id)
         ingredients.append(Ingredient(id=entry.id, weights=weights, metric=metric))
     return ingredients
 
@@ -212,34 +222,17 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
     # The ingredients stay open, one file each, until the merge ends.
     with ExitStack() as stack:
         if len(cells) == 1 and not cells[0][0]:
-            ingredients = _open_ingredients(cells[0][1], base_dir, stack)
+            ingredients = _open_ingredients(cells, base_dir, stack)
             out_ckpt, out_log = _run_merge_cell(cells[0][1], base_dir, out_dir, ingredients, _usable_cpus())
             _say(args, f"merged -> {out_ckpt} (log {out_log})")
             return 0
 
-        # Sweep paths all start with "ensemble.", so every cell shares the
-        # ingredient list and metrics CSV: open them once. An open failure
-        # fails every cell, as it would if each cell opened them itself.
-        ingredients = []
-        open_error: Exception | None = None
-        try:
-            ingredients = _open_ingredients(cells[0][1], base_dir, stack)
-        except Exception as exc:  # recorded per cell below
-            open_error = exc
-
-        workers = 1 if open_error is not None else _sweep_workers(cells, ingredients)
-        cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
-
-        def run_cell(index: int) -> dict[str, Any]:
-            """Cell `index`'s manifest fields besides its name and overrides."""
-            overrides, cell_cfg = cells[index]
+        def run_cell(overrides: dict[str, Any], cell_cfg: MergeConfig, workers: int) -> dict[str, Any]:
+            """The cell's manifest fields besides its name and overrides: a
+            plain dict, so that its error text is the same in any worker."""
             try:
-                if open_error is not None:
-                    raise open_error
-                out_ckpt, out_log = _run_merge_cell(
-                    cell_cfg, base_dir, os.path.join(out_dir, sweep_cell_name(overrides)),
-                    ingredients, cell_workers,
-                )
+                cell_dir = os.path.join(out_dir, sweep_cell_name(overrides))
+                out_ckpt, out_log = _run_merge_cell(cell_cfg, base_dir, cell_dir, ingredients, workers)
             except Exception as exc:  # a failing cell must not abort the others
                 return {"status": "error", "error": str(exc)}
             return {
@@ -248,9 +241,22 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
                 "log": os.path.relpath(out_log, out_dir),
             }
 
-        outcomes = _run_cells(run_cell, len(cells), workers)
+        # Sweep paths all start with "ensemble.", so every cell shares the
+        # ingredient list and metrics CSV: open them once.
+        ingredients: list[Ingredient] = []
+        try:
+            ingredients = _open_ingredients(cells, base_dir, stack)
+        except UsageError:  # a config fault: no cell runs
+            raise
+        except Exception as exc:  # fails every cell, as it would if each cell opened them itself
+            outcomes: list[Any] = [exc] * len(cells)
+        else:
+            workers = _sweep_workers(cells, ingredients)
+            cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
+            outcomes = run_in_workers([partial(run_cell, *cell, cell_workers) for cell in cells], workers)
         manifest: list[dict[str, Any]] = [
-            {"cell": sweep_cell_name(overrides), "overrides": overrides, **outcome}
+            {"cell": sweep_cell_name(overrides), "overrides": overrides,
+             **({"status": "error", "error": str(outcome)} if isinstance(outcome, Exception) else outcome)}
             for (overrides, _), outcome in zip(cells, outcomes)
         ]
         failures = sum(entry["status"] != "ok" for entry in manifest)
@@ -364,32 +370,6 @@ def _sweep_workers(
         if cell_bytes > 0:
             workers = min(workers, _available_memory() // cell_bytes)
     return max(workers, 1)
-
-
-def _run_cells(
-    run_cell: Callable[[int], dict[str, Any]], count: int, workers: int
-) -> list[dict[str, Any]]:
-    """Cells 0..count-1 run by this process and workers - 1 forked children
-    (none for one worker, see engine.run_in_workers); worker w runs cells w,
-    w + workers, ... Returns their outcomes in cell order, after re-issuing
-    every cell's warnings in cell order. A child that ends without reporting
-    a cell fails that cell with its exit status.
-    """
-
-    def share(worker: int) -> Iterator[tuple[int, dict[str, Any]]]:
-        for index in range(worker, count, workers):
-            yield index, run_cell(index)
-
-    reports: list[Any] = [None] * count
-    for worker, (held, status) in enumerate(run_in_workers(share, workers)):
-        for (index, outcome), caught in held:
-            reports[index] = (outcome, caught)
-        for index in range(worker, count, workers):
-            if reports[index] is None:
-                error = f"sweep worker process {_exit_text(status)} before reporting this cell"
-                reports[index] = ({"status": "error", "error": error}, [])
-    _reissue([caught for _, caught in reports])
-    return [outcome for outcome, _ in reports]
 
 
 # --- synth -----------------------------------------------------------------------------

@@ -432,6 +432,10 @@ def _parse_sweep(ctx: _Ctx, path: str, value: Any) -> dict[str, list[Any]] | Non
             ctx.err(f"{path}.{key}", "sweep paths must start with 'ensemble.'")
         elif not isinstance(values, list) or not values:
             ctx.err(f"{path}.{key}", "expected a non-empty list of values")
+        else:  # two equal values would run one cell twice, into one directory
+            for i, item in enumerate(values):
+                if values.index(item) < i:
+                    ctx.err(f"{path}.{key}[{i}]", f"duplicate value {json.dumps(item)}")
     return dict(value)
 
 

@@ -9,8 +9,9 @@ of it.
 
 A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
-states: the CLI runs the cells of a sweep in worker processes, one per
-usable CPU (see ``cli`` and ``run_in_workers``). Each step is one pass of
+states: the CLI runs the cells of a sweep as the tasks of
+:func:`run_in_workers`, which returns each task's result in task order
+(see ``cli``). Each step is one pass of
 ``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
 reads of stored maps that stay in their files), summed, turned into the
@@ -31,12 +32,12 @@ pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
 each element alone, and the batch order and the schedules never depend on
 the weights. So a run splits into independent trajectories over contiguous
 ranges of ``Schema.blocks``, which share only their per-piece sums of
-squares for the log: with ``workers``, each range runs the whole run in a
-process of its own (:func:`run_in_workers`), in one shared iterate, and this
-process adds the sums up into the log in the serial order and raises the
-failure a serial run would meet first. No output depends on the number of
-workers. Greedy and projected runs, whose steps need a whole-map scalar, are
-one range, run in this process.
+squares for the log: with ``workers``, each range is one task of
+:func:`run_in_workers` and runs the whole run in a process of its own, in
+one shared iterate, and this process adds the sums up into the log in the
+serial order and raises the failure a serial run would meet first. No
+output depends on the number of workers. Greedy and projected runs, whose
+steps need a whole-map scalar, are one range, run in this process.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -59,7 +60,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Any, Callable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -338,11 +339,12 @@ def run_ensemble(
 
     With ``workers``, the blocks of the maps (``Schema.blocks``) are split
     into up to that many contiguous ranges of about equal size, and each
-    range runs the whole run on its own: this process one, and a child
-    forked from it each other one, or this process every one while other
-    threads run (see :func:`run_in_workers`). A greedy or projected run
-    reduces over the whole map between steps, so it is one range, run in
-    this process. No result depends on the number of workers.
+    range is one task of :func:`run_in_workers`, which runs the whole run on
+    its own: this process one, and a child forked from it each other one, or
+    this process every one while other threads run. A range whose worker
+    died before reporting raises that worker's EngineError. A greedy or
+    projected run reduces over the whole map between steps, so it is one
+    range, run in this process. No result depends on the number of workers.
     """
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
@@ -353,11 +355,10 @@ def run_ensemble(
         import mmap  # one shared anonymous mapping, which every range writes its part of
         iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
 
-    def task(r: int) -> Iterator[tuple]:
-        done, entries, sums, failure = _trajectory(plan, ranges[r], iterate)
-        yield done, entries if r == 0 else None, sums, failure
-
-    reports = _first_reports(run_in_workers(task, len(ranges)), "merge")
+    reports = run_in_workers([partial(_trajectory, plan, r, iterate) for r in ranges], len(ranges))
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
     # The run ends at the earliest failure, as a serial run would: the lowest
     # step, then the lowest range, so the lowest element.
     done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
@@ -695,28 +696,25 @@ def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, stepped: Sequenc
 # --- forked workers ----------------------------------------------------------------
 
 
-def run_in_workers(
-    task: Callable[[int], Iterator[Any]], workers: int
-) -> list[tuple[list[tuple[Any, list]], int]]:
-    """Run task(0) in this process and task(1), ..., task(workers - 1) in
-    children forked from it, all at once, or every task here, one after
-    another, where the platform has no fork or other threads run (a child
-    would start with whatever locks they hold held for good); returns, per
-    worker, its reports and its wait status (0 for this process).
+def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any]:
+    """Each task's result in task order, after every task's warnings are
+    re-issued in task order (see :func:`_reissue`): what the task (a
+    callable of no arguments) returned, the Exception it raised, or, if its
+    worker died before reporting it, an EngineError naming the exit status.
 
-    A report is an item the task yields, with the warnings raised while it
-    was made held back: (item, [(text, category, file, line)]); see
-    :func:`_reissue`. A child pickles each report through a pipe as it is
-    made and leaves by os._exit, so that nothing of this process's (its
-    open files' cleanup, atexit hooks, callers' finally blocks) runs twice;
-    a child that dies early has reported less. Every child is reaped; on an
-    exception here (an interrupt) the children left are killed and reaped
-    before it propagates.
+    Task i runs on worker i % workers, and no worker is started without a
+    task: worker 0 is this process, each other one a child forked from it,
+    all at once; or, where the platform has no fork or other threads run (a
+    child would start with their locks held for good), this process runs
+    every task, in task order. A child pickles each result through a pipe as
+    it is made and leaves by os._exit, so that nothing of this process's
+    (its open files' cleanup, atexit hooks, callers' finally blocks) runs
+    twice. Every child is reaped; on an exception here (an interrupt) the
+    children left are killed and reaped before it propagates.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return [(list(_held_back(task(worker))), 0) for worker in range(workers)]
-    reports: list[list[tuple[Any, list]]] = [[] for _ in range(workers)]
-    statuses = [0] * workers
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    workers = max(1, min(workers, len(tasks))) if can_fork else 1
+    reports: list[Any] = [None] * len(tasks)  # (result, warnings) per task
     children: list[tuple[int, int, Any]] = []  # (worker, pid, read end of its pipe) until reaped
     sys.stdout.flush()
     sys.stderr.flush()
@@ -731,20 +729,25 @@ def run_in_workers(
                 raise
             if pid == 0:
                 os.close(fd_read)
-                _work_in_child(task, worker, fd_write)
+                _work_in_child(tasks[worker::workers], fd_write)
             os.close(fd_write)
             children.append((worker, pid, open(fd_read, "rb")))
-        reports[0] = list(_held_back(task(0)))
+        for index in range(0, len(tasks), workers):
+            reports[index] = _held_back(tasks[index])
         while children:
             worker, pid, reader = children[0]
             with reader:
-                while True:
+                for index in range(worker, len(tasks), workers):
                     try:
-                        reports[worker].append(pickle.load(reader))
+                        reports[index] = pickle.load(reader)
                     except (EOFError, pickle.UnpicklingError):  # the end, or a torn last record
                         break
-            statuses[worker] = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
+            ended = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+            for index in range(worker, len(tasks), workers):
+                if reports[index] is None:
+                    reports[index] = EngineError(f"worker process {ended} before reporting"), []
     finally:
         if children:
             import signal
@@ -753,27 +756,27 @@ def run_in_workers(
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return list(zip(reports, statuses))
+    _reissue([caught for _, caught in reports])
+    return [result for result, _ in reports]
 
 
-def _held_back(items: Iterator[Any]) -> Iterator[tuple[Any, list]]:
-    """Each item, with the warnings raised while it was made."""
-    items = iter(items)
-    while True:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                item = next(items)
-            except StopIteration:
-                return
-        yield item, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+def _held_back(task: Callable[[], Any]) -> tuple[Any, list]:
+    """task()'s result, or the Exception it raised, with the warnings raised
+    while it ran."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = task()
+        except Exception as exc:
+            result = exc
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-def _work_in_child(task: Callable[[int], Iterator[Any]], worker: int, fd: int) -> NoReturn:
+def _work_in_child(tasks: Sequence[Callable[[], Any]], fd: int) -> NoReturn:
     code = 1
     try:
         with open(fd, "wb") as pipe:
-            for report in _held_back(task(worker)):
-                pickle.dump(report, pipe)
+            for task in tasks:
+                pickle.dump(_held_back(task), pipe)
                 pipe.flush()
         code = 0
     except BaseException:
@@ -786,22 +789,6 @@ def _work_in_child(task: Callable[[int], Iterator[Any]], worker: int, fd: int) -
             sys.stderr.flush()
         finally:
             os._exit(code)
-
-
-def _first_reports(results: list[tuple[list[tuple[Any, list]], int]], what: str) -> list[Any]:
-    """The first report of every worker of :func:`run_in_workers`, after
-    their warnings are re-issued in worker order; a worker that ended before
-    reporting raises an EngineError that names its exit status."""
-    for held, status in results:
-        if not held:
-            raise EngineError(f"{what} worker process {_exit_text(status)} before reporting")
-    _reissue([held[0][1] for held, _ in results])
-    return [held[0][0] for held, _ in results]
-
-
-def _exit_text(status: int) -> str:
-    code = os.waitstatus_to_exitcode(status)
-    return f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
 
 
 def _reissue(caught: list[list]) -> None:

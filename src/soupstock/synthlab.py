@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Any, Iterator
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import rng as rng_mod
-from .engine import EnsembleConfig, Ingredient, ProvidedInit, _first_reports, run_ensemble, run_in_workers
+from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble, run_in_workers
 from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
 from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
 from .weightstore import Schema, WeightMap
@@ -265,9 +264,10 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
 
     Each trial owns the stream (seed, trial index) for its subsample and its
     shuffle seed. All trials run as replicas of a single engine run, one
-    (trials, d) iterate; with workers > 1 each worker (see
-    :func:`engine.run_in_workers`) runs one contiguous chunk of trials that
-    way, and the first chunk to fail raises its exception here. Rows are
+    (trials, d) iterate; with workers > 1 the trials split into that many
+    contiguous chunks, each one task of :func:`engine.run_in_workers` run
+    that way, and the first chunk to fail raises its exception here (one
+    whose worker died, the EngineError naming its exit status). Rows are
     identical for any worker count and come back in trial order.
     """
     dist = cfg.distribution
@@ -281,13 +281,8 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
     workers = max(1, min(workers, cfg.trials))
     bounds = [cfg.trials * k // workers for k in range(workers + 1)]
 
-    def task(k: int) -> Iterator[Any]:
-        try:
-            yield _trial_estimates(cfg, range(bounds[k], bounds[k + 1]))
-        except Exception as exc:  # raised in the caller, in chunk order
-            yield exc
-
-    parts = _first_reports(run_in_workers(task, workers), "estimator")
+    chunks = [partial(_trial_estimates, cfg, range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    parts = run_in_workers(chunks, workers)
     for part in parts:
         if isinstance(part, Exception):
             raise part

@@ -46,7 +46,7 @@ def no_child_left_unreaped():
 def no_thread_left_running():
     """A test after which more threads run than before it fails: while other
     threads run, engine.run_in_workers forks nothing and quietly runs every
-    worker's task in this process, one after another."""
+    task in this process, in task order."""
     before = threading.active_count()
     yield
     after = threading.active_count()

@@ -201,6 +201,62 @@ def test_merge_metrics_csv_row_faults_fail(tmp_path, capsys, rows, message):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("sweep", [None, {"ensemble.ordering": ["given", "metric_desc"]}], ids=["one", "sweep"])
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        ("ing0,0.1\ning1,abc\ning2,0.5\n", 1, "{csv}: metric of 'ing1' must be a finite number, got 'abc'"),
+        ("ing0,0.1\ning2,0.5\n", 1, "ordering 'metric_desc' requires metrics; missing for 'ing1'"),
+        (None, 2, "[Errno 2] No such file or directory: '{csv}'"),
+    ],
+    ids=["bad-metric", "missing-metric", "unreadable"],
+)
+def test_merge_metrics_are_checked_before_any_checkpoint_is_opened(
+    tmp_path, capsys, monkeypatch, sweep, rows, code, message
+):
+    # A malformed CSV or a missing metric is a config fault, in a sweep as in
+    # one merge; an unreadable CSV is an I/O failure, recorded per cell.
+    import soupstock.cli as cli
+
+    monkeypatch.setattr(cli, "open_checkpoint", lambda path: pytest.fail(f"opened {path}"))
+    csv_path = tmp_path / "metrics.csv"
+    if rows is not None:
+        csv_path.write_text("id,metric\n" + rows)
+    doc = merge_doc(count=3, ordering="metric_desc")
+    doc["metrics_csv"] = "metrics.csv"
+    if sweep is not None:
+        doc["sweep"] = sweep
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(out), "--quiet"]) == code
+    message = message.format(csv=csv_path)
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+    elif sweep is None:
+        assert err == f"io error: {message}\n"
+    else:
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert [(entry["status"], entry["error"]) for entry in manifest] == [("error", message)] * 2
+
+
+def test_merge_sweep_duplicate_values_are_config_errors(tmp_path, capsys):
+    # Equal values would run one cell twice, into one directory; 1 and 1.0 are equal.
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.01, 0.02, 0.01], "ensemble.n_divisor": [1, 1.0]}
+    doc["mystery"] = 1
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: $.mystery: unknown key\n"
+        "config error: $.sweep.ensemble.optimizer.lr[2]: duplicate value 0.01\n"
+        "config error: $.sweep.ensemble.n_divisor[1]: duplicate value 1.0\n"
+    )
+    assert not out.exists()
+
+
 def test_merge_sweep_grid_runs_all_cells(tmp_path):
     write_ingredients(tmp_path)
     doc = merge_doc()
@@ -378,7 +434,7 @@ def test_merge_sweep_dead_worker_fails_only_its_cells(tmp_path, monkeypatch, for
             assert entry["status"] == "ok"
         else:
             assert entry["status"] == "error"
-            assert entry["error"] == "sweep worker process exited with status 3 before reporting this cell"
+            assert entry["error"] == "worker process exited with status 3 before reporting"
 
 
 def test_merge_sweep_interrupt_kills_and_reaps_workers(tmp_path, monkeypatch, forked):
@@ -459,10 +515,11 @@ def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemb
     for i in range(3):
         weights = WeightMap({"w": rng.standard_normal(size).astype(np.float32)})
         save_checkpoint(weights, str(tmp_path / f"ing{i}.safetensors"))
-    [(_, cfg)] = enumerate_sweep(cell_doc(ensemble, greedy))
+    cells = enumerate_sweep(cell_doc(ensemble, greedy))
+    [(_, cfg)] = cells
     assert cli._cell_buffers(cfg) == buffers
     with ExitStack() as stack:
-        ingredients = cli._open_ingredients(cfg, str(tmp_path), stack)
+        ingredients = cli._open_ingredients(cells, str(tmp_path), stack)
         tracemalloc.start()
         try:
             cli._run_merge_cell(cfg, str(tmp_path), str(tmp_path / "out"), ingredients, 1)
@@ -723,7 +780,7 @@ def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_ensemble", recording_run)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
     monkeypatch.setattr(cli, "_sweep_workers", lambda *args: 2)
-    monkeypatch.setattr(cli, "_run_cells", lambda run_cell, count, workers: [run_cell(i) for i in range(count)])
+    monkeypatch.setattr(cli, "run_in_workers", lambda tasks, workers: [task() for task in tasks])
     for name in ("one", "sweep"):
         assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
     assert workers == [5, 2, 2]

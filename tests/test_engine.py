@@ -1,7 +1,11 @@
 import csv
+import os
 import re
 import threading
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from soupstock.engine import (
     _epoch_order_fn,
     order_ingredients,
     run_ensemble,
+    run_in_workers,
 )
 from soupstock.optim import GD, Adagrad, Adam, Adadelta, OptimizerSpec
 from soupstock.pseudograd import (
@@ -32,7 +37,7 @@ from soupstock.pseudograd import (
 )
 from soupstock.weightstore import WeightMap, l2_distance
 
-from conftest import random_weightmaps
+from conftest import another_thread_running, random_weightmaps
 
 
 def wm(**tensors):
@@ -780,3 +785,67 @@ def test_concurrent_replica_runs_match_serial_runs():
         assert not t.is_alive()
     for got, want in zip(results, serial):
         assert got is not None and got.flat.tobytes() == want.flat.tobytes()
+
+
+# --- run_in_workers ---------------------------------------------------------------------------
+
+
+def _warn_and_report(i):
+    warnings.warn(f"task {i}", UserWarning)
+    return i, os.getpid()
+
+
+@pytest.mark.parametrize("beside_thread", [False, True], ids=["forked", "beside-thread"])
+def test_run_in_workers_returns_results_and_warnings_in_task_order(beside_thread):
+    tasks = [partial(_warn_and_report, i) for i in range(5)]
+    with pytest.warns(UserWarning) as caught, another_thread_running() if beside_thread else nullcontext():
+        results = run_in_workers(tasks, 2)
+    assert [i for i, _ in results] == list(range(5))
+    assert [str(w.message) for w in caught] == [f"task {i}" for i in range(5)]
+    pids = [pid for _, pid in results]
+    assert pids[0::2] == [os.getpid()] * 3
+    if beside_thread:  # every task runs here
+        assert pids[1::2] == [os.getpid()] * 2
+    else:  # tasks 1 and 3 run in one child
+        assert pids[1] == pids[3] != os.getpid()
+
+
+def test_run_in_workers_returns_a_raising_tasks_exception_and_runs_the_rest():
+    def task(i):
+        if i in (1, 2):  # on the child's worker, then on this process's
+            raise ValueError(f"task {i} failed")
+        return i
+
+    results = run_in_workers([partial(task, i) for i in range(5)], 2)
+    assert [type(r) for r in results[1:3]] == [ValueError, ValueError]
+    assert [str(r) for r in results[1:3]] == ["task 1 failed", "task 2 failed"]
+    assert results[:1] + results[3:] == [0, 3, 4]
+
+
+def test_run_in_workers_fails_only_the_tasks_a_dead_child_never_reported():
+    parent = os.getpid()
+
+    def task(i):
+        if i == 3 and os.getpid() != parent:  # the child's second task
+            os._exit(3)
+        return i
+
+    results = run_in_workers([partial(task, i) for i in range(6)], 2)
+    assert results[:3] + results[4:5] == [0, 1, 2, 4]
+    for lost in (results[3], results[5]):
+        assert type(lost) is EngineError and str(lost) == "worker process exited with status 3 before reporting"
+
+
+def test_run_in_workers_forks_no_child_without_a_task(monkeypatch):
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_in_workers([partial(int, i) for i in range(3)], 8) == [0, 1, 2]
+    assert len(children) == 2
+    assert run_in_workers([], 8) == [] and len(children) == 2

@@ -586,7 +586,7 @@ def test_range_worker_that_dies_fails_the_run(monkeypatch):
     rng = np.random.default_rng(20)
     ingredients = [Ingredient(f"m{i}", ranged_map(rng)) for i in range(2)]
     cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))), ordering="given")
-    with pytest.raises(EngineError, match="^merge worker process exited with status 3 before reporting$"):
+    with pytest.raises(EngineError, match="^worker process exited with status 3 before reporting$"):
         run_ensemble(cfg, ingredients, workers=2)
 
 

@@ -375,7 +375,7 @@ def test_estimator_worker_that_dies_raises_its_exit_status(monkeypatch):
         return real(cfg, trials)
 
     monkeypatch.setattr(synthlab, "_trial_estimates", estimates_or_exit)
-    with pytest.raises(EngineError, match="^estimator worker process exited with status 3 before reporting$"):
+    with pytest.raises(EngineError, match="^worker process exited with status 3 before reporting$"):
         run_estimator_trials(small_trial_config("gaussian", trials=4), workers=2)
 
 
