@@ -68,7 +68,7 @@ from .engine import (
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
-from .pseudograd import AdaptivePivot, ScheduleError, soup
+from .pseudograd import AdaptivePivot, Constant, ScheduleError, soup
 from .rng import MAX_SEED
 from .synthlab import (
     DistributionSpec,
@@ -170,10 +170,12 @@ def _open_ingredients(
     return ingredients
 
 
-def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingredient]) -> EnsembleConfig:
+def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingredient],
+                         stack: ExitStack) -> EnsembleConfig:
     pivot_init = cfg.ensemble.pivot_init
-    if cfg.pivot_init_path is not None:
-        pivot_init = ProvidedInit(load_checkpoint(os.path.join(base_dir, cfg.pivot_init_path)))
+    if cfg.pivot_init_path is not None:  # it stays in its file, open on the stack
+        path = os.path.join(base_dir, cfg.pivot_init_path)
+        pivot_init = ProvidedInit(stack.enter_context(open_checkpoint(path)))
     projection = None
     if cfg.projection is not None:
         if cfg.projection.center == "soup":
@@ -190,15 +192,17 @@ def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingr
 def _run_merge_cell(
     cfg: MergeConfig, base_dir: str, out_dir: str, ingredients: list[Ingredient], workers: int
 ) -> tuple[str, str]:
-    engine_cfg = _build_engine_config(cfg, base_dir, ingredients)
-    merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
-    # Both files are complete before either replaces its predecessor.
-    with atomic_output(out_ckpt) as tmp_ckpt, atomic_output(out_log) as tmp_log:
-        save_checkpoint(merged, tmp_ckpt)
-        record.to_csv(tmp_log)
-        _check_unchanged([ing.weights for ing in ingredients])
+    with ExitStack() as stack:
+        engine_cfg = _build_engine_config(cfg, base_dir, ingredients, stack)
+        merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
+        provided = [engine_cfg.pivot_init.weights] if cfg.pivot_init_path is not None else []
+        # Both files are complete before either replaces its predecessor.
+        with atomic_output(out_ckpt) as tmp_ckpt, atomic_output(out_log) as tmp_log:
+            save_checkpoint(merged, tmp_ckpt)
+            record.to_csv(tmp_log)
+            _check_unchanged([ing.weights for ing in ingredients] + provided)
     return out_ckpt, out_log
 
 
@@ -215,9 +219,47 @@ def cmd_greedy(args) -> int:
     return _merge(args, forced)
 
 
+def _check_outputs(outputs: list[tuple[str, str]], inputs: list[tuple[str, str | None]], base_dir: str) -> None:
+    """Raise one ConfigError naming every output (what, path) whose real path
+    is an output's before it or an input's (what, path under base_dir, or
+    None). A merge checkpoint may replace an ingredient: the merge reads the
+    file it opened, which the rename leaves in place."""
+    errors: list[str] = []
+    taken = list(dict.fromkeys((what, os.path.realpath(os.path.join(base_dir, path)))
+                               for what, path in inputs if path is not None))
+    for what, path in outputs:
+        path = os.path.realpath(path)
+        for other, at in taken:
+            if at == path and not (what.endswith("checkpoint") and other.startswith("ingredient")):
+                errors.append(f"{what} and {other} share the path {path}")
+        taken.append((what, path))
+    if errors:
+        raise ConfigError(errors)
+
+
+def _check_merge_outputs(cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, out_dir: str) -> None:
+    """Check every cell's outputs (in a sweep, each under its cell's
+    directory) and the sweep manifest against one another and the inputs."""
+    sweep = bool(cells[0][0])
+    first = cells[0][1]  # every cell shares the ingredient list and metrics CSV
+    inputs = [(f"ingredient {entry.id!r}", entry.path) for entry in first.ingredients]
+    inputs.append(("metrics_csv", first.metrics_csv))
+    outputs = [("sweep_manifest.json", os.path.join(out_dir, "sweep_manifest.json"))] if sweep else []
+    for overrides, cfg in cells:
+        center = cfg.projection.center if cfg.projection is not None else "soup"
+        inputs += [("ensemble.pivot_init", cfg.pivot_init_path),
+                   ("ensemble.projection.center", None if center == "soup" else center),
+                   ("ensemble.greedy.evaluator.target", cfg.greedy.target_path if cfg.greedy.enabled else None)]
+        cell = sweep_cell_name(overrides) if sweep else ""
+        outputs += [(f"{cell} output.{key}".lstrip(), os.path.join(out_dir, cell, path))
+                    for key, path in (("checkpoint", cfg.out_checkpoint), ("log", cfg.out_log))]
+    _check_outputs(outputs, inputs, base_dir)
+
+
 def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
+    _check_merge_outputs(cells, base_dir, out_dir)
 
     # The ingredients stay open, one file each, until the merge ends.
     with ExitStack() as stack:
@@ -275,15 +317,15 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
 def _cell_buffers(cfg: MergeConfig) -> int:
     """The model-size buffers a cell holds at its peak (see
     engine._trajectory): the iterate and the optimizer state, plus where the
-    config has them a fixed or EMA pivot's copy of the initialization, a
-    provided initialization, greedy's target and spare state, a projection's
-    center, and the pre-step iterate of a greedy or projected run."""
+    config has them a fixed or EMA pivot's copy of the initialization,
+    greedy's target and spare state, a projection's center, and the pre-step
+    iterate of a greedy or projected run. A provided initialization stays in
+    its file, read a block at a time into the iterate."""
     state = cfg.ensemble.optimizer.variant.state_buffers
     greedy = cfg.greedy.enabled
     projected = cfg.projection is not None
     buffers = 1 + state
     buffers += not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
-    buffers += cfg.pivot_init_path is not None
     buffers += 1 + state if greedy else 0
     buffers += projected
     buffers += greedy or projected
@@ -378,25 +420,15 @@ def _sweep_workers(
 def cmd_synth_estimators(args) -> int:
     _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     base = default_estimator_config(args.dist, seed=args.seed)
-    optimizer = base.optimizer
+    # The Adam flags given replace the reference rule's fields; the rest stay.
+    given = {k: v for k, v in vars(args).items() if k in ("beta1", "beta2", "eps") and v is not None}
+    if args.lr is not None:
+        given["lr"] = Constant(args.lr)
     # Building the optimizer and the trial config checks every other flag.
     try:
-        if args.lr is not None or args.beta1 is not None or args.beta2 is not None or args.eps is not None:
-            from .optim import Adam
-            from .pseudograd import Constant
-
-            variant: Adam = base.optimizer.variant
-            optimizer = OptimizerSpec(
-                Adam(
-                    lr=Constant(args.lr if args.lr is not None else variant.lr.value),
-                    beta1=args.beta1 if args.beta1 is not None else variant.beta1,
-                    beta2=args.beta2 if args.beta2 is not None else variant.beta2,
-                    eps=args.eps if args.eps is not None else variant.eps,
-                )
-            )
         cfg = TrialConfig(
             distribution=DistributionSpec(kind=args.dist),
-            optimizer=optimizer,
+            optimizer=OptimizerSpec(dataclasses.replace(base.optimizer.variant, **given)),
             population_size=args.population,
             subsample_size=args.subsample,
             trials=args.trials,
@@ -503,6 +535,10 @@ def cmd_fed(args) -> int:
     cfg: FedRunConfig = parse_fed_config(load_json(args.config))
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
+    out_log = os.path.join(out_dir, cfg.out_log)
+    out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
+    points = [("init", cfg.init_path), *((f"client {c.id!r} center", c.center_path) for c in cfg.clients)]
+    _check_outputs([("output.log", out_log), ("output.checkpoint", out_ckpt)], points, base_dir)
 
     clients = tuple(
         ClientSpec(
@@ -524,8 +560,6 @@ def cmd_fed(args) -> int:
         server_stew=cfg.server_stew,
     )
     result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
-    out_log = os.path.join(out_dir, cfg.out_log)
-    out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     # Both files are complete before either replaces its predecessor.
     with atomic_output(out_log) as tmp_log, atomic_output(out_ckpt) as tmp_ckpt:
         result.to_csv(tmp_log)

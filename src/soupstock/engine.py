@@ -88,6 +88,7 @@ from .weightstore import (
     StoredMap,
     WeightMap,
     _add_pieces,
+    _first_nonfinite,
     _pieces_squared,
     l2_distance,
     validate_compatible,
@@ -158,9 +159,10 @@ class IngredientInit:
 
 @dataclass(frozen=True)
 class ProvidedInit:
-    """Initialize at an explicitly supplied weight map."""
+    """Initialize at an explicitly supplied weight map, which may stay in its
+    file (a StoredMap): each block range reads its span into the iterate."""
 
-    weights: WeightMap
+    weights: WeightMap | StoredMap
 
 
 PivotInit = SoupInit | IngredientInit | ProvidedInit
@@ -431,15 +433,17 @@ class _Plan:
 
         ordered = order_ingredients(items, cfg.ordering)
         self.init_sources, sweep = _resolve_pivot_init(cfg, ordered)
-        validate_compatible([self.init_sources[0], items[0].weights])
+        init = cfg.pivot_init
         references = {
+            "provided initialization": init.weights if isinstance(init, ProvidedInit) else None,
             "projection center": cfg.projection.center if cfg.projection is not None else None,
             "greedy target": cfg.greedy.target if cfg.greedy is not None else None,
         }
         for what, reference in references.items():
             if reference is not None:
                 validate_compatible([reference, items[0].weights])
-                bad = next((name for name, a in reference.arrays().items() if not np.isfinite(a).all()), None)
+                # A stored map was checked when its file was opened.
+                bad = None if isinstance(reference, StoredMap) else _first_nonfinite(reference, schema.names)
                 if bad is not None:
                     raise EngineError(f"{what} holds a non-finite value in tensor {bad!r}")
         if sweep and cfg.batch_size > len(sweep):
@@ -452,13 +456,6 @@ class _Plan:
         self.n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
         self.batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
         self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
-
-    def init(self, out: np.ndarray, span: slice) -> WeightMap:
-        """Write the span of the initialization into out; a view of out."""
-        if isinstance(self.cfg.pivot_init, SoupInit):
-            return soup(self.init_sources, out, span)
-        self.init_sources[0].read(span, out[span])
-        return WeightMap._wrap(out.view(), self.schema)
 
 
 def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> list[range]:
@@ -496,7 +493,7 @@ def _trajectory(
     sums: list[np.ndarray] = []
     done = 0
     try:
-        w = plan.init(iterate, span)
+        w = soup(plan.init_sources, iterate, span)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
         pivot, ema = w, None
         if not isinstance(cfg.pivot_policy, AdaptivePivot):

@@ -40,11 +40,11 @@ demand. A header is parsed and validated once per distinct header bytes and
 file size, so the fine-tunes of one model share one Schema. Both kinds of
 map serve ``read(slice)``, so the soup and the merge loop read each block
 from whichever source they are given; a WeightMap's read is a view.
-:func:`load_checkpoint` opens a file and reads the whole body into one
-buffer. A run of F32 tensors stored in name order is read straight into
-place; narrow float tensors (F16/BF16) are widened to float32 on read and
-written back as F32; float32 round-trips are byte-exact. Every output file
-is written through :func:`atomic_output`.
+:func:`load_checkpoint` is :func:`open_checkpoint`, then a read of the whole
+body into one buffer. A run of F32 tensors stored in name order is read
+straight into place; narrow float tensors (F16/BF16) are widened to float32
+on read and written back as F32; float32 round-trips are byte-exact. Every
+output file is written through :func:`atomic_output`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -462,8 +462,8 @@ class StoredMap:
     name order is read straight into the buffer; F16/BF16 or reordered tensors
     are widened piece by piece.
 
-    Returned by :func:`open_checkpoint`, which has validated the header and
-    checked every element to be finite. The header's validated layout is
+    Returned by :func:`open_checkpoint`: opening validates the header and
+    checks every element to be finite. The header's validated layout is
     shared with the maps of other files with the same header and size (see
     :func:`_layout`); the finiteness check, the metadata dict and the record
     of the file's size and mtime are the map's own. The file stays open until
@@ -479,6 +479,9 @@ class StoredMap:
         self._file = open(path, "rb", buffering=0)
         try:
             self._parse()
+            bad = _first_nonfinite(self, self._header_names)
+            if bad is not None:
+                raise CheckpointError(f"{path}: tensor {bad!r} contains NaN/Inf")
         except BaseException:
             self._file.close()
             raise
@@ -546,26 +549,6 @@ class StoredMap:
         if (st.st_size, st.st_mtime_ns) != self._stat:
             raise CheckpointError(f"{self.path}: file changed while it was open")
 
-    def _reject_nonfinite(self, values: Callable[[int, int], np.ndarray]) -> None:
-        # values(begin, end) gives those elements of the flat buffer. One pass
-        # in blocks; only on a failure are the tensors searched, in header
-        # order, for the one the error names.
-        def finite(begin: int, end: int) -> bool:
-            return all(
-                np.isfinite(values(lo, min(lo + BLOCK, end))).all() for lo in range(begin, end, BLOCK)
-            )
-
-        schema = self._schema
-        if finite(0, schema.size):
-            return
-        for name in self._header_names:
-            i = schema.index[name]
-            if not finite(schema.offsets[i], schema.offsets[i + 1]):
-                raise CheckpointError(
-                    f"{self.path}: tensor {name!r} contains NaN/Inf "
-                    f"(pass allow_nonfinite=True to accept)"
-                )
-
     def schema(self) -> Schema:
         return self._schema
 
@@ -585,34 +568,39 @@ class StoredMap:
         return f"StoredMap({self.path!r}, {len(self._schema)} tensors, {self.num_elements()} elements)"
 
 
+def _first_nonfinite(m: WeightMap | StoredMap, names: Iterable[str]) -> str | None:
+    """The first of ``names`` whose tensor in m holds a NaN or Inf, or None: one
+    blocked pass over m, and only if it fails a search tensor by tensor in that order."""
+    schema = m.schema()
+    scratch = np.empty(min(BLOCK, schema.size), dtype=np.float32)
+
+    def finite(begin: int, end: int) -> bool:
+        spans = (slice(lo, min(lo + BLOCK, end)) for lo in range(begin, end, BLOCK))
+        return all(np.isfinite(m.read(s, scratch[: s.stop - s.start])).all() for s in spans)
+
+    if finite(0, schema.size):
+        return None
+    offsets, index = schema.offsets, schema.index
+    return next((name for name in names if not finite(offsets[index[name]], offsets[index[name] + 1])), None)
+
+
 def open_checkpoint(path: str) -> StoredMap:
     """Open a checkpoint file for block reads.
 
     The header is parsed and validated, and every element is checked to be
-    finite in one blocked pass (a NaN/Inf raises the same CheckpointError as
-    :func:`load_checkpoint`). Close the map, or use it in a ``with`` block.
+    finite (:func:`_first_nonfinite`); a NaN/Inf raises a CheckpointError
+    naming the first such tensor in header order. Close the map, or use it
+    in a ``with`` block.
     """
-    stored = StoredMap(path)
-    try:
-        scratch = np.empty(min(BLOCK, stored.num_elements()), dtype=np.float32)
-        stored._reject_nonfinite(lambda lo, hi: stored.read(slice(lo, hi), scratch[: hi - lo]))
-    except BaseException:
-        stored.close()
-        raise
-    return stored
+    return StoredMap(path)
 
 
-def load_checkpoint(path: str, allow_nonfinite: bool = False) -> WeightMap:
-    """Load a checkpoint file into a WeightMap: open it, then read the whole body.
-
-    F16/BF16 tensors are widened to float32; metadata is preserved. NaN/Inf
-    elements are rejected unless ``allow_nonfinite`` is set.
-    """
-    with StoredMap(path) as stored:
-        m = stored.load()
-        if not allow_nonfinite:
-            stored._reject_nonfinite(lambda lo, hi: m.flat[lo:hi])
-    return m
+def load_checkpoint(path: str) -> WeightMap:
+    """Load a checkpoint file into a WeightMap: :func:`open_checkpoint`, then
+    read the whole body. F16/BF16 tensors are widened to float32; metadata
+    is preserved."""
+    with open_checkpoint(path) as stored:
+        return stored.load()
 
 
 def save_checkpoint(weightmap: WeightMap, path: str) -> None:

@@ -473,7 +473,7 @@ CELL_VARIANTS = pytest.mark.parametrize(
         ({"optimizer": {"kind": "adam", "lr": 0.1}}, True, 7),
         ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "fixed"},
           "pivot_init": {"kind": "provided", "path": "ing1.safetensors"},
-          "projection": {"center": "ing2.safetensors", "radius": 1.0}}, False, 7),
+          "projection": {"center": "ing2.safetensors", "radius": 1.0}}, False, 6),
     ],
     ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adam-greedy", "adam-fixed-provided-projection"],
 )
@@ -622,36 +622,137 @@ def _truncate_in_place(path):
 
 
 @pytest.mark.parametrize(
-    "change, during_run, message",
+    "changed, change, during_run, message",
     [
-        (_rewrite_in_place, False, "file changed while it was open"),
-        (_truncate_in_place, False, "file changed while it was open"),
-        (_truncate_in_place, True, "truncated buffer"),
+        ("ing1", _rewrite_in_place, False, "file changed while it was open"),
+        ("ing1", _truncate_in_place, False, "file changed while it was open"),
+        ("ing1", _truncate_in_place, True, "truncated buffer"),
+        ("init", _rewrite_in_place, False, "file changed while it was open"),
     ],
-    ids=["rewritten", "truncated", "truncated-mid-run"],
+    ids=["rewritten", "truncated", "truncated-mid-run", "provided-init-rewritten"],
 )
 def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
-    tmp_path, monkeypatch, capsys, change, during_run, message
+    tmp_path, monkeypatch, capsys, changed, change, during_run, message
 ):
     # The change comes after the files were opened: before the run reads
     # them, or after it has read them and before the outputs are written.
+    # A provided initialization stays open through the cell like an ingredient.
     import soupstock.cli as cli
 
-    write_ingredients(tmp_path, count=3)
-    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=3)))
+    paths = write_ingredients(tmp_path, count=4)
+    os.replace(paths[3], tmp_path / "init.safetensors")
+    doc = merge_doc(count=3, pivot_init={"kind": "provided", "path": "init.safetensors"})
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
     real_run = cli.run_ensemble
 
     def run_with_change(cfg, ingredients, **kwargs):
         if during_run:
-            change(tmp_path / "ing1.safetensors")
+            change(tmp_path / f"{changed}.safetensors")
         result = real_run(cfg, ingredients, **kwargs)
-        change(tmp_path / "ing1.safetensors")
+        change(tmp_path / f"{changed}.safetensors")
         return result
 
     monkeypatch.setattr(cli, "run_ensemble", run_with_change)
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert f"ing1.safetensors: {message}" in capsys.readouterr().err
+    assert f"{changed}.safetensors: {message}" in capsys.readouterr().err
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
+
+
+def _files(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def _run_clashing(tmp_path, capsys, doc, command="merge"):
+    """Exit code and stderr of a run whose outputs clash; it must write nothing."""
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    before = _files(tmp_path)
+    code = main([command, "--config", str(tmp_path / "run.json"), "--quiet"])
+    assert _files(tmp_path) == before
+    return code, capsys.readouterr().err
+
+
+CLASH_SWEEP = {"ensemble.optimizer.weight_decay": [0.0, 0.1]}
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["one-cell", "sweep"])
+def test_merge_log_and_checkpoint_at_one_path_exit_1_before_any_run(tmp_path, capsys, sweep):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["output"] = {"checkpoint": "same.bin", "log": "same.bin"}
+    if sweep:
+        doc["sweep"] = CLASH_SWEEP
+    code, err = _run_clashing(tmp_path, capsys, doc)
+    assert code == 1
+    for cell in [sweep_cell_name(overrides) for overrides, _ in enumerate_sweep(doc)] if sweep else [""]:
+        path = os.path.realpath(tmp_path / cell / "same.bin")
+        log, checkpoint = (f"{cell} output.{key}".lstrip() for key in ("log", "checkpoint"))
+        assert f"config error: {log} and {checkpoint} share the path {path}\n" in err
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["one-cell", "sweep"])
+@pytest.mark.parametrize(
+    "key, target, what",
+    [
+        ("log", "ing1.safetensors", "ingredient 'ing1'"),
+        ("checkpoint", "metrics.csv", "metrics_csv"),
+        ("checkpoint", "init.safetensors", "ensemble.pivot_init"),
+        ("log", "center.safetensors", "ensemble.projection.center"),
+        ("checkpoint", "target.safetensors", "ensemble.greedy.evaluator.target"),
+    ],
+    ids=["ingredient", "metrics", "provided-init", "center", "greedy-target"],
+)
+def test_merge_output_at_an_input_path_exits_1_before_any_run(tmp_path, capsys, key, target, what, sweep):
+    # Only a checkpoint may replace an ingredient (see the test above it).
+    paths = write_ingredients(tmp_path, count=6)
+    for path, name in zip(paths[3:], ["init", "center", "target"]):
+        os.replace(path, tmp_path / f"{name}.safetensors")
+    (tmp_path / "metrics.csv").write_text("id,metric\ning0,0.1\ning1,0.9\ning2,0.5\n")
+    doc = merge_doc(count=3, pivot_init={"kind": "provided", "path": "init.safetensors"},
+                    projection={"center": "center.safetensors", "radius": 1.0},
+                    greedy={"enabled": True, "evaluator": {"kind": "neg_distance", "target": "target.safetensors"}})
+    doc["metrics_csv"] = "metrics.csv"
+    doc["output"][key] = ("../" if sweep else "") + target
+    if sweep:
+        doc["sweep"] = CLASH_SWEEP
+    code, err = _run_clashing(tmp_path, capsys, doc)
+    assert code == 1
+    path = os.path.realpath(tmp_path / target)
+    for cell in [sweep_cell_name(overrides) for overrides, _ in enumerate_sweep(doc)] if sweep else [""]:
+        assert f"{cell} output.{key} and {what} share the path {path}\n".lstrip() in err
+
+
+@pytest.mark.parametrize(
+    "key, target, other",
+    [("checkpoint", "../escape.safetensors", "output.checkpoint"), ("log", "../sweep_manifest.json", None)],
+    ids=["two-cells", "manifest"],
+)
+def test_sweep_outputs_at_one_path_exit_1_before_any_run(tmp_path, capsys, key, target, other):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["output"][key] = target
+    doc["sweep"] = CLASH_SWEEP
+    code, err = _run_clashing(tmp_path, capsys, doc)
+    assert code == 1
+    first, second = (sweep_cell_name(overrides) for overrides, _ in enumerate_sweep(doc))
+    path = os.path.realpath(tmp_path / target[3:])
+    if other is None:  # each cell's log lands on the manifest
+        assert f"{first} output.log and sweep_manifest.json share the path {path}\n" in err
+    assert f"{second} output.{key} and {first} output.{key} share the path {path}\n" in err
+
+
+@pytest.mark.parametrize(
+    "output, what",
+    [({"log": "same.bin", "checkpoint": "same.bin"}, "output.log"),
+     ({"log": "fed.csv", "checkpoint": "init.safetensors"}, "init")],
+    ids=["log-and-checkpoint", "checkpoint-at-init"],
+)
+def test_fed_clashing_outputs_exit_1_before_the_run(tmp_path, capsys, output, what):
+    save_checkpoint(WeightMap({"w": np.zeros(2, dtype=np.float32)}), str(tmp_path / "init.safetensors"))
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0}, init={"path": "init.safetensors"}, output=output)
+    code, err = _run_clashing(tmp_path, capsys, doc, command="fed")
+    assert code == 1
+    path = os.path.realpath(tmp_path / output["checkpoint"])
+    assert f"config error: output.checkpoint and {what} share the path {path}\n" in err
 
 
 def test_merge_may_write_over_an_ingredient(tmp_path):

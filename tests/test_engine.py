@@ -35,7 +35,7 @@ from soupstock.pseudograd import (
     schedule_eval,
     soup,
 )
-from soupstock.weightstore import WeightMap, l2_distance
+from soupstock.weightstore import WeightMap, l2_distance, open_checkpoint, save_checkpoint
 
 from conftest import another_thread_running, random_weightmaps
 
@@ -404,25 +404,44 @@ def test_greedy_reverts_optimizer_state():
     assert merged == replay
 
 
-@pytest.mark.parametrize("feature", ["projection", "greedy"])
+@pytest.mark.parametrize("feature", ["projection", "greedy", "provided"])
 def test_nonfinite_reference_map_rejected_before_any_step(monkeypatch, feature):
     # Unchecked, a NaN centre gives an all-NaN model when the projection
-    # lands on the last step, and an inf target rejects every step unseen.
+    # lands on the last step, an inf target rejects every step unseen, and a
+    # NaN initialization aborts the run only after its first step.
     import soupstock.engine as engine
 
     ingredients = make_ingredients(seed=26, count=3)
     arrays = {name: np.full_like(a, 0.5) for name, a in ingredients[0].weights.arrays().items()}
     name = list(arrays)[-1]
-    arrays[name].reshape(-1)[0] = np.nan if feature == "projection" else np.inf
+    arrays[name].reshape(-1)[0] = np.inf if feature == "greedy" else np.nan
     bad = WeightMap(arrays)
-    extra = {"projection": Projection(bad, 1.0)} if feature == "projection" else {"greedy": Greedy(bad)}
+    extra = {"projection": {"projection": Projection(bad, 1.0)}, "greedy": {"greedy": Greedy(bad)},
+             "provided": {"pivot_init": ProvidedInit(bad)}}[feature]
     cfg = gd_cfg(batch_size=3, **extra)
     steps = []
     monkeypatch.setattr(engine, "optimizer_step", lambda *a, **k: steps.append(1))
-    what = "projection center" if feature == "projection" else "greedy target"
+    what = {"projection": "projection center", "greedy": "greedy target",
+            "provided": "provided initialization"}[feature]
     with pytest.raises(EngineError, match=re.escape(f"{what} holds a non-finite value in tensor {name!r}")):
         run_ensemble(cfg, ingredients)
     assert steps == []
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["in-memory", "stored"])
+def test_one_ingredient_init_returns_the_ingredient_bit_for_bit(tmp_path, stored):
+    # Every initialization is a float64 soup; the soup of one finite float32
+    # map is that map, -0.0 and subnormals included. No step: the sweep is empty.
+    tiny = np.finfo(np.float32).smallest_subnormal
+    weights = wm(a=[-0.0, tiny, -3 * tiny, 1.0 / 3.0], b=np.float32([[np.finfo(np.float32).max, -1e-38]]))
+    if stored:
+        save_checkpoint(weights, str(tmp_path / "m.safetensors"))
+        weights = open_checkpoint(str(tmp_path / "m.safetensors"))
+    with weights if stored else nullcontext():
+        merged, record = run_ensemble(gd_cfg(pivot_init=IngredientInit("m")), [Ingredient("m", weights)])
+        expected = weights.read(slice(None))
+    assert record.total_steps == 0
+    assert merged.flat.view(np.uint32).tolist() == expected.view(np.uint32).tolist()
 
 
 def test_nonfinite_iterate_raises_naming_step_and_batch():

@@ -115,8 +115,6 @@ def test_load_rejects_nan_by_default(tmp_path):
     write_raw(path, {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, buf)
     with pytest.raises(CheckpointError, match="NaN/Inf"):
         load_checkpoint(str(path))
-    m = load_checkpoint(str(path), allow_nonfinite=True)
-    assert np.isnan(m.array("a")[1])
 
 
 def test_load_rejects_gap_between_tensors(tmp_path):
