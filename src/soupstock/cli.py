@@ -25,11 +25,11 @@ single-cell merge is not a sweep and runs here directly. Every cell is one
 usable CPUs for a single cell, and the usable CPUs divided by the sweep's
 workers (at least one) for each cell of a sweep; the engine runs a greedy or
 projected cell as one range, stepped in place in the process that runs the
-cell beside one pre-step copy of its iterate. ``synth estimators`` runs one
-chunk of trials per worker, at most one per usable CPU. Worker 0 is this
-process, and ``engine.run_in_workers`` forks the others, or, while other
-threads run, runs every task here. No output depends on the number of
-workers.
+cell, beside one pre-step copy of its iterate if it is greedy or logs its
+steps. ``synth estimators`` runs one chunk of trials per worker, at most one
+per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
+forks the others, or, while other threads run, runs every task here. No
+output depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ from .weightstore import (
     load_checkpoint,
     open_checkpoint,
     save_checkpoint,
+    write_csv,
 )
 
 
@@ -319,8 +320,9 @@ def _cell_buffers(cfg: MergeConfig) -> int:
     engine._trajectory): the iterate and the optimizer state, plus where the
     config has them a fixed or EMA pivot's copy of the initialization,
     greedy's target and spare state, a projection's center, and the pre-step
-    iterate of a greedy or projected run. A provided initialization stays in
-    its file, read a block at a time into the iterate."""
+    iterate of a greedy run or of a projected run that logs its steps. A
+    provided initialization stays in its file, read a block at a time into
+    the iterate."""
     state = cfg.ensemble.optimizer.variant.state_buffers
     greedy = cfg.greedy.enabled
     projected = cfg.projection is not None
@@ -328,7 +330,7 @@ def _cell_buffers(cfg: MergeConfig) -> int:
     buffers += not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
     buffers += 1 + state if greedy else 0
     buffers += projected
-    buffers += greedy or projected
+    buffers += greedy or (projected and cfg.ensemble.record_steps)
     return buffers
 
 
@@ -484,13 +486,9 @@ def cmd_synth_convergence(args) -> int:
         init=np.array([args.omega, 0.0]),
     )
     if args.output is not None:
-        with atomic_output(args.output) as tmp, open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "x", "y", "l1_norm"])
-            for step, pt in enumerate(trajectory):
-                writer.writerow(
-                    [step, repr(float(pt[0])), repr(float(pt[1])), repr(float(abs(pt[0]) + abs(pt[1])))]
-                )
+        rows = ((step, x, y, abs(x) + abs(y)) for step, (x, y) in enumerate(trajectory))
+        with atomic_output(args.output) as tmp:
+            write_csv(tmp, ["step", "x", "y", "l1_norm"], rows)
     _say(
         args,
         f"tail displacement {report.max_tail_displacement:.3e} vs bound {report.tail_bound:.3e} "

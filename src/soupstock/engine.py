@@ -20,10 +20,11 @@ be finite (a NaN/Inf aborts the run with an EngineError naming the step and
 batch) and staged for the log norms. No model-size mean or pseudogradient is
 ever built, and stored ingredients are never held whole. A run writes its
 initialization straight into the one iterate buffer it owns and steps it in
-place. A greedy or projected run also copies the iterate before each step
-into one buffer it allocates once: a projection takes its displacement
-against that copy, and a rejected greedy step copies it back and swaps the
-optimizer state with a spare that holds a copy of the pre-step one. Greedy
+place. A greedy run, and a projected run that logs its steps, also copy
+the iterate before each step into one buffer allocated once: a logged
+projection takes its displacement against that copy, and a rejected greedy
+step copies it back and swaps the optimizer state with a spare that holds a
+copy of the pre-step one; a projected run without a log keeps no copy. Greedy
 acceptance scores each iterate by its distance to a target map (``Greedy``),
 the only metric a data-free merge has.
 
@@ -51,7 +52,6 @@ orders from one generator of its own, restarted at each replica's stream.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import os
 import pickle
@@ -92,6 +92,7 @@ from .weightstore import (
     _pieces_squared,
     l2_distance,
     validate_compatible,
+    write_csv,
 )
 
 __all__ = [
@@ -250,23 +251,12 @@ class RunRecord:
     total_steps: int = 0
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER.split(","))
-            for s in self.steps:
-                writer.writerow(
-                    [
-                        s.step,
-                        s.epoch,
-                        "|".join(s.batch_ids),
-                        repr(s.eta),
-                        repr(s.zeta),
-                        repr(s.grad_norm),
-                        repr(s.displacement),
-                        "" if s.metric is None else repr(s.metric),
-                        "" if s.accepted is None else str(s.accepted).lower(),
-                    ]
-                )
+        rows = (
+            (s.step, s.epoch, "|".join(s.batch_ids), s.eta, s.zeta, s.grad_norm, s.displacement,
+             s.metric, s.accepted)
+            for s in self.steps
+        )
+        write_csv(path, CSV_HEADER.split(","), rows)
 
 
 def order_ingredients(ingredients: Sequence[Ingredient], ordering: str) -> list[Ingredient]:
@@ -505,8 +495,10 @@ def _trajectory(
             ema = copy if ema_decay is not None else None
         state = OptimizerState()
         spare = OptimizerState() if greedy is not None else None
-        before = np.empty(schema.size, dtype=np.float32) if plan.whole_map else None  # the pre-step iterate
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
+        # The pre-step iterate, read by a greedy revert and a logged projection's displacement.
+        keep_before = greedy is not None or (cfg.projection is not None and norms is not None)
+        before = np.empty(schema.size, dtype=np.float32) if keep_before else None
         best_metric = -l2_distance(w, greedy.target) if greedy is not None else None
 
         for epoch in range(1, cfg.epochs + 1):

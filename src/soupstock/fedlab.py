@@ -18,14 +18,13 @@ sequential barrier between rounds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, run_ensemble
 from .optim import OptimizerSpec, OptimizerState, optimizer_step
 from .pseudograd import pseudogradient, soup
-from .weightstore import WeightMap, l2_distance, validate_compatible
+from .weightstore import WeightMap, l2_distance, validate_compatible, write_csv
 
 __all__ = [
     "ClientSpec",
@@ -101,13 +100,8 @@ class FedResult:
     iterates: list[WeightMap] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "participants", "delta_norm", "distance_to_center_mean"])
-            for r in self.rounds:
-                writer.writerow(
-                    [r.round, "|".join(r.participants), repr(r.delta_norm), repr(r.distance_to_center_mean)]
-                )
+        rows = ((r.round, "|".join(r.participants), r.delta_norm, r.distance_to_center_mean) for r in self.rounds)
+        write_csv(path, ["round", "participants", "delta_norm", "distance_to_center_mean"], rows)
 
 
 def client_train(start: WeightMap, spec: ClientSpec) -> WeightMap:

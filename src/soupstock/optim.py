@@ -152,7 +152,7 @@ class OptimizerSpec:
                 warnings.warn(
                     f"adam beta1^2={v.beta1 ** 2:g} >= beta2={v.beta2:g}: the decaying-schedule "
                     "convergence guarantee needs beta1^2 < beta2",
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass's generated __init__, to its caller
                 )
         if isinstance(v, Adadelta):
             if not (0.0 <= v.rho < 1.0):

@@ -26,7 +26,7 @@ from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble, run_in_workers
 from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
 from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
-from .weightstore import Schema, WeightMap
+from .weightstore import Schema, WeightMap, write_csv
 
 __all__ = [
     "DistributionSpec",
@@ -169,16 +169,8 @@ class EstimatorResult:
     reference: tuple[float, ...]
 
     def to_csv(self, path: str) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "soup_x", "soup_y", "ame_x", "ame_y", "dist_soup", "dist_ame"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.trial, *(repr(v) for v in r.soup), *(repr(v) for v in r.ame),
-                     repr(r.dist_soup), repr(r.dist_ame)]
-                )
+        rows = ((r.trial, *r.soup, *r.ame, r.dist_soup, r.dist_ame) for r in self.rows)
+        write_csv(path, ["trial", "soup_x", "soup_y", "ame_x", "ame_y", "dist_soup", "dist_ame"], rows)
 
     def median_dist_soup(self) -> float:
         return float(_median([r.dist_soup for r in self.rows]))
@@ -343,15 +335,8 @@ class CycleResult:
 
     def to_csv(self, path: str) -> None:
         # One row per step taken; the starting point (step 0) is not a row.
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "x", "y", "l1_norm"])
-            norms = self.l1_norms()
-            for step in range(1, len(self.points)):
-                pt, norm = self.points[step], norms[step]
-                writer.writerow([step, repr(float(pt[0])), repr(float(pt[1])), repr(float(norm))])
+        rows = zip(range(1, len(self.points)), self.points[1:, 0], self.points[1:, 1], self.l1_norms()[1:])
+        write_csv(path, ["step", "x", "y", "l1_norm"], rows)
 
 
 def cycle_counterexample(k: float, omega: float, cycles: int) -> CycleResult:
@@ -359,7 +344,8 @@ def cycle_counterexample(k: float, omega: float, cycles: int) -> CycleResult:
 
     Starting from (omega, 0) the orbit is exactly (omega,0) -> (0,omega) ->
     (-omega,0) -> (0,-omega) -> ... regardless of k; only float drift
-    accumulates.
+    accumulates. An orbit that leaves the float64 range (k * omega
+    overflows) raises a ValueError naming its first non-finite step.
     """
     if k <= 0 or omega <= 0 or cycles < 1:
         raise ValueError("k and omega must be > 0 and cycles >= 1")
@@ -368,10 +354,15 @@ def cycle_counterexample(k: float, omega: float, cycles: int) -> CycleResult:
     w = np.array([omega, 0.0], dtype=np.float64)
     points = np.empty((4 * cycles + 1, 2), dtype=np.float64)
     points[0] = w
-    for t in range(4 * cycles):
-        w = w - eta * (w - xs[t % 4])
-        points[t + 1] = w
-    return CycleResult(points=points, k=k, omega=omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
+        for t in range(4 * cycles):
+            w = w - eta * (w - xs[t % 4])
+            points[t + 1] = w
+        result = CycleResult(points=points, k=k, omega=omega)
+        bad = np.flatnonzero(~np.isfinite(result.l1_norms()))
+    if bad.size:
+        raise ValueError(f"the cycle leaves the float64 range at step {bad[0]} (k={k:g}, omega={omega:g})")
+    return result
 
 
 # --- decaying-schedule convergence ------------------------------------------------------
@@ -500,13 +491,7 @@ class WllnResult:
     epsilon: float
 
     def to_csv(self, path: str) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "fraction"])
-            for n, fraction in self.rows:
-                writer.writerow([n, repr(fraction)])
+        write_csv(path, ["n", "fraction"], self.rows)
 
     def fractions(self) -> list[float]:
         return [f for _n, f in self.rows]

@@ -44,12 +44,14 @@ from whichever source they are given; a WeightMap's read is a view.
 body into one buffer. A run of F32 tensors stored in name order is read
 straight into place; narrow float tensors (F16/BF16) are widened to float32
 on read and written back as F32; float32 round-trips are byte-exact. Every
-output file is written through :func:`atomic_output`.
+output file is written through :func:`atomic_output`, and every CSV through
+:func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import json
 import math
 import os
@@ -73,6 +75,7 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "atomic_output",
+    "write_csv",
     "validate_compatible",
     "global_l2_norm",
     "l2_distance",
@@ -641,3 +644,24 @@ def atomic_output(path: str) -> Iterator[str]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write `header`, then `rows`, to `path` as CSV. This alone decides a
+    cell's text: a float is its repr (a numpy float64 that of the equal
+    Python float, so the text reads back to the same bits), None an empty
+    field, a bool ``true``/``false``, and anything else its ``str()``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)

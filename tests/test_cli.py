@@ -22,7 +22,7 @@ from soupstock.config import (
 from soupstock.engine import EnsembleConfig, Ingredient, IngredientInit, run_ensemble
 from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
-from soupstock.synthlab import default_estimator_config
+from soupstock.synthlab import ConvergenceReport, default_estimator_config
 from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
 
 from conftest import another_thread_running
@@ -470,12 +470,15 @@ CELL_VARIANTS = pytest.mark.parametrize(
         ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 4),
         ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0}},
          False, 5),
+        ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0},
+          "record_steps": False}, False, 4),
         ({"optimizer": {"kind": "adam", "lr": 0.1}}, True, 7),
         ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "fixed"},
           "pivot_init": {"kind": "provided", "path": "ing1.safetensors"},
           "projection": {"center": "ing2.safetensors", "radius": 1.0}}, False, 6),
     ],
-    ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adam-greedy", "adam-fixed-provided-projection"],
+    ids=["gd", "adagrad", "adam-ema", "adadelta-projection", "adadelta-projection-nolog", "adam-greedy",
+         "adam-fixed-provided-projection"],
 )
 
 
@@ -1179,6 +1182,26 @@ def test_synth_wlln_small_run(tmp_path):
 def test_synth_convergence_run(tmp_path, capsys):
     assert main(["synth", "convergence", "--steps", "20000"]) == 0
     assert "converged" in capsys.readouterr().out
+
+
+def test_synth_convergence_csv_text(tmp_path, monkeypatch):
+    trajectory = np.array([[1.0, 0.0], [0.5, -0.25], [1e-05, 0.1]])
+    report = ConvergenceReport(radius=1.0, cap=1.0, tail_start=1, max_tail_displacement=0.0,
+                               tail_bound=1.0, converged=True, per_step_factor=1.0)
+    monkeypatch.setattr("soupstock.cli.convergence_check", lambda **kwargs: (trajectory, report))
+    out = tmp_path / "conv.csv"
+    assert main(["synth", "convergence", "-o", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == b"step,x,y,l1_norm\r\n0,1.0,0.0,1.0\r\n1,0.5,-0.25,0.75\r\n2,1e-05,0.1,0.10001\r\n"
+
+
+def test_synth_cycle_that_leaves_the_floats_exits_2(tmp_path, capsys):
+    out = tmp_path / "cycle.csv"
+    argv = ["synth", "cycle", "--k", "1e200", "--omega", "1e200", "--cycles", "1", "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the cycle leaves the float64 range at step 1 (k=1e+200, omega=1e+200)\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # --- fed -------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from soupstock.engine import (
     IngredientInit,
     Projection,
     ProvidedInit,
+    RunRecord,
     SoupInit,
+    StepRecord,
     _epoch_order_fn,
     order_ingredients,
     run_ensemble,
@@ -304,6 +306,23 @@ def test_run_record_csv(tmp_path):
     assert rows[0] == "step,epoch,batch_ids,eta,zeta,grad_norm,displacement,metric,accepted".split(",")
     assert len(rows) == 1 + 3
     assert rows[1][0] == "1" and rows[1][2] == "m00"
+
+
+def test_run_record_csv_text(tmp_path):
+    record = RunRecord(
+        steps=[
+            StepRecord(1, 1, ("m00", "m01"), 0.5, 1.0, 0.1, 1 / 3),
+            StepRecord(2, 1, ("m02",), 0.25, 2.0, 3.0, 1e-05, metric=-1.5, accepted=True),
+        ],
+        total_steps=2,
+    )
+    path = tmp_path / "run.csv"
+    record.to_csv(str(path))
+    assert path.read_bytes() == (
+        b"step,epoch,batch_ids,eta,zeta,grad_norm,displacement,metric,accepted\r\n"
+        b"1,1,m00|m01,0.5,1.0,0.1,0.3333333333333333,,\r\n"
+        b"2,1,m02,0.25,2.0,3.0,1e-05,-1.5,true\r\n"
+    )
 
 
 def test_step_indices_strictly_increasing():

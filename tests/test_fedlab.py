@@ -5,6 +5,8 @@ from soupstock.engine import EnsembleConfig
 from soupstock.fedlab import (
     ClientSpec,
     FedConfig,
+    FedResult,
+    RoundLog,
     client_train,
     simulate_fedopt,
     simulate_fedsoup,
@@ -211,3 +213,15 @@ def test_round_log_csv(tmp_path):
     assert lines[0] == "round,participants,delta_norm,distance_to_center_mean"
     assert len(lines) == 3
     assert lines[1].startswith("1,c0|c1,")
+
+
+def test_round_log_csv_text(tmp_path):
+    rounds = [RoundLog(1, ("c0", "c1"), 0.1, 2 / 3), RoundLog(2, ("c1",), 1e-05, 0.0)]
+    result = FedResult(rounds=rounds, final=wm(0.0))
+    path = tmp_path / "rounds.csv"
+    result.to_csv(str(path))
+    assert path.read_bytes() == (
+        b"round,participants,delta_norm,distance_to_center_mean\r\n"
+        b"1,c0|c1,0.1,0.6666666666666666\r\n"
+        b"2,c1,1e-05,0.0\r\n"
+    )

@@ -208,6 +208,12 @@ def test_adam_beta_warning():
     assert not caught
 
 
+def test_adam_beta_warning_names_its_caller():
+    with pytest.warns(UserWarning, match=r"beta1\^2") as caught:
+        OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.95, beta2=0.9))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_adam_initial_moment_validation():
     with pytest.raises(ValueError):
         OptimizerSpec(Adam(lr=Constant(0.1), m0=1.0, v0=0.0))

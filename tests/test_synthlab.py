@@ -14,8 +14,12 @@ from soupstock.optim import Adadelta, Adam, OptimizerSpec
 from soupstock.pseudograd import CappedPower, Constant
 from soupstock.synthlab import (
     ConvergenceReport,
+    CycleResult,
     DistributionSpec,
+    EstimatorResult,
+    EstimatorRow,
     TrialConfig,
+    WllnResult,
     cauchy_from_uniform,
     convergence_check,
     cycle_counterexample,
@@ -102,6 +106,18 @@ def test_cycle_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,x,y,l1_norm"
     assert len(lines) == 1 + 12  # one row per step taken
+
+
+def test_cycle_csv_text(tmp_path):
+    res = CycleResult(points=np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, 0.25]]), k=1.0, omega=1.0)
+    path = tmp_path / "cycle.csv"
+    res.to_csv(str(path))
+    assert path.read_bytes() == b"step,x,y,l1_norm\r\n1,0.0,1.0,1.0\r\n2,-0.5,0.25,0.75\r\n"
+
+
+def test_cycle_that_leaves_the_floats_names_its_first_step():
+    with pytest.raises(ValueError, match=r"leaves the float64 range at step 1 \("):
+        cycle_counterexample(k=1e200, omega=1e200, cycles=1)
 
 
 def test_cycle_validation():
@@ -237,6 +253,12 @@ def test_wlln_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_wlln_csv_text(tmp_path):
+    path = tmp_path / "wlln.csv"
+    WllnResult(rows=[(10, 0.5), (100, 1.0)], epsilon=0.1).to_csv(str(path))
+    assert path.read_bytes() == b"n,fraction\r\n10,0.5\r\n100,1.0\r\n"
+
+
 # --- estimator trials -------------------------------------------------------------------
 
 
@@ -276,6 +298,18 @@ def test_estimator_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "trial,soup_x,soup_y,ame_x,ame_y,dist_soup,dist_ame"
     assert len(lines) == 4
+
+
+def test_estimator_csv_text(tmp_path):
+    row = EstimatorRow(trial=0, soup=(0.1, -0.0), ame=(1e-05, 2.0), dist_soup=0.5, dist_ame=1 / 3)
+    res = EstimatorResult(rows=[row], population_mean=(0.0, 0.0), population_median=(0.0, 0.0),
+                          reference=(0.0, 0.0))
+    path = tmp_path / "trials.csv"
+    res.to_csv(str(path))
+    assert path.read_bytes() == (
+        b"trial,soup_x,soup_y,ame_x,ame_y,dist_soup,dist_ame\r\n"
+        b"0,0.1,-0.0,1e-05,2.0,0.5,0.3333333333333333\r\n"
+    )
 
 
 def test_estimator_adam_tracks_robust_center_on_heavy_tails():

@@ -489,3 +489,10 @@ def test_schema_equality_across_sources():
     m2 = WeightMap({"a": np.ones((2, 3), dtype=np.float32)})
     assert m1.schema() == m2.schema()
     assert ws.validate_compatible([m1, m2]) == m1.schema()
+
+
+def test_write_csv_decides_every_cell(tmp_path):
+    path = tmp_path / "cells.csv"
+    row = [None, True, False, -0.0, 1e-05, float("inf"), float("nan"), 7, "m00|m01", np.float64(0.1)]
+    ws.write_csv(str(path), ["a", "b"], [row])
+    assert path.read_bytes() == b"a,b\r\n,true,false,-0.0,1e-05,inf,nan,7,m00|m01,0.1\r\n"
