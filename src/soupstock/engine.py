@@ -14,13 +14,15 @@ states: the CLI runs the cells of a sweep as the tasks of
 (see ``cli``). Each step is one pass of
 ``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
 members' values are read from their sources (views of in-memory maps, or
-reads of stored maps that stay in their files), summed, turned into the
-pseudogradient, and fed to the optimizer, and the new values are checked to
+reads of stored maps that stay in their files), averaged, turned into the
+pseudogradient by the kernel that ``pseudograd.pseudogradient`` runs over
+whole maps, and fed to the optimizer, and the new values are checked to
 be finite (a NaN/Inf aborts the run with an EngineError naming the step and
 batch) and staged for the log norms. No model-size mean or pseudogradient is
 ever built, and stored ingredients are never held whole. A run writes its
 initialization straight into the one iterate buffer it owns and steps it in
-place. A greedy run, and a projected run that logs its steps, also copy
+place; a projected run projects it there, by ``optim.project_to_ball`` with
+``out``. A greedy run, and a projected run that logs its steps, also copy
 the iterate before each step into one buffer allocated once: a logged
 projection takes its displacement against that copy, and a rejected greedy
 step copies it back and swaps the optimizer state with a spare that holds a
@@ -69,8 +71,8 @@ from .optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
-    _project,
     optimizer_step,
+    project_to_ball,
 )
 from .pseudograd import (
     AdaptivePivot,
@@ -78,6 +80,7 @@ from .pseudograd import (
     EmaPivot,
     PivotPolicy,
     Schedule,
+    _pseudogradient_values,
     pseudogradient_scale,
     schedule_eval,
     soup,
@@ -119,8 +122,8 @@ ORDERINGS = ("given", "metric_desc", "metric_asc")
 class EngineError(ValueError):
     """Engine-level configuration or runtime failure.
 
-    Carries the partial RunRecord on aborts that happen mid-run (a
-    non-finite step, or any other failure inside a step).
+    A non-finite step carries the partial RunRecord of the steps before
+    it; every other EngineError carries none.
     """
 
     def __init__(self, message: str, record: "RunRecord | None" = None) -> None:
@@ -366,8 +369,6 @@ def run_ensemble(
         exc, message = failure
         if message is not None:
             raise EngineError(message, record=record) from exc
-        if isinstance(exc, EngineError):
-            exc.record = record
         raise exc
     record.total_steps = done
     iterate.setflags(write=False)
@@ -485,14 +486,14 @@ def _trajectory(
     try:
         w = soup(plan.init_sources, iterate, span)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
-        pivot, ema = w, None
+        pivot, ema = iterate, None
         if not isinstance(cfg.pivot_policy, AdaptivePivot):
             # An EMA pivot is updated in place, and a fixed one must outlive
             # the iterate: each starts as a copy of the initialization.
-            copy = np.empty(schema.size, dtype=np.float32)
-            copy[span] = iterate[span]
-            pivot = WeightMap._wrap(copy.view(), schema)
-            ema = copy if ema_decay is not None else None
+            pivot = np.empty(schema.size, dtype=np.float32)
+            pivot[span] = iterate[span]
+            ema = pivot if ema_decay is not None else None
+        batch_mean = plan.batch_mean
         state = OptimizerState()
         spare = OptimizerState() if greedy is not None else None
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
@@ -510,9 +511,12 @@ def _trajectory(
                 global_step = state.step + 1
                 sched_idx = step_in_epoch if cfg.epoch_lr_reset else global_step
                 zeta = schedule_eval(cfg.amplification, global_step)
-
                 scale = pseudogradient_scale(zeta, plan.n_div)
-                grad = partial(_pseudogradient_block, plan.batch_mean, order, start, pivot.flat, scale)
+
+                def grad(s: slice) -> np.ndarray:  # the batch's pseudogradient over slice s
+                    g = batch_mean(order, start, s)
+                    return _pseudogradient_values(pivot[s], g, scale, out=g)
+
                 if before is not None:
                     before[span] = iterate[span]
                 if spare is not None:
@@ -528,7 +532,7 @@ def _trajectory(
                     return done, entries, sums, (exc, message)
                 step_sums = norms[:, pieces].copy() if norms is not None else None
                 if cfg.projection is not None:
-                    projected = _project(w, cfg.projection.center, cfg.projection.radius, out=iterate)
+                    projected = project_to_ball(w, cfg.projection.center, cfg.projection.radius, out=iterate)
                     if norms is not None and projected is not w:
                         _pieces_squared(schema, iterate, before, out=step_sums[1])
 
@@ -634,21 +638,6 @@ def _batch_mean_fn(
         return held[3][(start - chunk) // width, s.start - lo :]
 
     return mean
-
-
-def _pseudogradient_block(
-    batch_mean: Callable[[np.ndarray, int, slice], np.ndarray],
-    order: np.ndarray,
-    start: int,
-    pivot: np.ndarray,
-    scale: np.float32,
-    s: slice,
-) -> np.ndarray:
-    """(pivot - batch mean) * scale over slice s: pseudograd.pseudogradient's operations."""
-    g = batch_mean(order, start, s)
-    np.subtract(pivot[s], g, out=g)
-    g *= scale
-    return g
 
 
 def _nonfinite_message(

@@ -54,7 +54,7 @@ from .weightstore import (
     WeightMap,
     _check_compatible,
     _piece_sums,
-    _sq_distance,
+    l2_distance,
 )
 
 __all__ = [
@@ -383,18 +383,14 @@ def optimizer_step(
     return WeightMap._wrap(new if out is None else new.view(), schema)
 
 
-def project_to_ball(w: WeightMap, center: WeightMap, radius: float) -> WeightMap:
-    """Euclidean projection onto the closed ball of given radius around center."""
-    return _project(w, center, radius)
-
-
-def _project(w: WeightMap, center: WeightMap, radius: float, out: np.ndarray | None = None) -> WeightMap:
-    """project_to_ball, written into ``out`` (a new buffer by default; it may
-    be w's own) where it moves w; w itself where w lies in the ball."""
+def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,
+                    out: np.ndarray | None = None) -> WeightMap:
+    """Euclidean projection onto the closed ball of given radius around center:
+    w itself where w lies in the ball, else the projection, written into
+    ``out`` (a new buffer by default; it may be w's own)."""
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    _check_compatible(w, center)
-    dist = math.sqrt(_sq_distance(w, center))
+    dist = l2_distance(w, center)
     if dist <= radius:
         return w
     shrink = np.float32(radius / dist)

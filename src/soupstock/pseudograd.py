@@ -156,9 +156,16 @@ def pseudogradient(pivot: WeightMap, ingredient: WeightMap, zeta: float, n_divis
     """
     scale = pseudogradient_scale(zeta, n_divisor)
     _check_compatible(pivot, ingredient)
-    out = np.subtract(pivot.flat, ingredient.flat)
+    return WeightMap._wrap(_pseudogradient_values(pivot.flat, ingredient.flat, scale), pivot.schema())
+
+
+def _pseudogradient_values(pivot: np.ndarray, x: np.ndarray, scale: np.float32,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """(pivot - x) * scale, into ``out`` (a new array by default; it may be x):
+    the one pseudogradient kernel, over whole maps here and per block in the engine."""
+    out = np.subtract(pivot, x, out=out)
     out *= scale
-    return WeightMap._wrap(out, pivot.schema())
+    return out
 
 
 def soup(

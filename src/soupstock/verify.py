@@ -39,13 +39,8 @@ def _random_maps(seed: int, count: int, size: int = 12, low=0.5, high=1.5) -> li
 
 
 def _max_rel_err(a: WeightMap, b: WeightMap) -> float:
-    worst = 0.0
-    for name in a.arrays():
-        x = a.array(name).astype(np.float64)
-        y = b.array(name).astype(np.float64)
-        denom = np.maximum(np.abs(y), 1e-30)
-        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
-    return worst
+    x, y = a.flat.astype(np.float64), b.flat.astype(np.float64)
+    return float(np.max(np.abs(x - y) / np.maximum(np.abs(y), 1e-30)))
 
 
 def suite_soup_eq(seed: int = 2024) -> SuiteResult:

@@ -324,14 +324,10 @@ def global_l2_norm(m: WeightMap) -> float:
     return math.sqrt(_sum_squares(m._schema, m.flat))
 
 
-def _sq_distance(a: WeightMap, b: WeightMap) -> float:
-    """Squared Euclidean distance of two compatible maps (float64 accumulation)."""
-    return _sum_squares(a._schema, a.flat, b.flat)
-
-
 def l2_distance(a: WeightMap, b: WeightMap) -> float:
+    """Euclidean distance of two compatible maps (float64 accumulation)."""
     _check_compatible(a, b)
-    return math.sqrt(_sq_distance(a, b))
+    return math.sqrt(_sum_squares(a._schema, a.flat, b.flat))
 
 
 # --- checkpoint codec -------------------------------------------------------
