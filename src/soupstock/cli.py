@@ -57,7 +57,6 @@ from .config import (
     sweep_cell_name,
 )
 from .engine import (
-    EngineError,
     EnsembleConfig,
     Greedy,
     Ingredient,
@@ -68,7 +67,7 @@ from .engine import (
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
-from .pseudograd import AdaptivePivot, Constant, ScheduleError, soup
+from .pseudograd import AdaptivePivot, Constant, soup
 from .rng import MAX_SEED
 from .synthlab import (
     DistributionSpec,
@@ -82,14 +81,13 @@ from .synthlab import (
 )
 from .verify import SUITES, run_suites
 from .weightstore import (
-    CheckpointError,
-    SchemaMismatch,
     StoredMap,
     WeightMap,
     atomic_output,
     load_checkpoint,
     open_checkpoint,
     save_checkpoint,
+    validate_compatible,
     write_csv,
 )
 
@@ -115,6 +113,7 @@ def _check_unchanged(stored: list[StoredMap]) -> None:
 def cmd_soup(args) -> int:
     with ExitStack() as stack:
         maps = [stack.enter_context(open_checkpoint(path)) for path in args.inputs]
+        validate_compatible(maps, args.inputs)
         merged = soup(maps)
         with atomic_output(args.output) as tmp:
             save_checkpoint(merged, tmp)
@@ -168,6 +167,8 @@ def _open_ingredients(
     for entry, metric in zip(cfg.ingredients, values):
         weights = stack.enter_context(open_checkpoint(os.path.join(base_dir, entry.path)))
         ingredients.append(Ingredient(id=entry.id, weights=weights, metric=metric))
+    # Checked before a cell builds a soup centre of them, each named by id as the engine names it.
+    validate_compatible([ing.weights for ing in ingredients], [f"ingredient {ing.id!r}" for ing in ingredients])
     return ingredients
 
 
@@ -706,9 +707,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, SchemaMismatch, EngineError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -419,7 +419,8 @@ class _Plan:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})[0]
             raise EngineError(f"duplicate ingredient id {dup!r}")
-        self.schema = schema = validate_compatible([ing.weights for ing in items])
+        self.schema = schema = validate_compatible([ing.weights for ing in items],
+                                                   [f"ingredient {ing.id!r}" for ing in items])
         seeds = _check_replicas(cfg, items[0].weights, replica_seeds)
 
         ordered = order_ingredients(items, cfg.ordering)
@@ -432,7 +433,7 @@ class _Plan:
         }
         for what, reference in references.items():
             if reference is not None:
-                validate_compatible([reference, items[0].weights])
+                validate_compatible([items[0].weights, reference], [f"ingredient {items[0].id!r}", what])
                 # A stored map was checked when its file was opened.
                 bad = None if isinstance(reference, StoredMap) else _first_nonfinite(reference, schema.names)
                 if bad is not None:

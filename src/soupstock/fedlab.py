@@ -133,7 +133,8 @@ def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | Ensemble
     their results into w_t (linearly, or by a nested engine run), and take
     one server step along x_{t-1} - w_t, with one optimizer state across
     rounds."""
-    validate_compatible([cfg.init, *(c.objective_center for c in cfg.clients)])
+    validate_compatible([cfg.init, *(c.objective_center for c in cfg.clients)],
+                        ["init", *(f"client {c.id!r} center" for c in cfg.clients)])
     center_mean = soup([c.objective_center for c in cfg.clients])
     state = OptimizerState()
     x = cfg.init

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble, run_in_workers
-from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
+from .optim import GD, Adagrad, Adam, NonFiniteStep, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
 from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
 from .weightstore import Schema, WeightMap, write_csv
 
@@ -440,6 +440,9 @@ def convergence_check(
     if init is None:
         init = pts[0]
     init = np.asarray(init, dtype=np.float64)
+    for what, values in (("ingredients", pts), ("init", init)):  # the run is in float32
+        if not (np.abs(values) <= np.finfo(np.float32).max).all():
+            raise ValueError(f"{what} must be finite and within the float32 range")
     dimension = pts.shape[1]
     n_divisor = 1
 
@@ -459,12 +462,16 @@ def convergence_check(
     trajectory = np.empty((steps + 1, dimension), dtype=np.float64)
     trajectory[0] = init
     ing_maps = [WeightMap({"point": pts[i].astype(np.float32)}) for i in range(len(pts))]
-    for t in range(1, steps + 1):
-        g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor)
-        w = optimizer_step(w, g, state, spec)
-        if project_adam:
-            w = project_to_ball(w, center, radius)
-        trajectory[t] = w.flat
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
+        for t in range(1, steps + 1):
+            g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor)
+            try:
+                w = optimizer_step(w, g, state, spec)
+            except NonFiniteStep:
+                raise ValueError(f"the iterate leaves the float32 range at step {t}") from None
+            if project_adam:
+                w = project_to_ball(w, center, radius)
+            trajectory[t] = w.flat
 
     tail_start = int(math.floor(steps * (1.0 - tail_fraction)))
     tail = trajectory[tail_start:]

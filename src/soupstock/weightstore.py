@@ -60,7 +60,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -263,16 +263,22 @@ def _check_compatible(a: WeightMap | StoredMap, b: WeightMap | StoredMap) -> Non
             raise SchemaMismatch(f"shape mismatch for tensor {name!r}: {ours} vs {theirs}")
 
 
-def validate_compatible(maps: list[WeightMap | StoredMap]) -> Schema:
+def validate_compatible(maps: list[WeightMap | StoredMap], labels: Sequence[str] | None = None) -> Schema:
     """Check that all maps share one schema and return it.
 
-    Raises :class:`SchemaMismatch` naming the first offending tensor.
+    Raises :class:`SchemaMismatch` naming the first offending tensor and,
+    given ``labels`` (one per map), the map that differs and the first map.
     """
     if not maps:
         raise ValueError("validate_compatible requires at least one weight map")
     first = maps[0]
-    for other in maps[1:]:
-        _check_compatible(first, other)
+    for i, other in enumerate(maps[1:], 1):
+        try:
+            _check_compatible(first, other)
+        except SchemaMismatch as exc:
+            if labels is None:
+                raise
+            raise SchemaMismatch(f"{labels[i]} differs from {labels[0]}: {exc}") from None
     return first.schema()
 
 

@@ -104,6 +104,22 @@ def test_soup_incompatible_inputs_exit_2(tmp_path, capsys):
     assert "'a'" in capsys.readouterr().err
 
 
+def write_renamed(path):
+    """A checkpoint shaped like write_ingredients' but with tensor 'v' in place of 'bias'."""
+    save_checkpoint(WeightMap({"layer.w": np.zeros((2, 3), np.float32), "v": np.zeros(3, np.float32)}), str(path))
+
+
+MISMATCH = "tensor name mismatch: first offender 'bias'"
+
+
+def test_soup_schema_mismatch_names_the_file_and_the_first(tmp_path, capsys):
+    paths = write_ingredients(tmp_path, count=2)
+    write_renamed(tmp_path / "odd.safetensors")
+    inputs = [str(paths[0]), str(paths[1]), str(tmp_path / "odd.safetensors")]
+    assert main(["soup", *inputs, "-o", str(tmp_path / "s.safetensors")]) == 2
+    assert capsys.readouterr().err == f"error: {inputs[2]} differs from {inputs[0]}: {MISMATCH}\n"
+
+
 def test_soup_duplicate_tensor_name_names_its_file(tmp_path, capsys):
     good, dup = tmp_path / "good.safetensors", tmp_path / "dup.safetensors"
     save_checkpoint(WeightMap({"a": np.zeros(1, dtype=np.float32)}), str(good))
@@ -139,6 +155,29 @@ def test_merge_missing_ingredient_exit_2(tmp_path, capsys):
     code = main(["merge", "--config", str(tmp_path / "merge.json")])
     assert code == 2
     assert "missing.safetensors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("projection", [None, {"center": "soup", "radius": 1.0}], ids=["plain", "soup-centre"])
+def test_merge_schema_mismatch_names_the_ingredient(tmp_path, capsys, projection):
+    write_ingredients(tmp_path, count=3)
+    write_renamed(tmp_path / "ing2.safetensors")
+    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=3, projection=projection)))
+    assert main(["merge", "--config", str(tmp_path / "merge.json")]) == 2
+    assert capsys.readouterr().err == f"error: ingredient 'ing2' differs from ingredient 'ing0': {MISMATCH}\n"
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("projection", {"center": "odd.safetensors", "radius": 1.0}, "projection center"),
+    ("greedy", {"enabled": True, "evaluator": {"kind": "neg_distance", "target": "odd.safetensors"}},
+     "greedy target"),
+    ("pivot_init", {"kind": "provided", "path": "odd.safetensors"}, "provided initialization"),
+])
+def test_merge_schema_mismatch_names_the_reference(tmp_path, capsys, key, value, what):
+    write_ingredients(tmp_path, count=3)
+    write_renamed(tmp_path / "odd.safetensors")
+    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=3, **{key: value})))
+    assert main(["merge", "--config", str(tmp_path / "merge.json")]) == 2
+    assert capsys.readouterr().err == f"error: {what} differs from ingredient 'ing0': {MISMATCH}\n"
 
 
 def test_merge_schema_violations_reported_all_at_once(tmp_path, capsys):
@@ -289,6 +328,26 @@ def test_merge_sweep_cell_failure_does_not_abort_others(tmp_path):
     manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
     statuses = sorted(entry["status"] for entry in manifest)
     assert statuses == ["error", "ok"]
+
+
+def test_merge_sweep_schema_mismatch_names_the_input_in_every_cell(tmp_path):
+    write_ingredients(tmp_path, count=3)
+    write_renamed(tmp_path / "ing2.safetensors")
+    write_renamed(tmp_path / "odd.safetensors")
+    doc = merge_doc(count=2)
+    doc["sweep"] = {"ensemble.projection": [None, {"center": "odd.safetensors", "radius": 1.0}]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+    assert [entry["status"] for entry in manifest] == ["ok", "error"]
+    assert manifest[1]["error"] == f"projection center differs from ingredient 'ing0': {MISMATCH}"
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.n_divisor": [1, 3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "h"), "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "h" / "sweep_manifest.json").read_text())
+    expected = f"ingredient 'ing2' differs from ingredient 'ing0': {MISMATCH}"
+    assert [entry["error"] for entry in manifest] == [expected] * 2
 
 
 def test_merge_sweep_loads_ingredients_once(tmp_path, monkeypatch):
@@ -1194,6 +1253,21 @@ def test_synth_convergence_csv_text(tmp_path, monkeypatch):
     assert out.read_bytes() == b"step,x,y,l1_norm\r\n0,1.0,0.0,1.0\r\n1,0.5,-0.25,0.75\r\n2,1e-05,0.1,0.10001\r\n"
 
 
+@pytest.mark.parametrize("k, omega, message", [
+    ("1e200", "1e200", "ingredients must be finite and within the float32 range"),
+    ("1e30", "1e30", "ingredients must be finite and within the float32 range"),
+    ("1", "1.5e38", "the iterate leaves the float32 range at step 2"),
+])
+def test_synth_convergence_that_leaves_the_floats_exits_2(tmp_path, capsys, k, omega, message):
+    out = tmp_path / "conv.csv"
+    argv = ["synth", "convergence", "--k", k, "--omega", omega, "--steps", "10", "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_synth_cycle_that_leaves_the_floats_exits_2(tmp_path, capsys):
     out = tmp_path / "cycle.csv"
     argv = ["synth", "cycle", "--k", "1e200", "--omega", "1e200", "--cycles", "1", "-o", str(out)]
@@ -1250,6 +1324,43 @@ def test_fed_two_client_hand_example(tmp_path):
     np.testing.assert_array_equal(final.array("w"), [1.0, 0.0])
     rows = (tmp_path / "fedopt.csv").read_text().strip().splitlines()
     assert rows[1].startswith("1,c0|c1,1.0,")
+
+
+def test_fed_points_from_files_match_the_same_values(tmp_path):
+    doc = fed_doc("fedsoup", server_stew={"kind": "adagrad", "lr": 0.5})
+    (tmp_path / "values.json").write_text(json.dumps(doc))
+    assert main(["fed", "--config", str(tmp_path / "values.json"), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    for i, entry in enumerate([doc["init"]] + [client["center"] for client in doc["clients"]]):
+        point = WeightMap({"w": np.asarray(entry["values"], np.float32)})
+        save_checkpoint(point, str(tmp_path / f"p{i}.safetensors"))
+    doc["init"] = {"path": "p0.safetensors"}
+    for i, client in enumerate(doc["clients"], 1):
+        client["center"] = {"path": f"p{i}.safetensors"}
+    (tmp_path / "paths.json").write_text(json.dumps(doc))
+    assert main(["fed", "--config", str(tmp_path / "paths.json"), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    for name in ("fedsoup.csv", "fedsoup.safetensors"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_fed_schema_mismatch_names_the_client(tmp_path, capsys):
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0})
+    save_checkpoint(WeightMap({"v": np.zeros(2, np.float32)}), str(tmp_path / "odd.safetensors"))
+    doc["clients"][1]["center"] = {"path": "odd.safetensors"}
+    (tmp_path / "fed.json").write_text(json.dumps(doc))
+    assert main(["fed", "--config", str(tmp_path / "fed.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: client 'c1' center differs from init: tensor name mismatch: first offender 'v'\n"
+    )
+
+
+@pytest.mark.parametrize("algorithm, error", [
+    ("fedopt", "$.server: fedopt requires a server optimizer"),
+    ("fedsoup", "$.server_stew: fedsoup requires a server_stew optimizer"),
+])
+def test_fed_without_its_server_optimizer_is_a_config_error(tmp_path, capsys, algorithm, error):
+    (tmp_path / "fed.json").write_text(json.dumps(fed_doc(algorithm)))
+    assert main(["fed", "--config", str(tmp_path / "fed.json")]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_fed_zero_rounds_rejected(tmp_path, capsys):
@@ -1325,6 +1436,20 @@ def test_verify_all_suites_pass(capsys):
     passed = [line.split()[1] for line in lines if line.startswith("PASS")]
     assert sorted(passed) == ["adagrad-gd", "convergence", "cycle", "fed-reduction", "soup-eq"]
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_verify_exits_1_naming_the_failed_suites(capsys, monkeypatch):
+    import soupstock.verify as verify
+
+    monkeypatch.setitem(verify.SUITES, "cycle", lambda: verify.SuiteResult("cycle", False, "drifted"))
+    assert main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", "soup-eq"], ["FAIL", "cycle"], ["PASS", "convergence"], ["PASS", "adagrad-gd"],
+        ["PASS", "fed-reduction"],
+    ]
+    assert lines[1].endswith("drifted")
+    assert lines[-1] == "1/5 suites failed"
 
 
 # --- determinism ---------------------------------------------------------------------

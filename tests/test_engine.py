@@ -37,7 +37,7 @@ from soupstock.pseudograd import (
     schedule_eval,
     soup,
 )
-from soupstock.weightstore import WeightMap, l2_distance, open_checkpoint, save_checkpoint
+from soupstock.weightstore import SchemaMismatch, WeightMap, l2_distance, open_checkpoint, save_checkpoint
 
 from conftest import another_thread_running, random_weightmaps
 
@@ -445,6 +445,33 @@ def test_nonfinite_reference_map_rejected_before_any_step(monkeypatch, feature):
     with pytest.raises(EngineError, match=re.escape(f"{what} holds a non-finite value in tensor {name!r}")):
         run_ensemble(cfg, ingredients)
     assert steps == []
+
+
+def test_schema_mismatch_names_the_ingredient_and_the_first_one():
+    ingredients = make_ingredients(seed=29, count=3)
+    odd = Ingredient("m02", wm(v=[1.0]))
+    with pytest.raises(SchemaMismatch) as excinfo:
+        run_ensemble(gd_cfg(), [*ingredients[:2], odd])
+    assert str(excinfo.value).startswith("ingredient 'm02' differs from ingredient 'm00': tensor name mismatch")
+
+
+@pytest.mark.parametrize("feature", ["projection", "greedy", "provided"])
+def test_schema_mismatch_names_the_reference_map(feature):
+    ingredients = make_ingredients(seed=30, count=3)
+    shapes = {name: a.shape for name, a in ingredients[0].weights.arrays().items()}
+    name = list(shapes)[-1]
+    shapes[name] = (*shapes[name], 2)
+    odd = WeightMap({n: np.zeros(shape, dtype=np.float32) for n, shape in shapes.items()})
+    extra = {"projection": {"projection": Projection(odd, 1.0)}, "greedy": {"greedy": Greedy(odd)},
+             "provided": {"pivot_init": ProvidedInit(odd)}}[feature]
+    what = {"projection": "projection center", "greedy": "greedy target",
+            "provided": "provided initialization"}[feature]
+    with pytest.raises(SchemaMismatch) as excinfo:
+        run_ensemble(gd_cfg(**extra), ingredients)
+    assert str(excinfo.value) == (
+        f"{what} differs from ingredient 'm00': shape mismatch for tensor {name!r}: "
+        f"{ingredients[0].weights.array(name).shape} vs {shapes[name]}"
+    )
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["in-memory", "stored"])

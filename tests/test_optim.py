@@ -288,6 +288,18 @@ def test_projection_idempotent():
     np.testing.assert_allclose(twice.array("a"), once.array("a"), rtol=1e-7, atol=1e-9)
 
 
+def test_projection_writes_into_out_only_where_it_moves():
+    c = wm(a=[1.0, 1.0])
+    out = np.full(2, 7.0, dtype=np.float32)
+    inside = wm(a=[1.5, 1.0])
+    assert project_to_ball(inside, c, radius=1.0, out=out) is inside
+    assert out.tolist() == [7.0, 7.0]
+    w = wm(a=[4.0, -3.0])
+    projected = project_to_ball(w, c, radius=1.0, out=out)
+    assert np.shares_memory(projected.flat, out)
+    assert projected == project_to_ball(w, c, radius=1.0)
+
+
 def test_projection_rejects_bad_radius():
     w = wm(a=[1.0])
     for radius in (0.0, float("nan")):
@@ -401,6 +413,13 @@ def test_spec_validation():
         OptimizerSpec(Adam(lr=Constant(1.0), beta1=1.0))
     with pytest.raises(ValueError):
         OptimizerSpec(Adadelta(lr=Constant(1.0), rho=1.0))
+
+
+@pytest.mark.parametrize("variant", [Adam, Adadelta])
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_adam_and_adadelta_reject_an_eps_that_is_not_positive(variant, eps):
+    with pytest.raises(ValueError, match=f"{variant.__name__.lower()} eps must be > 0, got {eps}"):
+        OptimizerSpec(variant(lr=Constant(1.0), eps=eps))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from soupstock import rng as rng_mod
 from soupstock import synthlab
 from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
-from soupstock.optim import Adadelta, Adam, OptimizerSpec
+from soupstock.optim import Adadelta, Adagrad, Adam, OptimizerSpec
 from soupstock.pseudograd import CappedPower, Constant
 from soupstock.synthlab import (
     ConvergenceReport,
@@ -207,6 +207,29 @@ def test_convergence_adam_requires_momentum_inequality():
         spec = OptimizerSpec(Adam(lr=Constant(1.0), beta1=0.9, beta2=0.8, eps=1e-8))
     with pytest.raises(ValueError, match="beta1"), pytest.warns(UserWarning):
         convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=1000, optimizer=spec)
+
+
+def test_convergence_adagrad_bound_factor_is_the_root_of_the_dimension():
+    pts = np.array([[1.0, 0.0, -2.0], [0.0, 1.5, 1.0], [-1.0, 0.5, 0.0]])
+    spec = OptimizerSpec(Adagrad(lr=Constant(1.0), eps=1e-8))
+    _, report = convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=5000, optimizer=spec)
+    assert report.per_step_factor == math.sqrt(3)
+    assert report.converged
+
+
+@pytest.mark.parametrize("k, omega, what", [(1e200, 1e200, "ingredients"), (1e30, 1e30, "ingredients"),
+                                            (1.0, 1.0, "init")])
+def test_convergence_rejects_points_beyond_float32(k, omega, what):
+    init = np.array([1e39, 0.0]) if what == "init" else None
+    with pytest.raises(ValueError, match=f"^{what} must be finite and within the float32 range$"):
+        convergence_check(alpha=-1.5, c=1.0, ingredients=cycle_ingredients(k, omega), steps=10, init=init)
+
+
+def test_convergence_names_the_step_whose_iterate_overflows():
+    # The points fit float32, but the second pseudogradient, 4.5e38, does not.
+    pts = cycle_ingredients(1.0, 1.5e38)
+    with pytest.raises(ValueError, match="^the iterate leaves the float32 range at step 2$"):
+        convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=10, init=np.array([1.5e38, 0.0]))
 
 
 def test_convergence_rejects_adadelta():
