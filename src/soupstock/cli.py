@@ -81,11 +81,10 @@ from .synthlab import (
 )
 from .verify import SUITES, run_suites
 from .weightstore import (
-    StoredMap,
     WeightMap,
-    atomic_output,
     load_checkpoint,
     open_checkpoint,
+    publish,
     save_checkpoint,
     validate_compatible,
     write_csv,
@@ -101,12 +100,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _check_unchanged(stored: list[StoredMap]) -> None:
-    """Before an output replaces its target: every open input still holds what was read."""
-    for m in stored:
-        m.check_unchanged()
-
-
 # --- soup ------------------------------------------------------------------------
 
 
@@ -115,9 +108,7 @@ def cmd_soup(args) -> int:
         maps = [stack.enter_context(open_checkpoint(path)) for path in args.inputs]
         validate_compatible(maps, args.inputs)
         merged = soup(maps)
-        with atomic_output(args.output) as tmp:
-            save_checkpoint(merged, tmp)
-            _check_unchanged(maps)
+        publish({args.output: partial(save_checkpoint, merged)}, maps)
     _say(args, f"souped {len(maps)} ingredients -> {args.output} ({len(merged)} tensors)")
     return 0
 
@@ -200,11 +191,8 @@ def _run_merge_cell(
         engine_cfg = _build_engine_config(cfg, base_dir, ingredients, stack)
         merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
         provided = [engine_cfg.pivot_init.weights] if cfg.pivot_init_path is not None else []
-        # Both files are complete before either replaces its predecessor.
-        with atomic_output(out_ckpt) as tmp_ckpt, atomic_output(out_log) as tmp_log:
-            save_checkpoint(merged, tmp_ckpt)
-            record.to_csv(tmp_log)
-            _check_unchanged([ing.weights for ing in ingredients] + provided)
+        publish({out_ckpt: partial(save_checkpoint, merged), out_log: record.to_csv},
+                [ing.weights for ing in ingredients] + provided)
     return out_ckpt, out_log
 
 
@@ -305,11 +293,12 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
         ]
         failures = sum(entry["status"] != "ok" for entry in manifest)
         manifest_path = os.path.join(out_dir, "sweep_manifest.json")
-        with atomic_output(manifest_path) as tmp:
-            with open(tmp, "w", encoding="utf-8") as fh:
+
+        def write_manifest(path: str) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            _check_unchanged([ing.weights for ing in ingredients])
+        publish({manifest_path: write_manifest}, [ing.weights for ing in ingredients])
         for entry in manifest:
             _say(args, f"{entry['cell']}: {entry['status']}")
         _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
@@ -444,8 +433,7 @@ def cmd_synth_estimators(args) -> int:
         raise UsageError(str(exc)) from exc
     # The rows do not depend on the worker count; more workers than CPUs only cost memory.
     result = run_estimator_trials(cfg, workers=min(args.workers, _usable_cpus()))
-    with atomic_output(args.output) as tmp:
-        result.to_csv(tmp)
+    publish({args.output: result.to_csv})
     _say(
         args,
         f"{args.trials} trials -> {args.output}; median distance to reference: "
@@ -463,8 +451,7 @@ def cmd_synth_cycle(args) -> int:
     _require(args.k > 0 and args.omega > 0, f"--k and --omega must be > 0, got {args.k} and {args.omega}")
     _require(args.cycles >= 1, f"--cycles must be >= 1, got {args.cycles}")
     result = cycle_counterexample(k=args.k, omega=args.omega, cycles=args.cycles)
-    with atomic_output(args.output) as tmp:
-        result.to_csv(tmp)
+    publish({args.output: result.to_csv})
     _say(
         args,
         f"{4 * args.cycles} steps -> {args.output}; return error {result.return_error():.3e}, "
@@ -488,8 +475,7 @@ def cmd_synth_convergence(args) -> int:
     )
     if args.output is not None:
         rows = ((step, x, y, abs(x) + abs(y)) for step, (x, y) in enumerate(trajectory))
-        with atomic_output(args.output) as tmp:
-            write_csv(tmp, ["step", "x", "y", "l1_norm"], rows)
+        publish({args.output: partial(write_csv, header=["step", "x", "y", "l1_norm"], rows=rows)})
     _say(
         args,
         f"tail displacement {report.max_tail_displacement:.3e} vs bound {report.tail_bound:.3e} "
@@ -515,8 +501,7 @@ def cmd_synth_wlln(args) -> int:
         seed=args.seed,
         epsilon=args.epsilon,
     )
-    with atomic_output(args.output) as tmp:
-        result.to_csv(tmp)
+    publish({args.output: result.to_csv})
     _say(args, "coverage: " + ", ".join(f"n={n}: {f:.3f}" for n, f in result.rows))
     return 0
 
@@ -559,10 +544,7 @@ def cmd_fed(args) -> int:
         server_stew=cfg.server_stew,
     )
     result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
-    # Both files are complete before either replaces its predecessor.
-    with atomic_output(out_log) as tmp_log, atomic_output(out_ckpt) as tmp_ckpt:
-        result.to_csv(tmp_log)
-        save_checkpoint(result.final, tmp_ckpt)
+    publish({out_log: result.to_csv, out_ckpt: partial(save_checkpoint, result.final)})
     _say(
         args,
         f"{cfg.algorithm}: {cfg.rounds} rounds -> {out_ckpt}; final distance to center mean "

@@ -155,7 +155,7 @@ def _kinds(ctx: _Ctx, path: str, value: Any, kinds: dict[str, _Kind], expected: 
     return _fields(ctx, path, rest, table, required, build)
 
 
-def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None, strict_min=False):
+def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, strict_min=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         ctx.err(path, f"expected a number, got {type(value).__name__}")
         return None
@@ -168,9 +168,6 @@ def _number(ctx: _Ctx, path: str, value: Any, *, minimum=None, maximum=None, str
         return None
     if minimum is not None and (v <= minimum if strict_min else v < minimum):
         ctx.err(path, f"must be {'>' if strict_min else '>='} {minimum}, got {value}")
-        return None
-    if maximum is not None and v > maximum:
-        ctx.err(path, f"must be <= {maximum}, got {value}")
         return None
     return v
 

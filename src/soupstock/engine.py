@@ -485,7 +485,7 @@ def _trajectory(
     sums: list[np.ndarray] = []
     done = 0
     try:
-        w = soup(plan.init_sources, iterate, span)  # a soup of one finite map is that map, bit for bit
+        w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
         pivot, ema = iterate, None
         if not isinstance(cfg.pivot_policy, AdaptivePivot):

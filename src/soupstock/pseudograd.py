@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weightstore import BLOCK, StoredMap, WeightMap, _check_compatible, validate_compatible
+from .weightstore import StoredMap, WeightMap, _check_compatible, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -169,24 +169,24 @@ def _pseudogradient_values(pivot: np.ndarray, x: np.ndarray, scale: np.float32,
 
 
 def soup(
-    ingredients: list[WeightMap | StoredMap], out: np.ndarray | None = None, span: slice = slice(None)
+    ingredients: list[WeightMap | StoredMap], out: np.ndarray | None = None, block_range: range | None = None
 ) -> WeightMap:
     """Uniform arithmetic mean, accumulated at float64 in list order.
 
-    Each block is read from every ingredient in turn, so stored maps are
-    souped without holding more than the result and a few blocks. With
-    ``out``, a writable float32 buffer of the maps' size, only the elements
-    of ``span`` are souped, into ``out``, and the map returned is a view of
-    it; every element's mean is the same however the buffer is cut.
+    Each block (:attr:`Schema.blocks`) is read from every ingredient in turn,
+    so stored maps are souped without holding more than the result and a few
+    blocks. With ``out``, a writable float32 buffer of the maps' size, only
+    the blocks of ``block_range`` (all by default) are souped, into ``out``,
+    and the map returned is a view of it; no element's mean depends on the cut.
     """
     if not ingredients:
         raise ValueError("soup requires at least one ingredient")
     schema = validate_compatible(ingredients)
     n = float(len(ingredients))
     buf = np.empty(schema.size, dtype=np.float32) if out is None else out
-    lo, hi, _ = span.indices(schema.size)
-    for begin in range(lo, hi, BLOCK):
-        s = slice(begin, min(begin + BLOCK, hi))
+    blocks = schema.blocks if block_range is None else schema.blocks[block_range.start : block_range.stop]
+    for begin, end, _count, _piece in blocks:
+        s = slice(begin, end)
         acc = ingredients[0].read(s).astype(np.float64)
         for m in ingredients[1:]:
             acc += m.read(s)

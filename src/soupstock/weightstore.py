@@ -43,9 +43,9 @@ from whichever source they are given; a WeightMap's read is a view.
 :func:`load_checkpoint` is :func:`open_checkpoint`, then a read of the whole
 body into one buffer. A run of F32 tensors stored in name order is read
 straight into place; narrow float tensors (F16/BF16) are widened to float32
-on read and written back as F32; float32 round-trips are byte-exact. Every
-output file is written through :func:`atomic_output`, and every CSV through
-:func:`write_csv`.
+on read and written back as F32; float32 round-trips are byte-exact. Each
+command writes its outputs in one call of :func:`publish`, and every CSV
+through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ import math
 import os
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,7 +73,7 @@ __all__ = [
     "open_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "atomic_output",
+    "publish",
     "write_csv",
     "validate_compatible",
     "global_l2_norm",
@@ -626,25 +625,33 @@ def save_checkpoint(weightmap: WeightMap, path: str) -> None:
         fh.write(np.ascontiguousarray(weightmap.flat, dtype=_F32).data)
 
 
-@contextmanager
-def atomic_output(path: str) -> Iterator[str]:
-    """Yield a temporary path beside `path` to write an output to.
+def publish(outputs: Mapping[str, Callable[[str], object]], inputs: Iterable[StoredMap] = ()) -> None:
+    """Write each output to a temporary beside its path, then rename them all.
 
-    When the block completes the file replaces `path` in one rename, so a
-    failed or interrupted write leaves the previous file (or none) and no
-    temporary behind. There is no fsync: this covers a crash of the process,
-    not of the machine.
+    Each writer gets its temporary (``.<name>.<pid>.tmp``; missing
+    directories are made) as its only argument. Only when every writer has
+    returned and every input in ``inputs`` passes
+    :meth:`StoredMap.check_unchanged` do the temporaries replace their
+    paths, in the order given. A failure before that leaves every path its
+    previous file (or none), and no failure leaves a temporary behind. There
+    is no fsync: this covers a crash of the process, not of the machine.
     """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    temps: list[tuple[str, str]] = []
     try:
-        yield tmp
-        os.replace(tmp, path)
+        for path, write in outputs.items():
+            parent = os.path.dirname(path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            temps.append((os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp"), path))
+            write(temps[-1][0])
+        for m in inputs:
+            m.check_unchanged()
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 

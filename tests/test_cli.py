@@ -296,6 +296,43 @@ def test_merge_sweep_duplicate_values_are_config_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def _write_merge_doc(change):
+    def write(tmp_path):
+        doc = merge_doc(count=3)
+        change(doc)
+        (tmp_path / "merge.json").write_text(json.dumps(doc))
+    return write
+
+
+def _write_metrics_with_wrong_header(tmp_path):
+    (tmp_path / "metrics.csv").write_text("name,score\ning0,0.1\n")
+    _write_merge_doc(lambda doc: doc.update(metrics_csv="metrics.csv"))(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "write, err",
+    [
+        (lambda tmp_path: None,
+         "config error: {config}: cannot read config ([Errno 2] No such file or directory: '{config}')\n"),
+        (lambda tmp_path: (tmp_path / "merge.json").write_text("{not json"),
+         "config error: {config}: not valid JSON (Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1))\n"),
+        (_write_merge_doc(lambda doc: doc["ensemble"]["optimizer"].update(lr={"kind": "explicit", "values": []})),
+         "config error: $.ensemble.optimizer.lr.values: expected a non-empty list of numbers\n"),
+        (_write_merge_doc(lambda doc: doc.update(sweep=[])),
+         "config error: $.sweep: expected a non-empty object of field paths to value lists\n"),
+        (_write_metrics_with_wrong_header, "error: {dir}/metrics.csv: metrics CSV must have header 'id,metric'\n"),
+    ],
+    ids=["missing-config", "invalid-json", "empty-explicit-lr", "empty-sweep", "metrics-header"],
+)
+def test_merge_config_faults_exit_1_before_any_run(tmp_path, capsys, write, err):
+    write(tmp_path)
+    config, out = tmp_path / "merge.json", tmp_path / "out"
+    assert main(["merge", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == err.format(config=config, dir=tmp_path)
+    assert not out.exists()
+
+
 def test_merge_sweep_grid_runs_all_cells(tmp_path):
     write_ingredients(tmp_path)
     doc = merge_doc()
@@ -718,6 +755,47 @@ def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert f"{changed}.safetensors: {message}" in capsys.readouterr().err
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
+
+
+def test_soup_input_changed_before_publishing_exits_2_and_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    import soupstock.cli as cli
+
+    out = tmp_path / "out"
+    argv = _soup_argv(tmp_path, out)
+    assert main(argv) == 0
+    before = _files(out)
+    real_soup = cli.soup
+
+    def soup_then_change(maps):
+        merged = real_soup(maps)
+        _rewrite_in_place(tmp_path / "ing1.safetensors")
+        return merged
+
+    monkeypatch.setattr(cli, "soup", soup_then_change)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ing1.safetensors'}: file changed while it was open\n"
+    assert _files(out) == before  # the old output, and no temporary beside it
+
+
+def test_sweep_ingredient_changed_after_the_cells_exits_2_without_a_manifest(tmp_path, monkeypatch, capsys):
+    import soupstock.cli as cli
+
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.5, 0.25]}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+
+    def run_then_change(tasks, workers):
+        outcomes = [task() for task in tasks]
+        _rewrite_in_place(tmp_path / "ing2.safetensors")
+        return outcomes
+
+    monkeypatch.setattr(cli, "run_in_workers", run_then_change)
+    out = tmp_path / "out"
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ing2.safetensors'}: file changed while it was open\n"
+    assert not (out / "sweep_manifest.json").exists()
+    assert not [path for path in out.rglob("*") if path.name.endswith(".tmp")]
 
 
 def _files(directory):

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 
@@ -22,8 +23,6 @@ from conftest import random_weightmaps, write_checkpoint
 
 
 def write_raw(path, header: dict, buffer: bytes) -> None:
-    import json
-
     hb = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(hb)))
@@ -75,6 +74,46 @@ def test_load_malformed_json(tmp_path):
         fh.write(hb)
     with pytest.raises(CheckpointError, match="malformed header"):
         load_checkpoint(str(path))
+
+
+def _entry(shape=(1,), offsets=(0, 4)):
+    return {"w": {"dtype": "F32", "shape": list(shape), "data_offsets": list(offsets)}}
+
+
+def _with_header(header) -> bytes:
+    hb = json.dumps(header).encode()
+    return struct.pack("<Q", len(hb)) + hb + b"\x00" * 4
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_with_header([]), "malformed header (not a JSON object)"),
+        (_with_header({"__metadata__": {"k": 1}}), "malformed header (__metadata__ must map str to str)"),
+        (_with_header({"w": 1}), "malformed header (entry 'w' not an object)"),
+        (_with_header(_entry(shape=[-1])), "malformed header (bad shape for 'w')"),
+        (_with_header(_entry(shape=[True])), "malformed header (bad shape for 'w')"),
+        (_with_header(_entry(offsets=[0])), "malformed header (bad data_offsets for 'w')"),
+        (_with_header(_entry(offsets=[4, 0])), "malformed header (inverted offsets for 'w')"),
+        (b"\x00\x00", "truncated buffer (no header length)"),
+        (struct.pack("<Q", 200 * 1024 * 1024), "malformed header (implausible length 209715200)"),
+    ],
+    ids=["not-object", "metadata", "entry", "negative-dim", "bool-dim", "one-offset", "inverted",
+         "no-length", "huge-length"],
+)
+@pytest.mark.parametrize("reader", [open_checkpoint, load_checkpoint], ids=["open", "load"])
+def test_load_rejects_malformed_files_with_their_reason(tmp_path, reader, content, message):
+    path = tmp_path / "bad.safetensors"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError) as info:
+        reader(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_save_rejects_non_str_metadata(tmp_path):
+    m = WeightMap({"w": np.zeros(1, dtype=np.float32)}, metadata={"k": 1})
+    with pytest.raises(CheckpointError, match="^metadata must map str to str$"):
+        save_checkpoint(m, str(tmp_path / "m.safetensors"))
 
 
 def test_load_duplicate_names(tmp_path):
