@@ -11,24 +11,23 @@ A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
 states: the CLI runs the cells of a sweep as the tasks of
 :func:`run_in_workers`, which returns each task's result in task order
-(see ``cli``). Each step is one pass of
-``optim.optimizer_step`` over the maps' flat buffers: per block, the batch
-members' values are read from their sources (views of in-memory maps, or
-reads of stored maps that stay in their files), averaged, turned into the
-pseudogradient by the kernel that ``pseudograd.pseudogradient`` runs over
-whole maps, and fed to the optimizer, and the new values are checked to
-be finite (a NaN/Inf aborts the run with an EngineError naming the step and
-batch) and staged for the log norms. No model-size mean or pseudogradient is
-ever built, and stored ingredients are never held whole. A run writes its
-initialization straight into the one iterate buffer it owns and steps it in
-place; a projected run projects it there, by ``optim.project_to_ball`` with
-``out``. A greedy run, and a projected run that logs its steps, also copy
-the iterate before each step into one buffer allocated once: a logged
-projection takes its displacement against that copy, and a rejected greedy
-step copies it back and swaps the optimizer state with a spare that holds a
-copy of the pre-step one; a projected run without a log keeps no copy. Greedy
-acceptance scores each iterate by its distance to a target map (``Greedy``),
-the only metric a data-free merge has.
+(see ``cli``). Each step is one pass of ``optim.optimizer_step`` over the
+maps' flat buffers: per block, the batch members' values are read from
+their sources (in-memory maps, or stored maps that stay in their files),
+averaged, turned into the pseudogradient by
+``pseudograd._pseudogradient_values`` and fed to the optimizer, and the new
+values are checked to be finite (a NaN/Inf aborts the run with an
+EngineError naming the step and batch) and staged for the log norms, so no
+model-size mean or pseudogradient is ever built. A run steps the one
+iterate buffer it owns in place, from its initialization; a projected run
+projects it there. A greedy run, and a projected run that logs its steps,
+also copy the pre-step iterate into one buffer: a logged projection takes
+its displacement against it, and a rejected greedy step copies it back and
+swaps the optimizer state with a spare copy of the pre-step one. Greedy
+acceptance scores each iterate by its distance to a target map
+(``Greedy``), the only metric a data-free merge has. One loop takes every
+step: :func:`run_ensemble` drives it to its end in each range's task, and
+:func:`ensemble_steps` hands its steps to a caller.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
@@ -62,7 +61,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Generator, NoReturn, Sequence
 
 import numpy as np
 
@@ -113,6 +112,7 @@ __all__ = [
     "ORDERINGS",
     "order_ingredients",
     "run_ensemble",
+    "ensemble_steps",
     "run_in_workers",
 ]
 
@@ -301,7 +301,8 @@ def _epoch_order_fn(sweep_size: int, cfg: EnsembleConfig, seeds: list[int]) -> C
     and epoch.
     """
     if not cfg.shuffle:
-        return lambda epoch: np.broadcast_to(np.arange(sweep_size), (len(seeds), sweep_size))
+        given = np.broadcast_to(np.arange(sweep_size), (len(seeds), sweep_size))
+        return lambda epoch: given.view()  # a new object, which _batch_mean_fn keys its held means on
     gen = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_SHUFFLE)
 
     def order(epoch: int) -> np.ndarray:
@@ -350,7 +351,35 @@ def run_ensemble(
         import mmap  # one shared anonymous mapping, which every range writes its part of
         iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
 
-    reports = run_in_workers([partial(_trajectory, plan, r, iterate) for r in ranges], len(ranges))
+    reports = run_in_workers([partial(_run_range, plan, r, iterate) for r in ranges], len(ranges))
+    iterate.setflags(write=False)
+    return WeightMap._wrap(iterate.view(), schema), _record(plan, reports)
+
+
+def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
+                   state: OptimizerState) -> Generator[WeightMap, None, RunRecord]:
+    """:func:`run_ensemble`'s run as one range in this process, stepped by the
+    caller: it steps ``state`` in place and yields the same read-only view of
+    the iterate after each step. Leaving the loop ends the run, with no further
+    step; a run that ends returns its log, and a failure raises as there."""
+    plan = _Plan(cfg, ingredients, None)
+    iterate = np.empty(plan.schema.size, dtype=np.float32)
+    report = yield from _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
+    return _record(plan, [report])
+
+
+def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray) -> tuple:
+    """The report of :func:`_trajectory` over ``block_range``, driven to its end."""
+    steps = _trajectory(plan, block_range, iterate, OptimizerState())
+    while True:
+        try:
+            next(steps)
+        except StopIteration as end:
+            return end.value
+
+
+def _record(plan: _Plan, reports: list) -> RunRecord:
+    """The log of a run from its ranges' reports; raises the failure a serial run would meet first."""
     for report in reports:
         if isinstance(report, Exception):
             raise report
@@ -359,8 +388,8 @@ def run_ensemble(
     done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
     entries = reports[0][1]
     record = RunRecord()
-    if cfg.record_steps:
-        ends = schema.piece_ends
+    if plan.cfg.record_steps:
+        ends = plan.schema.piece_ends
         for k in range(done):
             sums = np.concatenate([report[2][k] for report in reports], axis=1)
             grad_norm, displacement = (math.sqrt(_add_pieces(row, ends)) for row in sums)
@@ -371,8 +400,7 @@ def run_ensemble(
             raise EngineError(message, record=record) from exc
         raise exc
     record.total_steps = done
-    iterate.setflags(write=False)
-    return WeightMap._wrap(iterate.view(), schema), record
+    return record
 
 
 def _check_replicas(
@@ -464,14 +492,15 @@ def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> 
 
 
 def _trajectory(
-    plan: _Plan, block_range: range, iterate: np.ndarray
-) -> tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]:
+    plan: _Plan, block_range: range, iterate: np.ndarray, state: OptimizerState
+) -> Generator[WeightMap, None, tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]]:
     """Every step of the run over the blocks of ``block_range``, from its
     share of the initialization, written into ``iterate`` and stepped there,
     to its share of the EMA pivot; no other element of any model-size buffer
-    is touched.
+    is touched. ``state`` is the run's optimizer state, stepped in place.
 
-    Returns (the steps done, entries, sums, failure). Per step done when the
+    Yields the one read-only view of ``iterate`` it builds after each step, and
+    returns (the steps done, entries, sums, failure). Per step done when the
     run records steps, entries holds the log entry's fields other than the
     norms, and sums the range's per-piece sums of squares for them, shape
     (2, pieces). A run stops at its first failure, returned as (the
@@ -484,6 +513,7 @@ def _trajectory(
     entries: list[tuple] = []
     sums: list[np.ndarray] = []
     done = 0
+    own = state  # a rejected greedy step swaps the state with a spare; own gets the final one back
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
@@ -495,7 +525,6 @@ def _trajectory(
             pivot[span] = iterate[span]
             ema = pivot if ema_decay is not None else None
         batch_mean = plan.batch_mean
-        state = OptimizerState()
         spare = OptimizerState() if greedy is not None else None
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
         # The pre-step iterate, read by a greedy revert and a logged projection's displacement.
@@ -556,8 +585,12 @@ def _trajectory(
                     if ema is not None:
                         _ema_update(ema, iterate, ema_decay, stepped)
                 done = attempt
+                yield w
     except Exception as exc:  # reported with the steps done before it
         return done, entries, sums, (exc, None)
+    finally:
+        if state is not own:
+            _copy_state(state, own)
     return done, entries, sums, None
 
 

@@ -1,7 +1,9 @@
 """Desk-scale federated simulators over synthetic quadratic clients.
 
-Each client owns the loss 0.5*||x - c_i||^2 and trains with exact gradients,
-so every protocol identity is checkable in closed form. Two server protocols:
+Each client owns the loss 0.5*||x - c_i||^2, whose exact gradient x - c_i is
+the pseudogradient toward c_i: clients and the server step through
+``engine.ensemble_steps``, and every protocol identity is checkable in closed
+form. Two server protocols:
 
 * fedopt — clients send deltas x_{i,K} - x_{t-1}; the server averages them and
   descends along the negated average with its own optimizer.
@@ -20,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rng as rng_mod
-from .engine import EnsembleConfig, Ingredient, run_ensemble
-from .optim import OptimizerSpec, OptimizerState, optimizer_step
-from .pseudograd import pseudogradient, soup
+from .engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, ensemble_steps, run_ensemble
+from .optim import OptimizerSpec, OptimizerState
+from .pseudograd import soup
 from .weightstore import WeightMap, l2_distance, validate_compatible, write_csv
 
 __all__ = [
@@ -106,12 +110,7 @@ class FedResult:
 
 def client_train(start: WeightMap, spec: ClientSpec) -> WeightMap:
     """K local optimizer steps on the exact quadratic gradient (x - center)."""
-    validate_compatible([start, spec.objective_center])
-    state = OptimizerState()
-    w = start
-    for _ in range(spec.local_steps):
-        w = _descend(w, spec.objective_center, state, spec.local_optimizer)
-    return w
+    return _descend(start, spec.objective_center, OptimizerState(), spec.local_optimizer, spec.local_steps)
 
 
 def _sample_participants(cfg: FedConfig, round_idx: int) -> list[ClientSpec]:
@@ -123,9 +122,20 @@ def _sample_participants(cfg: FedConfig, round_idx: int) -> list[ClientSpec]:
     return [cfg.clients[i] for i in chosen]
 
 
-def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, spec: OptimizerSpec) -> WeightMap:
-    # One optimizer step on the pseudogradient x - target, which moves x toward target.
-    return optimizer_step(x, pseudogradient(x, target, 1.0, 1), state, spec)
+def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, spec: OptimizerSpec, steps: int) -> WeightMap:
+    # `steps` engine steps from x on the pseudogradient (iterate - target), which moves it toward target.
+    cfg = EnsembleConfig(spec, pivot_init=ProvidedInit(x), n_divisor=1, epochs=steps, ordering="given",
+                         record_steps=False)
+    return [*ensemble_steps(cfg, [Ingredient("target", target)], state)][-1]
+
+
+def _in_round(t: int, party: str, run, *args):
+    """run(*args), an engine run, with an EngineError's message prefixed by the round and the party."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the engine checks every step
+            return run(*args)
+    except EngineError as exc:
+        raise EngineError(f"round {t}, {party}: {exc}") from exc
 
 
 def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | EnsembleConfig) -> FedResult:
@@ -142,13 +152,14 @@ def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | Ensemble
     iterates: list[WeightMap] = []
     for t in range(1, cfg.rounds + 1):
         participants = _sample_participants(cfg, t)
-        results = [client_train(x, client) for client in participants]
+        results = [_in_round(t, f"client {c.id!r}", client_train, x, c) for c in participants]
         if isinstance(client_soup, EnsembleConfig):
-            w_t, _ = run_ensemble(client_soup, [Ingredient(c.id, w) for c, w in zip(participants, results)])
+            ingredients = [Ingredient(c.id, w) for c, w in zip(participants, results)]
+            w_t, _ = _in_round(t, "client soup", run_ensemble, client_soup, ingredients)
         else:
             w_t = soup(results)
         x_prev = x
-        x = _descend(x, w_t, state, server)
+        x = _in_round(t, "server", _descend, x, w_t, state, server, 1)
         logs.append(
             RoundLog(
                 round=t,

@@ -1,10 +1,10 @@
 """Pseudogradients, souping, and step-size schedules.
 
-The core primitive: given a pivot model and an ingredient model, the pivoted
-pseudogradient is amplification * (pivot - ingredient) / n_divisor. Running a
-descent loop over these differences is what turns a pile of checkpoints into a
-single merged model; the uniform soup is the special case recovered by plain
-gradient descent with harmonic step decay.
+The core primitive: the pivoted pseudogradient amplification * (pivot -
+ingredient) / n_divisor, which the engine forms block by block. Descending
+along these differences turns a pile of checkpoints into a single merged
+model; the uniform soup is the special case recovered by plain gradient
+descent with harmonic step decay.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weightstore import StoredMap, WeightMap, _check_compatible, validate_compatible
+from .weightstore import StoredMap, WeightMap, validate_compatible
 
 __all__ = [
     "ScheduleError",
@@ -28,7 +28,6 @@ __all__ = [
     "AdaptivePivot",
     "EmaPivot",
     "PivotPolicy",
-    "pseudogradient",
     "pseudogradient_scale",
     "soup",
     "pivot_identity",
@@ -148,21 +147,10 @@ def pseudogradient_scale(zeta: float, n_divisor: int) -> np.float32:
     return np.float32(float(zeta) / float(n_divisor))
 
 
-def pseudogradient(pivot: WeightMap, ingredient: WeightMap, zeta: float, n_divisor: int) -> WeightMap:
-    """amplification * (pivot - ingredient) / n_divisor, elementwise.
-
-    Computed as (pivot - ingredient) * fl(zeta / n_divisor) per element, making
-    pseudogradient(p, x) the exact negation of pseudogradient(x, p).
-    """
-    scale = pseudogradient_scale(zeta, n_divisor)
-    _check_compatible(pivot, ingredient)
-    return WeightMap._wrap(_pseudogradient_values(pivot.flat, ingredient.flat, scale), pivot.schema())
-
-
 def _pseudogradient_values(pivot: np.ndarray, x: np.ndarray, scale: np.float32,
                            out: np.ndarray | None = None) -> np.ndarray:
     """(pivot - x) * scale, into ``out`` (a new array by default; it may be x):
-    the one pseudogradient kernel, over whole maps here and per block in the engine."""
+    the one pseudogradient kernel, which the engine runs per block."""
     out = np.subtract(pivot, x, out=out)
     out *= scale
     return out

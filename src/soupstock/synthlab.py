@@ -7,7 +7,7 @@ Three independent checks of the merge machinery on analytic ground truth:
   against the plain soup and the population's robust center;
 * cycle dynamics — the four-ingredient construction whose constant-step
   descent orbits the l1 sphere forever, plus the decaying-schedule variant
-  that provably settles, with a numeric tail bound;
+  (stepped by ``engine.ensemble_steps``) that provably settles within a tail bound;
 * soup law-of-large-numbers coverage over growing sample sizes.
 
 Lab dynamics that are not weight-map computations (trajectories, bounds,
@@ -23,9 +23,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import rng as rng_mod
-from .engine import EnsembleConfig, Ingredient, ProvidedInit, run_ensemble, run_in_workers
-from .optim import GD, Adagrad, Adam, NonFiniteStep, OptimizerSpec, OptimizerState, optimizer_step, project_to_ball
-from .pseudograd import AdaptivePivot, CappedPower, Constant, pseudogradient
+from .engine import EnsembleConfig, Ingredient, ProvidedInit, Projection, ensemble_steps, run_ensemble, run_in_workers
+from .optim import GD, Adagrad, Adam, NonFiniteStep, OptimizerSpec, OptimizerState
+from .pseudograd import AdaptivePivot, CappedPower, Constant
 from .weightstore import Schema, WeightMap, write_csv
 
 __all__ = [
@@ -454,24 +454,24 @@ def convergence_check(
     spec = optimizer or OptimizerSpec(GD(lr=sched))
     spec = OptimizerSpec(replace(spec.variant, lr=sched), weight_decay=spec.weight_decay)
     factor = _bound_factor(spec, radius, n_divisor, dimension)
-    project_adam = isinstance(spec.variant, Adam)
     center = WeightMap({"point": np.zeros(dimension, dtype=np.float32)})
+    projection = Projection(center, radius) if isinstance(spec.variant, Adam) else None
+    run_cfg = EnsembleConfig(spec, pivot_init=ProvidedInit(WeightMap({"point": init.astype(np.float32)})),
+                             n_divisor=n_divisor, epochs=math.ceil(steps / len(pts)), ordering="given",
+                             projection=projection, record_steps=False)
+    ing_maps = [Ingredient(f"x{i}", WeightMap({"point": p.astype(np.float32)})) for i, p in enumerate(pts)]
 
-    w = WeightMap({"point": init.astype(np.float32)})
-    state = OptimizerState()
     trajectory = np.empty((steps + 1, dimension), dtype=np.float64)
     trajectory[0] = init
-    ing_maps = [WeightMap({"point": pts[i].astype(np.float32)}) for i in range(len(pts))]
+    t = 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
-        for t in range(1, steps + 1):
-            g = pseudogradient(w, ing_maps[(t - 1) % len(ing_maps)], 1.0, n_divisor)
-            try:
-                w = optimizer_step(w, g, state, spec)
-            except NonFiniteStep:
-                raise ValueError(f"the iterate leaves the float32 range at step {t}") from None
-            if project_adam:
-                w = project_to_ball(w, center, radius)
-            trajectory[t] = w.flat
+        try:
+            for t, w in zip(range(1, steps + 1), ensemble_steps(run_cfg, ing_maps, OptimizerState())):
+                trajectory[t] = w.flat
+        except ValueError as exc:  # the engine's EngineError for a non-finite step
+            if not isinstance(exc.__cause__, NonFiniteStep):
+                raise
+            raise ValueError(f"the iterate leaves the float32 range at step {t + 1}") from None
 
     tail_start = int(math.floor(steps * (1.0 - tail_fraction)))
     tail = trajectory[tail_start:]

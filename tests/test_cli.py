@@ -1431,6 +1431,21 @@ def test_fed_schema_mismatch_names_the_client(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("party, line", [
+    ("client", "round 2, client 'c0': non-finite iterate after step 1 (epoch 1, batch target; first in tensor 'w')"),
+    ("server", "round 2, server: non-finite iterate after step 1 (epoch 1, batch target; first in tensor 'w')"),
+], ids=["client", "server"])
+def test_fed_step_that_leaves_the_floats_names_the_round_and_party_and_exits_2(tmp_path, capsys, party, line):
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1e38 if party == "server" else 1.0})
+    if party == "client":
+        for client in doc["clients"]:
+            client["optimizer"]["lr"] = 1e38
+    (tmp_path / "fed.json").write_text(json.dumps(doc))
+    assert main(["fed", "--config", str(tmp_path / "fed.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert sorted(os.listdir(tmp_path)) == ["fed.json"]
+
+
 @pytest.mark.parametrize("algorithm, error", [
     ("fedopt", "$.server: fedopt requires a server optimizer"),
     ("fedsoup", "$.server_stew: fedsoup requires a server_stew optimizer"),

@@ -4,7 +4,7 @@ import re
 import threading
 import warnings
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -23,11 +23,12 @@ from soupstock.engine import (
     SoupInit,
     StepRecord,
     _epoch_order_fn,
+    ensemble_steps,
     order_ingredients,
     run_ensemble,
     run_in_workers,
 )
-from soupstock.optim import GD, Adagrad, Adam, Adadelta, OptimizerSpec
+from soupstock.optim import GD, Adagrad, Adam, Adadelta, OptimizerSpec, OptimizerState
 from soupstock.pseudograd import (
     AdaptivePivot,
     Constant,
@@ -522,6 +523,100 @@ def test_batch_mean_sums_in_batch_order():
     assert merged.array("two")[0] == in_order[0]
 
 
+# --- stepping -----------------------------------------------------------------------------
+
+
+def drive(steps):
+    """Copies of every view a stepped run yields, and the log it returns."""
+    views = []
+    while True:
+        try:
+            views.append(next(steps).flat.copy())
+        except StopIteration as end:
+            return views, end.value
+
+
+def adversarial_setup(seed):
+    """A greedy run whose second and last step, toward "bad", is rejected."""
+    target = random_weightmaps(seed=seed, count=1)[0]
+    bad = WeightMap({name: arr + np.float32(25.0) for name, arr in target.arrays().items()})
+    start = random_weightmaps(seed=seed + 1, count=1)[0]
+    cfg = gd_cfg(
+        optimizer=OptimizerSpec(Adagrad(lr=Constant(0.5), eps=1e-8)),
+        pivot_init=ProvidedInit(start),
+        n_divisor=2,
+        greedy=Greedy(target),
+    )
+    return cfg, [Ingredient("good", target), Ingredient("bad", bad)]
+
+
+def state_bytes(state):
+    """Every field of an OptimizerState, its buffers as bytes."""
+    values = {f.name: getattr(state, f.name) for f in fields(state)}
+    return {name: v.tobytes() if isinstance(v, np.ndarray) else v for name, v in values.items()}
+
+
+def test_ensemble_steps_yields_one_read_only_view_per_step():
+    ingredients = make_ingredients(seed=60, count=3)
+    cfg = gd_cfg(epochs=2)
+    views = list(ensemble_steps(cfg, ingredients, OptimizerState()))
+    assert len(views) == 6
+    assert all(view is views[0] for view in views)
+    assert not views[0].flat.flags.writeable
+    with pytest.raises(ValueError):
+        views[0].flat[0] = 1.0
+
+
+def test_leaving_ensemble_steps_early_runs_no_further_step():
+    ingredients = make_ingredients(seed=61, count=3)
+    cfg = gd_cfg(optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8)), epochs=3)
+    state = OptimizerState()
+    steps = ensemble_steps(cfg, ingredients, state)
+    views = [next(steps).flat.copy() for _ in range(4)]
+    steps.close()
+    assert state.step == 4
+    full, _ = drive(ensemble_steps(cfg, ingredients, OptimizerState()))
+    assert [v.tobytes() for v in views] == [v.tobytes() for v in full[:4]]
+
+
+@pytest.mark.parametrize("kind", ["plain", "projected", "greedy"])
+def test_ensemble_steps_end_where_run_ensemble_ends(kind):
+    if kind == "greedy":
+        cfg, ingredients = adversarial_setup(seed=62)
+    else:
+        ingredients = make_ingredients(seed=62, count=4)
+        center = random_weightmaps(seed=621, count=1)[0]
+        projection = Projection(center, 0.5) if kind == "projected" else None
+        cfg = gd_cfg(optimizer=OptimizerSpec(Adagrad(lr=Constant(0.3), eps=1e-8)), epochs=2, projection=projection)
+    merged, record = run_ensemble(cfg, ingredients)
+    views, stepped_record = drive(ensemble_steps(cfg, ingredients, OptimizerState()))
+    assert len(views) == record.total_steps
+    assert views[-1].tobytes() == merged.flat.tobytes()
+    assert stepped_record == record
+    if kind == "greedy":
+        assert [s.accepted for s in record.steps] == [True, False]
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["plain", "greedy"])
+def test_chained_runs_sharing_a_state_equal_one_longer_run(greedy):
+    # A rejected greedy step swaps the run's state with a spare: the caller's
+    # object must still end with the state the run ended with.
+    if greedy:
+        cfg, ingredients = adversarial_setup(seed=63)
+    else:
+        ingredients = make_ingredients(seed=63, count=3)
+        cfg = gd_cfg(optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8),
+                                              weight_decay=0.05))
+    state = OptimizerState()
+    *_, first = ensemble_steps(cfg, ingredients, state)
+    *_, chained = ensemble_steps(replace(cfg, pivot_init=ProvidedInit(first)), ingredients, state)
+    long_state = OptimizerState()
+    whole, _ = drive(ensemble_steps(replace(cfg, epochs=2), ingredients, long_state))
+    assert chained.flat.tobytes() == whole[-1].tobytes()
+    assert state.step == long_state.step == (2 if greedy else 6)
+    assert state_bytes(state) == state_bytes(long_state)
+
+
 # --- replica axis ---------------------------------------------------------------------------
 
 REPLICA_SEEDS = [41, 7, 1234567, 2**62 + 3]
@@ -735,6 +830,21 @@ def test_recorded_single_replica_run_splits_into_block_ranges(monkeypatch):
     for merged, record in runs[1:]:
         assert merged == runs[0][0]
         assert record == runs[0][1]
+
+
+def test_unshuffled_replica_run_takes_fresh_batch_means_each_epoch():
+    # A map of one block, six ingredients: the means of both full batches of
+    # 3 are gathered at once and overwritten as they are taken, so each
+    # epoch's order must be a new array, or the next epoch would take them.
+    rng = np.random.default_rng(64)
+    values = rng.uniform(-2, 2, size=(6, 3, 5)).astype(np.float32)
+    stacked = [Ingredient(f"m{i}", WeightMap({"w": values[i]})) for i in range(6)]
+    cfg = gd_cfg(n_divisor=None, epochs=3, batch_size=3, record_steps=False)
+    merged, _ = run_ensemble(cfg, stacked, replica_seeds=[1, 2, 3])
+    for r in range(3):
+        single = [Ingredient(ing.id, WeightMap({"w": values[i, r]})) for i, ing in enumerate(stacked)]
+        expected, _ = run_ensemble(cfg, single)
+        assert merged.array("w")[r].tobytes() == expected.array("w").tobytes()
 
 
 def test_replica_batch_means_gathered_several_batches_at_a_time_match_separate_runs():

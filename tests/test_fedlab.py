@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soupstock.engine import EnsembleConfig
+from soupstock.engine import EngineError, EnsembleConfig
 from soupstock.fedlab import (
     ClientSpec,
     FedConfig,
@@ -11,8 +11,16 @@ from soupstock.fedlab import (
     simulate_fedopt,
     simulate_fedsoup,
 )
-from soupstock.optim import GD, Adam, OptimizerSpec
-from soupstock.pseudograd import AdaptivePivot, Constant, Harmonic, soup
+from soupstock.optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState, optimizer_step
+from soupstock.pseudograd import (
+    AdaptivePivot,
+    Constant,
+    Harmonic,
+    Power,
+    _pseudogradient_values,
+    pseudogradient_scale,
+    soup,
+)
 from soupstock.weightstore import WeightMap, l2_distance
 
 
@@ -172,6 +180,57 @@ def test_server_pseudogradient_identity_every_round():
         client_mean = soup([client_train(x, c) for c in participants])
         assert log.delta_norm == pytest.approx(l2_distance(client_mean, x), abs=1e-7)
         x = result.iterates[t - 1]
+
+
+def reference_descend(x, target, state, spec):
+    """One optimizer_step on the pseudogradient x - target: the step the
+    clients and the server took before they stepped through the engine."""
+    g = _pseudogradient_values(x.flat, target.flat, pseudogradient_scale(1.0, 1))
+    return optimizer_step(x, WeightMap._wrap(g, x.schema()), state, spec)
+
+
+def reference_iterates(cfg, server, rounds):
+    state, x, iterates = OptimizerState(), cfg.init, []
+    for log in rounds:
+        results = []
+        for client in (c for c in cfg.clients if c.id in log.participants):
+            local, w = OptimizerState(), x
+            for _ in range(client.local_steps):
+                w = reference_descend(w, client.objective_center, local, client.local_optimizer)
+            results.append(w)
+        x = reference_descend(x, soup(results), state, server)
+        iterates.append(x)
+    return iterates
+
+
+@pytest.mark.parametrize("server", [
+    OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8)),
+    OptimizerSpec(Adagrad(lr=Constant(0.3), eps=1e-8), weight_decay=0.02),
+], ids=["adam", "adagrad"])
+@pytest.mark.parametrize("algorithm", ["fedopt", "fedsoup"])
+def test_rounds_match_the_reference_loop(server, algorithm):
+    rng = np.random.default_rng(11)
+    local = [
+        (OptimizerSpec(GD(lr=Constant(0.4)), weight_decay=0.1), 1),
+        (OptimizerSpec(Adam(lr=Power(coeff=0.3, exponent=-0.5), beta1=0.5, beta2=0.9, eps=1e-8)), 3),
+        (OptimizerSpec(Adagrad(lr=Constant(0.3), eps=1e-8)), 5),
+        (gd(0.7), 2),
+    ]
+    clients = tuple(ClientSpec(f"c{i}", wm(*rng.uniform(-1, 1, 3)), spec, k) for i, (spec, k) in enumerate(local))
+    base = dict(clients=clients, init=wm(*rng.uniform(-1, 1, 3)), rounds=6, sample_size=3, seed=5)
+    if algorithm == "fedopt":
+        result = simulate_fedopt(FedConfig(server=server, **base))
+    else:
+        result = simulate_fedsoup(FedConfig(server_stew=server, **base))
+    assert result.iterates == reference_iterates(FedConfig(**base), server, result.rounds)
+    assert result.final == result.iterates[-1]
+
+
+def test_nested_client_soup_that_leaves_the_floats_names_the_round():
+    soup_cfg = EnsembleConfig(optimizer=gd(1e38), pivot_policy=AdaptivePivot(), n_divisor=1, ordering="given")
+    cfg = fed_cfg([(0.0,), (10.0,)], server_stew=gd(1.0), client_soup=soup_cfg)
+    with pytest.raises(EngineError, match=r"^round 1, client soup: non-finite iterate after step 1 \(epoch 1, "):
+        simulate_fedsoup(cfg)
 
 
 # --- participation & config ---------------------------------------------------------

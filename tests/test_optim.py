@@ -18,7 +18,15 @@ from soupstock.optim import (
     project_to_ball,
 )
 from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, _block_ranges, run_ensemble
-from soupstock.pseudograd import CappedPower, Constant, Explicit, Harmonic, Power, pseudogradient
+from soupstock.pseudograd import (
+    CappedPower,
+    Constant,
+    Explicit,
+    Harmonic,
+    Power,
+    _pseudogradient_values,
+    pseudogradient_scale,
+)
 from soupstock.weightstore import (
     BLOCK,
     CheckpointError,
@@ -33,6 +41,12 @@ from soupstock.weightstore import (
 
 def wm(**tensors):
     return WeightMap({k: np.asarray(v, dtype=np.float32) for k, v in tensors.items()})
+
+
+def pseudogradient(pivot: WeightMap, x: WeightMap, zeta: float, n_divisor: int) -> WeightMap:
+    """(pivot - x) * fl(zeta / n_divisor) over whole maps: the engine's kernel."""
+    scale = pseudogradient_scale(zeta, n_divisor)
+    return WeightMap._wrap(_pseudogradient_values(pivot.flat, x.flat, scale), pivot.schema())
 
 
 def grad(values: WeightMap):

@@ -12,12 +12,13 @@ from soupstock.pseudograd import (
     Harmonic,
     Power,
     ScheduleError,
+    _pseudogradient_values,
     pivot_identity,
-    pseudogradient,
+    pseudogradient_scale,
     schedule_eval,
     soup,
 )
-from soupstock.weightstore import SchemaMismatch, WeightMap
+from soupstock.weightstore import WeightMap
 
 from conftest import random_weightmaps
 
@@ -29,33 +30,37 @@ def wm(**tensors):
 # --- pseudogradient -------------------------------------------------------------
 
 
+def pseudogradient(pivot, ingredient, zeta, n_divisor):
+    """The engine's kernel over whole float32 arrays: (pivot - ingredient) * fl(zeta / n_divisor)."""
+    return _pseudogradient_values(np.asarray(pivot, np.float32), np.asarray(ingredient, np.float32),
+                                  pseudogradient_scale(zeta, n_divisor))
+
+
 def test_pseudogradient_self_difference_is_zero():
     m = random_weightmaps(seed=11, count=1)[0]
-    g = pseudogradient(m, m, zeta=3.7, n_divisor=5)
-    for name in g:
-        assert not g.array(name).any()
+    g = pseudogradient(m.flat, m.flat, zeta=3.7, n_divisor=5)
+    assert g.dtype == np.float32 and not g.any()
 
 
 def test_pseudogradient_hand_value():
-    g = pseudogradient(wm(a=[1.0, 1.0]), wm(a=[0.0, 2.0]), zeta=1.0, n_divisor=2)
-    np.testing.assert_array_equal(g.array("a"), [0.5, -0.5])
+    g = pseudogradient([1.0, 1.0], [0.0, 2.0], zeta=1.0, n_divisor=2)
+    np.testing.assert_array_equal(g, [0.5, -0.5])
 
 
 def test_pseudogradient_zeta_cancels_divisor():
     # zeta == n_divisor leaves the raw difference; recompute with scalars.
     pivot, ing, zeta, n = 3.0, 1.0, 4.0, 4
     expected = zeta * (pivot - ing) / n
-    g = pseudogradient(wm(a=[pivot]), wm(a=[ing]), zeta=zeta, n_divisor=n)
-    np.testing.assert_array_equal(g.array("a"), [np.float32(expected)])
+    g = pseudogradient([pivot], [ing], zeta=zeta, n_divisor=n)
+    np.testing.assert_array_equal(g, [np.float32(expected)])
     assert expected == 2.0
 
 
 def test_pseudogradient_antisymmetry_exact():
     p, x = random_weightmaps(seed=21, count=2)
-    fwd = pseudogradient(p, x, zeta=0.3, n_divisor=3)
-    bwd = pseudogradient(x, p, zeta=0.3, n_divisor=3)
-    for name in fwd:
-        np.testing.assert_array_equal(fwd.array(name), -bwd.array(name))
+    fwd = pseudogradient(p.flat, x.flat, zeta=0.3, n_divisor=3)
+    bwd = pseudogradient(x.flat, p.flat, zeta=0.3, n_divisor=3)
+    np.testing.assert_array_equal(fwd, -bwd)
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,24 +68,16 @@ def test_pseudogradient_antisymmetry_exact():
 def test_pseudogradient_translation_invariance_exact_on_integer_lattice(seed, shift):
     # Integer-valued float32 tensors in a range where +/- shift stays exact.
     rng = np.random.default_rng(seed)
-    p = wm(a=rng.integers(-512, 512, size=6).astype(np.float32))
-    x = wm(a=rng.integers(-512, 512, size=6).astype(np.float32))
-    t = wm(a=np.full(6, float(shift), dtype=np.float32))
+    p = rng.integers(-512, 512, size=6).astype(np.float32)
+    x = rng.integers(-512, 512, size=6).astype(np.float32)
     base = pseudogradient(p, x, zeta=1.5, n_divisor=2)
-    moved = pseudogradient(
-        wm(a=p.array("a") + t.array("a")), wm(a=x.array("a") + t.array("a")), zeta=1.5, n_divisor=2
-    )
-    assert base == moved
-
-
-def test_pseudogradient_rejects_incompatible():
-    with pytest.raises(SchemaMismatch):
-        pseudogradient(wm(a=[1.0]), wm(b=[1.0]), zeta=1.0, n_divisor=1)
+    moved = pseudogradient(p + np.float32(shift), x + np.float32(shift), zeta=1.5, n_divisor=2)
+    np.testing.assert_array_equal(base, moved)
 
 
 def test_pseudogradient_rejects_bad_divisor():
-    with pytest.raises(ValueError):
-        pseudogradient(wm(a=[1.0]), wm(a=[1.0]), zeta=1.0, n_divisor=0)
+    with pytest.raises(ValueError, match="^n_divisor must be >= 1, got 0$"):
+        pseudogradient_scale(1.0, 0)
 
 
 # --- soup -----------------------------------------------------------------------

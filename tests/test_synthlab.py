@@ -10,8 +10,17 @@ import pytest
 from soupstock import rng as rng_mod
 from soupstock import synthlab
 from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
-from soupstock.optim import Adadelta, Adagrad, Adam, OptimizerSpec
-from soupstock.pseudograd import CappedPower, Constant
+from soupstock.optim import (
+    GD,
+    Adadelta,
+    Adagrad,
+    Adam,
+    OptimizerSpec,
+    OptimizerState,
+    optimizer_step,
+    project_to_ball,
+)
+from soupstock.pseudograd import CappedPower, Constant, _pseudogradient_values, pseudogradient_scale
 from soupstock.synthlab import (
     ConvergenceReport,
     CycleResult,
@@ -230,6 +239,40 @@ def test_convergence_names_the_step_whose_iterate_overflows():
     pts = cycle_ingredients(1.0, 1.5e38)
     with pytest.raises(ValueError, match="^the iterate leaves the float32 range at step 2$"):
         convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=10, init=np.array([1.5e38, 0.0]))
+
+
+def reference_convergence(pts, init, steps, spec, report):
+    """The lab's loop before it stepped through the engine: one optimizer_step
+    per point in turn, Adam projected onto the origin ball after each."""
+    spec = OptimizerSpec(replace(spec.variant, lr=CappedPower(1.0, -1.5, report.cap)), spec.weight_decay)
+    w = WeightMap({"point": init.astype(np.float32)})
+    center = WeightMap({"point": np.zeros(len(init), dtype=np.float32)})
+    xs = pts.astype(np.float32)
+    state = OptimizerState()
+    trajectory = [init]
+    for t in range(steps):
+        g = _pseudogradient_values(w.flat, xs[t % len(xs)], pseudogradient_scale(1.0, 1))
+        w = optimizer_step(w, WeightMap._wrap(g, w.schema()), state, spec)
+        if isinstance(spec.variant, Adam):
+            w = project_to_ball(w, center, report.radius)
+        trajectory.append(w.flat)
+    return np.array(trajectory, dtype=np.float64)
+
+
+@pytest.mark.parametrize("spec", [
+    OptimizerSpec(GD(lr=Constant(1.0))),
+    OptimizerSpec(GD(lr=Constant(1.0)), weight_decay=0.05),
+    OptimizerSpec(Adagrad(lr=Constant(1.0), eps=1e-8)),
+    OptimizerSpec(Adam(lr=Constant(1.0), beta1=0.5, beta2=0.9, eps=1e-8)),
+], ids=["gd", "gd-decay", "adagrad", "adam-projected"])
+@pytest.mark.parametrize("steps", [1003, 400])
+def test_convergence_trajectory_matches_the_reference_loop(spec, steps):
+    # Five points in three dimensions: 1003 steps end mid-sweep.
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(5, 3))
+    init = np.array([1.0, -0.5, 0.25])
+    trajectory, report = convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=steps, optimizer=spec, init=init)
+    expected = reference_convergence(pts, init, steps, spec, report)
+    assert trajectory.tobytes() == expected.tobytes()
 
 
 def test_convergence_rejects_adadelta():
