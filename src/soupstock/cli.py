@@ -307,13 +307,13 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
 
 def _cell_buffers(cfg: MergeConfig) -> int:
     """The model-size buffers a cell holds at its peak (see
-    engine._trajectory): the iterate and the optimizer state, plus where the
-    config has them a fixed or EMA pivot's copy of the initialization,
-    greedy's target and spare state, a projection's center, and the pre-step
-    iterate of a greedy run or of a projected run that logs its steps. A
-    provided initialization stays in its file, read a block at a time into
-    the iterate."""
-    state = cfg.ensemble.optimizer.variant.state_buffers
+    engine._trajectory): the iterate and the optimizer state's buffers, one
+    per entry of the rule's ``fills``, plus where the config has them a fixed
+    or EMA pivot's copy of the initialization, greedy's target and spare
+    state, a projection's center, and the pre-step iterate of a greedy run or
+    of a projected run that logs its steps. A provided initialization stays
+    in its file, read a block at a time into the iterate."""
+    state = len(cfg.ensemble.optimizer.variant.fills)
     greedy = cfg.greedy.enabled
     projected = cfg.projection is not None
     buffers = 1 + state

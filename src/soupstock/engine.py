@@ -23,11 +23,12 @@ iterate buffer it owns in place, from its initialization; a projected run
 projects it there. A greedy run, and a projected run that logs its steps,
 also copy the pre-step iterate into one buffer: a logged projection takes
 its displacement against it, and a rejected greedy step copies it back and
-swaps the optimizer state with a spare copy of the pre-step one. Greedy
-acceptance scores each iterate by its distance to a target map
-(``Greedy``), the only metric a data-free merge has. One loop takes every
-step: :func:`run_ensemble` drives it to its end in each range's task, and
-:func:`ensemble_steps` hands its steps to a caller.
+swaps the contents (step and buffers) of the optimizer state with those of
+a spare copy of the pre-step one, so the caller's state object holds the
+live state. Greedy acceptance scores each iterate by its distance to a
+target map (``Greedy``), the only metric a data-free merge has. One loop
+takes every step: :func:`run_ensemble` drives it to its end in each range's
+task, and :func:`ensemble_steps` hands its steps to a caller.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
@@ -59,7 +60,7 @@ import pickle
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Generator, NoReturn, Sequence
 
@@ -513,7 +514,6 @@ def _trajectory(
     entries: list[tuple] = []
     sums: list[np.ndarray] = []
     done = 0
-    own = state  # a rejected greedy step swaps the state with a spare; own gets the final one back
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
@@ -556,15 +556,15 @@ def _trajectory(
                         w, grad, state, cfg.optimizer, sched_idx,
                         out=iterate, norms=norms, block_range=block_range,
                     )
+                    moved = cfg.projection is not None and project_to_ball(
+                        w, cfg.projection.center, cfg.projection.radius, out=iterate) is not w
                 except NonFiniteStep as exc:
                     batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
                     message = _nonfinite_message(schema, exc.index, batch_idx, plan.sweep_ids, attempt, epoch)
                     return done, entries, sums, (exc, message)
                 step_sums = norms[:, pieces].copy() if norms is not None else None
-                if cfg.projection is not None:
-                    projected = project_to_ball(w, cfg.projection.center, cfg.projection.radius, out=iterate)
-                    if norms is not None and projected is not w:
-                        _pieces_squared(schema, iterate, before, out=step_sums[1])
+                if moved and norms is not None:
+                    _pieces_squared(schema, iterate, before, out=step_sums[1])
 
                 metric: float | None = None
                 accepted: bool | None = None
@@ -578,7 +578,8 @@ def _trajectory(
                     sums.append(step_sums)
                 if greedy is not None and not accepted:
                     iterate[span] = before[span]
-                    state, spare = spare, state
+                    state.step, spare.step = spare.step, state.step
+                    state.buffers, spare.buffers = spare.buffers, state.buffers
                 else:
                     if accepted:
                         best_metric = metric
@@ -588,21 +589,18 @@ def _trajectory(
                 yield w
     except Exception as exc:  # reported with the steps done before it
         return done, entries, sums, (exc, None)
-    finally:
-        if state is not own:
-            _copy_state(state, own)
     return done, entries, sums, None
 
 
 def _copy_state(state: OptimizerState, into: OptimizerState) -> None:
-    """into <- state, into's own buffers reused; a buffer that state has yet
-    to allocate is dropped from into too, so that a step makes it afresh."""
-    for f in fields(state):
-        value, kept = getattr(state, f.name), getattr(into, f.name)
-        if isinstance(value, np.ndarray) and kept is not None:
+    """into <- state, into's own buffers reused; buffers that state has yet
+    to allocate are dropped from into too, so that a step makes them afresh."""
+    into.step = state.step
+    if into.buffers and state.buffers:
+        for kept, value in zip(into.buffers, state.buffers):
             np.copyto(kept, value)
-        else:
-            setattr(into, f.name, value.copy() if isinstance(value, np.ndarray) else value)
+    else:
+        into.buffers = tuple(value.copy() for value in state.buffers)
 
 
 def _batch_mean_fn(

@@ -10,8 +10,9 @@ asked, sums the float64 squares its log norms are taken from. With
 ``block_range``, it steps only a contiguous range of those blocks, and reads
 and writes no element outside it: the engine runs the ranges of one merge in
 separate processes. All state lives in flat float32 buffers of the same
-layout; the step counter increments inside each step call *before* the
-learning-rate schedule is read, so the first update runs at index 1.
+layout, one per entry of the variant's ``fills``; the step counter increments
+inside each step call *before* the learning-rate schedule is read, so the
+first update runs at index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -75,7 +76,7 @@ __all__ = [
 class GD:
     lr: Schedule
 
-    state_buffers: ClassVar[int] = 0  # model-size buffers in its OptimizerState
+    fills: ClassVar[tuple[float, ...]] = ()  # initial value of each model-size buffer of its state
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class Adagrad:
     lr: Schedule
     eps: float = 1e-8
 
-    state_buffers: ClassVar[int] = 1
+    fills: ClassVar[tuple[float, ...]] = (0.0,)
 
     @cached_property
     def _float32(self) -> tuple[np.float32, ...]:
@@ -103,7 +104,9 @@ class Adam:
     m0: float = 0.0
     v0: float = 0.0
 
-    state_buffers: ClassVar[int] = 2
+    @property
+    def fills(self) -> tuple[float, ...]:
+        return (self.m0, self.v0)
 
     @cached_property
     def _float32(self) -> tuple[np.float32, ...]:
@@ -118,7 +121,7 @@ class Adadelta:
     rho: float = 0.9
     eps: float = 1e-6
 
-    state_buffers: ClassVar[int] = 2
+    fills: ClassVar[tuple[float, ...]] = (0.0, 0.0)
 
     @cached_property
     def _float32(self) -> tuple[np.float32, ...]:
@@ -185,77 +188,49 @@ def _check_lr_sign(lr: Schedule) -> None:
 
 @dataclass
 class OptimizerState:
-    """Flat float32 accumulators (one element per parameter, in the weight
-    map's buffer order) plus the global step counter.
-
-    Buffers are allocated lazily at the first step: sq_sum (Adagrad), m/v
-    (Adam moments), acc_grad_sq/acc_update_sq (Adadelta); each variant's
-    ``state_buffers`` says how many it uses.
-    """
+    """The global step counter plus the rule's state: one flat float32 buffer
+    per entry of the variant's ``fills`` (one element per parameter, in the
+    weight map's buffer order), allocated by the first step: Adagrad's sum of
+    squared gradients, Adam's moments m and v, Adadelta's accumulated squared
+    gradients and updates."""
 
     step: int = 0
-    sq_sum: np.ndarray | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    acc_grad_sq: np.ndarray | None = None
-    acc_update_sq: np.ndarray | None = None
-
-
-def _buffer(buf: np.ndarray | None, size: int, span: slice, fill: float = 0.0) -> np.ndarray:
-    """buf, or a new buffer of size elements holding fill over span and 0
-    elsewhere. np.zeros maps pages that are faulted in only when first
-    touched, so a process that steps one range of the blocks holds only that
-    range of its state."""
-    if buf is None:
-        buf = np.zeros(size, dtype=np.float32)
-        if fill:
-            buf[span] = fill
-    return buf
+    buffers: tuple[np.ndarray, ...] = ()
 
 
 # --- block updates ------------------------------------------------------------------
 #
-# Each rule is a factory: given the state, the step size, the global step, the
-# buffer size and the span of elements the step covers, it returns
-# update(s, g, out), which applies the rule to the elements in slice s, with g
-# their pseudogradient and out their decayed iterate (updated in place).
+# Each rule is a factory: given the variant, the step size and the global step,
+# it returns update(g, out, *blocks), which applies the rule to one block of
+# elements, with g their pseudogradient, out their decayed iterate and blocks
+# the same elements of the state's buffers, all updated in place.
 
-BlockUpdate = Callable[[slice, np.ndarray, np.ndarray], None]
+BlockUpdate = Callable[..., None]
 
 
-def _gd_update(
-    variant: GD, state: OptimizerState, eta: float, step: int, size: int, span: slice
-) -> BlockUpdate:
+def _gd_update(variant: GD, eta: float, step: int) -> BlockUpdate:
     """w - eta_i * g."""
     eta32 = np.float32(eta)
 
-    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
+    def update(g: np.ndarray, out: np.ndarray) -> None:
         out -= eta32 * g
 
     return update
 
 
-def _adagrad_update(
-    variant: Adagrad, state: OptimizerState, eta: float, step: int, size: int, span: slice
-) -> BlockUpdate:
+def _adagrad_update(variant: Adagrad, eta: float, step: int) -> BlockUpdate:
     """w - eta_i * g / (sqrt(sum of squared gradients) + eps), per element."""
-    state.sq_sum = sq_sum = _buffer(state.sq_sum, size, span)
     eta32 = np.float32(eta)
     (eps32,) = variant._float32
 
-    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
-        sq = sq_sum[s]
+    def update(g: np.ndarray, out: np.ndarray, sq: np.ndarray) -> None:
         sq += g * g
         out -= eta32 * g / (np.sqrt(sq) + eps32)
 
     return update
 
 
-def _adam_update(
-    variant: Adam, state: OptimizerState, eta: float, step: int, size: int, span: slice
-) -> BlockUpdate:
-    state.m = m_all = _buffer(state.m, size, span, variant.m0)
-    state.v = v_all = _buffer(state.v, size, span, variant.v0)
+def _adam_update(variant: Adam, eta: float, step: int) -> BlockUpdate:
     b1, b2, one_m_b1, one_m_b2, eps32 = variant._float32
     bias1 = 1.0 - float(variant.beta1) ** step
     bias2 = 1.0 - float(variant.beta2) ** step
@@ -266,8 +241,7 @@ def _adam_update(
         lr32 = np.float32(eta / bias1)
         root_bias2 = np.float32(math.sqrt(bias2))
 
-    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
-        m, v = m_all[s], v_all[s]
+    def update(g: np.ndarray, out: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
         m *= b1
         m += one_m_b1 * g
         v *= b2
@@ -280,9 +254,7 @@ def _adam_update(
     return update
 
 
-def _adadelta_update(
-    variant: Adadelta, state: OptimizerState, eta: float, step: int, size: int, span: slice
-) -> BlockUpdate:
+def _adadelta_update(variant: Adadelta, eta: float, step: int) -> BlockUpdate:
     """Accumulator-ratio updates, scaled by eta_i.
 
     acc_g <- rho*acc_g + (1-rho)*g^2
@@ -290,13 +262,10 @@ def _adadelta_update(
     acc_u <- rho*acc_u + (1-rho)*delta^2
     w     <- w + eta_i*delta
     """
-    state.acc_grad_sq = acc_g_all = _buffer(state.acc_grad_sq, size, span)
-    state.acc_update_sq = acc_u_all = _buffer(state.acc_update_sq, size, span)
     rho, one_m_rho, eps32 = variant._float32
     eta32 = np.float32(eta)
 
-    def update(s: slice, g: np.ndarray, out: np.ndarray) -> None:
-        acc_g, acc_u = acc_g_all[s], acc_u_all[s]
+    def update(g: np.ndarray, out: np.ndarray, acc_g: np.ndarray, acc_u: np.ndarray) -> None:
         acc_g *= rho
         acc_g += one_m_rho * g * g
         delta = -np.sqrt(acc_u + eps32) / np.sqrt(acc_g + eps32) * g
@@ -357,14 +326,22 @@ def optimizer_step(
     if isinstance(g, WeightMap):
         _check_compatible(w, g)
         g = g.flat.__getitem__
+    variant = spec.variant
     state.step += 1
     idx = state.step if schedule_step is None else schedule_step
-    eta = schedule_eval(spec.variant.lr, idx)
+    eta = schedule_eval(variant.lr, idx)
     old = w.flat
     schema = w.schema()
     stepped = schema.blocks if block_range is None else schema.blocks[block_range.start : block_range.stop]
-    span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
-    update = _UPDATES[type(spec.variant)](spec.variant, state, eta, state.step, old.size, span)
+    if not state.buffers:
+        # np.zeros maps pages that are faulted in only when first touched, so a
+        # process that steps one range of the blocks holds only that range of its state.
+        state.buffers = tuple(np.zeros(old.size, dtype=np.float32) for _ in variant.fills)
+        span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
+        for buf, fill in zip(state.buffers, variant.fills):
+            if fill:
+                buf[span] = fill
+    update = _UPDATES[type(variant)](variant, eta, state.step)
     decay = np.float32(1.0 - eta * spec.weight_decay) if spec.weight_decay > 0.0 else None
     new = np.empty_like(old) if out is None else out
     scratch = np.empty(min(BLOCK, old.size)) if norms is not None else None
@@ -372,7 +349,7 @@ def optimizer_step(
         s = slice(lo, hi)
         gb = g(s)
         work = old[s] * decay if decay is not None else old[s].copy()
-        update(s, gb, work)
+        update(gb, work, *[buf[s] for buf in state.buffers])
         if not np.isfinite(work).all():
             raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
         if norms is not None:
@@ -387,7 +364,8 @@ def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,
                     out: np.ndarray | None = None) -> WeightMap:
     """Euclidean projection onto the closed ball of given radius around center:
     w itself where w lies in the ball, else the projection, written into
-    ``out`` (a new buffer by default; it may be w's own)."""
+    ``out`` (a new buffer by default; it may be w's own). A projection that
+    overflows float32 raises :class:`NonFiniteStep` at its first NaN/Inf."""
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     dist = l2_distance(w, center)
@@ -397,4 +375,6 @@ def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,
     new = np.subtract(w.flat, center.flat, out=out)
     new *= shrink
     new += center.flat
+    if not np.isfinite(new).all():
+        raise NonFiniteStep(int(np.flatnonzero(~np.isfinite(new))[0]))
     return WeightMap._wrap(new if out is None else new.view(), w.schema())

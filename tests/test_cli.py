@@ -444,6 +444,38 @@ def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
     assert not (tmp_path / "g" / manifest[1e30]["cell"] / "merged.safetensors").exists()
 
 
+def write_overflowing_projection(tmp_path):
+    """One ingredient and a projection centre whose difference overflows float32."""
+    save_checkpoint(WeightMap({"w": np.array([3e38, 1.0], dtype=np.float32)}), str(tmp_path / "ing0.safetensors"))
+    save_checkpoint(WeightMap({"w": np.array([-3e38, 0.0], dtype=np.float32)}), str(tmp_path / "center.safetensors"))
+    return merge_doc(count=1, optimizer={"kind": "gd", "lr": 0.5})
+
+
+def test_merge_overflowing_projection_exits_2_without_outputs(tmp_path, capsys):
+    doc = write_overflowing_projection(tmp_path)
+    doc["ensemble"]["projection"] = {"center": "center.safetensors", "radius": 1.0}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code = main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"])
+    assert code == 2
+    assert "error: non-finite iterate after step 1 (epoch 1, batch ing0; first in tensor 'w')" in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_merge_sweep_overflowing_projection_cell_is_an_error(tmp_path):
+    doc = write_overflowing_projection(tmp_path)
+    doc["sweep"] = {"ensemble.projection": [None, {"center": "center.safetensors", "radius": 1.0}]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
+    assert code == 2
+    manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+    assert [entry["status"] for entry in manifest] == ["ok", "error"]
+    assert "non-finite iterate after step 1" in manifest[1]["error"]
+    assert not (tmp_path / "g" / manifest[1]["cell"] / "merged.safetensors").exists()
+
+
 @pytest.fixture
 def forked(monkeypatch):
     """Sweeps run in two workers, whatever the CPUs; the pids forked are recorded."""

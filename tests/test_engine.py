@@ -4,7 +4,7 @@ import re
 import threading
 import warnings
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -551,9 +551,8 @@ def adversarial_setup(seed):
 
 
 def state_bytes(state):
-    """Every field of an OptimizerState, its buffers as bytes."""
-    values = {f.name: getattr(state, f.name) for f in fields(state)}
-    return {name: v.tobytes() if isinstance(v, np.ndarray) else v for name, v in values.items()}
+    """An OptimizerState's step and its buffers as bytes."""
+    return state.step, [buf.tobytes() for buf in state.buffers]
 
 
 def test_ensemble_steps_yields_one_read_only_view_per_step():
@@ -614,6 +613,26 @@ def test_chained_runs_sharing_a_state_equal_one_longer_run(greedy):
     whole, _ = drive(ensemble_steps(replace(cfg, epochs=2), ingredients, long_state))
     assert chained.flat.tobytes() == whole[-1].tobytes()
     assert state.step == long_state.step == (2 if greedy else 6)
+    assert state_bytes(state) == state_bytes(long_state)
+
+
+def test_chained_greedy_runs_whose_first_step_is_rejected_equal_one_longer_run():
+    # The first step, toward "bad", is rejected before the state has buffers;
+    # the steps toward the others are accepted.
+    target = random_weightmaps(seed=64, count=1)[0]
+    start, *shifted = [WeightMap({n: a + np.float32(shift) for n, a in target.arrays().items()})
+                       for shift in (2, 25, 1, 0)]
+    ingredients = [Ingredient(name, m) for name, m in zip(("bad", "near", "on"), shifted)]
+    cfg = gd_cfg(optimizer=OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8)),
+                 pivot_init=ProvidedInit(start), greedy=Greedy(target))
+    _, record = drive(ensemble_steps(cfg, ingredients, OptimizerState()))
+    assert [s.accepted for s in record.steps] == [False, True, True]
+    state = OptimizerState()
+    *_, first = ensemble_steps(cfg, ingredients, state)
+    *_, chained = ensemble_steps(replace(cfg, pivot_init=ProvidedInit(first)), ingredients, state)
+    long_state = OptimizerState()
+    whole, _ = drive(ensemble_steps(replace(cfg, epochs=2), ingredients, long_state))
+    assert chained.flat.tobytes() == whole[-1].tobytes()
     assert state_bytes(state) == state_bytes(long_state)
 
 

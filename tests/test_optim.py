@@ -106,7 +106,7 @@ def test_adagrad_zero_gradient_noop():
     w = wm(a=[1.0, -2.0])
     out = optimizer_step(w, grad(wm(a=[0.0, 0.0])), state, spec)
     assert out == w
-    assert not state.sq_sum.any()
+    assert not state.buffers[0].any()
 
 
 def test_adagrad_matches_gd_with_huge_eps():
@@ -137,7 +137,7 @@ def test_adagrad_effective_step_monotone_damping():
     for _ in range(20):
         g = grad(wm(a=rng.standard_normal(8)))
         w = optimizer_step(w, g, state, spec)
-        eff = 0.5 / (np.sqrt(state.sq_sum) + np.float32(1e-8))
+        eff = 0.5 / (np.sqrt(state.buffers[0]) + np.float32(1e-8))
         if prev is not None:
             assert np.all(eff <= prev + 1e-12)
         prev = eff
@@ -242,10 +242,10 @@ def test_adadelta_zero_gradient_noop_and_decay():
     state = OptimizerState()
     w = wm(a=[2.0])
     w2 = optimizer_step(w, grad(wm(a=[1.0])), state, spec)
-    acc_before = state.acc_grad_sq.copy()
+    acc_before = state.buffers[0].copy()
     w3 = optimizer_step(w2, grad(wm(a=[0.0])), state, spec)
     assert w3 == w2
-    assert np.all(state.acc_grad_sq < acc_before)
+    assert np.all(state.buffers[0] < acc_before)
 
 
 def test_adadelta_first_step_oracle():
@@ -324,13 +324,25 @@ def test_projection_rejects_bad_radius():
 # --- shared invariants ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", [GD, Adagrad, Adam, Adadelta], ids=lambda v: v.__name__.lower())
+@pytest.mark.parametrize(
+    "variant",
+    [GD(lr=Constant(0.1)), Adagrad(lr=Constant(0.1)),
+     Adam(lr=Constant(0.1), beta1=0.5, beta2=0.75, m0=0.5, v0=0.25), Adadelta(lr=Constant(0.1))],
+    ids=["gd", "adagrad", "adam", "adadelta"],
+)
 def test_state_buffers_counts_the_buffers_a_step_allocates(variant):
-    state = OptimizerState()
-    optimizer_step(wm(a=[1.0, 2.0]), grad(wm(a=[0.5, -0.5])), state, OptimizerSpec(variant(lr=Constant(0.1))))
-    buffers = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
-    assert len(buffers) == variant.state_buffers
-    assert all(buf.size == 2 for buf in buffers)
+    # The pseudogradient is every buffer's fixed point (0, or m0 = sqrt(v0) for
+    # Adam), so after the step each buffer still holds its fill over the span.
+    value = variant.fills[0] if variant.fills else 0.0
+    w = wm(a=np.zeros(3 * BLOCK))
+    state, out = OptimizerState(), w.flat.copy()
+    optimizer_step(w, lambda s: np.full(s.stop - s.start, value, dtype=np.float32), state,
+                   OptimizerSpec(variant), out=out, block_range=range(1, 2))
+    assert len(state.buffers) == len(variant.fills)
+    for buf, fill in zip(state.buffers, variant.fills):
+        expected = np.zeros(3 * BLOCK, dtype=np.float32)
+        expected[BLOCK : 2 * BLOCK] = fill
+        np.testing.assert_array_equal(buf, expected)
 
 
 @pytest.mark.parametrize(
@@ -490,8 +502,8 @@ def test_steps_in_more_threads_than_blocks_and_cpus_match_one_thread():
                 optimizer_step(WeightMap._wrap(out.view(), schema), g, state, spec, out=out, norms=norms,
                                block_range=block_range)
             span = slice(schema.blocks[block_range[0]][0], schema.blocks[block_range[-1]][1])
-            m.append(state.m[span])
-            v.append(state.v[span])
+            m.append(state.buffers[0][span])
+            v.append(state.buffers[1][span])
         runs.append((out.tobytes(), np.concatenate(m).tobytes(), np.concatenate(v).tobytes(),
                      _add_pieces(norms[0], schema.piece_ends), _add_pieces(norms[1], schema.piece_ends)))
     assert len(_block_ranges(schema.blocks, 12)) == 8
