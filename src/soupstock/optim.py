@@ -321,7 +321,7 @@ def optimizer_step(
     block's pseudogradient and displacement are also widened to float64,
     squared and summed per piece into ``norms[0]`` and ``norms[1]`` (those
     of the stepped blocks only); ``weightstore._add_pieces`` adds a row up
-    to the square of :func:`global_l2_norm` or :func:`l2_distance`.
+    to its sum of squares in the order :func:`l2_distance` adds its own.
     """
     if isinstance(g, WeightMap):
         _check_compatible(w, g)
@@ -363,18 +363,22 @@ def optimizer_step(
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,
                     out: np.ndarray | None = None) -> WeightMap:
     """Euclidean projection onto the closed ball of given radius around center:
-    w itself where w lies in the ball, else the projection, written into
-    ``out`` (a new buffer by default; it may be w's own). A projection that
-    overflows float32 raises :class:`NonFiniteStep` at its first NaN/Inf."""
+    w itself where w lies in the ball, else the projection, written block by
+    block (:attr:`Schema.blocks`) into ``out`` (a new buffer by default; it
+    may be w's own). A projection that overflows float32 raises
+    :class:`NonFiniteStep` at its first NaN/Inf, with ``out`` written up to
+    that block."""
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     dist = l2_distance(w, center)
     if dist <= radius:
         return w
     shrink = np.float32(radius / dist)
-    new = np.subtract(w.flat, center.flat, out=out)
-    new *= shrink
-    new += center.flat
-    if not np.isfinite(new).all():
-        raise NonFiniteStep(int(np.flatnonzero(~np.isfinite(new))[0]))
+    new = np.empty_like(w.flat) if out is None else out
+    for lo, hi, _count, _piece in w.schema().blocks:
+        block = np.subtract(w.flat[lo:hi], center.flat[lo:hi], out=new[lo:hi])
+        block *= shrink
+        block += center.flat[lo:hi]
+        if not np.isfinite(block).all():
+            raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(block))[0]))
     return WeightMap._wrap(new if out is None else new.view(), w.schema())

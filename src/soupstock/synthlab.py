@@ -71,14 +71,17 @@ class DistributionSpec:
 
 
 def cauchy_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF transform: tan(pi*(u - 1/2)) for u in (0, 1)."""
-    return np.tan(np.pi * (u - 0.5))
+    """Inverse-CDF transform: tan(pi*(u - 1/2)) for u in (0, 1), in one new array."""
+    x = u - 0.5
+    x *= np.pi
+    return np.tan(x, out=x)
 
 
 def _open_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
     # Generator.random() covers [0, 1); nudge exact zeros into the open interval.
     u = rng.random(count)
-    return np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    return u
 
 
 def _standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -101,14 +104,14 @@ def sample_population(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
         raw = cauchy_from_uniform(_open_uniform(rng, count))
     else:
         raw = _standard_normal(rng, count)
-    pts = spec.mean + spec.scale * raw
-    return pts.reshape(n, spec.dimension).astype(np.float32)
+    raw *= spec.scale
+    raw += spec.mean
+    return raw.reshape(n, spec.dimension).astype(np.float32)
 
 
 def sequential_mean(points: np.ndarray) -> np.ndarray:
     """Row-order float64 running sum divided by n (matches the soup's rounding)."""
-    acc = np.cumsum(points.astype(np.float64), axis=0)
-    return acc[-1] / float(len(points))
+    return np.cumsum(points, axis=0, dtype=np.float64)[-1] / float(len(points))
 
 
 # --- estimator trials ------------------------------------------------------------
@@ -189,10 +192,10 @@ def _median(values) -> np.ndarray:
     the same partition and mean of the middle one or two, and NaN wherever a
     column holds one. np.median's own NaN check imports numpy.ma (a
     noticeable share of a short estimator run) on first use."""
-    a = np.asarray(values, dtype=np.float64)
-    half = len(a) // 2
-    middle = [half - 1, half] if len(a) % 2 == 0 else [half]
-    part = np.partition(a, [*middle, -1], axis=0)
+    part = np.array(values, dtype=np.float64)  # a copy of its own, partitioned in place
+    half = len(part) // 2
+    middle = [half - 1, half] if len(part) % 2 == 0 else [half]
+    part.partition([*middle, -1], axis=0)
     result = np.mean(part[middle[0] : half + 1], axis=0)
     return np.where(np.isnan(part[-1]), part[-1], result)
 

@@ -76,7 +76,6 @@ __all__ = [
     "publish",
     "write_csv",
     "validate_compatible",
-    "global_l2_norm",
     "l2_distance",
 ]
 
@@ -306,33 +305,20 @@ def _add_pieces(sums: np.ndarray, ends: tuple[bool, ...]) -> float:
     return total
 
 
-def _pieces_squared(
-    schema: Schema, a: np.ndarray, b: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Per piece of Schema.blocks, the float64 sum of squares of the flat
-    buffer a (or of a - b), in ``out`` if given."""
+def _pieces_squared(schema: Schema, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per piece of Schema.blocks, the float64 sum of squares of a - b, two
+    flat buffers, in ``out`` if given."""
     sums = np.empty(len(schema.piece_ends)) if out is None else out
     scratch = np.empty(min(BLOCK, schema.size))
     for begin, end, count, piece in schema.blocks:
-        part = None if b is None else b[begin:end]
-        _piece_sums(a[begin:end], part, count, scratch[: end - begin], sums[piece : piece + count])
+        _piece_sums(a[begin:end], b[begin:end], count, scratch[: end - begin], sums[piece : piece + count])
     return sums
-
-
-def _sum_squares(schema: Schema, a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """The float64 sum of squares of the flat buffer a (or of a - b), as the norms define it."""
-    return _add_pieces(_pieces_squared(schema, a, b), schema.piece_ends)
-
-
-def global_l2_norm(m: WeightMap) -> float:
-    """Euclidean norm over all elements of all tensors (float64 accumulation)."""
-    return math.sqrt(_sum_squares(m._schema, m.flat))
 
 
 def l2_distance(a: WeightMap, b: WeightMap) -> float:
     """Euclidean distance of two compatible maps (float64 accumulation)."""
     _check_compatible(a, b)
-    return math.sqrt(_sum_squares(a._schema, a.flat, b.flat))
+    return math.sqrt(_add_pieces(_pieces_squared(a._schema, a.flat, b.flat), a._schema.piece_ends))
 
 
 # --- checkpoint codec -------------------------------------------------------

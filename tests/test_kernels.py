@@ -52,7 +52,6 @@ from soupstock.weightstore import (
     BLOCK,
     CheckpointError,
     WeightMap,
-    global_l2_norm,
     l2_distance,
     open_checkpoint,
     save_checkpoint,
@@ -81,6 +80,10 @@ def equal_runs(big, even, broken):
         **{f"{even}{i:02d}": (0,) if i == 6 else (500,) for i in range(12)},
         **{f"{broken}{i:02d}": (301,) if i == 4 else (300,) for i in range(9)},
     }
+
+
+def zeros_like(m):
+    return WeightMap({name: np.zeros_like(arr) for name, arr in m.arrays().items()})
 
 
 def random_map(rng, scale=1.0):
@@ -301,7 +304,7 @@ def test_soup_and_pivot_identity_match_reference():
 def test_norms_match_per_tensor_reference():
     rng = np.random.default_rng(13)
     a, b = random_map(rng), random_map(rng)
-    assert global_l2_norm(a) == ref_norm(a)
+    assert l2_distance(a, zeros_like(a)) == ref_norm(a)
     assert l2_distance(a, b) == ref_distance(a, b)
     # Many small tensors of mixed magnitude; each is still summed on its own
     # and the totals added in name order, also in the runs of equal-sized
@@ -312,7 +315,7 @@ def test_norms_match_per_tensor_reference():
         WeightMap({n: rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 3) for n, s in shapes.items()})
         for _ in range(2)
     ]
-    assert global_l2_norm(many[0]) == ref_norm(many[0])
+    assert l2_distance(many[0], zeros_like(many[0])) == ref_norm(many[0])
     assert l2_distance(*many) == ref_distance(*many)
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -312,6 +313,33 @@ def test_projection_writes_into_out_only_where_it_moves():
     projected = project_to_ball(w, c, radius=1.0, out=out)
     assert np.shares_memory(projected.flat, out)
     assert projected == project_to_ball(w, c, radius=1.0)
+
+
+def test_moving_projection_allocates_no_model_size_temporary():
+    # 40 blocks: beyond out, the distance's one block of float64 scratch and
+    # one block's finiteness mask, not a mask or a copy of the whole map.
+    rng = np.random.default_rng(9)
+    w = wm(**{f"t{i}": rng.standard_normal(BLOCK) for i in range(40)})
+    c = wm(**{name: np.zeros(BLOCK) for name in w})
+    out = np.empty_like(w.flat)
+    tracemalloc.start()
+    try:
+        projected = project_to_ball(w, c, radius=1.0, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert projected is not w
+    assert peak < 2 * 8 * BLOCK, peak
+    assert projected == project_to_ball(w, c, radius=1.0)
+
+
+def test_projection_overflow_names_its_flat_index_in_a_later_block():
+    center = np.zeros(3 * BLOCK, dtype=np.float32)
+    w = center + np.float32(1.0)
+    w[2 * BLOCK + 7], center[2 * BLOCK + 7] = 3e38, -3e38  # w - center overflows float32 here only
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteStep) as info:
+        project_to_ball(wm(a=w), wm(a=center), radius=1.0)
+    assert info.value.index == 2 * BLOCK + 7 == 131079
 
 
 def test_projection_rejects_bad_radius():

@@ -11,7 +11,6 @@ from soupstock.weightstore import (
     CheckpointError,
     SchemaMismatch,
     WeightMap,
-    global_l2_norm,
     l2_distance,
     load_checkpoint,
     open_checkpoint,
@@ -497,7 +496,6 @@ def test_empty_list_rejected():
 def test_norm_and_distance():
     a = WeightMap({"a": np.array([3.0, 4.0], dtype=np.float32)})
     b = WeightMap({"a": np.array([0.0, 0.0], dtype=np.float32)})
-    assert global_l2_norm(a) == pytest.approx(5.0)
     assert l2_distance(a, b) == pytest.approx(5.0)
     assert l2_distance(a, a) == 0.0
 
