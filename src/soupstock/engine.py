@@ -28,7 +28,9 @@ a spare copy of the pre-step one, so the caller's state object holds the
 live state. Greedy acceptance scores each iterate by its distance to a
 target map (``Greedy``), the only metric a data-free merge has. One loop
 takes every step: :func:`run_ensemble` drives it to its end in each range's
-task, and :func:`ensemble_steps` hands its steps to a caller.
+task, and :func:`ensemble_steps` hands its steps to a caller. It reports a
+non-finite step itself, so numpy's overflow warnings are off for its steps:
+once per range in :func:`run_ensemble`, per step in :func:`ensemble_steps`.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
@@ -362,21 +364,29 @@ def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
     """:func:`run_ensemble`'s run as one range in this process, stepped by the
     caller: it steps ``state`` in place and yields the same read-only view of
     the iterate after each step. Leaving the loop ends the run, with no further
-    step; a run that ends returns its log, and a failure raises as there."""
+    step; a run that ends returns its log, and a failure raises as there. Its
+    steps run with numpy's overflow warnings off, restored before each yield."""
     plan = _Plan(cfg, ingredients, None)
     iterate = np.empty(plan.schema.size, dtype=np.float32)
-    report = yield from _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
-    return _record(plan, [report])
+    steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w = next(steps)
+            except StopIteration as end:
+                return _record(plan, [end.value])
+        yield w
 
 
 def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray) -> tuple:
     """The report of :func:`_trajectory` over ``block_range``, driven to its end."""
     steps = _trajectory(plan, block_range, iterate, OptimizerState())
-    while True:
-        try:
-            next(steps)
-        except StopIteration as end:
-            return end.value
+    with np.errstate(over="ignore", invalid="ignore"):  # no divide: every denominator adds an eps
+        while True:
+            try:
+                next(steps)
+            except StopIteration as end:
+                return end.value
 
 
 def _record(plan: _Plan, reports: list) -> RunRecord:

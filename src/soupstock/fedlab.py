@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import rng as rng_mod
 from .engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, ensemble_steps, run_ensemble
 from .optim import OptimizerSpec, OptimizerState
@@ -132,8 +130,7 @@ def _descend(x: WeightMap, target: WeightMap, state: OptimizerState, spec: Optim
 def _in_round(t: int, party: str, run, *args):
     """run(*args), an engine run, with an EngineError's message prefixed by the round and the party."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the engine checks every step
-            return run(*args)
+        return run(*args)
     except EngineError as exc:
         raise EngineError(f"round {t}, {party}: {exc}") from exc
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, ProvidedInit, Projection, ensemble_steps, run_ensemble, run_in_workers
-from .optim import GD, Adagrad, Adam, NonFiniteStep, OptimizerSpec, OptimizerState
+from .optim import GD, Adagrad, Adam, OptimizerSpec, OptimizerState
 from .pseudograd import AdaptivePivot, CappedPower, Constant
 from .weightstore import Schema, WeightMap, write_csv
 
@@ -431,7 +431,7 @@ def convergence_check(
     Runs the configured optimizer (GD by default; Adam is projected onto the
     origin ball every step) and checks that the maximum displacement over the
     trailing `tail_fraction` of the run stays below the analytic tail bound
-    F * sum_{t>n} eta_t.
+    F * sum_{t>n} eta_t; an overflowing step raises the engine's EngineError.
     """
     if alpha >= -1.0:
         raise ValueError(f"alpha must be < -1 for the decaying-schedule bound, got {alpha}")
@@ -466,15 +466,8 @@ def convergence_check(
 
     trajectory = np.empty((steps + 1, dimension), dtype=np.float64)
     trajectory[0] = init
-    t = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
-        try:
-            for t, w in zip(range(1, steps + 1), ensemble_steps(run_cfg, ing_maps, OptimizerState())):
-                trajectory[t] = w.flat
-        except ValueError as exc:  # the engine's EngineError for a non-finite step
-            if not isinstance(exc.__cause__, NonFiniteStep):
-                raise
-            raise ValueError(f"the iterate leaves the float32 range at step {t + 1}") from None
+    for t, w in zip(range(1, steps + 1), ensemble_steps(run_cfg, ing_maps, OptimizerState())):
+        trajectory[t] = w.flat
 
     tail_start = int(math.floor(steps * (1.0 - tail_fraction)))
     tail = trajectory[tail_start:]

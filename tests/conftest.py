@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import threading
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -69,6 +70,18 @@ def another_thread_running():
             release.set()
             thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@contextmanager
+def no_warnings():
+    """The block issues no warning, whatever the filters: every warning is
+    recorded, once per occurrence, and a record that is not empty fails the
+    test. A forked worker's warnings come back through run_in_workers, so
+    they land in the record too."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert [f"{w.filename}:{w.lineno}: {w.category.__name__}: {w.message}" for w in caught] == []
 
 
 @pytest.fixture

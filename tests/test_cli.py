@@ -25,7 +25,7 @@ from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import ConvergenceReport, default_estimator_config
 from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
 
-from conftest import another_thread_running
+from conftest import another_thread_running, no_warnings
 
 
 def write_ingredients(directory, count=4, seed=0, shapes=((2, 3), (3,))):
@@ -419,7 +419,7 @@ def test_merge_nonfinite_run_exits_2_without_outputs(tmp_path, capsys):
     doc = merge_doc(count=3)
     doc["ensemble"]["optimizer"] = {"kind": "gd", "lr": 1e30}
     (tmp_path / "merge.json").write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
+    with no_warnings():
         code = main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"])
     assert code == 2
     assert "non-finite iterate after step 2 (epoch 1, batch ing1" in capsys.readouterr().err
@@ -433,7 +433,7 @@ def test_merge_sweep_nonfinite_cell_is_an_error(tmp_path):
     doc["ensemble"]["optimizer"] = {"kind": "gd", "lr": 0.5}
     doc["sweep"] = {"ensemble.optimizer.lr": [0.5, 1e30]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
+    with no_warnings():
         code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
     assert code == 2
     manifest = {entry["overrides"]["ensemble.optimizer.lr"]: entry
@@ -455,7 +455,7 @@ def test_merge_overflowing_projection_exits_2_without_outputs(tmp_path, capsys):
     doc = write_overflowing_projection(tmp_path)
     doc["ensemble"]["projection"] = {"center": "center.safetensors", "radius": 1.0}
     (tmp_path / "merge.json").write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
+    with no_warnings():
         code = main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"])
     assert code == 2
     assert "error: non-finite iterate after step 1 (epoch 1, batch ing0; first in tensor 'w')" in capsys.readouterr().err
@@ -467,13 +467,73 @@ def test_merge_sweep_overflowing_projection_cell_is_an_error(tmp_path):
     doc = write_overflowing_projection(tmp_path)
     doc["sweep"] = {"ensemble.projection": [None, {"center": "center.safetensors", "radius": 1.0}]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
+    with no_warnings():
         code = main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"])
     assert code == 2
     manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
     assert [entry["status"] for entry in manifest] == ["ok", "error"]
     assert "non-finite iterate after step 1" in manifest[1]["error"]
     assert not (tmp_path / "g" / manifest[1]["cell"] / "merged.safetensors").exists()
+
+
+def diverging_merge(tmp_path, maps, references=(), **ensemble):
+    """A merge of one-tensor checkpoints ing0, ing1, ... holding `maps`, beside
+    the one-tensor checkpoints `references` (file name -> values)."""
+    files = [*((f"ing{i}.safetensors", values) for i, values in enumerate(maps)), *references]
+    for name, values in files:
+        save_checkpoint(WeightMap({"w": np.asarray(values, dtype=np.float32)}), str(tmp_path / name))
+    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=len(maps), **ensemble)))
+    return ["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]
+
+
+OPPOSED = ([3e38, -3e38], [-3e38, 3e38])
+TWO_BLOCKS = (np.zeros(70000), np.ones(70000))  # two blocks, so two ranges on two CPUs
+
+
+def diverging_estimators(workers):
+    return lambda tmp_path: ["synth", "estimators", "--dist", "cauchy", "--lr", "1e39", "--trials", "4",
+                             "--population", "200", "--subsample", "20", "--batch-size", "5", "--epochs", "2",
+                             "--workers", str(workers), "-o", str(tmp_path / "est.csv")]
+
+
+STEP_1 = "non-finite iterate after step 1 (epoch 1, batch ing0; first in tensor 'w')"
+ESTIMATOR_STEP_1 = ("non-finite iterate after step 1 (epoch 1, batch p00011|p00013|p00015|p00002|p00003, "
+                    "replica 0; first in tensor 'point')")
+DIVERGING = {
+    "adam": (lambda d: diverging_merge(d, OPPOSED, optimizer={"kind": "adam", "lr": 1e30}), STEP_1),
+    "gd-two-blocks": (lambda d: diverging_merge(d, TWO_BLOCKS, optimizer={"kind": "gd", "lr": 1e39}), STEP_1),
+    "projection": (lambda d: diverging_merge(
+        d, [[3e38, 1.0]], [("init.safetensors", [3e38, 1.0]), ("center.safetensors", [-3e38, 0.0])],
+        optimizer={"kind": "gd", "lr": 0.5}, pivot_init={"kind": "provided", "path": "init.safetensors"},
+        projection={"center": "center.safetensors", "radius": 1.0}), STEP_1),
+    "greedy": (lambda d: diverging_merge(
+        d, OPPOSED, optimizer={"kind": "gd", "lr": 1.0},
+        greedy={"enabled": True, "evaluator": {"kind": "neg_distance", "target": "ing0.safetensors"}}),
+        "non-finite iterate after step 2 (epoch 1, batch ing1; first in tensor 'w')"),
+    "estimators-1-worker": (diverging_estimators(1), ESTIMATOR_STEP_1),
+    "estimators-2-workers": (diverging_estimators(2), ESTIMATOR_STEP_1),
+}
+
+
+@pytest.mark.parametrize("case", DIVERGING)
+def test_a_diverging_run_reports_one_line_and_no_warning(tmp_path, capsys, case):
+    # The engine reports the first non-finite step itself, so numpy's overflow
+    # warnings would only repeat it; a forked range's or worker's warnings
+    # come back through run_in_workers into the record too.
+    write, line = DIVERGING[case]
+    argv = write(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    with no_warnings():
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+def test_a_diverging_merge_under_warnings_as_errors_exits_2_with_one_line(tmp_path):
+    argv = diverging_merge(tmp_path, TWO_BLOCKS, optimizer={"kind": "gd", "lr": 1e39})
+    result = _main_in_subprocess(argv, "-W", "error")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {STEP_1}\n")
+    assert sorted(os.listdir(tmp_path)) == ["ing0.safetensors", "ing1.safetensors", "merge.json"]
 
 
 @pytest.fixture
@@ -1004,14 +1064,15 @@ def _soup_argv(tmp_path, out):
             "-o", str(out / "soup.safetensors"), "--quiet"]
 
 
-def _main_in_subprocess(argv, **env):
-    """main(argv) in a fresh interpreter with the extra environment variables `env`."""
+def _main_in_subprocess(argv, *python_flags, **env):
+    """main(argv) in a fresh interpreter, started with `python_flags`, with
+    the extra environment variables `env`."""
     import soupstock
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(soupstock.__file__)))
     code = "import sys; from soupstock.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *python_flags, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": src, **env},
         capture_output=True, text=True, timeout=300,
     )
@@ -1366,7 +1427,7 @@ def test_synth_convergence_csv_text(tmp_path, monkeypatch):
 @pytest.mark.parametrize("k, omega, message", [
     ("1e200", "1e200", "ingredients must be finite and within the float32 range"),
     ("1e30", "1e30", "ingredients must be finite and within the float32 range"),
-    ("1", "1.5e38", "the iterate leaves the float32 range at step 2"),
+    ("1", "1.5e38", "non-finite iterate after step 2 (epoch 1, batch x1; first in tensor 'point')"),
 ])
 def test_synth_convergence_that_leaves_the_floats_exits_2(tmp_path, capsys, k, omega, message):
     out = tmp_path / "conv.csv"

@@ -40,7 +40,7 @@ from soupstock.pseudograd import (
 )
 from soupstock.weightstore import SchemaMismatch, WeightMap, l2_distance, open_checkpoint, save_checkpoint
 
-from conftest import another_thread_running, random_weightmaps
+from conftest import another_thread_running, no_warnings, random_weightmaps
 
 
 def wm(**tensors):
@@ -494,7 +494,7 @@ def test_one_ingredient_init_returns_the_ingredient_bit_for_bit(tmp_path, stored
 def test_nonfinite_iterate_raises_naming_step_and_batch():
     ingredients = make_ingredients(seed=28, count=4)
     cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1e30))), n_divisor=4, batch_size=2)
-    with pytest.warns(RuntimeWarning), pytest.raises(
+    with no_warnings(), pytest.raises(
         EngineError, match=r"non-finite iterate after step 2 \(epoch 1, batch m02\|m03"
     ) as excinfo:
         run_ensemble(cfg, ingredients)
@@ -636,6 +636,26 @@ def test_chained_greedy_runs_whose_first_step_is_rejected_equal_one_longer_run()
     assert state_bytes(state) == state_bytes(long_state)
 
 
+def test_ensemble_steps_hand_each_step_to_the_callers_floating_point_state():
+    ingredients = make_ingredients(seed=65, count=3)
+    seen = []
+    with np.errstate(over="raise"):
+        for _ in ensemble_steps(gd_cfg(epochs=2), ingredients, OptimizerState()):
+            seen.append(np.geterr()["over"])
+    assert seen == ["raise"] * 6
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["run_ensemble", "ensemble_steps"])
+def test_a_diverging_run_under_a_raising_caller_fails_with_the_engines_error(stepped):
+    # GD at lr 1e39: the step's cast of the learning rate to float32 overflows.
+    ingredients = make_ingredients(seed=66, count=4)
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1e39))), n_divisor=4, batch_size=2)
+    with np.errstate(over="raise"), pytest.raises(EngineError) as info:
+        drive(ensemble_steps(cfg, ingredients, OptimizerState())) if stepped else run_ensemble(cfg, ingredients)
+    assert str(info.value) == "non-finite iterate after step 1 (epoch 1, batch m00|m01; first in tensor 'bias')"
+    assert info.value.record.steps == []
+
+
 # --- replica axis ---------------------------------------------------------------------------
 
 REPLICA_SEEDS = [41, 7, 1234567, 2**62 + 3]
@@ -751,7 +771,7 @@ def test_nonfinite_replica_is_named():
     cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=Constant(1e30))), n_divisor=4, batch_size=2,
                  record_steps=False)
     # Replica 0 merges four copies of one model, so only replica 1 diverges.
-    with pytest.warns(RuntimeWarning), pytest.raises(
+    with no_warnings(), pytest.raises(
         EngineError, match=r"after step 2 \(epoch 1, batch m02\|m03, replica 1;"
     ):
         run_ensemble(cfg, calm, replica_seeds=[5, 6])

@@ -57,7 +57,7 @@ from soupstock.weightstore import (
     save_checkpoint,
 )
 
-from conftest import another_thread_running, write_checkpoint
+from conftest import another_thread_running, no_warnings, write_checkpoint
 
 SHAPES = {
     "a.scalar": (),
@@ -564,7 +564,7 @@ def test_later_range_failing_at_an_earlier_step_fails_as_one_process():
                          n_divisor=1, ordering="given")
     errors = []
     for workers in (1, 2):
-        with pytest.warns(RuntimeWarning), pytest.raises(EngineError) as info:
+        with no_warnings(), pytest.raises(EngineError) as info:
             run_ensemble(cfg, ingredients, workers=workers)
         errors.append(info.value)
     serial, ranged = errors

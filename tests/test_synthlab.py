@@ -235,10 +235,12 @@ def test_convergence_rejects_points_beyond_float32(k, omega, what):
 
 
 def test_convergence_names_the_step_whose_iterate_overflows():
-    # The points fit float32, but the second pseudogradient, 4.5e38, does not.
+    # The points fit float32, but the second pseudogradient, 4.5e38, does not:
+    # the engine's own error names the step, the batch and the tensor.
     pts = cycle_ingredients(1.0, 1.5e38)
-    with pytest.raises(ValueError, match="^the iterate leaves the float32 range at step 2$"):
+    with pytest.raises(EngineError) as info:
         convergence_check(alpha=-1.5, c=1.0, ingredients=pts, steps=10, init=np.array([1.5e38, 0.0]))
+    assert str(info.value) == "non-finite iterate after step 2 (epoch 1, batch x1; first in tensor 'point')"
 
 
 def reference_convergence(pts, init, steps, spec, report):
