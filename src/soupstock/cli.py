@@ -96,7 +96,7 @@ class UsageError(ValueError):
 
 
 def _say(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message)
 
 
@@ -118,7 +118,7 @@ def cmd_soup(args) -> int:
 
 def _read_metrics_csv(path: str) -> dict[str, float]:
     metrics: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["id", "metric"]:
             raise UsageError(f"{path}: metrics CSV must have header 'id,metric'")
@@ -582,31 +582,27 @@ def build_parser() -> argparse.ArgumentParser:
         "synthetic and federated verification labs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    quiet = argparse.ArgumentParser(add_help=False)  # a parent of every leaf command
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress output")
+    configured = argparse.ArgumentParser(add_help=False, parents=[quiet])  # merge, greedy, fed
+    configured.add_argument("--out", default=None, help="output directory override")
+    configured.add_argument("--config", required=True, help="JSON run configuration")
 
-    def add_common(p, config=False):
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument("--out", default=None, help="output directory override")
-        if config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
-
-    p_soup = sub.add_parser("soup", help="uniform average of compatible checkpoints")
+    p_soup = sub.add_parser("soup", parents=[quiet], help="uniform average of compatible checkpoints")
     p_soup.add_argument("inputs", nargs="+", help="ingredient checkpoint files")
     p_soup.add_argument("-o", "--output", required=True, help="output checkpoint path")
-    p_soup.add_argument("--quiet", action="store_true")
     p_soup.set_defaults(func=cmd_soup)
 
-    p_merge = sub.add_parser("merge", help="run a configured ensemble merge (or a sweep)")
-    add_common(p_merge, config=True)
+    p_merge = sub.add_parser("merge", parents=[configured], help="run a configured ensemble merge (or a sweep)")
     p_merge.set_defaults(func=cmd_merge)
 
-    p_greedy = sub.add_parser("greedy", help="merge with greedy acceptance forced on")
-    add_common(p_greedy, config=True)
+    p_greedy = sub.add_parser("greedy", parents=[configured], help="merge with greedy acceptance forced on")
     p_greedy.set_defaults(func=cmd_greedy)
 
     p_synth = sub.add_parser("synth", help="synthetic verification labs")
     synth_sub = p_synth.add_subparsers(dest="lab", required=True)
 
-    p_est = synth_sub.add_parser("estimators", help="subsample-and-merge estimator trials")
+    p_est = synth_sub.add_parser("estimators", parents=[quiet], help="subsample-and-merge estimator trials")
     p_est.add_argument("--dist", choices=["gaussian", "cauchy"], required=True)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--population", type=int, default=60000)
@@ -622,44 +618,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--eps", type=float, default=None, help="default 1e-8")
     p_est.add_argument("--workers", type=int, default=1)
     p_est.add_argument("-o", "--output", default="estimators.csv")
-    p_est.add_argument("--quiet", action="store_true")
     p_est.set_defaults(func=cmd_synth_estimators)
 
-    p_cycle = synth_sub.add_parser("cycle", help="constant-step cycling dynamics")
+    p_cycle = synth_sub.add_parser("cycle", parents=[quiet], help="constant-step cycling dynamics")
     p_cycle.add_argument("--k", type=float, default=1.0)
     p_cycle.add_argument("--omega", type=float, default=1.0)
     p_cycle.add_argument("--cycles", type=int, default=2500)
     p_cycle.add_argument("-o", "--output", default="cycle.csv")
-    p_cycle.add_argument("--quiet", action="store_true")
     p_cycle.set_defaults(func=cmd_synth_cycle)
 
-    p_conv = synth_sub.add_parser("convergence", help="decaying-schedule tail-bound check")
+    p_conv = synth_sub.add_parser("convergence", parents=[quiet], help="decaying-schedule tail-bound check")
     p_conv.add_argument("--alpha", type=float, default=-1.5)
     p_conv.add_argument("--c", type=float, default=1.0)
     p_conv.add_argument("--steps", type=int, default=100000)
     p_conv.add_argument("--k", type=float, default=1.0)
     p_conv.add_argument("--omega", type=float, default=1.0)
     p_conv.add_argument("-o", "--output", default=None)
-    p_conv.add_argument("--quiet", action="store_true")
     p_conv.set_defaults(func=cmd_synth_convergence)
 
-    p_wlln = synth_sub.add_parser("wlln", help="soup coverage over growing sample sizes")
+    p_wlln = synth_sub.add_parser("wlln", parents=[quiet], help="soup coverage over growing sample sizes")
     p_wlln.add_argument("--dist", choices=["gaussian", "cauchy"], default="gaussian")
     p_wlln.add_argument("--sizes", default="10,100,1000,10000")
     p_wlln.add_argument("--trials", type=int, default=200)
     p_wlln.add_argument("--seed", type=int, default=0)
     p_wlln.add_argument("--epsilon", type=float, default=0.1)
     p_wlln.add_argument("-o", "--output", default="wlln.csv")
-    p_wlln.add_argument("--quiet", action="store_true")
     p_wlln.set_defaults(func=cmd_synth_wlln)
 
-    p_fed = sub.add_parser("fed", help="federated protocol simulators")
-    add_common(p_fed, config=True)
+    p_fed = sub.add_parser("fed", parents=[configured], help="federated protocol simulators")
     p_fed.set_defaults(func=cmd_fed)
 
-    p_verify = sub.add_parser("verify", help="built-in verification suites")
+    p_verify = sub.add_parser("verify", parents=[quiet], help="built-in verification suites")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--quiet", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -61,7 +61,6 @@ import os
 import pickle
 import sys
 import threading
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Generator, NoReturn, Sequence
@@ -717,10 +716,9 @@ def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, stepped: Sequenc
 
 
 def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any]:
-    """Each task's result in task order, after every task's warnings are
-    re-issued in task order (see :func:`_reissue`): what the task (a
-    callable of no arguments) returned, the Exception it raised, or, if its
-    worker died before reporting it, an EngineError naming the exit status.
+    """Each task's result in task order: what the task (a callable of no
+    arguments) returned, the Exception it raised, or, if its worker died
+    before reporting it, an EngineError naming the exit status.
 
     Task i runs on worker i % workers, and no worker is started without a
     task: worker 0 is this process, each other one a child forked from it,
@@ -734,7 +732,8 @@ def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any
     """
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
     workers = max(1, min(workers, len(tasks))) if can_fork else 1
-    reports: list[Any] = [None] * len(tasks)  # (result, warnings) per task
+    unreported = object()  # a task may return None
+    results: list[Any] = [unreported] * len(tasks)
     children: list[tuple[int, int, Any]] = []  # (worker, pid, read end of its pipe) until reaped
     sys.stdout.flush()
     sys.stderr.flush()
@@ -753,21 +752,21 @@ def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any
             os.close(fd_write)
             children.append((worker, pid, open(fd_read, "rb")))
         for index in range(0, len(tasks), workers):
-            reports[index] = _held_back(tasks[index])
+            results[index] = _outcome(tasks[index])
         while children:
             worker, pid, reader = children[0]
             with reader:
                 for index in range(worker, len(tasks), workers):
                     try:
-                        reports[index] = pickle.load(reader)
+                        results[index] = pickle.load(reader)
                     except (EOFError, pickle.UnpicklingError):  # the end, or a torn last record
                         break
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             ended = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
             for index in range(worker, len(tasks), workers):
-                if reports[index] is None:
-                    reports[index] = EngineError(f"worker process {ended} before reporting"), []
+                if results[index] is unreported:
+                    results[index] = EngineError(f"worker process {ended} before reporting")
     finally:
         if children:
             import signal
@@ -776,19 +775,15 @@ def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    _reissue([caught for _, caught in reports])
-    return [result for result, _ in reports]
+    return results
 
 
-def _held_back(task: Callable[[], Any]) -> tuple[Any, list]:
-    """task()'s result, or the Exception it raised, with the warnings raised
-    while it ran."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            result = task()
-        except Exception as exc:
-            result = exc
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+def _outcome(task: Callable[[], Any]) -> Any:
+    """task()'s result, or the Exception it raised."""
+    try:
+        return task()
+    except Exception as exc:
+        return exc
 
 
 def _work_in_child(tasks: Sequence[Callable[[], Any]], fd: int) -> NoReturn:
@@ -796,7 +791,7 @@ def _work_in_child(tasks: Sequence[Callable[[], Any]], fd: int) -> NoReturn:
     try:
         with open(fd, "wb") as pipe:
             for task in tasks:
-                pickle.dump(_held_back(task), pipe)
+                pickle.dump(_outcome(task), pipe)
                 pipe.flush()
         code = 0
     except BaseException:
@@ -809,15 +804,3 @@ def _work_in_child(tasks: Sequence[Callable[[], Any]], fd: int) -> NoReturn:
             sys.stderr.flush()
         finally:
             os._exit(code)
-
-
-def _reissue(caught: list[list]) -> None:
-    """Issue held-back warnings, list by list. One registry per source file,
-    as warnings.warn keeps one per module: a warning shown once per location
-    is shown once over all the lists."""
-    registries: dict[str, dict] = {}
-    for held in caught:
-        for text, category, filename, lineno in held:
-            warnings.warn_explicit(
-                text, category, filename, lineno, registry=registries.setdefault(filename, {})
-            )

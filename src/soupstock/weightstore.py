@@ -652,11 +652,11 @@ def _cell(value: object) -> str:
 
 
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write `header`, then `rows`, to `path` as CSV. This alone decides a
+    """Write `header`, then `rows`, to `path` as UTF-8 CSV. This alone decides a
     cell's text: a float is its repr (a numpy float64 that of the equal
     Python float, so the text reads back to the same bits), None an empty
     field, a bool ``true``/``false``, and anything else its ``str()``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)

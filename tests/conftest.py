@@ -76,8 +76,8 @@ def another_thread_running():
 def no_warnings():
     """The block issues no warning, whatever the filters: every warning is
     recorded, once per occurrence, and a record that is not empty fails the
-    test. A forked worker's warnings come back through run_in_workers, so
-    they land in the record too."""
+    test. It records this process's warnings only: a forked worker's show in
+    the worker, or, under an error filter, fail its task."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield

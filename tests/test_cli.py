@@ -10,7 +10,7 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
-from soupstock.cli import main
+from soupstock.cli import build_parser, main
 from soupstock.config import (
     ConfigError,
     GreedySpec,
@@ -518,8 +518,8 @@ DIVERGING = {
 @pytest.mark.parametrize("case", DIVERGING)
 def test_a_diverging_run_reports_one_line_and_no_warning(tmp_path, capsys, case):
     # The engine reports the first non-finite step itself, so numpy's overflow
-    # warnings would only repeat it; a forked range's or worker's warnings
-    # come back through run_in_workers into the record too.
+    # warnings would only repeat it. The record sees this process's warnings
+    # only; the next test sees a forked range's or worker's.
     write, line = DIVERGING[case]
     argv = write(tmp_path)
     inputs = sorted(os.listdir(tmp_path))
@@ -529,11 +529,32 @@ def test_a_diverging_run_reports_one_line_and_no_warning(tmp_path, capsys, case)
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
-def test_a_diverging_merge_under_warnings_as_errors_exits_2_with_one_line(tmp_path):
-    argv = diverging_merge(tmp_path, TWO_BLOCKS, optimizer={"kind": "gd", "lr": 1e39})
+def diverging_sweep(tmp_path):
+    """A two-cell sweep over TWO_BLOCKS whose second cell, GD at lr 1e39, diverges."""
+    argv = diverging_merge(tmp_path, TWO_BLOCKS)
+    doc = json.loads((tmp_path / "merge.json").read_text())
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.5, 1e39]}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    return [*argv, "--out", str(tmp_path / "g")]
+
+
+@pytest.mark.parametrize("case", ["gd-two-blocks", "estimators-2-workers", "sweep"])
+def test_a_diverging_run_under_warnings_as_errors_exits_2_with_one_line(tmp_path, case):
+    # Each run forks on two or more CPUs, and a child's warning is an error
+    # only in the child: under -W error it fails the child's task, so it
+    # would show here as another exit code or more lines.
+    write, line = DIVERGING.get(case, (diverging_sweep, None))
+    argv = write(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
     result = _main_in_subprocess(argv, "-W", "error")
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {STEP_1}\n")
-    assert sorted(os.listdir(tmp_path)) == ["ing0.safetensors", "ing1.safetensors", "merge.json"]
+    if line is not None:
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {line}\n")
+        assert sorted(os.listdir(tmp_path)) == inputs
+    else:  # a sweep's one line is its failing cell's manifest entry
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", "")
+        manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok", "error"]
+        assert manifest[1]["error"] == STEP_1
 
 
 @pytest.fixture
@@ -1076,6 +1097,24 @@ def _main_in_subprocess(argv, *python_flags, **env):
         env={**os.environ, "PYTHONPATH": src, **env},
         capture_output=True, text=True, timeout=300,
     )
+
+
+def test_merge_reads_and_writes_its_csvs_as_utf8_under_any_locale(tmp_path):
+    write_ingredients(tmp_path, count=2)
+    (tmp_path / "metrics.csv").write_text("id,metric\nmodèle0,0.1\nmodèle1,0.9\n", encoding="utf-8")
+    doc = merge_doc(count=2, ordering="metric_desc")
+    doc["metrics_csv"] = "metrics.csv"
+    for i, entry in enumerate(doc["ingredients"]):
+        entry["id"] = f"modèle{i}"
+    (tmp_path / "merge.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    argv = ["merge", "--config", str(tmp_path / "merge.json"), "--quiet", "--out"]
+    assert main([*argv, str(tmp_path / "here")]) == 0
+    done = _main_in_subprocess([*argv, str(tmp_path / "ascii")], "-X", "utf8=0",
+                               LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert (done.returncode, done.stderr) == (0, "")
+    for name in ("merged.safetensors", "run.csv"):
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert ",modèle1,".encode() in (tmp_path / "ascii" / "run.csv").read_bytes()
 
 
 def test_merge_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -1636,6 +1675,20 @@ def test_verify_exits_1_naming_the_failed_suites(capsys, monkeypatch):
     ]
     assert lines[1].endswith("drifted")
     assert lines[-1] == "1/5 suites failed"
+
+
+# --- flags ---------------------------------------------------------------------------
+
+
+def test_every_command_and_no_group_takes_quiet():
+    parser = build_parser()
+    commands = [["soup", "a", "-o", "b"], ["merge", "--config", "c"], ["greedy", "--config", "c"],
+                ["fed", "--config", "c"], ["verify", "all"], ["synth", "estimators", "--dist", "cauchy"],
+                ["synth", "cycle"], ["synth", "convergence"], ["synth", "wlln"]]
+    for argv in commands:
+        assert (parser.parse_args(argv).quiet, parser.parse_args([*argv, "--quiet"]).quiet) == (False, True)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["synth", "--quiet", "cycle"])
 
 
 # --- determinism ---------------------------------------------------------------------

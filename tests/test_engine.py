@@ -1004,24 +1004,36 @@ def test_concurrent_replica_runs_match_serial_runs():
 # --- run_in_workers ---------------------------------------------------------------------------
 
 
-def _warn_and_report(i):
-    warnings.warn(f"task {i}", UserWarning)
+def _report(i):
     return i, os.getpid()
 
 
+def _warn(i):
+    warnings.warn(f"task {i}", UserWarning)
+    return i
+
+
 @pytest.mark.parametrize("beside_thread", [False, True], ids=["forked", "beside-thread"])
-def test_run_in_workers_returns_results_and_warnings_in_task_order(beside_thread):
-    tasks = [partial(_warn_and_report, i) for i in range(5)]
-    with pytest.warns(UserWarning) as caught, another_thread_running() if beside_thread else nullcontext():
-        results = run_in_workers(tasks, 2)
+def test_run_in_workers_returns_each_tasks_result_in_task_order(beside_thread):
+    with another_thread_running() if beside_thread else nullcontext():
+        results = run_in_workers([partial(_report, i) for i in range(5)], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warned = run_in_workers([partial(_warn, i) for i in range(3)], 2)
     assert [i for i, _ in results] == list(range(5))
-    assert [str(w.message) for w in caught] == [f"task {i}" for i in range(5)]
     pids = [pid for _, pid in results]
     assert pids[0::2] == [os.getpid()] * 3
     if beside_thread:  # every task runs here
         assert pids[1::2] == [os.getpid()] * 2
     else:  # tasks 1 and 3 run in one child
         assert pids[1] == pids[3] != os.getpid()
+    # Under an error filter a warning is its task's failure, in any worker.
+    assert [type(w) for w in warned] == [UserWarning] * 3
+    assert [str(w) for w in warned] == ["task 0", "task 1", "task 2"]
+
+
+def test_run_in_workers_returns_a_childs_none_as_its_result():
+    assert run_in_workers([partial(int, 1), lambda: None, partial(int, 3), lambda: None], 2) == [1, None, 3, None]
 
 
 def test_run_in_workers_returns_a_raising_tasks_exception_and_runs_the_rest():
