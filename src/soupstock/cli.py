@@ -21,13 +21,13 @@ open, every cell fails with that error. Each cell is one task of
 ``engine.run_in_workers``; its worker writes its outputs and returns its
 manifest entry, or the cell fails with the worker's exit status. A
 single-cell merge is not a sweep and runs here directly. Every cell is one
-``engine.run_ensemble`` call, given as many block-range workers as the
-usable CPUs for a single cell, and the usable CPUs divided by the sweep's
-workers (at least one) for each cell of a sweep; the engine runs a greedy or
-projected cell as one range, stepped in place in the process that runs the
-cell, beside one pre-step copy of its iterate if it is greedy or logs its
-steps. ``synth estimators`` runs one chunk of trials per worker, at most one
-per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
+``engine.run_ensemble`` call, given as many tile workers as the usable CPUs
+for a single cell, and the usable CPUs divided by the sweep's workers (at
+least one) for each cell of a sweep; the engine runs a greedy or projected
+cell as one trajectory over the whole model, stepped in place in the
+process that runs the cell, beside one pre-step copy of its iterate if it is
+greedy or logs its steps. ``synth estimators`` runs one chunk of trials per
+worker, at most one per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
 forks the others, or, while other threads run, runs every task here. No
 output depends on the number of workers.
 """
@@ -57,6 +57,7 @@ from .config import (
     sweep_cell_name,
 )
 from .engine import (
+    TILE,
     EnsembleConfig,
     Greedy,
     Ingredient,
@@ -81,6 +82,7 @@ from .synthlab import (
 )
 from .verify import SUITES, run_suites
 from .weightstore import (
+    BLOCK,
     WeightMap,
     load_checkpoint,
     open_checkpoint,
@@ -118,7 +120,7 @@ def cmd_soup(args) -> int:
 
 def _read_metrics_csv(path: str) -> dict[str, float]:
     metrics: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # as written with or without a BOM
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["id", "metric"]:
             raise UsageError(f"{path}: metrics CSV must have header 'id,metric'")
@@ -305,23 +307,27 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
         return 0 if failures == 0 else 2
 
 
-def _cell_buffers(cfg: MergeConfig) -> int:
-    """The model-size buffers a cell holds at its peak (see
-    engine._trajectory): the iterate and the optimizer state's buffers, one
-    per entry of the rule's ``fills``, plus where the config has them a fixed
-    or EMA pivot's copy of the initialization, greedy's target and spare
-    state, a projection's center, and the pre-step iterate of a greedy run or
-    of a projected run that logs its steps. A provided initialization stays
-    in its file, read a block at a time into the iterate."""
+def _cell_bytes(cfg: MergeConfig, size: int) -> int:
+    """The bytes a cell of a model of ``size`` elements holds at its peak (see
+    engine._trajectory): its iterate, plus its optimizer state's buffers, one
+    per entry of the rule's ``fills``, and any fixed or EMA pivot's copy of
+    the initialization, over one tile (engine.TILE) and with at most 32 bytes
+    per element of a block of block buffers in a plain cell; over the whole
+    model in a greedy or projected one, which also holds greedy's target and
+    spare state, a projection's center, and the pre-step iterate of a greedy
+    run or of a projected run that logs its steps. A provided initialization
+    stays in its file, read a block at a time into the iterate."""
     state = len(cfg.ensemble.optimizer.variant.fills)
+    pivot = not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
     greedy = cfg.greedy.enabled
     projected = cfg.projection is not None
-    buffers = 1 + state
-    buffers += not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
+    if not (greedy or projected):
+        return 4 * size + 4 * (state + pivot) * min(size, TILE) + 32 * min(size, BLOCK)
+    buffers = 1 + state + pivot
     buffers += 1 + state if greedy else 0
     buffers += projected
     buffers += greedy or (projected and cfg.ensemble.record_steps)
-    return buffers
+    return 4 * size * buffers
 
 
 def _cgroup_dirs(proc: str = "/proc/self") -> list[str]:
@@ -398,9 +404,8 @@ def _sweep_workers(
     available memory."""
     workers = min(len(cells), _usable_cpus())
     if workers > 1:
-        cell_bytes = 4 * ingredients[0].weights.num_elements() * max(
-            _cell_buffers(cfg) for _, cfg in cells
-        )
+        size = ingredients[0].weights.num_elements()
+        cell_bytes = max(_cell_bytes(cfg, size) for _, cfg in cells)
         if cell_bytes > 0:
             workers = min(workers, _available_memory() // cell_bytes)
     return max(workers, 1)

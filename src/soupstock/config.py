@@ -88,7 +88,7 @@ class _Ctx:
 
 def load_json(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # as written with or without a BOM
             return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read config ({exc})"]) from exc

@@ -18,31 +18,34 @@ averaged, turned into the pseudogradient by
 ``pseudograd._pseudogradient_values`` and fed to the optimizer, and the new
 values are checked to be finite (a NaN/Inf aborts the run with an
 EngineError naming the step and batch) and staged for the log norms, so no
-model-size mean or pseudogradient is ever built. A run steps the one
-iterate buffer it owns in place, from its initialization; a projected run
-projects it there. A greedy run, and a projected run that logs its steps,
-also copy the pre-step iterate into one buffer: a logged projection takes
-its displacement against it, and a rejected greedy step copies it back and
-swaps the contents (step and buffers) of the optimizer state with those of
-a spare copy of the pre-step one, so the caller's state object holds the
-live state. Greedy acceptance scores each iterate by its distance to a
-target map (``Greedy``), the only metric a data-free merge has. One loop
-takes every step: :func:`run_ensemble` drives it to its end in each range's
-task, and :func:`ensemble_steps` hands its steps to a caller. It reports a
-non-finite step itself, so numpy's overflow warnings are off for its steps:
-once per range in :func:`run_ensemble`, per step in :func:`ensemble_steps`.
+model-size mean or pseudogradient is ever built, and every step reuses the
+block buffers of the first. A run steps the one iterate buffer it owns in
+place, from its initialization; a projected run projects it there. A greedy
+run, and a projected run that logs its steps, also copy the pre-step iterate
+into one buffer: a logged projection takes its displacement against it, and
+a rejected greedy step copies it back and swaps the contents (step and
+buffers) of the optimizer state with those of a spare copy of the pre-step
+one, so the caller's state object holds the live state. Greedy acceptance
+scores each iterate by its distance to a target map (``Greedy``), the only
+metric a data-free merge has. One loop takes every step: :func:`run_ensemble`
+drives it to its end in each tile's task, and :func:`ensemble_steps` hands
+its steps to a caller. It reports a non-finite step itself, so numpy's
+overflow warnings are off for its steps: once per tile in
+:func:`run_ensemble`, per step in :func:`ensemble_steps`.
 
 Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
 each element alone, and the batch order and the schedules never depend on
 the weights. So a run splits into independent trajectories over contiguous
 ranges of ``Schema.blocks``, which share only their per-piece sums of
-squares for the log: with ``workers``, each range is one task of
-:func:`run_in_workers` and runs the whole run in a process of its own, in
-one shared iterate, and this process adds the sums up into the log in the
-serial order and raises the failure a serial run would meet first. No
-output depends on the number of workers. Greedy and projected runs, whose
-steps need a whole-map scalar, are one range, run in this process.
+squares for the log. :func:`run_ensemble` takes each tile of at most
+:data:`TILE` elements through every step before the next, so the optimizer
+state and a fixed or EMA pivot span one tile and stay in cache across its
+steps. Each tile is one task of :func:`run_in_workers`, in one shared
+iterate, and this process adds the sums up into the log in the serial order
+and raises the failure a serial run would meet first. No output depends on
+the number of workers. Greedy and projected runs, whose steps need a
+whole-map scalar, are one trajectory over the whole map, run here.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -55,7 +58,6 @@ orders from one generator of its own, restarted at each replica's stream.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import pickle
@@ -100,6 +102,7 @@ from .weightstore import (
 )
 
 __all__ = [
+    "TILE",
     "EngineError",
     "Ingredient",
     "SoupInit",
@@ -119,6 +122,10 @@ __all__ = [
 ]
 
 ORDERINGS = ("given", "metric_desc", "metric_asc")
+
+TILE = 4 * BLOCK
+"""Elements per tile at most: a run without greedy acceptance or projection
+steps its blocks a tile of consecutive blocks at a time."""
 
 
 class EngineError(ValueError):
@@ -166,7 +173,7 @@ class IngredientInit:
 @dataclass(frozen=True)
 class ProvidedInit:
     """Initialize at an explicitly supplied weight map, which may stay in its
-    file (a StoredMap): each block range reads its span into the iterate."""
+    file (a StoredMap): each tile reads its span into the iterate."""
 
     weights: WeightMap | StoredMap
 
@@ -335,36 +342,36 @@ def run_ensemble(
     acceptance and per-step logs reduce over a whole map, so they need a
     single replica.
 
-    With ``workers``, the blocks of the maps (``Schema.blocks``) are split
-    into up to that many contiguous ranges of about equal size, and each
-    range is one task of :func:`run_in_workers`, which runs the whole run on
-    its own: this process one, and a child forked from it each other one, or
-    this process every one while other threads run. A range whose worker
-    died before reporting raises that worker's EngineError. A greedy or
-    projected run reduces over the whole map between steps, so it is one
-    range, run in this process. No result depends on the number of workers.
+    Each tile of the maps' blocks (:func:`_tiles`) runs the whole run on its
+    own, as one task of :func:`run_in_workers` on up to ``workers`` workers:
+    this process, and a child forked from it each other one, or this process
+    every tile while other threads run. A tile whose worker died before
+    reporting raises that worker's EngineError. A greedy or projected run
+    reduces over the whole map between steps, so it is one trajectory, run
+    in this process. No result depends on the number of workers.
     """
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
-    ranges = _block_ranges(schema.blocks, 1 if plan.whole_map else workers)
-    if len(ranges) == 1:
+    tiles = [range(len(schema.blocks))] if plan.whole_map else _tiles(schema.blocks)
+    if min(workers, len(tiles)) <= 1:
         iterate = np.empty(schema.size, dtype=np.float32)
     else:
-        import mmap  # one shared anonymous mapping, which every range writes its part of
+        import mmap  # one shared anonymous mapping, which every tile writes its part of
         iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
 
-    reports = run_in_workers([partial(_run_range, plan, r, iterate) for r in ranges], len(ranges))
+    reports = run_in_workers([partial(_run_range, plan, tile, iterate) for tile in tiles], workers)
     iterate.setflags(write=False)
     return WeightMap._wrap(iterate.view(), schema), _record(plan, reports)
 
 
 def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
                    state: OptimizerState) -> Generator[WeightMap, None, RunRecord]:
-    """:func:`run_ensemble`'s run as one range in this process, stepped by the
-    caller: it steps ``state`` in place and yields the same read-only view of
-    the iterate after each step. Leaving the loop ends the run, with no further
-    step; a run that ends returns its log, and a failure raises as there. Its
-    steps run with numpy's overflow warnings off, restored before each yield."""
+    """:func:`run_ensemble`'s run as one trajectory over the whole map in this
+    process, stepped by the caller: it steps ``state`` in place and yields the
+    same read-only view of the iterate after each step. Leaving the loop ends
+    the run, with no further step; a run that ends returns its log, and a
+    failure raises as there. Its steps run with numpy's overflow warnings
+    off, restored before each yield."""
     plan = _Plan(cfg, ingredients, None)
     iterate = np.empty(plan.schema.size, dtype=np.float32)
     steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
@@ -389,12 +396,13 @@ def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray) -> tuple:
 
 
 def _record(plan: _Plan, reports: list) -> RunRecord:
-    """The log of a run from its ranges' reports; raises the failure a serial run would meet first."""
+    """The log of a run from its tiles' reports, in block order; raises the
+    failure a serial run would meet first."""
     for report in reports:
         if isinstance(report, Exception):
             raise report
     # The run ends at the earliest failure, as a serial run would: the lowest
-    # step, then the lowest range, so the lowest element.
+    # step, then the lowest tile, so the lowest element.
     done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
     entries = reports[0][1]
     record = RunRecord()
@@ -443,9 +451,9 @@ def _check_replicas(
 
 
 class _Plan:
-    """A checked run: what every block range of it shares, namely its
-    config, the initialization's sources and the weight-independent parts
-    of its steps. A whole-map run (greedy or projected) is one range."""
+    """A checked run: what every tile of it shares, namely its config, the
+    initialization's sources and the weight-independent parts of its steps.
+    A whole-map run (greedy or projected) is one trajectory."""
 
     def __init__(
         self, cfg: EnsembleConfig, ingredients: Sequence[Ingredient], replica_seeds: Sequence[int] | None
@@ -488,17 +496,14 @@ class _Plan:
         self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
 
 
-def _block_ranges(blocks: tuple[tuple[int, int, int, int], ...], count: int) -> list[range]:
-    """Up to ``count`` contiguous, non-empty ranges of block indices with
-    about equal numbers of elements; one range when count or the blocks
-    allow no more."""
-    count = min(count, len(blocks))
-    if count <= 1:
-        return [range(len(blocks))]
-    starts = [begin for begin, _end, _count, _piece in blocks]
-    begin, size = starts[0], blocks[-1][1] - starts[0]
-    cuts = [0, *(bisect.bisect_left(starts, begin + k * size / count) for k in range(1, count)), len(blocks)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+def _tiles(blocks: tuple[tuple[int, int, int, int], ...]) -> list[range]:
+    """The blocks as consecutive runs of block indices of at most TILE
+    elements each, in order; one empty range for a map without blocks."""
+    cuts = [0]
+    for index, (_begin, end, _count, _piece) in enumerate(blocks):
+        if end - blocks[cuts[-1]][0] > TILE:
+            cuts.append(index)
+    return [range(a, b) for a, b in zip(cuts, [*cuts[1:], len(blocks)])]
 
 
 def _trajectory(
@@ -506,8 +511,8 @@ def _trajectory(
 ) -> Generator[WeightMap, None, tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]]:
     """Every step of the run over the blocks of ``block_range``, from its
     share of the initialization, written into ``iterate`` and stepped there,
-    to its share of the EMA pivot; no other element of any model-size buffer
-    is touched. ``state`` is the run's optimizer state, stepped in place.
+    to the EMA pivot over its span; no other element of ``iterate`` is
+    touched. ``state`` is the run's optimizer state, stepped in place.
 
     Yields the one read-only view of ``iterate`` it builds after each step, and
     returns (the steps done, entries, sums, failure). Per step done when the
@@ -526,13 +531,13 @@ def _trajectory(
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
-        pivot, ema = iterate, None
+        pivot, base = iterate, 0  # pivot[i - base] is element i's
         if not isinstance(cfg.pivot_policy, AdaptivePivot):
             # An EMA pivot is updated in place, and a fixed one must outlive
-            # the iterate: each starts as a copy of the initialization.
-            pivot = np.empty(schema.size, dtype=np.float32)
-            pivot[span] = iterate[span]
-            ema = pivot if ema_decay is not None else None
+            # the iterate: each starts as a copy of the span's initialization.
+            pivot, base = iterate[span].copy(), span.start
+        # The batch mean's block buffer, which the EMA update uses between steps.
+        block = np.empty(min(BLOCK, span.stop - span.start), dtype=np.float32)
         batch_mean = plan.batch_mean
         spare = OptimizerState() if greedy is not None else None
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
@@ -553,8 +558,8 @@ def _trajectory(
                 scale = pseudogradient_scale(zeta, plan.n_div)
 
                 def grad(s: slice) -> np.ndarray:  # the batch's pseudogradient over slice s
-                    g = batch_mean(order, start, s)
-                    return _pseudogradient_values(pivot[s], g, scale, out=g)
+                    g = batch_mean(order, start, s, block)
+                    return _pseudogradient_values(pivot[s.start - base : s.stop - base], g, scale, out=g)
 
                 if before is not None:
                     before[span] = iterate[span]
@@ -592,8 +597,8 @@ def _trajectory(
                 else:
                     if accepted:
                         best_metric = metric
-                    if ema is not None:
-                        _ema_update(ema, iterate, ema_decay, stepped)
+                    if ema_decay is not None:
+                        _ema_update(pivot, iterate[span], ema_decay, block)
                 done = attempt
                 yield w
     except Exception as exc:  # reported with the steps done before it
@@ -614,31 +619,34 @@ def _copy_state(state: OptimizerState, into: OptimizerState) -> None:
 
 def _batch_mean_fn(
     sweep: list[Ingredient], schema: Schema, replicas: int, batch_size: int
-) -> Callable[[np.ndarray, int, slice], np.ndarray]:
+) -> Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray]:
     """The batch mean as a function of an epoch's (replica, sweep) order, the
-    start of a batch in it, and a slice of the flat buffer; it returns a
-    float32 array of that slice's values, which the caller may overwrite.
+    start of a batch in it, a slice of the flat buffer and a float32 buffer
+    of at least the slice's length; it returns a float32 array of that
+    slice's values, which the caller may overwrite.
 
-    One replica: the chosen ingredients' blocks are read from their sources
-    (views of an in-memory map, reads of a stored one), added in batch order
-    in float32, and the sum divided by float32(batch), with no copy of the
-    sweep. Several replicas: the sweep is read once into an (ingredient,
-    element) stack; every element of a (replicas, ...) tensor belongs to one
-    replica, and each takes its own replica's batch members. The means of k
-    consecutive full batches, k = max(1, BLOCK // (batch * map size)), are
-    gathered and reduced at once and held until the last of them is taken;
-    a short last batch is gathered alone, and a map of more than one block
-    batch by batch. Each epoch's order must be a new array, and each batch's
-    block is taken once.
+    One replica: the chosen ingredients' blocks are read from their sources,
+    the first into the given buffer and each other one into a block buffer
+    of the function's own, added in batch order in float32, and the sum
+    divided by float32(batch), with no copy of the sweep; the mean returned
+    is a view of the given buffer. Several replicas: the sweep is read once
+    into an (ingredient, element) stack; every element of a (replicas, ...)
+    tensor belongs to one replica, and each takes its own replica's batch
+    members. The means of k consecutive full batches, k = max(1, BLOCK //
+    (batch * map size)), are gathered and reduced at once and held until the
+    last of them is taken; a short last batch is gathered alone, and a map of
+    more than one block batch by batch. Each epoch's order must be a new
+    array, and each batch's block is taken once.
     """
     sources = [ing.weights for ing in sweep]
     if replicas == 1:
+        reads = np.empty(min(BLOCK, schema.size) if batch_size > 1 else 0, dtype=np.float32)
 
-        def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
+        def mean(order: np.ndarray, start: int, s: slice, sums: np.ndarray) -> np.ndarray:
             rows = order[0, start : start + batch_size]
-            acc = sources[rows[0]].read(s, np.empty(s.stop - s.start, dtype=np.float32))
+            acc = sources[rows[0]].read(s, sums[: s.stop - s.start])
             for i in rows[1:]:
-                acc += sources[i].read(s)
+                acc += sources[i].read(s, reads[: s.stop - s.start])
             acc /= np.float32(len(rows))
             return acc
 
@@ -656,7 +664,7 @@ def _batch_mean_fn(
     full_end = len(sources) - len(sources) % batch_size  # where a short last batch starts
     held: tuple = (None, None, None, None)  # (order, chunk start, block start, means)
 
-    def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
+    def mean(order: np.ndarray, start: int, s: slice, _buffer: np.ndarray) -> np.ndarray:
         nonlocal held
         if start < full_end:
             chunk, width = start - start % chunk_size, batch_size
@@ -702,14 +710,15 @@ def _nonfinite_message(
     )
 
 
-def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, stepped: Sequence[tuple]) -> None:
-    """pivot <- decay * pivot + (1 - decay) * w, in place, over the blocks ``stepped``."""
+def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, scratch: np.ndarray) -> None:
+    """pivot <- decay * pivot + (1 - decay) * w, in place, BLOCK elements at a
+    time, with (1 - decay) * w in ``scratch``."""
     d = np.float32(decay)
     omd = np.float32(1.0 - decay)
-    for begin, end, _count, _piece in stepped:
-        part = pivot[begin:end]
+    for begin in range(0, pivot.size, BLOCK):
+        part = pivot[begin : begin + BLOCK]
         part *= d
-        part += omd * w[begin:end]
+        part += np.multiply(omd, w[begin : begin + BLOCK], out=scratch[: part.size])
 
 
 # --- forked workers ----------------------------------------------------------------

@@ -8,11 +8,12 @@ pseudogradient (from a map or a per-block function), applies decoupled weight
 decay and the rule's block update, checks the result is finite, and, when
 asked, sums the float64 squares its log norms are taken from. With
 ``block_range``, it steps only a contiguous range of those blocks, and reads
-and writes no element outside it: the engine runs the ranges of one merge in
-separate processes. All state lives in flat float32 buffers of the same
-layout, one per entry of the variant's ``fills``; the step counter increments
-inside each step call *before* the learning-rate schedule is read, so the
-first update runs at index 1.
+and writes no element outside it: the engine steps one merge a tile of
+blocks at a time. All state lives in flat float32 buffers over the stepped
+span, one per entry of the variant's ``fills``, beside block buffers that
+every step reuses; the step counter increments inside each step call
+*before* the learning-rate schedule is read, so the first update runs at
+index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -51,7 +52,6 @@ from .pseudograd import (
     schedule_eval,
 )
 from .weightstore import (
-    BLOCK,
     WeightMap,
     _check_compatible,
     _piece_sums,
@@ -189,13 +189,15 @@ def _check_lr_sign(lr: Schedule) -> None:
 @dataclass
 class OptimizerState:
     """The global step counter plus the rule's state: one flat float32 buffer
-    per entry of the variant's ``fills`` (one element per parameter, in the
-    weight map's buffer order), allocated by the first step: Adagrad's sum of
-    squared gradients, Adam's moments m and v, Adadelta's accumulated squared
-    gradients and updates."""
+    per entry of the variant's ``fills``, allocated by the first step over the
+    span of blocks it steps (the whole map without a ``block_range``), in the
+    weight map's buffer order from the span's start: Adagrad's sum of squared
+    gradients, Adam's moments m and v, Adadelta's accumulated squared
+    gradients and updates; and the block buffers every step works in."""
 
     step: int = 0
     buffers: tuple[np.ndarray, ...] = ()
+    _blocks: tuple = field(default=(), repr=False, compare=False)  # _step_blocks of the first step
 
 
 # --- block updates ------------------------------------------------------------------
@@ -315,7 +317,8 @@ def optimizer_step(
     new buffer by default. ``out`` may be w's own buffer: every block is read
     before it is written. A step of some of the blocks reads, writes and
     allocates state for none of the other elements, so ``out`` must then be
-    given: the step leaves its other elements as they are.
+    given: the step leaves its other elements as they are. Every step of a
+    state must step the blocks its first step stepped.
 
     With ``norms``, a float64 array of shape (2, len(schema.piece_ends)), the
     block's pseudogradient and displacement are also widened to float64,
@@ -332,32 +335,42 @@ def optimizer_step(
     eta = schedule_eval(variant.lr, idx)
     old = w.flat
     schema = w.schema()
-    stepped = schema.blocks if block_range is None else schema.blocks[block_range.start : block_range.stop]
+    if not state._blocks:
+        blocks = schema.blocks
+        state._blocks = _step_blocks(blocks if block_range is None else blocks[block_range.start : block_range.stop])
+    span, rows = state._blocks
     if not state.buffers:
-        # np.zeros maps pages that are faulted in only when first touched, so a
-        # process that steps one range of the blocks holds only that range of its state.
-        state.buffers = tuple(np.zeros(old.size, dtype=np.float32) for _ in variant.fills)
-        span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
-        for buf, fill in zip(state.buffers, variant.fills):
-            if fill:
-                buf[span] = fill
+        state.buffers = tuple(np.full(span.stop - span.start, fill, dtype=np.float32) for fill in variant.fills)
     update = _UPDATES[type(variant)](variant, eta, state.step)
-    decay = np.float32(1.0 - eta * spec.weight_decay) if spec.weight_decay > 0.0 else None
+    decay = np.float32(1.0 - eta * spec.weight_decay)  # 1 without weight decay: an exact copy
     new = np.empty_like(old) if out is None else out
-    scratch = np.empty(min(BLOCK, old.size)) if norms is not None else None
-    for lo, hi, count, piece in stepped:
-        s = slice(lo, hi)
+    for s, at, work, finite, wide, count, part in rows:
         gb = g(s)
-        work = old[s] * decay if decay is not None else old[s].copy()
-        update(gb, work, *[buf[s] for buf in state.buffers])
-        if not np.isfinite(work).all():
-            raise NonFiniteStep(lo + int(np.flatnonzero(~np.isfinite(work))[0]))
+        np.multiply(old[s], decay, out=work)
+        update(gb, work, *[buf[at] for buf in state.buffers])
+        if not np.isfinite(work, out=finite).all():
+            raise NonFiniteStep(s.start + int(np.flatnonzero(~finite)[0]))
         if norms is not None:
-            part = slice(piece, piece + count)
-            _piece_sums(gb, None, count, scratch[: hi - lo], norms[0, part])
-            _piece_sums(work, old[s], count, scratch[: hi - lo], norms[1, part])
+            _piece_sums(gb, None, count, wide, norms[0, part])
+            _piece_sums(work, old[s], count, wide, norms[1, part])
         new[s] = work
     return WeightMap._wrap(new if out is None else new.view(), schema)
+
+
+def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice, tuple]:
+    """The span of the blocks ``stepped`` and a row per block: its slice of
+    the flat buffer and of the span, views of one float32 work buffer,
+    finiteness mask and float64 scratch of the largest block's size, its
+    count and its slice of the pieces."""
+    span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
+    size = max((hi - lo for lo, hi, _count, _piece in stepped), default=0)
+    work, finite, wide = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool), np.empty(size)
+    rows = tuple(
+        (slice(lo, hi), slice(lo - span.start, hi - span.start), work[: hi - lo], finite[: hi - lo],
+         wide[: hi - lo], count, slice(piece, piece + count))
+        for lo, hi, count, piece in stepped
+    )
+    return span, rows
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,

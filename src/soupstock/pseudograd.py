@@ -162,10 +162,11 @@ def soup(
     """Uniform arithmetic mean, accumulated at float64 in list order.
 
     Each block (:attr:`Schema.blocks`) is read from every ingredient in turn,
-    so stored maps are souped without holding more than the result and a few
-    blocks. With ``out``, a writable float32 buffer of the maps' size, only
-    the blocks of ``block_range`` (all by default) are souped, into ``out``,
-    and the map returned is a view of it; no element's mean depends on the cut.
+    into one float32 and one float64 block buffer, so stored maps are souped
+    without holding more than the result and those two. With ``out``, a
+    writable float32 buffer of the maps' size, only the blocks of
+    ``block_range`` (all by default) are souped, into ``out``, and the map
+    returned is a view of it; no element's mean depends on the cut.
     """
     if not ingredients:
         raise ValueError("soup requires at least one ingredient")
@@ -173,11 +174,14 @@ def soup(
     n = float(len(ingredients))
     buf = np.empty(schema.size, dtype=np.float32) if out is None else out
     blocks = schema.blocks if block_range is None else schema.blocks[block_range.start : block_range.stop]
+    size = max((end - begin for begin, end, _count, _piece in blocks), default=0)
+    read, wide = np.empty(size, dtype=np.float32), np.empty(size)
     for begin, end, _count, _piece in blocks:
         s = slice(begin, end)
-        acc = ingredients[0].read(s).astype(np.float64)
+        acc = wide[: end - begin]
+        acc[...] = ingredients[0].read(s, read[: end - begin])
         for m in ingredients[1:]:
-            acc += m.read(s)
+            acc += m.read(s, read[: end - begin])
         acc /= n
         buf[s] = acc
     return WeightMap._wrap(buf if out is None else buf.view(), schema)

@@ -670,13 +670,15 @@ def test_merge_sweep_interrupt_kills_and_reaps_workers(tmp_path, monkeypatch, fo
     assert not (tmp_path / "g" / "sweep_manifest.json").exists()
 
 
-# (ensemble overrides, greedy acceptance on, the model-size buffers a cell holds at its peak)
+# (ensemble overrides, greedy acceptance on, the model-size buffers a cell of
+# a model of many tiles holds at its peak: a cell that is neither greedy nor
+# projected holds its state and pivot over one tile)
 CELL_VARIANTS = pytest.mark.parametrize(
     "ensemble, greedy, buffers",
     [
         ({}, False, 1),  # GD with an adaptive pivot: the iterate alone
-        ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 2),
-        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 4),
+        ({"optimizer": {"kind": "adagrad", "lr": 0.1}}, False, 1),
+        ({"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": {"kind": "ema", "decay": 0.5}}, False, 1),
         ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0}},
          False, 5),
         ({"optimizer": {"kind": "adadelta", "lr": 0.1}, "projection": {"center": "soup", "radius": 1.0},
@@ -709,7 +711,8 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
     cells = enumerate_sweep(doc)
     model = WeightMap({"w": np.zeros((10, 25), dtype=np.float32)})
     ingredients = [Ingredient(f"ing{i}", model) for i in range(3)]
-    cell_bytes = 4 * 250 * buffers
+    cell_bytes = cli._cell_bytes(cells[0][1], 250)
+    assert cell_bytes >= 4 * 250 * buffers  # a model smaller than a tile counts its whole state
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     for available, workers in [(10**12, 4), (3 * cell_bytes, 3), (2 * cell_bytes - 1, 1), (0, 1)]:
         monkeypatch.setattr(cli, "_available_memory", lambda: available)
@@ -718,18 +721,17 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
     assert cli._sweep_workers(cells, ingredients) == 1
 
 
-@CELL_VARIANTS
-def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemble, greedy, buffers):
+def cell_peak(tmp_path, ensemble, greedy, size):
+    """The cell's config and its traced peak over one merge of three
+    ingredients of ``size`` elements."""
     import soupstock.cli as cli
 
-    size = 1 << 20  # 16 blocks: the per-block temporaries stay well under one model size
     rng = np.random.default_rng(0)
     for i in range(3):
         weights = WeightMap({"w": rng.standard_normal(size).astype(np.float32)})
         save_checkpoint(weights, str(tmp_path / f"ing{i}.safetensors"))
     cells = enumerate_sweep(cell_doc(ensemble, greedy))
     [(_, cfg)] = cells
-    assert cli._cell_buffers(cfg) == buffers
     with ExitStack() as stack:
         ingredients = cli._open_ingredients(cells, str(tmp_path), stack)
         tracemalloc.start()
@@ -738,7 +740,25 @@ def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemb
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return cfg, peak
+
+
+@CELL_VARIANTS
+def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemble, greedy, buffers):
+    import soupstock.cli as cli
+
+    size = 1 << 22  # 64 blocks, 16 tiles: a tile's state and the block buffers stay well under one model size
+    cfg, peak = cell_peak(tmp_path, ensemble, greedy, size)
+    assert round(cli._cell_bytes(cfg, size) / (4 * size)) == buffers
     assert abs(peak / (4 * size) - buffers) <= 1
+
+
+@pytest.mark.parametrize("pivot", [{"kind": "adaptive"}, {"kind": "ema", "decay": 0.5}], ids=["adaptive", "ema"])
+def test_a_plain_adam_cell_peaks_near_one_model_size(tmp_path, pivot):
+    # The iterate, and the moments and the pivot over one tile at a time.
+    size = 1 << 22
+    _, peak = cell_peak(tmp_path, {"optimizer": {"kind": "adam", "lr": 0.1}, "pivot_policy": pivot}, False, size)
+    assert peak < 1.3 * 4 * size
 
 
 def _write_cgroup(directory, **files):
@@ -1115,6 +1135,20 @@ def test_merge_reads_and_writes_its_csvs_as_utf8_under_any_locale(tmp_path):
     for name in ("merged.safetensors", "run.csv"):
         assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
     assert ",modèle1,".encode() in (tmp_path / "ascii" / "run.csv").read_bytes()
+
+
+def test_a_config_and_a_metrics_csv_with_a_utf8_bom_merge_as_without(tmp_path):
+    # Excel's "CSV UTF-8" and Windows PowerShell's Export-Csv start a file with one.
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3, ordering="metric_desc")
+    doc["metrics_csv"] = "metrics.csv"
+    for bom, out in (("", "plain"), ("\ufeff", "bom")):
+        (tmp_path / "metrics.csv").write_text(bom + "id,metric\ning0,0.1\ning1,0.9\ning2,0.5\n", encoding="utf-8")
+        (tmp_path / "merge.json").write_text(bom + json.dumps(doc), encoding="utf-8")
+        assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet", "--out", str(tmp_path / out)]) == 0
+    for name in ("merged.safetensors", "run.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert not (tmp_path / "bom" / "run.csv").read_bytes().startswith(b"\xef\xbb\xbf")
 
 
 def test_merge_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -38,7 +38,7 @@ from soupstock.pseudograd import (
     schedule_eval,
     soup,
 )
-from soupstock.weightstore import SchemaMismatch, WeightMap, l2_distance, open_checkpoint, save_checkpoint
+from soupstock.weightstore import BLOCK, SchemaMismatch, WeightMap, l2_distance, open_checkpoint, save_checkpoint
 
 from conftest import another_thread_running, no_warnings, random_weightmaps
 
@@ -799,14 +799,14 @@ def test_replicas_need_a_leading_axis_per_seed():
 
 
 def replica_range_run(monkeypatch, replicas, batch_size, record_steps):
-    """Maps, logs and range counts of a shuffled Adam replica run over
-    tensors of several blocks, at 1, 2 and 3 workers."""
+    """Maps, logs and task counts of a shuffled Adam replica run over
+    tensors of several blocks and tiles, at 1, 2 and 3 workers."""
     import soupstock.engine as engine
 
     counts, real = [], engine.run_in_workers
-    monkeypatch.setattr(engine, "run_in_workers", lambda task, n: counts.append(n) or real(task, n))
+    monkeypatch.setattr(engine, "run_in_workers", lambda tasks, n: counts.append(len(tasks)) or real(tasks, n))
     rng = np.random.default_rng(30)
-    shapes = {"a": (replicas, 70001), "b": (replicas, 5), "c": (replicas, 40000)}
+    shapes = {"a": (replicas, 70001), "b": (replicas, 5), "c": (replicas, 200000)}
     ingredients = [
         Ingredient(f"m{i}", WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}))
         for i in range(6)
@@ -827,14 +827,14 @@ def replica_range_run(monkeypatch, replicas, batch_size, record_steps):
 
 def test_greedy_run_is_one_range_at_any_worker_count(monkeypatch):
     # Acceptance needs the whole map's distance after every step, so a
-    # greedy run steps in this process whatever it is given; the map has
-    # blocks enough for a plain run to take three ranges.
+    # greedy run steps in this process whatever it is given, as one task; the
+    # map has blocks enough for a plain run to take two tiles.
     import soupstock.engine as engine
 
     counts, real = [], engine.run_in_workers
-    monkeypatch.setattr(engine, "run_in_workers", lambda task, n: counts.append(n) or real(task, n))
+    monkeypatch.setattr(engine, "run_in_workers", lambda tasks, n: counts.append(len(tasks)) or real(tasks, n))
     rng = np.random.default_rng(31)
-    shapes = {"a": (70001,), "b": (5,), "c": (90000,)}
+    shapes = {"a": (70001,), "b": (5,), "c": (200000,)}
     maps = [WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}) for _ in range(5)]
     cfg = EnsembleConfig(
         optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8), weight_decay=0.05),
@@ -851,7 +851,7 @@ def test_greedy_run_is_one_range_at_any_worker_count(monkeypatch):
     assert got == want and got_log == want_log
     assert {s.accepted for s in got_log.steps} == {True, False}
     run_ensemble(replace(cfg, greedy=None), ingredients, workers=3)
-    assert counts[-1] == 3
+    assert counts[-1] == 2
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -859,16 +859,109 @@ def test_replica_run_splits_into_block_ranges(monkeypatch, batch_size):
     # Several replicas reduce over no whole map, so their blocks split into
     # ranges as a plain run's do, and the merged maps stay bit-identical.
     runs, counts = replica_range_run(monkeypatch, 3, batch_size, record_steps=False)
-    assert counts == [1, 2, 3]
+    assert counts == [4, 4, 4]
     assert runs[1][0] == runs[0][0] and runs[2][0] == runs[0][0]
 
 
 def test_recorded_single_replica_run_splits_into_block_ranges(monkeypatch):
     runs, counts = replica_range_run(monkeypatch, 1, 2, record_steps=True)
-    assert counts == [1, 2, 2]  # a (1, 110006) map has too few blocks for three ranges
+    assert counts == [2, 2, 2]  # a (1, 270006) map is two tiles at any worker count
     for merged, record in runs[1:]:
         assert merged == runs[0][0]
         assert record == runs[0][1]
+
+
+# --- tiles ----------------------------------------------------------------------------
+#
+# A plain run takes each tile of blocks through every step before the next;
+# ensemble_steps steps the whole map at once. The tensor of (262147,)
+# elements straddles the edge of the two tiles.
+TILED_SHAPES = {"a": (70001,), "b": (5,), "c": (5,), "d": (262147,), "e": ()}
+
+
+def steps_to_the_end(cfg, ingredients):
+    """ensemble_steps' final iterate and log, the whole map stepped at once."""
+    steps = ensemble_steps(cfg, ingredients, OptimizerState())
+    while True:
+        try:
+            last = next(steps)
+        except StopIteration as end:
+            return last, end.value
+
+
+@pytest.mark.parametrize("variant", [GD(lr=Constant(0.1)), Adagrad(lr=Constant(0.1)),
+                                     Adam(lr=Constant(0.05), beta1=0.8, beta2=0.99), Adadelta(lr=Constant(1.0))],
+                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("policy", [AdaptivePivot(), FixedPivot(), EmaPivot(decay=0.7)],
+                         ids=["adaptive", "fixed", "ema"])
+def test_tiled_run_matches_the_whole_map_stepped_at_once(variant, policy):
+    import soupstock.engine as engine
+
+    rng = np.random.default_rng(33)
+    maps = [WeightMap({n: rng.standard_normal(s).astype(np.float32) for n, s in TILED_SHAPES.items()})
+            for _ in range(4)]
+    ingredients = [Ingredient(f"m{i}", m) for i, m in enumerate(maps)]
+    assert len(engine._tiles(maps[0].schema().blocks)) == 2
+    for weight_decay, batch_size in [(0.0, 1), (0.05, 3)]:
+        cfg = EnsembleConfig(optimizer=OptimizerSpec(variant, weight_decay=weight_decay), pivot_policy=policy,
+                             epochs=2, batch_size=batch_size, shuffle=True, seed=12, ordering="given")
+        want, want_log = steps_to_the_end(cfg, ingredients)
+        for workers in (1, 2, 3):
+            got, got_log = run_ensemble(cfg, ingredients, workers=workers)
+            assert got == want
+            assert got_log == want_log
+
+
+def test_the_earliest_failure_across_tiles_ends_the_run():
+    # The provided init is finite; step k takes ingredient k - 1. Ingredient
+    # 1 holds a NaN in the last tile's tensor and ingredient 2 in the first's,
+    # so the last tile fails at step 2 and the first would at step 3.
+    import soupstock.engine as engine
+
+    shapes = {"a": (4 * BLOCK,), "b": (4 * BLOCK,)}
+    values = [{n: np.ones(s, dtype=np.float32) for n, s in shapes.items()} for _ in range(3)]
+    values[1]["b"][5] = np.nan
+    values[2]["a"][7] = np.nan
+    ingredients = [Ingredient(f"g{i}", WeightMap(v)) for i, v in enumerate(values)]
+    assert engine._tiles(ingredients[0].weights.schema().blocks) == [range(0, 4), range(4, 8)]
+    cfg = EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))), n_divisor=1, ordering="given",
+                         pivot_init=ProvidedInit(WeightMap({n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()})))
+    for workers in (1, 2):
+        with pytest.raises(EngineError, match=r"after step 2 \(epoch 1, batch g1; first in tensor 'b'\)") as info:
+            run_ensemble(cfg, ingredients, workers=workers)
+        assert [s.step for s in info.value.record.steps] == [1]
+
+
+def test_a_step_allocates_no_block_buffer():
+    # Once the first step has allocated the state and the block buffers, a
+    # step's traced peak rises by the update rule's own temporaries and by
+    # less than one block besides: the batch mean, the decayed block, its
+    # finiteness mask and the norms' scratch are the ones the first step made.
+    import tracemalloc
+
+    from soupstock.optim import _adam_update
+
+    variant = Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99)
+    block = 4 * BLOCK  # bytes of a float32 block
+    rng = np.random.default_rng(34)
+    maps = [WeightMap({"w": rng.standard_normal(8 * BLOCK).astype(np.float32)}) for _ in range(3)]
+    g, out, m, v = (rng.standard_normal(BLOCK).astype(np.float32) for _ in range(4))
+    update = _adam_update(variant, 0.01, 2)
+    tracemalloc.start()
+    try:
+        update(g, out, m, np.abs(v))
+        rule = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        cfg = EnsembleConfig(optimizer=OptimizerSpec(variant, weight_decay=0.05), ordering="given", epochs=2)
+        steps = ensemble_steps(cfg, [Ingredient(f"m{i}", m) for i, m in enumerate(maps)], OptimizerState())
+        next(steps)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        next(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rule >= block  # the rule does allocate temporaries of a block
+    assert peak - held < rule + block
 
 
 def test_unshuffled_replica_run_takes_fresh_batch_means_each_epoch():

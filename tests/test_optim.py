@@ -18,7 +18,7 @@ from soupstock.optim import (
     optimizer_step,
     project_to_ball,
 )
-from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, _block_ranges, run_ensemble
+from soupstock.engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, run_ensemble
 from soupstock.pseudograd import (
     CappedPower,
     Constant,
@@ -360,7 +360,8 @@ def test_projection_rejects_bad_radius():
 )
 def test_state_buffers_counts_the_buffers_a_step_allocates(variant):
     # The pseudogradient is every buffer's fixed point (0, or m0 = sqrt(v0) for
-    # Adam), so after the step each buffer still holds its fill over the span.
+    # Adam), so after the step each buffer still holds its fill: it covers the
+    # stepped span alone, from the span's start.
     value = variant.fills[0] if variant.fills else 0.0
     w = wm(a=np.zeros(3 * BLOCK))
     state, out = OptimizerState(), w.flat.copy()
@@ -368,9 +369,7 @@ def test_state_buffers_counts_the_buffers_a_step_allocates(variant):
                    OptimizerSpec(variant), out=out, block_range=range(1, 2))
     assert len(state.buffers) == len(variant.fills)
     for buf, fill in zip(state.buffers, variant.fills):
-        expected = np.zeros(3 * BLOCK, dtype=np.float32)
-        expected[BLOCK : 2 * BLOCK] = fill
-        np.testing.assert_array_equal(buf, expected)
+        np.testing.assert_array_equal(buf, np.full(BLOCK, fill, dtype=np.float32))
 
 
 @pytest.mark.parametrize(
@@ -520,21 +519,20 @@ def test_steps_in_more_threads_than_blocks_and_cpus_match_one_thread():
     w = WeightMap(THREADED)
     g = WeightMap({name: np.cos(a) for name, a in THREADED.items()})
     schema = w.schema()
-    # Each range stepped alone, with a state of its own, gives the whole step's bits.
+    # Each range stepped alone, with a state of its own over its span, gives the whole step's bits.
     runs = []
-    for ranges in ([range(8)], _block_ranges(schema.blocks, 12)):
+    for ranges in ([range(8)], [range(b, b + 1) for b in range(8)]):
         out, norms, m, v = w.flat.copy(), np.empty((2, len(schema.piece_ends))), [], []
         for block_range in ranges:
             state = OptimizerState()
             for _ in range(3):
                 optimizer_step(WeightMap._wrap(out.view(), schema), g, state, spec, out=out, norms=norms,
                                block_range=block_range)
-            span = slice(schema.blocks[block_range[0]][0], schema.blocks[block_range[-1]][1])
-            m.append(state.buffers[0][span])
-            v.append(state.buffers[1][span])
+            m.append(state.buffers[0])
+            v.append(state.buffers[1])
         runs.append((out.tobytes(), np.concatenate(m).tobytes(), np.concatenate(v).tobytes(),
                      _add_pieces(norms[0], schema.piece_ends), _add_pieces(norms[1], schema.piece_ends)))
-    assert len(_block_ranges(schema.blocks, 12)) == 8
+    assert len(schema.blocks) == 8
     assert runs[0] == runs[1]
     # The same three steps as a run in 12 workers, more than blocks and CPUs.
     cfg, ingredients = _provided_run([g, g, g], spec)
