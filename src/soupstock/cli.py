@@ -309,25 +309,20 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
 
 def _cell_bytes(cfg: MergeConfig, size: int) -> int:
     """The bytes a cell of a model of ``size`` elements holds at its peak (see
-    engine._trajectory): its iterate, plus its optimizer state's buffers, one
-    per entry of the rule's ``fills``, and any fixed or EMA pivot's copy of
-    the initialization, over one tile (engine.TILE) and with at most 32 bytes
-    per element of a block of block buffers in a plain cell; over the whole
-    model in a greedy or projected one, which also holds greedy's target and
-    spare state, a projection's center, and the pre-step iterate of a greedy
-    run or of a projected run that logs its steps. A provided initialization
-    stays in its file, read a block at a time into the iterate."""
-    state = len(cfg.ensemble.optimizer.variant.fills)
-    pivot = not isinstance(cfg.ensemble.pivot_policy, AdaptivePivot)
-    greedy = cfg.greedy.enabled
-    projected = cfg.projection is not None
-    if not (greedy or projected):
-        return 4 * size + 4 * (state + pivot) * min(size, TILE) + 32 * min(size, BLOCK)
-    buffers = 1 + state + pivot
-    buffers += 1 + state if greedy else 0
-    buffers += projected
-    buffers += greedy or (projected and cfg.ensemble.record_steps)
-    return 4 * size * buffers
+    engine._trajectory): its iterate; over the stepped span (one tile,
+    engine.TILE, unless the cell is greedy or projected), its optimizer
+    state (a buffer per entry of the rule's ``fills``), greedy's spare state
+    and any fixed or EMA pivot; over the whole model, greedy's target, a
+    projection's center and the pre-step iterate of a greedy cell or of a
+    projected one that logs its steps; and 32 bytes per element of a block
+    of block buffers. A provided initialization stays in its file."""
+    ensemble = cfg.ensemble
+    greedy, projected = cfg.greedy.enabled, cfg.projection is not None
+    span = size if greedy or projected else min(size, TILE)
+    spanned = len(ensemble.optimizer.variant.fills) * (1 + greedy)
+    spanned += not isinstance(ensemble.pivot_policy, AdaptivePivot)
+    whole = 1 + greedy + projected + (greedy or (projected and ensemble.record_steps))
+    return 4 * size * whole + 4 * span * spanned + 32 * min(size, BLOCK)
 
 
 def _cgroup_dirs(proc: str = "/proc/self") -> list[str]:

@@ -18,8 +18,8 @@ averaged, turned into the pseudogradient by
 ``pseudograd._pseudogradient_values`` and fed to the optimizer, and the new
 values are checked to be finite (a NaN/Inf aborts the run with an
 EngineError naming the step and batch) and staged for the log norms, so no
-model-size mean or pseudogradient is ever built, and every step reuses the
-block buffers of the first. A run steps the one iterate buffer it owns in
+model-size mean or pseudogradient is ever built, and a trajectory's steps
+share its block buffers. A run steps the one iterate buffer it owns in
 place, from its initialization; a projected run projects it there. A greedy
 run, and a projected run that logs its steps, also copy the pre-step iterate
 into one buffer: a logged projection takes its displacement against it, and
@@ -74,6 +74,7 @@ from .optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
+    _step_blocks,
     optimizer_step,
     project_to_ball,
 )
@@ -371,7 +372,8 @@ def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
     same read-only view of the iterate after each step. Leaving the loop ends
     the run, with no further step; a run that ends returns its log, and a
     failure raises as there. Its steps run with numpy's overflow warnings
-    off, restored before each yield."""
+    off, restored before each yield. A state with buffers from a run over a
+    map of another size raises ValueError."""
     plan = _Plan(cfg, ingredients, None)
     iterate = np.empty(plan.schema.size, dtype=np.float32)
     steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
@@ -512,24 +514,26 @@ def _trajectory(
     """Every step of the run over the blocks of ``block_range``, from its
     share of the initialization, written into ``iterate`` and stepped there,
     to the EMA pivot over its span; no other element of ``iterate`` is
-    touched. ``state`` is the run's optimizer state, stepped in place.
+    touched, and every step is given one layout of those blocks. ``state``,
+    the run's optimizer state stepped in place, is new or has buffers over them.
 
     Yields the one read-only view of ``iterate`` it builds after each step, and
     returns (the steps done, entries, sums, failure). Per step done when the
-    run records steps, entries holds the log entry's fields other than the
-    norms, and sums the range's per-piece sums of squares for them, shape
-    (2, pieces). A run stops at its first failure, returned as (the
-    exception, the engine's message for a non-finite step or None).
+    run records steps, sums holds the range's per-piece sums of squares for
+    the log norms, shape (2, pieces), and entries (in the range from block 0
+    alone) the log entry's other fields. A run stops at its first failure,
+    returned as (the exception, the engine's message for a non-finite step
+    or None).
     """
     cfg, schema, greedy = plan.cfg, plan.schema, plan.cfg.greedy
-    stepped = schema.blocks[block_range.start : block_range.stop]
-    span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
-    pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
     entries: list[tuple] = []
     sums: list[np.ndarray] = []
     done = 0
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
+        # Built once the soup has freed its own block buffers, which would otherwise raise the peak.
+        layout = _step_blocks(schema.blocks[block_range.start : block_range.stop])
+        span, pieces, _ = layout
         ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
         pivot, base = iterate, 0  # pivot[i - base] is element i's
         if not isinstance(cfg.pivot_policy, AdaptivePivot):
@@ -568,7 +572,7 @@ def _trajectory(
                 try:
                     optimizer_step(
                         w, grad, state, cfg.optimizer, sched_idx,
-                        out=iterate, norms=norms, block_range=block_range,
+                        out=iterate, norms=norms, layout=layout,
                     )
                     moved = cfg.projection is not None and project_to_ball(
                         w, cfg.projection.center, cfg.projection.radius, out=iterate) is not w
@@ -586,10 +590,11 @@ def _trajectory(
                     metric = -l2_distance(w, greedy.target)
                     accepted = metric > best_metric
                 if norms is not None:
+                    sums.append(step_sums)
+                if norms is not None and block_range.start == 0:  # _record reads this range's entries alone
                     batch_ids = tuple(plan.sweep_ids[i] for i in order[0, start : start + cfg.batch_size])
                     eta = schedule_eval(cfg.optimizer.variant.lr, sched_idx)
                     entries.append((attempt, epoch, batch_ids, eta, zeta, metric, accepted))
-                    sums.append(step_sums)
                 if greedy is not None and not accepted:
                     iterate[span] = before[span]
                     state.step, spare.step = spare.step, state.step

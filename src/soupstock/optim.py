@@ -6,14 +6,13 @@ single pass over the weight map's flat float32 buffer in blocks of at most
 ``weightstore.BLOCK`` elements (``Schema.blocks``) and, per block, takes the
 pseudogradient (from a map or a per-block function), applies decoupled weight
 decay and the rule's block update, checks the result is finite, and, when
-asked, sums the float64 squares its log norms are taken from. With
-``block_range``, it steps only a contiguous range of those blocks, and reads
-and writes no element outside it: the engine steps one merge a tile of
-blocks at a time. All state lives in flat float32 buffers over the stepped
-span, one per entry of the variant's ``fills``, beside block buffers that
-every step reuses; the step counter increments inside each step call
-*before* the learning-rate schedule is read, so the first update runs at
-index 1.
+asked, sums the float64 squares its log norms are taken from. Given the
+layout of a contiguous run of those blocks, it steps only them, and reads and
+writes no element outside them: the engine steps one merge a tile of blocks
+at a time, through a layout it builds once per tile. All state lives in flat
+float32 buffers over the stepped span, one per entry of the variant's
+``fills``; the step counter increments inside each step call *before* the
+learning-rate schedule is read, so the first update runs at index 1.
 
 Adam follows the ensembling formulation exactly: the moving averages are the
 moments themselves (no separate bias-corrected copies),
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -190,14 +189,12 @@ def _check_lr_sign(lr: Schedule) -> None:
 class OptimizerState:
     """The global step counter plus the rule's state: one flat float32 buffer
     per entry of the variant's ``fills``, allocated by the first step over the
-    span of blocks it steps (the whole map without a ``block_range``), in the
-    weight map's buffer order from the span's start: Adagrad's sum of squared
-    gradients, Adam's moments m and v, Adadelta's accumulated squared
-    gradients and updates; and the block buffers every step works in."""
+    span of the blocks it steps, in the weight map's buffer order from the
+    span's start: Adagrad's sum of squared gradients, Adam's moments m and v,
+    Adadelta's accumulated squared gradients and updates."""
 
     step: int = 0
     buffers: tuple[np.ndarray, ...] = ()
-    _blocks: tuple = field(default=(), repr=False, compare=False)  # _step_blocks of the first step
 
 
 # --- block updates ------------------------------------------------------------------
@@ -304,21 +301,22 @@ def optimizer_step(
     *,
     out: np.ndarray | None = None,
     norms: np.ndarray | None = None,
-    block_range: range | None = None,
+    layout: tuple | None = None,
 ) -> WeightMap:
     """One step of spec's rule: decoupled weight decay, then the update.
 
     ``g`` is the pseudogradient: a map, or a function that returns the float32
     values of any slice of the flat buffer. The step makes one pass over the
-    schema's blocks (:attr:`Schema.blocks`), or over the blocks of
-    ``block_range``, indices into them; each block is decayed, updated and
-    checked to be finite (a NaN/Inf raises :class:`NonFiniteStep`, leaving
-    the state and ``out`` partly stepped) before it is written to ``out``, a
-    new buffer by default. ``out`` may be w's own buffer: every block is read
-    before it is written. A step of some of the blocks reads, writes and
-    allocates state for none of the other elements, so ``out`` must then be
-    given: the step leaves its other elements as they are. Every step of a
-    state must step the blocks its first step stepped.
+    blocks of ``layout``, the :func:`_step_blocks` of a contiguous run of the
+    schema's blocks (:attr:`Schema.blocks`; all of them by default), which
+    holds their slices and the block buffers that every step given it reuses.
+    Each block is decayed, updated and checked to be finite (a NaN/Inf raises
+    :class:`NonFiniteStep`, leaving the state and ``out`` partly stepped)
+    before it is written to ``out``, a new buffer by default. ``out`` may be
+    w's own buffer: every block is read before it is written. A step of some
+    of the blocks reads, writes and allocates state for none of the other
+    elements, so ``out`` must then be given. A state whose buffers span
+    another number of elements than the blocks raises ValueError first.
 
     With ``norms``, a float64 array of shape (2, len(schema.piece_ends)), the
     block's pseudogradient and displacement are also widened to float64,
@@ -326,6 +324,11 @@ def optimizer_step(
     of the stepped blocks only); ``weightstore._add_pieces`` adds a row up
     to its sum of squares in the order :func:`l2_distance` adds its own.
     """
+    schema = w.schema()
+    span, _pieces, rows = _step_blocks(schema.blocks) if layout is None else layout
+    size = span.stop - span.start
+    if state.buffers and len(state.buffers[0]) != size:
+        raise ValueError(f"optimizer state spans {len(state.buffers[0])} elements; this step steps {size}")
     if isinstance(g, WeightMap):
         _check_compatible(w, g)
         g = g.flat.__getitem__
@@ -334,13 +337,8 @@ def optimizer_step(
     idx = state.step if schedule_step is None else schedule_step
     eta = schedule_eval(variant.lr, idx)
     old = w.flat
-    schema = w.schema()
-    if not state._blocks:
-        blocks = schema.blocks
-        state._blocks = _step_blocks(blocks if block_range is None else blocks[block_range.start : block_range.stop])
-    span, rows = state._blocks
     if not state.buffers:
-        state.buffers = tuple(np.full(span.stop - span.start, fill, dtype=np.float32) for fill in variant.fills)
+        state.buffers = tuple(np.full(size, fill, dtype=np.float32) for fill in variant.fills)
     update = _UPDATES[type(variant)](variant, eta, state.step)
     decay = np.float32(1.0 - eta * spec.weight_decay)  # 1 without weight decay: an exact copy
     new = np.empty_like(old) if out is None else out
@@ -357,12 +355,14 @@ def optimizer_step(
     return WeightMap._wrap(new if out is None else new.view(), schema)
 
 
-def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice, tuple]:
-    """The span of the blocks ``stepped`` and a row per block: its slice of
-    the flat buffer and of the span, views of one float32 work buffer,
-    finiteness mask and float64 scratch of the largest block's size, its
-    count and its slice of the pieces."""
+def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice, slice, tuple]:
+    """The layout of the blocks ``stepped``, consecutive entries of
+    :attr:`Schema.blocks`: their span, their slice of the pieces, and a row
+    per block: its slice of the flat buffer and of the span, views of one
+    float32 work buffer, finiteness mask and float64 scratch of the largest
+    block's size, its count and its slice of the pieces."""
     span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
+    pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
     size = max((hi - lo for lo, hi, _count, _piece in stepped), default=0)
     work, finite, wide = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool), np.empty(size)
     rows = tuple(
@@ -370,7 +370,7 @@ def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice,
          wide[: hi - lo], count, slice(piece, piece + count))
         for lo, hi, count, piece in stepped
     )
-    return span, rows
+    return span, pieces, rows
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,

@@ -750,6 +750,7 @@ def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemb
     size = 1 << 22  # 64 blocks, 16 tiles: a tile's state and the block buffers stay well under one model size
     cfg, peak = cell_peak(tmp_path, ensemble, greedy, size)
     assert round(cli._cell_bytes(cfg, size) / (4 * size)) == buffers
+    assert cli._cell_bytes(cfg, size) >= peak
     assert abs(peak / (4 * size) - buffers) <= 1
 
 

@@ -636,6 +636,34 @@ def test_chained_greedy_runs_whose_first_step_is_rejected_equal_one_longer_run()
     assert state_bytes(state) == state_bytes(long_state)
 
 
+def point_run(size, optimizer):
+    """A run of one step over a map of ``size`` elements, from zeros toward ones."""
+    zeros, ones = (WeightMap({"w": np.full(size, value, dtype=np.float32)}) for value in (0.0, 1.0))
+    return gd_cfg(optimizer=optimizer, pivot_init=ProvidedInit(zeros)), [Ingredient("ones", ones)]
+
+
+@pytest.mark.parametrize("sizes", [(2, 5), (5, 2)], ids=["grows", "shrinks"])
+def test_a_state_carried_to_a_map_of_another_size_raises(sizes):
+    # Adam's moments span the first map's elements: stepped over another
+    # number of elements, they would leave some unstepped or step them with
+    # another element's moments.
+    adam = OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8))
+    state = OptimizerState()
+    drive(ensemble_steps(*point_run(sizes[0], adam), state))
+    with pytest.raises(ValueError, match=f"^optimizer state spans {sizes[0]} elements; this step steps {sizes[1]}$"):
+        drive(ensemble_steps(*point_run(sizes[1], adam), state))
+    assert state.step == 1
+
+
+def test_a_gd_state_holds_no_buffers_and_carries_to_a_map_of_any_size():
+    state = OptimizerState()
+    for size in (2, 5, 2):
+        views, _ = drive(ensemble_steps(*point_run(size, OptimizerSpec(GD(lr=Constant(0.5)))), state))
+        np.testing.assert_array_equal(views[-1], np.full(size, 0.5, dtype=np.float32))
+    assert state.step == 3
+    assert state.buffers == ()
+
+
 def test_ensemble_steps_hand_each_step_to_the_callers_floating_point_state():
     ingredients = make_ingredients(seed=65, count=3)
     seen = []
@@ -930,6 +958,26 @@ def test_the_earliest_failure_across_tiles_ends_the_run():
         with pytest.raises(EngineError, match=r"after step 2 \(epoch 1, batch g1; first in tensor 'b'\)") as info:
             run_ensemble(cfg, ingredients, workers=workers)
         assert [s.step for s in info.value.record.steps] == [1]
+
+
+def test_a_recorded_run_of_many_tiles_builds_each_log_entry_once(monkeypatch):
+    # Every tile reports its piece sums, but only the first builds the log
+    # entries, each of which evaluates the lr schedule once for its eta.
+    import soupstock.engine as engine
+
+    lr, calls = Constant(0.1), []
+
+    def counted(schedule, step):
+        calls.append(schedule is lr)
+        return schedule_eval(schedule, step)
+
+    monkeypatch.setattr(engine, "schedule_eval", counted)
+    maps = [WeightMap({"w": np.full(9 * BLOCK, i, dtype=np.float32)}) for i in range(3)]
+    assert len(engine._tiles(maps[0].schema().blocks)) == 3
+    cfg = gd_cfg(optimizer=OptimizerSpec(GD(lr=lr)), epochs=2)
+    _, record = run_ensemble(cfg, [Ingredient(f"m{i}", m) for i, m in enumerate(maps)], workers=1)
+    assert [s.eta for s in record.steps] == [0.1] * 6
+    assert sum(calls) == 6
 
 
 def test_a_step_allocates_no_block_buffer():

@@ -15,6 +15,7 @@ from soupstock.optim import (
     NonFiniteStep,
     OptimizerSpec,
     OptimizerState,
+    _step_blocks,
     optimizer_step,
     project_to_ball,
 )
@@ -366,7 +367,7 @@ def test_state_buffers_counts_the_buffers_a_step_allocates(variant):
     w = wm(a=np.zeros(3 * BLOCK))
     state, out = OptimizerState(), w.flat.copy()
     optimizer_step(w, lambda s: np.full(s.stop - s.start, value, dtype=np.float32), state,
-                   OptimizerSpec(variant), out=out, block_range=range(1, 2))
+                   OptimizerSpec(variant), out=out, layout=_step_blocks(w.schema().blocks[1:2]))
     assert len(state.buffers) == len(variant.fills)
     for buf, fill in zip(state.buffers, variant.fills):
         np.testing.assert_array_equal(buf, np.full(BLOCK, fill, dtype=np.float32))
@@ -524,10 +525,10 @@ def test_steps_in_more_threads_than_blocks_and_cpus_match_one_thread():
     for ranges in ([range(8)], [range(b, b + 1) for b in range(8)]):
         out, norms, m, v = w.flat.copy(), np.empty((2, len(schema.piece_ends))), [], []
         for block_range in ranges:
-            state = OptimizerState()
+            state, layout = OptimizerState(), _step_blocks(schema.blocks[block_range.start : block_range.stop])
             for _ in range(3):
                 optimizer_step(WeightMap._wrap(out.view(), schema), g, state, spec, out=out, norms=norms,
-                               block_range=block_range)
+                               layout=layout)
             m.append(state.buffers[0])
             v.append(state.buffers[1])
         runs.append((out.tobytes(), np.concatenate(m).tobytes(), np.concatenate(v).tobytes(),
