@@ -13,23 +13,21 @@ metrics files, mid-run errors).
 Input paths inside a config resolve relative to the config file's directory;
 output paths resolve relative to --out (default: the config directory).
 
-A sweep opens its ingredients once and runs its cells in up to one worker
-per usable CPU (its CPU affinity, within any cgroup v2 cpu.max quota), as
-many as the cells' model-size buffers fit into the memory available
-(MemAvailable, within any cgroup v2 memory.max); if the ingredients fail to
-open, every cell fails with that error. Each cell is one task of
+A merge opens each file it names once, the ingredients first and in config
+order, and builds every cell's engine config before any cell runs. A sweep
+runs its cells in up to one worker per usable CPU, as many as the cells'
+peaks (``engine.cell_bytes``) fit into the memory available; if the
+ingredients fail to open, every cell fails with that error, and a cell whose
+own file fails to open fails alone. Each cell is one task of
 ``engine.run_in_workers``; its worker writes its outputs and returns its
 manifest entry, or the cell fails with the worker's exit status. A
 single-cell merge is not a sweep and runs here directly. Every cell is one
 ``engine.run_ensemble`` call, given as many tile workers as the usable CPUs
 for a single cell, and the usable CPUs divided by the sweep's workers (at
-least one) for each cell of a sweep; the engine runs a greedy or projected
-cell as one trajectory over the whole model, stepped in place in the
-process that runs the cell, beside one pre-step copy of its iterate if it is
-greedy or logs its steps. ``synth estimators`` runs one chunk of trials per
-worker, at most one per usable CPU. Worker 0 is this process, and ``engine.run_in_workers``
-forks the others, or, while other threads run, runs every task here. No
-output depends on the number of workers.
+least one) for each cell of a sweep. ``synth estimators`` runs one chunk of
+trials per worker, at most one per usable CPU. Worker 0 is this process, and
+``engine.run_in_workers`` forks the others, or, while other threads run,
+runs every task here. No output depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import os
 import sys
 from contextlib import ExitStack
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,18 +55,19 @@ from .config import (
     sweep_cell_name,
 )
 from .engine import (
-    TILE,
     EnsembleConfig,
     Greedy,
     Ingredient,
     Projection,
     ProvidedInit,
+    _outcome,
+    cell_bytes,
     run_ensemble,
     run_in_workers,
 )
 from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
-from .pseudograd import AdaptivePivot, Constant, soup
+from .pseudograd import Constant, soup
 from .rng import MAX_SEED
 from .synthlab import (
     DistributionSpec,
@@ -82,7 +81,7 @@ from .synthlab import (
 )
 from .verify import SUITES, run_suites
 from .weightstore import (
-    BLOCK,
+    StoredMap,
     WeightMap,
     load_checkpoint,
     open_checkpoint,
@@ -142,9 +141,9 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
 
 
 def _open_ingredients(
-    cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, stack: ExitStack
+    cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, open_map: Callable[[str], StoredMap]
 ) -> list[Ingredient]:
-    """Open the ingredient files in config order; `stack` closes them. The
+    """Open the ingredient files in config order with `open_map`. The
     metrics CSV is read first, and every metric some cell's ordering needs
     is checked to be there, before any file is opened."""
     cfg = cells[0][1]  # every cell shares the ingredient list and metrics CSV
@@ -156,45 +155,36 @@ def _open_ingredients(
     if needing and None in values:
         missing = cfg.ingredients[values.index(None)].id
         raise UsageError(f"ordering {needing[0]!r} requires metrics; missing for {missing!r}")
-    ingredients = []
-    for entry, metric in zip(cfg.ingredients, values):
-        weights = stack.enter_context(open_checkpoint(os.path.join(base_dir, entry.path)))
-        ingredients.append(Ingredient(id=entry.id, weights=weights, metric=metric))
-    # Checked before a cell builds a soup centre of them, each named by id as the engine names it.
+    ingredients = [Ingredient(id=entry.id, weights=open_map(entry.path), metric=metric)
+                   for entry, metric in zip(cfg.ingredients, values)]
+    # One check for every cell (a sweep is sized from the first's size), naming each by id as the engine does.
     validate_compatible([ing.weights for ing in ingredients], [f"ingredient {ing.id!r}" for ing in ingredients])
     return ingredients
 
 
-def _build_engine_config(cfg: MergeConfig, base_dir: str, ingredients: list[Ingredient],
-                         stack: ExitStack) -> EnsembleConfig:
-    pivot_init = cfg.ensemble.pivot_init
-    if cfg.pivot_init_path is not None:  # it stays in its file, open on the stack
-        path = os.path.join(base_dir, cfg.pivot_init_path)
-        pivot_init = ProvidedInit(stack.enter_context(open_checkpoint(path)))
+def _build_engine_config(cfg: MergeConfig, open_map: Callable[[str], StoredMap]) -> EnsembleConfig:
+    """The cell's engine config, each file it names opened by `open_map` and
+    left in its file; the engine builds a "soup" centre itself."""
+    provided = cfg.pivot_init_path is not None
+    pivot_init = ProvidedInit(open_map(cfg.pivot_init_path)) if provided else cfg.ensemble.pivot_init
     projection = None
     if cfg.projection is not None:
-        if cfg.projection.center == "soup":
-            center = soup([ing.weights for ing in ingredients])
-        else:
-            center = load_checkpoint(os.path.join(base_dir, cfg.projection.center))
+        center = None if cfg.projection.center == "soup" else open_map(cfg.projection.center)
         projection = Projection(center=center, radius=cfg.projection.radius)
-    greedy = None
-    if cfg.greedy.enabled:
-        greedy = Greedy(load_checkpoint(os.path.join(base_dir, cfg.greedy.target_path)))
+    greedy = Greedy(open_map(cfg.greedy.target_path)) if cfg.greedy.enabled else None
     return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection, greedy=greedy)
 
 
 def _run_merge_cell(
-    cfg: MergeConfig, base_dir: str, out_dir: str, ingredients: list[Ingredient], workers: int
+    cfg: MergeConfig, engine_cfg: EnsembleConfig, out_dir: str, ingredients: list[Ingredient], workers: int
 ) -> tuple[str, str]:
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
-    with ExitStack() as stack:
-        engine_cfg = _build_engine_config(cfg, base_dir, ingredients, stack)
-        merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
-        provided = [engine_cfg.pivot_init.weights] if cfg.pivot_init_path is not None else []
-        publish({out_ckpt: partial(save_checkpoint, merged), out_log: record.to_csv},
-                [ing.weights for ing in ingredients] + provided)
+    merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
+    init, projection, greedy = engine_cfg.pivot_init, engine_cfg.projection, engine_cfg.greedy
+    named = [getattr(init, "weights", None), projection and projection.center, greedy and greedy.target]
+    publish({out_ckpt: partial(save_checkpoint, merged), out_log: record.to_csv},
+            [ing.weights for ing in ingredients] + [m for m in named if isinstance(m, StoredMap)])
     return out_ckpt, out_log
 
 
@@ -253,20 +243,35 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
     out_dir = args.out if args.out is not None else base_dir
     _check_merge_outputs(cells, base_dir, out_dir)
 
-    # The ingredients stay open, one file each, until the merge ends.
+    # Every file the merge names is opened once, ingredients first, and stays open until the merge ends.
     with ExitStack() as stack:
+        opened: dict[str, StoredMap | Exception] = {}
+        stack.callback(lambda: [m.close() for m in opened.values() if isinstance(m, StoredMap)])
+
+        def open_map(path: str) -> StoredMap:
+            path = os.path.join(base_dir, path)
+            if path not in opened:  # a failure is kept, and raised for each cell that names the file
+                opened[path] = _outcome(partial(open_checkpoint, path))
+            if isinstance(opened[path], Exception):
+                raise opened[path]
+            return opened[path]
+
         if len(cells) == 1 and not cells[0][0]:
-            ingredients = _open_ingredients(cells, base_dir, stack)
-            out_ckpt, out_log = _run_merge_cell(cells[0][1], base_dir, out_dir, ingredients, _usable_cpus())
+            ingredients = _open_ingredients(cells, base_dir, open_map)
+            engine_cfg = _build_engine_config(cells[0][1], open_map)
+            out_ckpt, out_log = _run_merge_cell(cells[0][1], engine_cfg, out_dir, ingredients, _usable_cpus())
             _say(args, f"merged -> {out_ckpt} (log {out_log})")
             return 0
 
-        def run_cell(overrides: dict[str, Any], cell_cfg: MergeConfig, workers: int) -> dict[str, Any]:
+        def run_cell(overrides: dict[str, Any], cell_cfg: MergeConfig, engine_cfg: EnsembleConfig | Exception,
+                     workers: int) -> dict[str, Any]:
             """The cell's manifest fields besides its name and overrides: a
             plain dict, so that its error text is the same in any worker."""
             try:
+                if isinstance(engine_cfg, Exception):  # a file the cell names failed to open
+                    raise engine_cfg
                 cell_dir = os.path.join(out_dir, sweep_cell_name(overrides))
-                out_ckpt, out_log = _run_merge_cell(cell_cfg, base_dir, cell_dir, ingredients, workers)
+                out_ckpt, out_log = _run_merge_cell(cell_cfg, engine_cfg, cell_dir, ingredients, workers)
             except Exception as exc:  # a failing cell must not abort the others
                 return {"status": "error", "error": str(exc)}
             return {
@@ -279,15 +284,18 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
         # ingredient list and metrics CSV: open them once.
         ingredients: list[Ingredient] = []
         try:
-            ingredients = _open_ingredients(cells, base_dir, stack)
+            ingredients = _open_ingredients(cells, base_dir, open_map)
         except UsageError:  # a config fault: no cell runs
             raise
         except Exception as exc:  # fails every cell, as it would if each cell opened them itself
             outcomes: list[Any] = [exc] * len(cells)
         else:
-            workers = _sweep_workers(cells, ingredients)
+            configs = [_outcome(partial(_build_engine_config, cell_cfg, open_map)) for _, cell_cfg in cells]
+            built = [engine_cfg for engine_cfg in configs if not isinstance(engine_cfg, Exception)]
+            workers = _sweep_workers(built, ingredients[0].weights.num_elements())
             cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
-            outcomes = run_in_workers([partial(run_cell, *cell, cell_workers) for cell in cells], workers)
+            tasks = [partial(run_cell, *cell, engine_cfg, cell_workers) for cell, engine_cfg in zip(cells, configs)]
+            outcomes = run_in_workers(tasks, workers)
         manifest: list[dict[str, Any]] = [
             {"cell": sweep_cell_name(overrides), "overrides": overrides,
              **({"status": "error", "error": str(outcome)} if isinstance(outcome, Exception) else outcome)}
@@ -300,29 +308,11 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        publish({manifest_path: write_manifest}, [ing.weights for ing in ingredients])
+        publish({manifest_path: write_manifest}, [m for m in opened.values() if isinstance(m, StoredMap)])
         for entry in manifest:
             _say(args, f"{entry['cell']}: {entry['status']}")
         _say(args, f"sweep: {len(manifest) - failures}/{len(manifest)} cells ok -> {manifest_path}")
         return 0 if failures == 0 else 2
-
-
-def _cell_bytes(cfg: MergeConfig, size: int) -> int:
-    """The bytes a cell of a model of ``size`` elements holds at its peak (see
-    engine._trajectory): its iterate; over the stepped span (one tile,
-    engine.TILE, unless the cell is greedy or projected), its optimizer
-    state (a buffer per entry of the rule's ``fills``), greedy's spare state
-    and any fixed or EMA pivot; over the whole model, greedy's target, a
-    projection's center and the pre-step iterate of a greedy cell or of a
-    projected one that logs its steps; and 32 bytes per element of a block
-    of block buffers. A provided initialization stays in its file."""
-    ensemble = cfg.ensemble
-    greedy, projected = cfg.greedy.enabled, cfg.projection is not None
-    span = size if greedy or projected else min(size, TILE)
-    spanned = len(ensemble.optimizer.variant.fills) * (1 + greedy)
-    spanned += not isinstance(ensemble.pivot_policy, AdaptivePivot)
-    whole = 1 + greedy + projected + (greedy or (projected and ensemble.record_steps))
-    return 4 * size * whole + 4 * span * spanned + 32 * min(size, BLOCK)
 
 
 def _cgroup_dirs(proc: str = "/proc/self") -> list[str]:
@@ -391,19 +381,15 @@ def _available_memory() -> int:
     return available
 
 
-def _sweep_workers(
-    cells: list[tuple[dict[str, Any], MergeConfig]], ingredients: list[Ingredient]
-) -> int:
-    """Processes to run the sweep's cells in: one per usable CPU, at most one
-    per cell, and only as many as hold their cells' buffers at once in the
-    available memory."""
-    workers = min(len(cells), _usable_cpus())
-    if workers > 1:
-        size = ingredients[0].weights.num_elements()
-        cell_bytes = max(_cell_bytes(cfg, size) for _, cfg in cells)
-        if cell_bytes > 0:
-            workers = min(workers, _available_memory() // cell_bytes)
-    return max(workers, 1)
+def _sweep_workers(configs: list[EnsembleConfig], size: int) -> int:
+    """Processes to run the sweep's cells in: one per usable CPU and cell at
+    most, and only as many, W, as hold W times the largest cell's peak in the
+    available memory (``engine.cell_bytes``, its tiles on its share of the CPUs)."""
+    cpus, available = _usable_cpus(), _available_memory()
+    for workers in range(min(len(configs), cpus), 1, -1):
+        if workers * max(cell_bytes(cfg, size, cpus // workers) for cfg in configs) <= available:
+            return workers
+    return 1
 
 
 # --- synth -----------------------------------------------------------------------------

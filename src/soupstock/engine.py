@@ -119,6 +119,7 @@ __all__ = [
     "order_ingredients",
     "run_ensemble",
     "ensemble_steps",
+    "cell_bytes",
     "run_in_workers",
 ]
 
@@ -184,18 +185,22 @@ PivotInit = SoupInit | IngredientInit | ProvidedInit
 
 @dataclass(frozen=True)
 class Projection:
-    center: WeightMap
+    """Projection onto the ball of ``radius`` around ``center``: a map (a
+    StoredMap is read into memory when the run starts), or None for the
+    float64 soup of every ingredient in the order given, which the run builds."""
+
+    center: WeightMap | StoredMap | None
     radius: float
 
 
 @dataclass(frozen=True)
 class Greedy:
-    """Greedy acceptance: a step stands only if its metric,
-    -l2_distance(iterate, target), strictly exceeds the best so far (the
-    initialization's at first); otherwise the iterate, the optimizer state
-    and the pivot return to their pre-step values."""
+    """Greedy acceptance: a step stands only if -l2_distance(iterate, target)
+    strictly exceeds the best so far (the initialization's at first);
+    otherwise the iterate, the optimizer state and the pivot return to their
+    pre-step values. A stored target is read into memory when the run starts."""
 
-    target: WeightMap
+    target: WeightMap | StoredMap
 
 
 @dataclass(frozen=True)
@@ -490,6 +495,11 @@ class _Plan:
             raise EngineError(
                 f"batch_size {cfg.batch_size} exceeds the {len(sweep)} ingredients in the sweep"
             )
+        # Every whole-map step reads the centre and the target whole, so they are read into memory.
+        self.center, self.target = (m.load() if isinstance(m, StoredMap) else m
+                                    for m in (references["projection center"], references["greedy target"]))
+        if cfg.projection is not None and self.center is None:
+            self.center = soup([ing.weights for ing in items])
         self.cfg = cfg
         self.whole_map = cfg.projection is not None or cfg.greedy is not None
         self.sweep_ids = [ing.id for ing in sweep]
@@ -506,6 +516,20 @@ def _tiles(blocks: tuple[tuple[int, int, int, int], ...]) -> list[range]:
         if end - blocks[cuts[-1]][0] > TILE:
             cuts.append(index)
     return [range(a, b) for a, b in zip(cuts, [*cuts[1:], len(blocks)])]
+
+
+def cell_bytes(cfg: EnsembleConfig, size: int, workers: int = 1) -> int:
+    """The bytes a run of ``cfg`` over ``size`` elements holds at its peak on
+    ``workers`` workers (see :func:`_trajectory`): its iterate; per tile it
+    steps at once (a greedy or projected run is one tile, the whole map), the
+    optimizer state, greedy's spare and any fixed or EMA pivot over the tile
+    and 32 bytes per block element; greedy's target, a projection's centre
+    and the pre-step iterate of a greedy or a logged projected run."""
+    greedy, projected = cfg.greedy is not None, cfg.projection is not None
+    tiles, span = (1, size) if greedy or projected else (min(workers, -(-size // TILE)), min(size, workers * TILE))
+    spanned = len(cfg.optimizer.variant.fills) * (1 + greedy) + (not isinstance(cfg.pivot_policy, AdaptivePivot))
+    whole = 1 + greedy + projected + (greedy or (projected and cfg.record_steps))
+    return 4 * size * whole + 4 * span * spanned + 32 * min(size, BLOCK) * tiles
 
 
 def _trajectory(
@@ -548,7 +572,7 @@ def _trajectory(
         # The pre-step iterate, read by a greedy revert and a logged projection's displacement.
         keep_before = greedy is not None or (cfg.projection is not None and norms is not None)
         before = np.empty(schema.size, dtype=np.float32) if keep_before else None
-        best_metric = -l2_distance(w, greedy.target) if greedy is not None else None
+        best_metric = -l2_distance(w, plan.target) if greedy is not None else None
 
         for epoch in range(1, cfg.epochs + 1):
             if not plan.sweep_ids:
@@ -575,7 +599,7 @@ def _trajectory(
                         out=iterate, norms=norms, layout=layout,
                     )
                     moved = cfg.projection is not None and project_to_ball(
-                        w, cfg.projection.center, cfg.projection.radius, out=iterate) is not w
+                        w, plan.center, cfg.projection.radius, out=iterate) is not w
                 except NonFiniteStep as exc:
                     batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
                     message = _nonfinite_message(schema, exc.index, batch_idx, plan.sweep_ids, attempt, epoch)
@@ -587,7 +611,7 @@ def _trajectory(
                 metric: float | None = None
                 accepted: bool | None = None
                 if greedy is not None:
-                    metric = -l2_distance(w, greedy.target)
+                    metric = -l2_distance(w, plan.target)
                     accepted = metric > best_metric
                 if norms is not None:
                     sums.append(step_sums)

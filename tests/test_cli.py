@@ -10,6 +10,7 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
+from soupstock import engine
 from soupstock.cli import build_parser, main
 from soupstock.config import (
     ConfigError,
@@ -23,7 +24,7 @@ from soupstock.engine import EnsembleConfig, Ingredient, IngredientInit, run_ens
 from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import ConvergenceReport, default_estimator_config
-from soupstock.weightstore import WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
+from soupstock.weightstore import BLOCK, WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
 
 from conftest import another_thread_running, no_warnings
 
@@ -401,6 +402,37 @@ def test_merge_sweep_loads_ingredients_once(tmp_path, monkeypatch):
     assert len(opened) == 3 and loaded == []
 
 
+@pytest.mark.parametrize("target", ["target.safetensors", "ing0.safetensors"], ids=["own-file", "an-ingredient"])
+def test_merge_sweep_opens_a_shared_greedy_target_once(tmp_path, monkeypatch, target):
+    # On one CPU every cell runs in this process, so that an open or a load per cell is counted.
+    import soupstock.cli as cli
+
+    paths = write_ingredients(tmp_path, count=4)
+    os.replace(paths[3], tmp_path / "target.safetensors")
+    doc = merge_doc(count=3)
+    doc["ensemble"]["greedy"] = {"enabled": True, "evaluator": {"kind": "neg_distance", "target": target}}
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2, 0.3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    opened, loaded = [], []
+    monkeypatch.setattr(cli, "open_checkpoint", lambda path: opened.append(path) or open_checkpoint(path))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
+    names = [f"ing{i}.safetensors" for i in range(3)] + [target]
+    assert sorted(opened) == sorted({str(tmp_path / name) for name in names}) and loaded == []
+
+
+def test_merge_sweep_cell_whose_centre_is_missing_fails_alone(tmp_path):
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.projection": [None, {"center": "missing.safetensors", "radius": 1.0}]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "g" / "sweep_manifest.json").read_text())
+    assert [entry["status"] for entry in manifest] == ["ok", "error"]
+    assert manifest[1]["error"] == f"[Errno 2] No such file or directory: '{tmp_path / 'missing.safetensors'}'"
+
+
 def test_merge_sweep_load_failure_fails_every_cell(tmp_path):
     write_ingredients(tmp_path, count=2)
     doc = merge_doc(count=2)
@@ -710,19 +742,19 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1, 0.2, 0.3, 0.4]}
     cells = enumerate_sweep(doc)
     model = WeightMap({"w": np.zeros((10, 25), dtype=np.float32)})
-    ingredients = [Ingredient(f"ing{i}", model) for i in range(3)]
-    cell_bytes = cli._cell_bytes(cells[0][1], 250)
+    configs = [cli._build_engine_config(cfg, lambda path: model) for _, cfg in cells]
+    cell_bytes = engine.cell_bytes(configs[0], 250)
     assert cell_bytes >= 4 * 250 * buffers  # a model smaller than a tile counts its whole state
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     for available, workers in [(10**12, 4), (3 * cell_bytes, 3), (2 * cell_bytes - 1, 1), (0, 1)]:
         monkeypatch.setattr(cli, "_available_memory", lambda: available)
-        assert cli._sweep_workers(cells, ingredients) == workers
+        assert cli._sweep_workers(configs, 250) == workers
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli._sweep_workers(cells, ingredients) == 1
+    assert cli._sweep_workers(configs, 250) == 1
 
 
 def cell_peak(tmp_path, ensemble, greedy, size):
-    """The cell's config and its traced peak over one merge of three
+    """The cell's engine config and its traced peak over one merge of three
     ingredients of ``size`` elements."""
     import soupstock.cli as cli
 
@@ -733,14 +765,18 @@ def cell_peak(tmp_path, ensemble, greedy, size):
     cells = enumerate_sweep(cell_doc(ensemble, greedy))
     [(_, cfg)] = cells
     with ExitStack() as stack:
-        ingredients = cli._open_ingredients(cells, str(tmp_path), stack)
+        def open_map(path):
+            return stack.enter_context(open_checkpoint(str(tmp_path / path)))
+
+        ingredients = cli._open_ingredients(cells, str(tmp_path), open_map)
+        engine_cfg = cli._build_engine_config(cfg, open_map)
         tracemalloc.start()
         try:
-            cli._run_merge_cell(cfg, str(tmp_path), str(tmp_path / "out"), ingredients, 1)
+            cli._run_merge_cell(cfg, engine_cfg, str(tmp_path / "out"), ingredients, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    return cfg, peak
+    return engine_cfg, peak
 
 
 @CELL_VARIANTS
@@ -748,9 +784,9 @@ def test_a_cell_peaks_within_one_model_size_of_its_buffer_count(tmp_path, ensemb
     import soupstock.cli as cli
 
     size = 1 << 22  # 64 blocks, 16 tiles: a tile's state and the block buffers stay well under one model size
-    cfg, peak = cell_peak(tmp_path, ensemble, greedy, size)
-    assert round(cli._cell_bytes(cfg, size) / (4 * size)) == buffers
-    assert cli._cell_bytes(cfg, size) >= peak
+    engine_cfg, peak = cell_peak(tmp_path, ensemble, greedy, size)
+    assert round(engine.cell_bytes(engine_cfg, size) / (4 * size)) == buffers
+    assert engine.cell_bytes(engine_cfg, size) >= peak
     assert abs(peak / (4 * size) - buffers) <= 1
 
 
@@ -842,6 +878,25 @@ def test_merge_sweep_runs_serially_when_memory_is_short(tmp_path, monkeypatch):
     assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
 
 
+def test_sweep_counts_the_tiles_each_cell_steps_at_once(monkeypatch):
+    # Two plain Adam cells of two tiles each: on 4 CPUs, two sweep workers
+    # would each step both tiles of its cell at once, two tiles' state and
+    # block buffers apiece, which memory for two one-tile counts does not hold.
+    import soupstock.cli as cli
+
+    doc = merge_doc(count=3, optimizer={"kind": "adam", "lr": 0.1})
+    doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1]}
+    configs = [cli._build_engine_config(cfg, lambda path: pytest.fail(f"opened {path}"))
+               for _, cfg in enumerate_sweep(doc)]
+    size = 2 * engine.TILE
+    one_tile = engine.cell_bytes(configs[0], size)
+    assert engine.cell_bytes(configs[0], size, 2) == one_tile + 4 * engine.TILE * 2 + 32 * BLOCK
+    assert engine.cell_bytes(configs[0], size, 3) == engine.cell_bytes(configs[0], size, 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * one_tile)
+    assert cli._sweep_workers(configs, size) == 1
+
+
 def _rewrite_in_place(path):
     st = path.stat()
     with open(path, "r+b") as fh:  # same inode, same size, new contents
@@ -888,6 +943,33 @@ def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
     monkeypatch.setattr(cli, "run_ensemble", run_with_change)
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert f"{changed}.safetensors: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
+
+
+@pytest.mark.parametrize("key", ["greedy", "projection"])
+def test_merge_reference_rewritten_during_the_run_exits_2_without_outputs(tmp_path, monkeypatch, capsys, key):
+    # A greedy target or a projection centre stays open through the merge and
+    # is checked unchanged before the outputs replace their paths.
+    import soupstock.cli as cli
+
+    paths = write_ingredients(tmp_path, count=4)
+    os.replace(paths[3], tmp_path / "reference.safetensors")
+    doc = merge_doc(count=3, projection={"center": "reference.safetensors", "radius": 1.0})
+    if key == "greedy":
+        doc = merge_doc(count=3)
+        doc["ensemble"]["greedy"] = {"enabled": True,
+                                     "evaluator": {"kind": "neg_distance", "target": "reference.safetensors"}}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    real_run = cli.run_ensemble
+
+    def run_then_change(cfg, ingredients, **kwargs):
+        result = real_run(cfg, ingredients, **kwargs)
+        _rewrite_in_place(tmp_path / "reference.safetensors")
+        return result
+
+    monkeypatch.setattr(cli, "run_ensemble", run_then_change)
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'reference.safetensors'}: file changed while it was open\n"
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
 
 

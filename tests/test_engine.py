@@ -475,6 +475,41 @@ def test_schema_mismatch_names_the_reference_map(feature):
     )
 
 
+def test_a_projection_without_a_centre_projects_onto_the_soup_of_every_ingredient():
+    # The soup of every ingredient in the order given: not the sweep (m01
+    # seeds the iterate), nor the metric order the run steps in.
+    ingredients = [replace(ing, metric=float(i)) for i, ing in enumerate(make_ingredients(seed=63, count=4))]
+    center = soup([ing.weights for ing in ingredients])
+    cfg = gd_cfg(optimizer=OptimizerSpec(Adagrad(lr=Constant(0.3), eps=1e-8)), epochs=2, ordering="metric_desc",
+                 pivot_init=IngredientInit("m01"), projection=Projection(center, 0.05))
+    built = replace(cfg, projection=Projection(None, 0.05))
+    want, want_log = run_ensemble(cfg, ingredients)
+    assert want != run_ensemble(replace(cfg, projection=None), ingredients)[0]  # the ball binds
+    for workers in (1, 2):
+        assert run_ensemble(built, ingredients, workers=workers) == (want, want_log)
+    views, log = drive(ensemble_steps(built, ingredients, OptimizerState()))
+    assert views[-1].tobytes() == want.flat.tobytes() and log == want_log
+
+
+@pytest.mark.parametrize("feature", ["projection", "greedy"])
+def test_a_stored_reference_gives_the_bits_of_the_loaded_map(tmp_path, feature):
+    cfg, ingredients = adversarial_setup(seed=64)
+    reference = cfg.greedy.target
+    if feature == "projection":
+        reference = random_weightmaps(seed=641, count=1)[0]
+        cfg = replace(cfg, greedy=None, projection=Projection(reference, 0.5))
+    save_checkpoint(reference, str(tmp_path / "reference.safetensors"))
+    with open_checkpoint(str(tmp_path / "reference.safetensors")) as stored:
+        field = {"projection": Projection(stored, 0.5), "greedy": Greedy(stored)}[feature]
+        from_file = replace(cfg, **{feature: field})
+        want = run_ensemble(cfg, ingredients)
+        assert run_ensemble(from_file, ingredients) == want
+        views, log = drive(ensemble_steps(from_file, ingredients, OptimizerState()))
+    assert views[-1].tobytes() == want[0].flat.tobytes() and log == want[1]
+    if feature == "greedy":
+        assert [s.accepted for s in log.steps] == [True, False]
+
+
 @pytest.mark.parametrize("stored", [False, True], ids=["in-memory", "stored"])
 def test_one_ingredient_init_returns_the_ingredient_bit_for_bit(tmp_path, stored):
     # Every initialization is a float64 soup; the soup of one finite float32
