@@ -83,7 +83,6 @@ from .verify import SUITES, run_suites
 from .weightstore import (
     StoredMap,
     WeightMap,
-    load_checkpoint,
     open_checkpoint,
     publish,
     save_checkpoint,
@@ -495,12 +494,6 @@ def cmd_synth_wlln(args) -> int:
 # --- fed -------------------------------------------------------------------------------
 
 
-def _point_map(values: tuple[float, ...] | None, path: str | None, base_dir: str) -> WeightMap:
-    if values is not None:
-        return WeightMap({"w": np.asarray(values, dtype=np.float32)})
-    return load_checkpoint(os.path.join(base_dir, path))
-
-
 def cmd_fed(args) -> int:
     cfg: FedRunConfig = parse_fed_config(load_json(args.config))
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -510,27 +503,37 @@ def cmd_fed(args) -> int:
     points = [("init", cfg.init_path), *((f"client {c.id!r} center", c.center_path) for c in cfg.clients)]
     _check_outputs([("output.log", out_log), ("output.checkpoint", out_ckpt)], points, base_dir)
 
-    clients = tuple(
-        ClientSpec(
-            id=c.id,
-            objective_center=_point_map(c.center_values, c.center_path, base_dir),
-            local_optimizer=c.optimizer,
-            local_steps=c.local_steps,
+    # A point file stays open until the outputs are written, and is checked unchanged then.
+    with ExitStack() as stack:
+        opened: list[StoredMap] = []
+
+        def point(values: tuple[float, ...] | None, path: str | None) -> WeightMap:
+            if values is not None:
+                return WeightMap({"w": np.asarray(values, dtype=np.float32)})
+            opened.append(stack.enter_context(open_checkpoint(os.path.join(base_dir, path))))
+            return opened[-1].load()
+
+        clients = tuple(
+            ClientSpec(
+                id=c.id,
+                objective_center=point(c.center_values, c.center_path),
+                local_optimizer=c.optimizer,
+                local_steps=c.local_steps,
+            )
+            for c in cfg.clients
         )
-        for c in cfg.clients
-    )
-    fed_cfg = FedConfig(
-        clients=clients,
-        init=_point_map(cfg.init_values, cfg.init_path, base_dir),
-        rounds=cfg.rounds,
-        sample_size=cfg.sample_size,
-        seed=cfg.seed,
-        server=cfg.server,
-        client_soup=cfg.client_soup,
-        server_stew=cfg.server_stew,
-    )
-    result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
-    publish({out_log: result.to_csv, out_ckpt: partial(save_checkpoint, result.final)})
+        fed_cfg = FedConfig(
+            clients=clients,
+            init=point(cfg.init_values, cfg.init_path),
+            rounds=cfg.rounds,
+            sample_size=cfg.sample_size,
+            seed=cfg.seed,
+            server=cfg.server,
+            client_soup=cfg.client_soup,
+            server_stew=cfg.server_stew,
+        )
+        result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
+        publish({out_log: result.to_csv, out_ckpt: partial(save_checkpoint, result.final)}, opened)
     _say(
         args,
         f"{cfg.algorithm}: {cfg.rounds} rounds -> {out_ckpt}; final distance to center mean "

@@ -18,9 +18,12 @@ averaged, turned into the pseudogradient by
 ``pseudograd._pseudogradient_values`` and fed to the optimizer, and the new
 values are checked to be finite (a NaN/Inf aborts the run with an
 EngineError naming the step and batch) and staged for the log norms, so no
-model-size mean or pseudogradient is ever built, and a trajectory's steps
-share its block buffers. A run steps the one iterate buffer it owns in
-place, from its initialization; a projected run projects it there. A greedy
+model-size mean or pseudogradient is ever built. A trajectory's steps share
+its layout's block buffers, and the batch mean holds its own, one set per
+process. After each step that stands, an EMA pivot is updated over the same
+layout, block by block. A run steps its one iterate in place, from its
+initialization: one shared anonymous mapping, for any number of workers; a
+projected run projects it there. A greedy
 run, and a projected run that logs its steps, also copy the pre-step iterate
 into one buffer: a logged projection takes its displacement against it, and
 a rejected greedy step copies it back and swaps the contents (step and
@@ -59,6 +62,7 @@ orders from one generator of its own, restarted at each replica's stream.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import sys
@@ -359,12 +363,8 @@ def run_ensemble(
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
     tiles = [range(len(schema.blocks))] if plan.whole_map else _tiles(schema.blocks)
-    if min(workers, len(tiles)) <= 1:
-        iterate = np.empty(schema.size, dtype=np.float32)
-    else:
-        import mmap  # one shared anonymous mapping, which every tile writes its part of
-        iterate = np.frombuffer(mmap.mmap(-1, 4 * schema.size), dtype=np.float32)
-
+    # One shared anonymous mapping, whichever worker writes each tile of it.
+    iterate = np.frombuffer(mmap.mmap(-1, max(4 * schema.size, 1)), dtype=np.float32, count=schema.size)
     reports = run_in_workers([partial(_run_range, plan, tile, iterate) for tile in tiles], workers)
     iterate.setflags(write=False)
     return WeightMap._wrap(iterate.view(), schema), _record(plan, reports)
@@ -380,7 +380,7 @@ def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
     off, restored before each yield. A state with buffers from a run over a
     map of another size raises ValueError."""
     plan = _Plan(cfg, ingredients, None)
-    iterate = np.empty(plan.schema.size, dtype=np.float32)
+    iterate = np.frombuffer(mmap.mmap(-1, max(4 * plan.schema.size, 1)), dtype=np.float32, count=plan.schema.size)
     steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -536,10 +536,12 @@ def _trajectory(
     plan: _Plan, block_range: range, iterate: np.ndarray, state: OptimizerState
 ) -> Generator[WeightMap, None, tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]]:
     """Every step of the run over the blocks of ``block_range``, from its
-    share of the initialization, written into ``iterate`` and stepped there,
-    to the EMA pivot over its span; no other element of ``iterate`` is
-    touched, and every step is given one layout of those blocks. ``state``,
-    the run's optimizer state stepped in place, is new or has buffers over them.
+    share of the initialization, written into ``iterate`` (the run's shared
+    mapping) and stepped there, to the EMA pivot over its span; no other
+    element of ``iterate`` is touched. Every step, and every update of an
+    EMA pivot, walks one layout of those blocks, and the batch means come
+    from the plan's batch mean, in buffers it holds. ``state``, the run's
+    optimizer state stepped in place, is new or has buffers over them.
 
     Yields the one read-only view of ``iterate`` it builds after each step, and
     returns (the steps done, entries, sums, failure). Per step done when the
@@ -556,16 +558,17 @@ def _trajectory(
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         # Built once the soup has freed its own block buffers, which would otherwise raise the peak.
+        # Its work buffers also hold an EMA pivot's update between steps.
         layout = _step_blocks(schema.blocks[block_range.start : block_range.stop])
-        span, pieces, _ = layout
-        ema_decay = cfg.pivot_policy.decay if isinstance(cfg.pivot_policy, EmaPivot) else None
+        span, pieces, rows = layout
         pivot, base = iterate, 0  # pivot[i - base] is element i's
         if not isinstance(cfg.pivot_policy, AdaptivePivot):
             # An EMA pivot is updated in place, and a fixed one must outlive
             # the iterate: each starts as a copy of the span's initialization.
             pivot, base = iterate[span].copy(), span.start
-        # The batch mean's block buffer, which the EMA update uses between steps.
-        block = np.empty(min(BLOCK, span.stop - span.start), dtype=np.float32)
+        ema = None  # (decay, 1 - decay) in float32, for an EMA pivot
+        if isinstance(cfg.pivot_policy, EmaPivot):
+            ema = np.float32(cfg.pivot_policy.decay), np.float32(1.0 - cfg.pivot_policy.decay)
         batch_mean = plan.batch_mean
         spare = OptimizerState() if greedy is not None else None
         norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
@@ -586,7 +589,7 @@ def _trajectory(
                 scale = pseudogradient_scale(zeta, plan.n_div)
 
                 def grad(s: slice) -> np.ndarray:  # the batch's pseudogradient over slice s
-                    g = batch_mean(order, start, s, block)
+                    g = batch_mean(order, start, s)
                     return _pseudogradient_values(pivot[s.start - base : s.stop - base], g, scale, out=g)
 
                 if before is not None:
@@ -626,8 +629,10 @@ def _trajectory(
                 else:
                     if accepted:
                         best_metric = metric
-                    if ema_decay is not None:
-                        _ema_update(pivot, iterate[span], ema_decay, block)
+                    if ema is not None:  # pivot <- decay * pivot + (1 - decay) * iterate, over the layout
+                        for s, at, work, *_ in rows:
+                            pivot[at] *= ema[0]
+                            pivot[at] += np.multiply(ema[1], iterate[s], out=work)
                 done = attempt
                 yield w
     except Exception as exc:  # reported with the steps done before it
@@ -648,17 +653,18 @@ def _copy_state(state: OptimizerState, into: OptimizerState) -> None:
 
 def _batch_mean_fn(
     sweep: list[Ingredient], schema: Schema, replicas: int, batch_size: int
-) -> Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, int, slice], np.ndarray]:
     """The batch mean as a function of an epoch's (replica, sweep) order, the
-    start of a batch in it, a slice of the flat buffer and a float32 buffer
-    of at least the slice's length; it returns a float32 array of that
-    slice's values, which the caller may overwrite.
+    start of a batch in it and a slice of at most one block of the flat
+    buffer; it returns a float32 array of that slice's values, which the
+    caller may overwrite until its next call. The function holds every
+    buffer the mean is built in, one set per process.
 
     One replica: the chosen ingredients' blocks are read from their sources,
-    the first into the given buffer and each other one into a block buffer
-    of the function's own, added in batch order in float32, and the sum
-    divided by float32(batch), with no copy of the sweep; the mean returned
-    is a view of the given buffer. Several replicas: the sweep is read once
+    the first into a block buffer of the function's own and each other one
+    into a second, added in batch order in float32, and the sum divided by
+    float32(batch), with no copy of the sweep; the mean returned is a view
+    of the first buffer. Several replicas: the sweep is read once
     into an (ingredient, element) stack; every element of a (replicas, ...)
     tensor belongs to one replica, and each takes its own replica's batch
     members. The means of k consecutive full batches, k = max(1, BLOCK //
@@ -669,9 +675,10 @@ def _batch_mean_fn(
     """
     sources = [ing.weights for ing in sweep]
     if replicas == 1:
-        reads = np.empty(min(BLOCK, schema.size) if batch_size > 1 else 0, dtype=np.float32)
+        sums = np.empty(min(BLOCK, schema.size), dtype=np.float32)
+        reads = np.empty(len(sums) if batch_size > 1 else 0, dtype=np.float32)
 
-        def mean(order: np.ndarray, start: int, s: slice, sums: np.ndarray) -> np.ndarray:
+        def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
             rows = order[0, start : start + batch_size]
             acc = sources[rows[0]].read(s, sums[: s.stop - s.start])
             for i in rows[1:]:
@@ -693,7 +700,7 @@ def _batch_mean_fn(
     full_end = len(sources) - len(sources) % batch_size  # where a short last batch starts
     held: tuple = (None, None, None, None)  # (order, chunk start, block start, means)
 
-    def mean(order: np.ndarray, start: int, s: slice, _buffer: np.ndarray) -> np.ndarray:
+    def mean(order: np.ndarray, start: int, s: slice) -> np.ndarray:
         nonlocal held
         if start < full_end:
             chunk, width = start - start % chunk_size, batch_size
@@ -737,17 +744,6 @@ def _nonfinite_message(
         f"non-finite iterate after step {step} (epoch {epoch}, batch {ids}{where}; "
         f"first in tensor {schema.names[t]!r})"
     )
-
-
-def _ema_update(pivot: np.ndarray, w: np.ndarray, decay: float, scratch: np.ndarray) -> None:
-    """pivot <- decay * pivot + (1 - decay) * w, in place, BLOCK elements at a
-    time, with (1 - decay) * w in ``scratch``."""
-    d = np.float32(decay)
-    omd = np.float32(1.0 - decay)
-    for begin in range(0, pivot.size, BLOCK):
-        part = pivot[begin : begin + BLOCK]
-        part *= d
-        part += np.multiply(omd, w[begin : begin + BLOCK], out=scratch[: part.size])
 
 
 # --- forked workers ----------------------------------------------------------------

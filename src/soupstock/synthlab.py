@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -200,25 +200,14 @@ def _median(values) -> np.ndarray:
     return np.where(np.isnan(part[-1]), part[-1], result)
 
 
-@lru_cache(maxsize=4)
-def _population_cached(kind: str, dimension: int, mean: float, scale: float, n: int, seed: int):
-    spec = DistributionSpec(kind=kind, dimension=dimension, mean=mean, scale=scale)
-    pts = sample_population(spec, n, seed)
-    pts.setflags(write=False)
-    return pts
-
-
-def _trial_estimates(cfg: TrialConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Soup and merged estimates, float64 (len(trials), d), for a run of trials.
+def _trial_estimates(cfg: TrialConfig, pts: np.ndarray, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Soup and merged estimates, float64 (len(trials), d), for a run of
+    trials on the population ``pts``.
 
     Each trial draws its subsample and then its shuffle seed from the stream
     (seed, trial index); the trials merge together as replicas of one engine
     run, and each replica's result equals that of a run on its own.
     """
-    dist = cfg.distribution
-    pts = _population_cached(
-        dist.kind, dist.dimension, dist.mean, dist.scale, cfg.population_size, cfg.seed
-    )
     samples, seeds = [], []
     for trial in trials:
         rng = rng_mod.stream(cfg.seed, rng_mod.DOMAIN_TRIAL, trial)
@@ -255,7 +244,8 @@ def _trial_estimates(cfg: TrialConfig, trials: range) -> tuple[np.ndarray, np.nd
 
 
 def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
-    """Repeated subsample-and-merge trials against one fixed population.
+    """Repeated subsample-and-merge trials against one fixed population,
+    sampled once here and read by every chunk of trials.
 
     Each trial owns the stream (seed, trial index) for its subsample and its
     shuffle seed. All trials run as replicas of a single engine run, one
@@ -266,9 +256,7 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
     identical for any worker count and come back in trial order.
     """
     dist = cfg.distribution
-    pts = _population_cached(
-        dist.kind, dist.dimension, dist.mean, dist.scale, cfg.population_size, cfg.seed
-    )
+    pts = sample_population(dist, cfg.population_size, cfg.seed)
     pop_mean = sequential_mean(pts)
     pop_median = _median(pts)
     reference = pop_median if dist.kind == "cauchy" else pop_mean
@@ -276,7 +264,7 @@ def run_estimator_trials(cfg: TrialConfig, workers: int = 1) -> EstimatorResult:
     workers = max(1, min(workers, cfg.trials))
     bounds = [cfg.trials * k // workers for k in range(workers + 1)]
 
-    chunks = [partial(_trial_estimates, cfg, range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    chunks = [partial(_trial_estimates, cfg, pts, range(a, b)) for a, b in zip(bounds, bounds[1:])]
     parts = run_in_workers(chunks, workers)
     for part in parts:
         if isinstance(part, Exception):

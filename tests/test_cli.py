@@ -323,8 +323,22 @@ def _write_metrics_with_wrong_header(tmp_path):
         (_write_merge_doc(lambda doc: doc.update(sweep=[])),
          "config error: $.sweep: expected a non-empty object of field paths to value lists\n"),
         (_write_metrics_with_wrong_header, "error: {dir}/metrics.csv: metrics CSV must have header 'id,metric'\n"),
+        (_write_merge_doc(lambda doc: doc.update(output=5)), "config error: $.output: expected an object, got int\n"),
+        (lambda tmp_path: (tmp_path / "merge.json").write_text("[1]"),
+         "config error: $: expected an object, got list\n"),
+        (_write_merge_doc(lambda doc: doc["ensemble"].update(amplification={"kind": "harmonic", "offset": 2})),
+         "config error: $.ensemble.amplification.offset: must be 0 or 1, got 2\n"),
+        (_write_merge_doc(lambda doc: doc["ensemble"].update(pivot_policy={"kind": "ema", "decay": 2})),
+         "config error: $.ensemble.pivot_policy.decay: ema decay must lie in (0, 1], got 2.0\n"),
+        (_write_merge_doc(lambda doc: doc.update(sweep={"ensemble.seed": []})),
+         "config error: $.sweep.ensemble.seed: expected a non-empty list of values\n"),
+        (_write_merge_doc(lambda doc: (doc["ensemble"].update(projection=None),
+                                       doc.update(sweep={"ensemble.projection.radius": [1.0, 2.0]}))),
+         "config error: cell-670eac3347aa: $.ensemble.projection.center: missing required key\n"
+         "config error: cell-b4023a9d7edc: $.ensemble.projection.center: missing required key\n"),
     ],
-    ids=["missing-config", "invalid-json", "empty-explicit-lr", "empty-sweep", "metrics-header"],
+    ids=["missing-config", "invalid-json", "empty-explicit-lr", "empty-sweep", "metrics-header", "output-not-object",
+         "top-level-list", "harmonic-offset", "ema-decay", "empty-sweep-list", "sweep-radius-without-projection"],
 )
 def test_merge_config_faults_exit_1_before_any_run(tmp_path, capsys, write, err):
     write(tmp_path)
@@ -395,11 +409,10 @@ def test_merge_sweep_loads_ingredients_once(tmp_path, monkeypatch):
     doc = merge_doc(count=3)
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1], "ensemble.n_divisor": [1, 3]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    opened, loaded = [], []
+    opened = []
     monkeypatch.setattr(cli, "open_checkpoint", lambda path: opened.append(path) or open_checkpoint(path))
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
     assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
-    assert len(opened) == 3 and loaded == []
+    assert len(opened) == 3
 
 
 @pytest.mark.parametrize("target", ["target.safetensors", "ing0.safetensors"], ids=["own-file", "an-ingredient"])
@@ -413,13 +426,12 @@ def test_merge_sweep_opens_a_shared_greedy_target_once(tmp_path, monkeypatch, ta
     doc["ensemble"]["greedy"] = {"enabled": True, "evaluator": {"kind": "neg_distance", "target": target}}
     doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2, 0.3]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
-    opened, loaded = [], []
+    opened = []
     monkeypatch.setattr(cli, "open_checkpoint", lambda path: opened.append(path) or open_checkpoint(path))
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert main(["merge", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "g"), "--quiet"]) == 0
     names = [f"ing{i}.safetensors" for i in range(3)] + [target]
-    assert sorted(opened) == sorted({str(tmp_path / name) for name in names}) and loaded == []
+    assert sorted(opened) == sorted({str(tmp_path / name) for name in names})
 
 
 def test_merge_sweep_cell_whose_centre_is_missing_fails_alone(tmp_path):
@@ -1536,10 +1548,10 @@ def test_synth_estimators_chunk_failure_exits_2(tmp_path, monkeypatch, capsys, w
 
     real = synthlab._trial_estimates
 
-    def estimates(cfg, trials):
+    def estimates(cfg, pts, trials):
         if 4 in trials:  # the second of two chunks, run by a forked child
             raise ValueError("trial 4 failed")
-        return real(cfg, trials)
+        return real(cfg, pts, trials)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(synthlab, "_trial_estimates", estimates)
@@ -1669,6 +1681,28 @@ def test_fed_points_from_files_match_the_same_values(tmp_path):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def test_fed_point_file_rewritten_during_the_run_exits_2_without_outputs(tmp_path, monkeypatch, capsys):
+    # A point file stays open through the run and is checked unchanged
+    # before the log and the checkpoint replace their paths.
+    import soupstock.cli as cli
+
+    doc = fed_doc("fedsoup", server_stew={"kind": "adagrad", "lr": 0.5})
+    save_checkpoint(WeightMap({"w": np.asarray([2.0, 0.0], np.float32)}), str(tmp_path / "c1.safetensors"))
+    doc["clients"][1]["center"] = {"path": "c1.safetensors"}
+    (tmp_path / "fed.json").write_text(json.dumps(doc))
+    real_run = cli.simulate_fedsoup
+
+    def run_then_change(cfg):
+        result = real_run(cfg)
+        _rewrite_in_place(tmp_path / "c1.safetensors")
+        return result
+
+    monkeypatch.setattr(cli, "simulate_fedsoup", run_then_change)
+    assert main(["fed", "--config", str(tmp_path / "fed.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'c1.safetensors'}: file changed while it was open\n"
+    assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
+
+
 def test_fed_schema_mismatch_names_the_client(tmp_path, capsys):
     doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0})
     save_checkpoint(WeightMap({"v": np.zeros(2, np.float32)}), str(tmp_path / "odd.safetensors"))
@@ -1778,6 +1812,16 @@ def test_verify_all_suites_pass(capsys):
     passed = [line.split()[1] for line in lines if line.startswith("PASS")]
     assert sorted(passed) == ["adagrad-gd", "convergence", "cycle", "fed-reduction", "soup-eq"]
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    from soupstock.verify import run_suites
+
+    with pytest.raises(ValueError) as info:
+        run_suites(["nope"])
+    assert str(info.value) == (
+        "unknown suite 'nope'; choose from ['soup-eq', 'cycle', 'convergence', 'adagrad-gd', 'fed-reduction', 'all']"
+    )
 
 
 def test_verify_exits_1_naming_the_failed_suites(capsys, monkeypatch):

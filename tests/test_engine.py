@@ -1,7 +1,9 @@
 import csv
+import errno
 import os
 import re
 import threading
+import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -93,6 +95,9 @@ def test_order_missing_metric_rejected():
     ings = [Ingredient("a", wm(x=[0.0]), metric=0.5), Ingredient("b", wm(x=[0.0]))]
     with pytest.raises(EngineError, match="'b'"):
         order_ingredients(ings, "metric_desc")
+    with pytest.raises(EngineError) as info:
+        order_ingredients(ings, "bogus")
+    assert str(info.value) == "ordering must be one of ('given', 'metric_desc', 'metric_asc'), got 'bogus'"
 
 
 # --- soup equivalences -------------------------------------------------------------
@@ -270,6 +275,11 @@ def test_duplicate_ids_rejected():
     m = random_weightmaps(seed=14, count=1)[0]
     with pytest.raises(EngineError, match="duplicate"):
         run_ensemble(gd_cfg(), [Ingredient("a", m), Ingredient("a", m)])
+
+
+def test_a_run_without_ingredients_is_rejected():
+    with pytest.raises(EngineError, match="^run requires at least one ingredient$"):
+        run_ensemble(gd_cfg(), [])
 
 
 def test_batch_size_exceeding_sweep_rejected():
@@ -1236,6 +1246,38 @@ def test_run_in_workers_fails_only_the_tasks_a_dead_child_never_reported():
     assert results[:3] + results[4:5] == [0, 1, 2, 4]
     for lost in (results[3], results[5]):
         assert type(lost) is EngineError and str(lost) == "worker process exited with status 3 before reporting"
+
+
+def test_run_in_workers_fails_every_task_of_a_child_whose_result_cannot_be_pickled(capfd):
+    # Worker 1's first result, a local function, cannot be pickled: the child
+    # prints the traceback and exits 1 before reporting either of its tasks.
+    results = run_in_workers([partial(int, 0), lambda: (lambda: 1), partial(int, 2), partial(int, 3)], 2)
+    assert results[0::2] == [0, 2]
+    for lost in results[1::2]:
+        assert type(lost) is EngineError and str(lost) == "worker process exited with status 1 before reporting"
+    assert "Traceback" in capfd.readouterr().err
+
+
+def test_run_in_workers_kills_and_reaps_its_children_when_a_fork_fails(monkeypatch):
+    real_fork, children = os.fork, []
+
+    def fork():
+        if children:  # the second child
+            raise OSError(errno.EAGAIN, "fork refused")
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+    started = time.monotonic()
+    with pytest.raises(OSError, match="fork refused"):
+        run_in_workers([partial(time.sleep, 60)] * 3, 3)
+    assert time.monotonic() - started < 30  # the first child was killed, not waited for
+    with pytest.raises(ChildProcessError):  # and reaped
+        os.waitpid(children[0], os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_run_in_workers_forks_no_child_without_a_task(monkeypatch):

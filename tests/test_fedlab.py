@@ -109,6 +109,12 @@ def test_fedopt_requires_server():
         simulate_fedopt(cfg)
 
 
+def test_fedsoup_requires_a_server_stew():
+    cfg = fed_cfg([(1.0,)], rounds=1)
+    with pytest.raises(ValueError, match="^fedsoup requires a server_stew optimizer$"):
+        simulate_fedsoup(cfg)
+
+
 def test_fedopt_linear_convergence_to_center_mean():
     centers = [(0.0, 0.0), (2.0, 2.0), (4.0, -1.0), (-2.0, 3.0)]
     cfg = fed_cfg(centers, rounds=50, server=gd(1.0), lr=0.5, steps=1)
@@ -261,6 +267,8 @@ def test_fed_config_validation():
         FedConfig(clients=(clients[0], clients[0]), init=wm(0.0), rounds=1, sample_size=1)
     with pytest.raises(ValueError, match="local_steps"):
         ClientSpec("c", wm(0.0), gd(1.0), local_steps=0)
+    with pytest.raises(ValueError, match="^need at least one client$"):
+        FedConfig(clients=(), init=wm(0.0), rounds=1, sample_size=1)
 
 
 def test_round_log_csv(tmp_path):

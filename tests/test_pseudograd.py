@@ -132,6 +132,11 @@ def test_pivot_identity_hand_value():
     np.testing.assert_array_equal(out.array("a"), [1.0])
 
 
+def test_pivot_identity_empty_rejected():
+    with pytest.raises(ValueError, match="^pivot_identity requires at least one ingredient$"):
+        pivot_identity(wm(a=[1.0]), [])
+
+
 def test_pivot_identity_fixed_point():
     maps = random_weightmaps(seed=41, count=8)
     s = soup(maps)

@@ -77,6 +77,10 @@ def test_custom_affine_and_validation():
         DistributionSpec(kind="pareto")
     with pytest.raises(ValueError):
         DistributionSpec(kind="gaussian", scale=-1.0)
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+        DistributionSpec(kind="gaussian", dimension=0)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        sample_population(spec, 0, seed=1)
 
 
 # --- cycle ----------------------------------------------------------------------
@@ -145,6 +149,19 @@ def test_convergence_alpha_validated():
         convergence_check(alpha=-1.0, c=1.0, ingredients=pts, steps=100)
     with pytest.raises(ValueError, match="alpha"):
         convergence_check(alpha=-0.5, c=1.0, ingredients=pts, steps=100)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"ingredients": np.array([1.0, -1.0])}, "ingredients must be an (N, d) array of points"),
+    ({"ingredients": np.zeros((4, 2)), "init": np.zeros(2)},
+     "the ingredients and init are all at the origin; the step cap needs a radius > 0"),
+    ({"c": 0.0}, "c must be > 0 and steps >= 10"),
+], ids=["one-dimensional", "at-the-origin", "zero-c"])
+def test_convergence_rejects_inputs_it_cannot_bound(change, message):
+    args = {"alpha": -1.5, "c": 1.0, "ingredients": cycle_ingredients(1.0, 1.0), "steps": 100, **change}
+    with pytest.raises(ValueError) as info:
+        convergence_check(**args)
+    assert str(info.value) == message
 
 
 def test_convergence_decaying_schedule_settles():
@@ -312,6 +329,14 @@ def test_wlln_rejects_an_epsilon_that_covers_nothing(epsilon):
         soup_wlln(DistributionSpec(kind="gaussian"), sizes=[10], trials=5, seed=0, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("sizes, message", [([], "need at least one size and one trial"),
+                                             ([10, 0], "sample sizes must be >= 1, got 0")], ids=["none", "zero"])
+def test_wlln_rejects_sizes_without_samples(sizes, message):
+    with pytest.raises(ValueError) as info:
+        soup_wlln(DistributionSpec(kind="gaussian"), sizes=sizes, trials=5, seed=0)
+    assert str(info.value) == message
+
+
 def test_wlln_csv(tmp_path):
     result = soup_wlln(DistributionSpec(kind="gaussian"), sizes=[10, 100], trials=10, seed=3)
     path = tmp_path / "wlln.csv"
@@ -449,10 +474,10 @@ def test_estimator_worker_pool_matches_serial():
 def test_estimator_chunk_failing_in_a_child_raises_as_in_one_process(monkeypatch):
     real_estimates, real_fork, forks = synthlab._trial_estimates, os.fork, []
 
-    def estimates(cfg, trials):
+    def estimates(cfg, pts, trials):
         if 4 in trials:  # in the second of two chunks
             raise ValueError("trial 4 failed")
-        return real_estimates(cfg, trials)
+        return real_estimates(cfg, pts, trials)
 
     def fork():
         forks.append(len(forks))
@@ -471,10 +496,10 @@ def test_estimator_chunk_failing_in_a_child_raises_as_in_one_process(monkeypatch
 def test_estimator_worker_that_dies_raises_its_exit_status(monkeypatch):
     parent, real = os.getpid(), synthlab._trial_estimates
 
-    def estimates_or_exit(cfg, trials):
+    def estimates_or_exit(cfg, pts, trials):
         if os.getpid() != parent:
             os._exit(3)
-        return real(cfg, trials)
+        return real(cfg, pts, trials)
 
     monkeypatch.setattr(synthlab, "_trial_estimates", estimates_or_exit)
     with pytest.raises(EngineError, match="^worker process exited with status 3 before reporting$"):
@@ -489,6 +514,8 @@ def test_trial_config_validation():
         replace(base, batch_size=0)
     with pytest.raises(ValueError):
         replace(base, distribution=DistributionSpec(kind="gaussian", dimension=3))
+    with pytest.raises(ValueError, match="^init_point dimension mismatch$"):
+        replace(base, init_point=(1.0, 2.0, 3.0))
 
 
 def test_sequential_mean_matches_loop():

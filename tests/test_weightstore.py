@@ -521,6 +521,20 @@ def test_array_views_share_the_flat_buffer():
     assert m.schema().offsets == (0, 2, 8)
 
 
+def test_map_size_membership_equality_and_repr(tmp_path):
+    m = WeightMap({"b": np.arange(6, dtype=np.float32).reshape(2, 3), "a": np.ones(2, dtype=np.float32)})
+    assert m.num_elements() == 8
+    assert "a" in m and "b" in m and "c" not in m
+    assert m == WeightMap({"a": np.ones(2, np.float32), "b": np.arange(6, dtype=np.float32).reshape(2, 3)})
+    assert m.__eq__(m.flat) is NotImplemented and m != "a"  # not a map
+    assert m != WeightMap({name: m.array(name) for name in m}, metadata={"note": "other"})
+    assert m != WeightMap({"a": np.ones(2, np.float32), "b": np.arange(6, dtype=np.float32)})  # another schema
+    assert repr(m) == "WeightMap(2 tensors, 8 elements)"
+    save_checkpoint(m, str(tmp_path / "m.safetensors"))
+    with open_checkpoint(str(tmp_path / "m.safetensors")) as stored:
+        assert repr(stored) == f"StoredMap({str(tmp_path / 'm.safetensors')!r}, 2 tensors, 8 elements)"
+
+
 def test_schema_equality_across_sources():
     m1 = WeightMap({"a": np.zeros((2, 3), dtype=np.float32)})
     m2 = WeightMap({"a": np.ones((2, 3), dtype=np.float32)})
