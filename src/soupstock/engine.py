@@ -22,8 +22,9 @@ model-size mean or pseudogradient is ever built. A trajectory's steps share
 its layout's block buffers, and the batch mean holds its own, one set per
 process. After each step that stands, an EMA pivot is updated over the same
 layout, block by block. A run steps its one iterate in place, from its
-initialization: one shared anonymous mapping, for any number of workers; a
-projected run projects it there. A greedy
+initialization; a projected run projects it there. In :func:`run_ensemble`
+the iterate is one shared anonymous mapping, for any number of workers, and
+in :func:`ensemble_steps`, which never forks, an array of its own. A greedy
 run, and a projected run that logs its steps, also copy the pre-step iterate
 into one buffer: a logged projection takes its displacement against it, and
 a rejected greedy step copies it back and swaps the contents (step and
@@ -380,7 +381,7 @@ def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
     off, restored before each yield. A state with buffers from a run over a
     map of another size raises ValueError."""
     plan = _Plan(cfg, ingredients, None)
-    iterate = np.frombuffer(mmap.mmap(-1, max(4 * plan.schema.size, 1)), dtype=np.float32, count=plan.schema.size)
+    iterate = np.empty(plan.schema.size, dtype=np.float32)  # stepped in this process only
     steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -536,12 +537,12 @@ def _trajectory(
     plan: _Plan, block_range: range, iterate: np.ndarray, state: OptimizerState
 ) -> Generator[WeightMap, None, tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]]:
     """Every step of the run over the blocks of ``block_range``, from its
-    share of the initialization, written into ``iterate`` (the run's shared
-    mapping) and stepped there, to the EMA pivot over its span; no other
-    element of ``iterate`` is touched. Every step, and every update of an
-    EMA pivot, walks one layout of those blocks, and the batch means come
-    from the plan's batch mean, in buffers it holds. ``state``, the run's
-    optimizer state stepped in place, is new or has buffers over them.
+    share of the initialization, written into ``iterate`` and stepped there,
+    to the EMA pivot over its span; no other element of ``iterate`` is
+    touched. Every step, and every update of an EMA pivot, walks one layout
+    of those blocks, and the batch means come from the plan's batch mean, in
+    buffers it holds. ``state``, the run's optimizer state stepped in place,
+    is new or has buffers over them.
 
     Yields the one read-only view of ``iterate`` it builds after each step, and
     returns (the steps done, entries, sums, failure). Per step done when the

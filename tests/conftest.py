@@ -2,12 +2,15 @@ import json
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from soupstock import engine
 from soupstock.weightstore import WeightMap
 
 # Shapes used by the random-map fixtures; mixed ranks, including a scalar.
@@ -82,6 +85,30 @@ def no_warnings():
         warnings.simplefilter("always")
         yield
     assert [f"{w.filename}:{w.lineno}: {w.category.__name__}: {w.message}" for w in caught] == []
+
+
+@contextmanager
+def traced_peak():
+    """Traces the block's allocations and yields a function that gives, once
+    the block has ended, its traced peak plus the length of every anonymous
+    mapping the engine made in it. tracemalloc does not see such a mapping
+    (``run_ensemble``'s iterate), so each counts as held to the block's end."""
+    mapped, peak = [], []
+    real = engine.mmap.mmap
+
+    def counted(fileno, length, *args, **kwargs):
+        if fileno == -1:
+            mapped.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "mmap", SimpleNamespace(mmap=counted))
+        tracemalloc.start()
+        try:
+            yield lambda: peak[0]
+            peak.append(tracemalloc.get_traced_memory()[1] + sum(mapped))
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.fixture

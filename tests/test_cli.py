@@ -4,7 +4,6 @@ import struct
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import ExitStack
 
 import numpy as np
@@ -26,7 +25,7 @@ from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import ConvergenceReport, default_estimator_config
 from soupstock.weightstore import BLOCK, WeightMap, l2_distance, load_checkpoint, open_checkpoint, save_checkpoint
 
-from conftest import another_thread_running, no_warnings
+from conftest import another_thread_running, no_warnings, traced_peak
 
 
 def write_ingredients(directory, count=4, seed=0, shapes=((2, 3), (3,))):
@@ -782,13 +781,9 @@ def cell_peak(tmp_path, ensemble, greedy, size):
 
         ingredients = cli._open_ingredients(cells, str(tmp_path), open_map)
         engine_cfg = cli._build_engine_config(cfg, open_map)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             cli._run_merge_cell(cfg, engine_cfg, str(tmp_path / "out"), ingredients, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return engine_cfg, peak
+    return engine_cfg, peak()
 
 
 @CELL_VARIANTS
@@ -1149,13 +1144,9 @@ def test_merge_peak_memory_does_not_grow_with_ingredients(tmp_path):
     doc = merge_doc(count=8, batch_size=2, shuffle=True, optimizer={"kind": "adam", "lr": 0.01})
     (tmp_path / "merge.json").write_text(json.dumps(doc))
     model = 4 * 12 * 40000
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * model
+    assert peak() < 5 * model
 
 
 def _fail_mid_write(*args, **kwargs):

@@ -10,7 +10,6 @@ exercised.
 import copy
 import math
 import os
-import tracemalloc
 from contextlib import ExitStack
 from dataclasses import replace
 
@@ -57,7 +56,7 @@ from soupstock.weightstore import (
     save_checkpoint,
 )
 
-from conftest import another_thread_running, no_warnings, write_checkpoint
+from conftest import another_thread_running, no_warnings, traced_peak, write_checkpoint
 
 SHAPES = {
     "a.scalar": (),
@@ -441,8 +440,8 @@ def test_fused_step_allocates_only_state_and_norm_scratch():
     # A plain Adam run steps its iterate in place: beyond the iterate and the
     # two moments, each worker holds one block of float64 norm scratch and a
     # few blocks of temporaries. The separate passes also held a batch mean,
-    # a pseudogradient and a second iterate. (tracemalloc sees this process:
-    # with two workers, its moments and the scratch, not the shared iterate.)
+    # a pseudogradient and a second iterate. (The peak is this process's: the
+    # shared iterate, and with two workers its own tiles' moments and scratch.)
     rng = np.random.default_rng(16)
     shapes = {f"t{i}": (3 * BLOCK + 17 * i,) for i in range(8)}
     maps = [
@@ -456,13 +455,9 @@ def test_fused_step_allocates_only_state_and_norm_scratch():
     )
     model = 4 * ingredients[0].weights.flat.size
     for workers in (1, 2):
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             run_ensemble(cfg, ingredients, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * model + workers * (8 * BLOCK + 8 * 4 * BLOCK), workers
+        assert peak() < 3 * model + workers * (8 * BLOCK + 8 * 4 * BLOCK), workers
 
 
 def test_greedy_and_projected_runs_hold_one_pre_step_copy():
@@ -489,13 +484,9 @@ def test_greedy_and_projected_runs_hold_one_pre_step_copy():
     }
     model = 4 * maps[0].flat.size
     for name, (bound, run) in runs.items():
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             merged, record = run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / model <= bound, (name, peak / model)
+        assert peak() / model <= bound, (name, peak() / model)
         if name == "projected":  # the last step was shrunk onto the ball
             assert l2_distance(merged, center) == pytest.approx(1.0, rel=1e-5)
         if name == "greedy":  # and steps were both accepted and rejected
