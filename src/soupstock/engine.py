@@ -17,7 +17,7 @@ their sources (in-memory maps, or stored maps that stay in their files),
 averaged, turned into the pseudogradient by
 ``pseudograd._pseudogradient_values`` and fed to the optimizer, and the new
 values are checked to be finite (a NaN/Inf aborts the run with an
-EngineError naming the step and batch) and staged for the log norms, so no
+EngineError naming the step and batch) and summed into the log, so no
 model-size mean or pseudogradient is ever built. A trajectory's steps share
 its layout's block buffers, and the batch mean holds its own, one set per
 process. After each step that stands, an EMA pivot is updated over the same
@@ -41,15 +41,16 @@ Everything model-sized in a run (the initialization, the batch mean, the
 pseudogradient, weight decay, the optimizer update, the EMA pivot) acts on
 each element alone, and the batch order and the schedules never depend on
 the weights. So a run splits into independent trajectories over contiguous
-ranges of ``Schema.blocks``, which share only their per-piece sums of
-squares for the log. :func:`run_ensemble` takes each tile of at most
-:data:`TILE` elements through every step before the next, so the optimizer
-state and a fixed or EMA pivot span one tile and stay in cache across its
-steps. Each tile is one task of :func:`run_in_workers`, in one shared
-iterate, and this process adds the sums up into the log in the serial order
-and raises the failure a serial run would meet first. No output depends on
-the number of workers. Greedy and projected runs, whose steps need a
-whole-map scalar, are one trajectory over the whole map, run here.
+ranges of ``Schema.blocks``, which share only the log: per step attempted,
+two rows of float64 per-piece sums of squares. :func:`run_ensemble` takes
+each tile of at most :data:`TILE` elements through every step before the
+next, so the optimizer state and a fixed or EMA pivot span one tile and stay
+in cache across its steps. Each tile is one task of :func:`run_in_workers`,
+in one shared iterate and log, and reports only how far it got; this
+process adds each step's rows up in the serial order and raises the failure
+a serial run would meet first. No output depends on the number of workers.
+Greedy and projected runs, whose steps need a whole-map scalar, are one
+trajectory over the whole map, run here.
 
 Every step is elementwise apart from the batch gather, so independent runs
 that share a config can also execute as one: with ``replica_seeds`` each
@@ -364,11 +365,12 @@ def run_ensemble(
     plan = _Plan(cfg, ingredients, replica_seeds)
     schema = plan.schema
     tiles = [range(len(schema.blocks))] if plan.whole_map else _tiles(schema.blocks)
-    # One shared anonymous mapping, whichever worker writes each tile of it.
-    iterate = np.frombuffer(mmap.mmap(-1, max(4 * schema.size, 1)), dtype=np.float32, count=schema.size)
-    reports = run_in_workers([partial(_run_range, plan, tile, iterate) for tile in tiles], workers)
+    # Shared anonymous mappings, whichever worker writes each tile of them.
+    iterate = np.ndarray(schema.size, np.float32, mmap.mmap(-1, max(4 * schema.size, 1)))
+    log = np.ndarray(plan.log_shape, buffer=mmap.mmap(-1, max(8 * math.prod(plan.log_shape), 1)))
+    reports = run_in_workers([partial(_run_range, plan, tile, iterate, log) for tile in tiles], workers)
     iterate.setflags(write=False)
-    return WeightMap._wrap(iterate.view(), schema), _record(plan, reports)
+    return WeightMap._wrap(iterate.view(), schema), _record(plan, reports, log)
 
 
 def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
@@ -382,19 +384,20 @@ def ensemble_steps(cfg: EnsembleConfig, ingredients: Sequence[Ingredient],
     map of another size raises ValueError."""
     plan = _Plan(cfg, ingredients, None)
     iterate = np.empty(plan.schema.size, dtype=np.float32)  # stepped in this process only
-    steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, state)
+    log = np.empty(plan.log_shape)
+    steps = _trajectory(plan, range(len(plan.schema.blocks)), iterate, log, state)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 w = next(steps)
             except StopIteration as end:
-                return _record(plan, [end.value])
+                return _record(plan, [end.value], log)
         yield w
 
 
-def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray) -> tuple:
+def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray, log: np.ndarray) -> tuple:
     """The report of :func:`_trajectory` over ``block_range``, driven to its end."""
-    steps = _trajectory(plan, block_range, iterate, OptimizerState())
+    steps = _trajectory(plan, block_range, iterate, log, OptimizerState())
     with np.errstate(over="ignore", invalid="ignore"):  # no divide: every denominator adds an eps
         while True:
             try:
@@ -403,22 +406,21 @@ def _run_range(plan: _Plan, block_range: range, iterate: np.ndarray) -> tuple:
                 return end.value
 
 
-def _record(plan: _Plan, reports: list) -> RunRecord:
-    """The log of a run from its tiles' reports, in block order; raises the
-    failure a serial run would meet first."""
+def _record(plan: _Plan, reports: list, log: np.ndarray) -> RunRecord:
+    """The log of a run from its tiles' reports and the sums they wrote into
+    ``log``, in block order; raises the failure a serial run would meet first."""
     for report in reports:
         if isinstance(report, Exception):
             raise report
     # The run ends at the earliest failure, as a serial run would: the lowest
     # step, then the lowest tile, so the lowest element.
-    done, _, _, failure = min(reports, key=lambda report: (report[3] is None, report[0]))
+    done, _, failure = min(reports, key=lambda report: (report[2] is None, report[0]))
     entries = reports[0][1]
     record = RunRecord()
     if plan.cfg.record_steps:
         ends = plan.schema.piece_ends
         for k in range(done):
-            sums = np.concatenate([report[2][k] for report in reports], axis=1)
-            grad_norm, displacement = (math.sqrt(_add_pieces(row, ends)) for row in sums)
+            grad_norm, displacement = (math.sqrt(_add_pieces(row, ends)) for row in log[k])
             record.steps.append(StepRecord(*entries[k][:5], grad_norm, displacement, *entries[k][5:]))
     if failure is not None:
         exc, message = failure
@@ -504,6 +506,9 @@ class _Plan:
         self.cfg = cfg
         self.whole_map = cfg.projection is not None or cfg.greedy is not None
         self.sweep_ids = [ing.id for ing in sweep]
+        # The log's two rows of per-piece sums of squares per step attempted (a rejected greedy step too).
+        steps = cfg.epochs * -(-len(sweep) // cfg.batch_size) if cfg.record_steps else 0
+        self.log_shape = (steps, 2, len(schema.piece_ends))
         self.n_div = cfg.n_divisor if cfg.n_divisor is not None else len(items)
         self.batch_mean = _batch_mean_fn(sweep, schema, len(seeds), cfg.batch_size)
         self.epoch_order = _epoch_order_fn(len(sweep), cfg, seeds)
@@ -525,7 +530,8 @@ def cell_bytes(cfg: EnsembleConfig, size: int, workers: int = 1) -> int:
     steps at once (a greedy or projected run is one tile, the whole map), the
     optimizer state, greedy's spare and any fixed or EMA pivot over the tile
     and 32 bytes per block element; greedy's target, a projection's centre
-    and the pre-step iterate of a greedy or a logged projected run."""
+    and the pre-step iterate of a greedy or a logged projected run. A logged
+    run's log, 16 bytes per piece per step attempted, is not counted."""
     greedy, projected = cfg.greedy is not None, cfg.projection is not None
     tiles, span = (1, size) if greedy or projected else (min(workers, -(-size // TILE)), min(size, workers * TILE))
     spanned = len(cfg.optimizer.variant.fills) * (1 + greedy) + (not isinstance(cfg.pivot_policy, AdaptivePivot))
@@ -534,8 +540,8 @@ def cell_bytes(cfg: EnsembleConfig, size: int, workers: int = 1) -> int:
 
 
 def _trajectory(
-    plan: _Plan, block_range: range, iterate: np.ndarray, state: OptimizerState
-) -> Generator[WeightMap, None, tuple[int, list[tuple], list[np.ndarray], tuple[Exception, str | None] | None]]:
+    plan: _Plan, block_range: range, iterate: np.ndarray, log: np.ndarray, state: OptimizerState
+) -> Generator[WeightMap, None, tuple[int, list[tuple], tuple[Exception, str | None] | None]]:
     """Every step of the run over the blocks of ``block_range``, from its
     share of the initialization, written into ``iterate`` and stepped there,
     to the EMA pivot over its span; no other element of ``iterate`` is
@@ -545,23 +551,21 @@ def _trajectory(
     is new or has buffers over them.
 
     Yields the one read-only view of ``iterate`` it builds after each step, and
-    returns (the steps done, entries, sums, failure). Per step done when the
-    run records steps, sums holds the range's per-piece sums of squares for
-    the log norms, shape (2, pieces), and entries (in the range from block 0
-    alone) the log entry's other fields. A run stops at its first failure,
-    returned as (the exception, the engine's message for a non-finite step
-    or None).
+    returns (the steps done, entries, failure). When the run records steps,
+    step k writes the range's per-piece sums of squares for the log norms into
+    ``log[k]``, and entries holds (in the range from block 0 alone) each step
+    done's other log fields. A run stops at its first failure, returned as
+    (the exception, the engine's message for a non-finite step or None).
     """
     cfg, schema, greedy = plan.cfg, plan.schema, plan.cfg.greedy
     entries: list[tuple] = []
-    sums: list[np.ndarray] = []
     done = 0
     try:
         w = soup(plan.init_sources, iterate, block_range)  # a soup of one finite map is that map, bit for bit
         # Built once the soup has freed its own block buffers, which would otherwise raise the peak.
         # Its work buffers also hold an EMA pivot's update between steps.
         layout = _step_blocks(schema.blocks[block_range.start : block_range.stop])
-        span, pieces, rows = layout
+        span, rows = layout
         pivot, base = iterate, 0  # pivot[i - base] is element i's
         if not isinstance(cfg.pivot_policy, AdaptivePivot):
             # An EMA pivot is updated in place, and a fixed one must outlive
@@ -572,9 +576,8 @@ def _trajectory(
             ema = np.float32(cfg.pivot_policy.decay), np.float32(1.0 - cfg.pivot_policy.decay)
         batch_mean = plan.batch_mean
         spare = OptimizerState() if greedy is not None else None
-        norms = np.empty((2, len(schema.piece_ends))) if cfg.record_steps else None
         # The pre-step iterate, read by a greedy revert and a logged projection's displacement.
-        keep_before = greedy is not None or (cfg.projection is not None and norms is not None)
+        keep_before = greedy is not None or (cfg.projection is not None and cfg.record_steps)
         before = np.empty(schema.size, dtype=np.float32) if keep_before else None
         best_metric = -l2_distance(w, plan.target) if greedy is not None else None
 
@@ -600,26 +603,23 @@ def _trajectory(
                 try:
                     optimizer_step(
                         w, grad, state, cfg.optimizer, sched_idx,
-                        out=iterate, norms=norms, layout=layout,
+                        out=iterate, norms=log[done] if cfg.record_steps else None, layout=layout,
                     )
                     moved = cfg.projection is not None and project_to_ball(
                         w, plan.center, cfg.projection.radius, out=iterate) is not w
                 except NonFiniteStep as exc:
                     batch_idx = order[:, start : start + cfg.batch_size].T  # (batch, replica)
                     message = _nonfinite_message(schema, exc.index, batch_idx, plan.sweep_ids, attempt, epoch)
-                    return done, entries, sums, (exc, message)
-                step_sums = norms[:, pieces].copy() if norms is not None else None
-                if moved and norms is not None:
-                    _pieces_squared(schema, iterate, before, out=step_sums[1])
+                    return done, entries, (exc, message)
+                if moved and cfg.record_steps:
+                    _pieces_squared(schema, iterate, before, out=log[done, 1])
 
                 metric: float | None = None
                 accepted: bool | None = None
                 if greedy is not None:
                     metric = -l2_distance(w, plan.target)
                     accepted = metric > best_metric
-                if norms is not None:
-                    sums.append(step_sums)
-                if norms is not None and block_range.start == 0:  # _record reads this range's entries alone
+                if cfg.record_steps and block_range.start == 0:  # _record reads this range's entries alone
                     batch_ids = tuple(plan.sweep_ids[i] for i in order[0, start : start + cfg.batch_size])
                     eta = schedule_eval(cfg.optimizer.variant.lr, sched_idx)
                     entries.append((attempt, epoch, batch_ids, eta, zeta, metric, accepted))
@@ -637,8 +637,8 @@ def _trajectory(
                 done = attempt
                 yield w
     except Exception as exc:  # reported with the steps done before it
-        return done, entries, sums, (exc, None)
-    return done, entries, sums, None
+        return done, entries, (exc, None)
+    return done, entries, None
 
 
 def _copy_state(state: OptimizerState, into: OptimizerState) -> None:
@@ -762,7 +762,9 @@ def run_in_workers(tasks: Sequence[Callable[[], Any]], workers: int) -> list[Any
     every task, in task order. A child pickles each result through a pipe as
     it is made and leaves by os._exit, so that nothing of this process's
     (its open files' cleanup, atexit hooks, callers' finally blocks) runs
-    twice. Every child is reaped; on an exception here (an interrupt) the
+    twice. A child's result larger than the pipe's buffer holds the child
+    until this process has run its own tasks, so callers return small
+    results. Every child is reaped; on an exception here (an interrupt) the
     children left are killed and reaped before it propagates.
     """
     can_fork = hasattr(os, "fork") and threading.active_count() == 1

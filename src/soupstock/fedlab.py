@@ -20,7 +20,7 @@ sequential barrier between rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rng as rng_mod
 from .engine import EngineError, EnsembleConfig, Ingredient, ProvidedInit, ensemble_steps, run_ensemble
@@ -99,7 +99,6 @@ class RoundLog:
 class FedResult:
     rounds: list[RoundLog]
     final: WeightMap
-    iterates: list[WeightMap] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
         rows = ((r.round, "|".join(r.participants), r.delta_norm, r.distance_to_center_mean) for r in self.rounds)
@@ -146,7 +145,6 @@ def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | Ensemble
     state = OptimizerState()
     x = cfg.init
     logs: list[RoundLog] = []
-    iterates: list[WeightMap] = []
     for t in range(1, cfg.rounds + 1):
         participants = _sample_participants(cfg, t)
         results = [_in_round(t, f"client {c.id!r}", client_train, x, c) for c in participants]
@@ -165,8 +163,7 @@ def _simulate(cfg: FedConfig, server: OptimizerSpec, client_soup: str | Ensemble
                 distance_to_center_mean=l2_distance(x, center_mean),
             )
         )
-        iterates.append(x)
-    return FedResult(rounds=logs, final=x, iterates=iterates)
+    return FedResult(rounds=logs, final=x)
 
 
 def simulate_fedopt(cfg: FedConfig) -> FedResult:

@@ -325,7 +325,7 @@ def optimizer_step(
     to its sum of squares in the order :func:`l2_distance` adds its own.
     """
     schema = w.schema()
-    span, _pieces, rows = _step_blocks(schema.blocks) if layout is None else layout
+    span, rows = _step_blocks(schema.blocks) if layout is None else layout
     size = span.stop - span.start
     if state.buffers and len(state.buffers[0]) != size:
         raise ValueError(f"optimizer state spans {len(state.buffers[0])} elements; this step steps {size}")
@@ -355,14 +355,13 @@ def optimizer_step(
     return WeightMap._wrap(new if out is None else new.view(), schema)
 
 
-def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice, slice, tuple]:
+def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice, tuple]:
     """The layout of the blocks ``stepped``, consecutive entries of
-    :attr:`Schema.blocks`: their span, their slice of the pieces, and a row
-    per block: its slice of the flat buffer and of the span, views of one
-    float32 work buffer, finiteness mask and float64 scratch of the largest
-    block's size, its count and its slice of the pieces."""
+    :attr:`Schema.blocks`: their span, and a row per block: its slice of
+    the flat buffer and of the span, views of one float32 work buffer,
+    finiteness mask and float64 scratch of the largest block's size, its
+    count and its slice of the pieces."""
     span = slice(stepped[0][0], stepped[-1][1]) if stepped else slice(0, 0)
-    pieces = slice(stepped[0][3], stepped[-1][3] + stepped[-1][2]) if stepped else slice(0, 0)
     size = max((hi - lo for lo, hi, _count, _piece in stepped), default=0)
     work, finite, wide = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool), np.empty(size)
     rows = tuple(
@@ -370,7 +369,7 @@ def _step_blocks(stepped: tuple[tuple[int, int, int, int], ...]) -> tuple[slice,
          wide[: hi - lo], count, slice(piece, piece + count))
         for lo, hi, count, piece in stepped
     )
-    return span, pieces, rows
+    return span, rows
 
 
 def project_to_ball(w: WeightMap, center: WeightMap, radius: float, *,

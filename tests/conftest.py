@@ -92,7 +92,7 @@ def traced_peak():
     """Traces the block's allocations and yields a function that gives, once
     the block has ended, its traced peak plus the length of every anonymous
     mapping the engine made in it. tracemalloc does not see such a mapping
-    (``run_ensemble``'s iterate), so each counts as held to the block's end."""
+    (``run_ensemble``'s iterate and log), so each counts as held to the block's end."""
     mapped, peak = [], []
     real = engine.mmap.mmap
 

@@ -1025,6 +1025,68 @@ def test_a_recorded_run_of_many_tiles_builds_each_log_entry_once(monkeypatch):
     assert sum(calls) == 6
 
 
+def many_tensor_ingredients(count, tensors, size=500):
+    return [Ingredient(f"m{i}", WeightMap({f"t{k:04d}": np.full(size, i + k / tensors, dtype=np.float32)
+                                           for k in range(tensors)}))
+            for i in range(count)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_tile_never_waits_on_its_report(monkeypatch, tmp_path):
+    # Each tile's log sums go into the shared log, not into its report, so a
+    # child steps its second tile while this process still steps its first:
+    # tile 0 waits for a marker the child makes after its second tile. A
+    # report that held 16 steps of 524 pieces' sums would outgrow the pipe,
+    # and the child would wait for this process to run its own tiles.
+    import soupstock.engine as engine
+
+    parent, real, marker, seen, ran = os.getpid(), engine._run_range, tmp_path / "second-tile", [], []
+
+    def run_range(plan, block_range, *args):
+        if os.getpid() == parent and block_range.start == 0:
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(marker.exists())
+        report = real(plan, block_range, *args)
+        if os.getpid() != parent:
+            ran.append(block_range)
+            if len(ran) == 2:
+                marker.touch()
+        return report
+
+    ingredients = many_tensor_ingredients(2, 4 * engine.TILE // 500)
+    assert len(engine._tiles(ingredients[0].weights.schema().blocks)) == 5
+    cfg = EnsembleConfig(optimizer=OptimizerSpec(Adam(lr=Constant(0.01), beta1=0.8, beta2=0.99, eps=1e-8)),
+                         epochs=8, batch_size=1, ordering="given")
+    want = run_ensemble(cfg, ingredients)
+    monkeypatch.setattr(engine, "_run_range", run_range)
+    got = run_ensemble(cfg, ingredients, workers=2)
+    assert seen == [True]
+    assert got[0].flat.tobytes() == want[0].flat.tobytes()
+    assert got[1] == want[1] and len(got[1].steps) == 16
+
+
+def test_a_tiles_report_does_not_grow_with_its_steps():
+    # Only tile 0 reports the log entries' fields; any other tile reports
+    # how far it got, whatever the number of steps.
+    import pickle
+
+    import soupstock.engine as engine
+
+    ingredients = many_tensor_ingredients(1, engine.TILE // 500 + 1)
+    sizes = []
+    for epochs in (2, 50):
+        plan = engine._Plan(gd_cfg(epochs=epochs), ingredients, None)
+        tiles = engine._tiles(plan.schema.blocks)
+        assert len(tiles) == 2
+        iterate, log = np.empty(plan.schema.size, dtype=np.float32), np.empty(plan.log_shape)
+        report = engine._run_range(plan, tiles[1], iterate, log)
+        assert report[0] == epochs
+        sizes.append(len(pickle.dumps(report)))
+    assert sizes[0] == sizes[1]
+
+
 def test_a_step_allocates_no_block_buffer():
     # Once the first step has allocated the state and the block buffers, a
     # step's traced peak rises by the update rule's own temporaries and by

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,16 @@ def fed_cfg(centers, rounds=1, sample=None, seed=0, **kw):
     )
 
 
+def round_models(simulate, cfg):
+    """Round t's model, for every round of cfg: the final model of the run
+    of its first t rounds, whose log is the first t rounds' log of the
+    whole run (participation is keyed per round)."""
+    runs = [simulate(dataclasses.replace(cfg, rounds=t)) for t in range(1, cfg.rounds + 1)]
+    for t, run in enumerate(runs, 1):
+        assert run.rounds == runs[-1].rounds[:t]
+    return [run.final for run in runs]
+
+
 # --- client training --------------------------------------------------------------
 
 
@@ -95,9 +108,8 @@ def test_fedopt_adam_step_magnitude_bounded_by_lr():
     eta = 1e-3
     server = OptimizerSpec(Adam(lr=Constant(eta), beta1=0.9, beta2=0.9, eps=1e-8))
     cfg = fed_cfg([(5.0, -3.0), (1.0, 7.0), (-4.0, 2.0)], rounds=20, server=server)
-    result = simulate_fedopt(cfg)
     prev = cfg.init
-    for it in result.iterates:
+    for it in round_models(simulate_fedopt, cfg):
         gap = np.abs(it.array("w").astype(np.float64) - prev.array("w"))
         assert np.all(gap <= eta * (1.0 + 1e-6))
         prev = it
@@ -181,11 +193,11 @@ def test_server_pseudogradient_identity_every_round():
     cfg = fed_cfg(centers, rounds=6, sample=2, seed=3, server_stew=gd(0.8), lr=0.6, steps=2)
     result = simulate_fedsoup(cfg)
     x = cfg.init
-    for t, log in enumerate(result.rounds, 1):
+    for log, model in zip(result.rounds, round_models(simulate_fedsoup, cfg), strict=True):
         participants = [c for c in cfg.clients if c.id in log.participants]
         client_mean = soup([client_train(x, c) for c in participants])
         assert log.delta_norm == pytest.approx(l2_distance(client_mean, x), abs=1e-7)
-        x = result.iterates[t - 1]
+        x = model
 
 
 def reference_descend(x, target, state, spec):
@@ -225,11 +237,34 @@ def test_rounds_match_the_reference_loop(server, algorithm):
     clients = tuple(ClientSpec(f"c{i}", wm(*rng.uniform(-1, 1, 3)), spec, k) for i, (spec, k) in enumerate(local))
     base = dict(clients=clients, init=wm(*rng.uniform(-1, 1, 3)), rounds=6, sample_size=3, seed=5)
     if algorithm == "fedopt":
-        result = simulate_fedopt(FedConfig(server=server, **base))
+        simulate, cfg = simulate_fedopt, FedConfig(server=server, **base)
     else:
-        result = simulate_fedsoup(FedConfig(server_stew=server, **base))
-    assert result.iterates == reference_iterates(FedConfig(**base), server, result.rounds)
-    assert result.final == result.iterates[-1]
+        simulate, cfg = simulate_fedsoup, FedConfig(server_stew=server, **base)
+    result = simulate(cfg)
+    models = round_models(simulate, cfg)
+    assert models == reference_iterates(FedConfig(**base), server, result.rounds)
+    assert result.final == models[-1]
+
+
+def test_a_runs_memory_does_not_grow_with_its_rounds():
+    # No round's model outlives the next round, so 40 rounds peak within one
+    # model of 5.
+    n = 100_000
+    rng = np.random.default_rng(4)
+    adam = OptimizerSpec(Adam(lr=Constant(0.1), beta1=0.5, beta2=0.9, eps=1e-8))
+    clients = tuple(ClientSpec(f"c{i}", WeightMap({"w": rng.standard_normal(n, dtype=np.float32)}), adam, 2)
+                    for i in range(3))
+    init = WeightMap({"w": np.zeros(n, dtype=np.float32)})
+    peaks = []
+    for rounds in (5, 40):
+        cfg = FedConfig(clients=clients, init=init, rounds=rounds, sample_size=2, seed=1, server_stew=adam)
+        tracemalloc.start()
+        try:
+            simulate_fedsoup(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * n, peaks
 
 
 def test_nested_client_soup_that_leaves_the_floats_names_the_round():
