@@ -14,20 +14,21 @@ Input paths inside a config resolve relative to the config file's directory;
 output paths resolve relative to --out (default: the config directory).
 
 A merge opens each file it names once, the ingredients first and in config
-order, and builds every cell's engine config before any cell runs. A sweep
-runs its cells in up to one worker per usable CPU, as many as the cells'
-peaks (``engine.cell_bytes``) fit into the memory available; if the
-ingredients fail to open, every cell fails with that error, and a cell whose
-own file fails to open fails alone. Each cell is one task of
-``engine.run_in_workers``; its worker writes its outputs and returns its
-manifest entry, or the cell fails with the worker's exit status. A
-single-cell merge is not a sweep and runs here directly. Every cell is one
-``engine.run_ensemble`` call, given as many tile workers as the usable CPUs
-for a single cell, and the usable CPUs divided by the sweep's workers (at
-least one) for each cell of a sweep. ``synth estimators`` runs one chunk of
-trials per worker, at most one per usable CPU. Worker 0 is this process, and
-``engine.run_in_workers`` forks the others, or, while other threads run,
-runs every task here. No output depends on the number of workers.
+order, and builds every cell's engine config before any cell runs. Its
+cells, one for a single merge (written to --out, with no manifest), run in
+up to one worker per usable CPU, as many as the cells' peaks
+(``engine.cell_bytes``) fit into the memory available; if the ingredients
+fail to open, every cell fails with that error, and a cell whose own file
+fails to open fails alone. Each cell is one task of
+``engine.run_in_workers``; its worker writes its outputs and returns their
+paths, or the cell fails with the exception it raised or the worker's exit
+status. A sweep's manifest records each failure, and a single merge raises
+its cell's. Every cell is one ``engine.run_ensemble`` call, given the usable
+CPUs divided by the merge's workers (at least one) as tile workers.
+``synth estimators`` runs one chunk of trials per worker, at most one per
+usable CPU. Worker 0 is this process, and ``engine.run_in_workers`` forks
+the others, or, while other threads run, runs every task here. No output
+depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -174,9 +175,12 @@ def _build_engine_config(cfg: MergeConfig, open_map: Callable[[str], StoredMap])
     return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection, greedy=greedy)
 
 
-def _run_merge_cell(
-    cfg: MergeConfig, engine_cfg: EnsembleConfig, out_dir: str, ingredients: list[Ingredient], workers: int
-) -> tuple[str, str]:
+def _run_merge_cell(cfg: MergeConfig, engine_cfg: EnsembleConfig | Exception, out_dir: str,
+                    ingredients: list[Ingredient], workers: int) -> tuple[str, str]:
+    """Run the cell into out_dir and return its (checkpoint, log) paths, or
+    raise the exception given for its engine config (a file it names failed to open)."""
+    if isinstance(engine_cfg, Exception):
+        raise engine_cfg
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
@@ -241,6 +245,7 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
     _check_merge_outputs(cells, base_dir, out_dir)
+    sweep = bool(cells[0][0])
 
     # Every file the merge names is opened once, ingredients first, and stays open until the merge ends.
     with ExitStack() as stack:
@@ -255,33 +260,8 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
                 raise opened[path]
             return opened[path]
 
-        if len(cells) == 1 and not cells[0][0]:
-            ingredients = _open_ingredients(cells, base_dir, open_map)
-            engine_cfg = _build_engine_config(cells[0][1], open_map)
-            out_ckpt, out_log = _run_merge_cell(cells[0][1], engine_cfg, out_dir, ingredients, _usable_cpus())
-            _say(args, f"merged -> {out_ckpt} (log {out_log})")
-            return 0
-
-        def run_cell(overrides: dict[str, Any], cell_cfg: MergeConfig, engine_cfg: EnsembleConfig | Exception,
-                     workers: int) -> dict[str, Any]:
-            """The cell's manifest fields besides its name and overrides: a
-            plain dict, so that its error text is the same in any worker."""
-            try:
-                if isinstance(engine_cfg, Exception):  # a file the cell names failed to open
-                    raise engine_cfg
-                cell_dir = os.path.join(out_dir, sweep_cell_name(overrides))
-                out_ckpt, out_log = _run_merge_cell(cell_cfg, engine_cfg, cell_dir, ingredients, workers)
-            except Exception as exc:  # a failing cell must not abort the others
-                return {"status": "error", "error": str(exc)}
-            return {
-                "status": "ok",
-                "checkpoint": os.path.relpath(out_ckpt, out_dir),
-                "log": os.path.relpath(out_log, out_dir),
-            }
-
         # Sweep paths all start with "ensemble.", so every cell shares the
         # ingredient list and metrics CSV: open them once.
-        ingredients: list[Ingredient] = []
         try:
             ingredients = _open_ingredients(cells, base_dir, open_map)
         except UsageError:  # a config fault: no cell runs
@@ -292,12 +272,22 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
             configs = [_outcome(partial(_build_engine_config, cell_cfg, open_map)) for _, cell_cfg in cells]
             built = [engine_cfg for engine_cfg in configs if not isinstance(engine_cfg, Exception)]
             workers = _sweep_workers(built, ingredients[0].weights.num_elements())
-            cell_workers = max(1, _usable_cpus() // workers)  # each sweep worker's share of the CPUs
-            tasks = [partial(run_cell, *cell, engine_cfg, cell_workers) for cell, engine_cfg in zip(cells, configs)]
+            cell_workers = max(1, _usable_cpus() // workers)  # each worker's share of the CPUs
+            cell_dirs = [os.path.join(out_dir, sweep_cell_name(overrides) if sweep else "") for overrides, _ in cells]
+            tasks = [partial(_run_merge_cell, cell_cfg, engine_cfg, cell_dir, ingredients, cell_workers)
+                     for (_, cell_cfg), engine_cfg, cell_dir in zip(cells, configs, cell_dirs)]
             outcomes = run_in_workers(tasks, workers)
+        if not sweep:
+            [outcome] = outcomes
+            if isinstance(outcome, Exception):
+                raise outcome
+            _say(args, f"merged -> {outcome[0]} (log {outcome[1]})")
+            return 0
         manifest: list[dict[str, Any]] = [
             {"cell": sweep_cell_name(overrides), "overrides": overrides,
-             **({"status": "error", "error": str(outcome)} if isinstance(outcome, Exception) else outcome)}
+             **({"status": "error", "error": str(outcome)} if isinstance(outcome, Exception) else
+                {"status": "ok", "checkpoint": os.path.relpath(outcome[0], out_dir),
+                 "log": os.path.relpath(outcome[1], out_dir)})}
             for (overrides, _), outcome in zip(cells, outcomes)
         ]
         failures = sum(entry["status"] != "ok" for entry in manifest)
@@ -381,7 +371,7 @@ def _available_memory() -> int:
 
 
 def _sweep_workers(configs: list[EnsembleConfig], size: int) -> int:
-    """Processes to run the sweep's cells in: one per usable CPU and cell at
+    """Processes to run the merge's cells in: one per usable CPU and cell at
     most, and only as many, W, as hold W times the largest cell's peak in the
     available memory (``engine.cell_bytes``, its tiles on its share of the CPUs)."""
     cpus, available = _usable_cpus(), _available_memory()

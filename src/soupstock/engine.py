@@ -9,7 +9,7 @@ of it.
 
 A run is logically sequential. Independent runs share nothing but their
 read-only ingredients, so they can execute concurrently with isolated
-states: the CLI runs the cells of a sweep as the tasks of
+states: the CLI runs the cells of a merge as the tasks of
 :func:`run_in_workers`, which returns each task's result in task order
 (see ``cli``). Each step is one pass of ``optim.optimizer_step`` over the
 maps' flat buffers: per block, the batch members' values are read from
@@ -140,12 +140,17 @@ class EngineError(ValueError):
     """Engine-level configuration or runtime failure.
 
     A non-finite step carries the partial RunRecord of the steps before
-    it; every other EngineError carries none.
+    it; every other EngineError carries none. It pickles as its message
+    alone, so the record does not cross processes: one raised in a forked
+    worker arrives with none.
     """
 
     def __init__(self, message: str, record: "RunRecord | None" = None) -> None:
         super().__init__(message)
         self.record = record
+
+    def __reduce__(self):  # its message alone: the record stays in the process that made it
+        return EngineError, (str(self),)
 
 
 @dataclass(frozen=True)

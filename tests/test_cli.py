@@ -636,9 +636,11 @@ def test_merge_sweep_in_workers_matches_serial_byte_for_byte(tmp_path, monkeypat
 
     # 12,000 elements in one tensor, summed for the norms in one piece.
     write_ingredients(tmp_path, count=3, shapes=((120, 100), (3,)))
-    doc = merge_doc(count=3, shuffle=True, record_steps=True,
+    doc = merge_doc(count=3, shuffle=True, record_steps=True, epochs=2,
                     optimizer={"kind": "adam", "lr": 0.01, "weight_decay": 0.01})
-    doc["sweep"] = {"ensemble.batch_size": [2, 1, 4, 3]}  # 4 > 3 ingredients fails its cell
+    # 4 > 3 ingredients fails its cells before any step, and lr 3e37 its
+    # cells at a later step; the odd cells, all at lr 3e37, run on the forked worker.
+    doc["sweep"] = {"ensemble.batch_size": [2, 1, 4, 3], "ensemble.optimizer.lr": [0.01, 3e37]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
     argv = ["merge", "--config", str(tmp_path / "sweep.json")]
 
@@ -651,12 +653,41 @@ def test_merge_sweep_in_workers_matches_serial_byte_for_byte(tmp_path, monkeypat
 
     assert code == 2
     manifest = json.loads(parallel["sweep_manifest.json"])
-    assert [entry["status"] for entry in manifest] == ["ok", "ok", "error", "ok"]
-    assert manifest[2]["error"] == "batch_size 4 exceeds the 3 ingredients in the sweep"
+    assert [entry["overrides"]["ensemble.optimizer.lr"] for entry in manifest] == [0.01, 3e37] * 4
+    assert [entry["status"] for entry in manifest] == ["ok", "error", "ok", "error", "error", "error", "ok", "error"]
+    assert [entry["error"] for entry in manifest[4:6]] == ["batch_size 4 exceeds the 3 ingredients in the sweep"] * 2
+    for entry in manifest:
+        if entry["status"] == "error" and entry["overrides"]["ensemble.batch_size"] != 4:
+            assert entry["error"].startswith("non-finite iterate after step 2 ")
     assert sorted(parallel) == sorted(
         [f"{entry['cell']}/{name}" for entry in manifest if entry["status"] == "ok"
          for name in ("merged.safetensors", "run.csv")] + ["sweep_manifest.json"]
     )
+
+
+def test_a_single_merge_equals_a_one_cell_sweep(tmp_path, monkeypatch, forked):
+    import soupstock.cli as cli
+
+    # 600,003 elements: 10 blocks in 3 tiles, which two CPUs split across a forked worker.
+    write_ingredients(tmp_path, count=2, shapes=((600, 1000), (3,)))
+    doc = merge_doc(count=2, epochs=3, record_steps=True, optimizer={"kind": "adam", "lr": 0.01},
+                    pivot_policy={"kind": "ema", "decay": 0.5})
+    (tmp_path / "one.json").write_text(json.dumps(doc))
+    doc["sweep"] = {"ensemble.epochs": [3]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    cell = sweep_cell_name({"ensemble.epochs": 3})
+    outputs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for name in ("one", "sweep"):
+            out_dir = tmp_path / f"{name}{cpus}"
+            assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(out_dir), "--quiet"]) == 0
+            written = out_dir / cell if name == "sweep" else out_dir
+            outputs.append([(written / path).read_bytes() for path in ("merged.safetensors", "run.csv")])
+        if cpus == 2:
+            assert len(forked) == 2  # one tile worker for each merge
+            _assert_reaped(forked)
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_merge_sweep_dead_worker_fails_only_its_cells(tmp_path, monkeypatch, forked):
@@ -854,6 +885,24 @@ def test_cgroup_limits_cap_cpus_and_memory(tmp_path, monkeypatch):
     assert cli._available_memory() == 10**5  # the ancestor has less left
     _write_cgroup(tmp_path / "root", memory_current=str(3 * 10**6))  # over its limit
     assert cli._available_memory() == 0
+
+
+def test_unreadable_meminfo_leaves_no_memory_and_one_sweep_worker(monkeypatch):
+    import soupstock.cli as cli
+
+    def no_meminfo(path, *args, **kwargs):
+        if path == "/proc/meminfo":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_meminfo, raising=False)
+    assert cli._available_memory() == 0
+    doc = merge_doc(count=3)
+    doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
+    configs = [cli._build_engine_config(cfg, lambda path: pytest.fail(f"opened {path}"))
+               for _, cfg in enumerate_sweep(doc)]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    assert cli._sweep_workers(configs, 250) == 1
 
 
 def test_sweep_forks_no_workers_beside_other_threads(tmp_path, monkeypatch):
@@ -1272,7 +1321,7 @@ def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_ensemble", recording_run)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
-    monkeypatch.setattr(cli, "_sweep_workers", lambda *args: 2)
+    monkeypatch.setattr(cli, "_sweep_workers", lambda configs, size: min(2, len(configs)))  # 1 for one cell
     monkeypatch.setattr(cli, "run_in_workers", lambda tasks, workers: [task() for task in tasks])
     for name in ("one", "sweep"):
         assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0

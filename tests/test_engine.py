@@ -1087,6 +1087,24 @@ def test_a_tiles_report_does_not_grow_with_its_steps():
     assert sizes[0] == sizes[1]
 
 
+def test_an_engine_error_pickles_as_its_message_alone():
+    # A run that fails in a forked worker after many logged steps sends back
+    # as little as one that fails after one; the record stays in its process.
+    import pickle
+
+    import soupstock.engine as engine
+
+    sizes = []
+    for steps in (1, 1000):
+        record = engine.RunRecord([engine.StepRecord(k, 0, ("a", "b"), 0.1, 1.0, 2.0, 3.0) for k in range(steps)])
+        exc = engine.EngineError("non-finite iterate after step 2", record=record)
+        sizes.append(len(pickle.dumps(exc)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), back.record) == (engine.EngineError, str(exc), None)
+        assert exc.record is record
+    assert sizes[0] == sizes[1]
+
+
 def test_a_step_allocates_no_block_buffer():
     # Once the first step has allocated the state and the block buffers, a
     # step's traced peak rises by the update rule's own temporaries and by

@@ -305,6 +305,17 @@ def test_stored_map_reads_a_name_ordered_f32_body_in_one_call(tmp_path, monkeypa
     assert len(calls) == 1
 
 
+def test_stored_map_rejects_a_header_read_cut_short(tmp_path, monkeypatch):
+    # The file shrinks between the size check and the header read.
+    path = tmp_path / "m.safetensors"
+    save_checkpoint(random_weightmaps(8, 1)[0], str(path))
+    pread = ws.os.pread
+    monkeypatch.setattr(ws.os, "pread", lambda fd, n, at: pread(fd, n, at)[: n - 1 if at == 8 else n])
+    with pytest.raises(CheckpointError) as info:
+        open_checkpoint(str(path))
+    assert str(info.value) == f"{path}: truncated buffer (file changed while reading)"
+
+
 def test_stored_map_detects_a_file_changed_in_place(tmp_path):
     path = tmp_path / "m.safetensors"
     m = random_weightmaps(6, 1)[0]
