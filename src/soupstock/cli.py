@@ -29,6 +29,13 @@ CPUs divided by the merge's workers (at least one) as tile workers.
 usable CPU. Worker 0 is this process, and ``engine.run_in_workers`` forks
 the others, or, while other threads run, runs every task here. No output
 depends on the number of workers.
+
+Each command imports only the modules it runs: ``config``, the labs
+(``synthlab``, ``fedlab``) and ``verify`` are imported by the commands that
+use them, so ``merge``, ``greedy`` and ``soup`` load no lab, and ``synth``
+loads neither ``fedlab`` nor ``config``. Once its own imports are done,
+this module freezes the collector's view of them (``gc.freeze``), since they
+live until exit.
 """
 
 from __future__ import annotations
@@ -36,25 +43,17 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
 import sys
 from contextlib import ExitStack
 from functools import partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    FedRunConfig,
-    MergeConfig,
-    enumerate_sweep,
-    load_json,
-    parse_fed_config,
-    sweep_cell_name,
-)
 from .engine import (
     EnsembleConfig,
     Greedy,
@@ -66,21 +65,9 @@ from .engine import (
     run_ensemble,
     run_in_workers,
 )
-from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import OptimizerSpec
 from .pseudograd import Constant, soup
 from .rng import MAX_SEED
-from .synthlab import (
-    DistributionSpec,
-    TrialConfig,
-    convergence_check,
-    cycle_counterexample,
-    cycle_ingredients,
-    default_estimator_config,
-    run_estimator_trials,
-    soup_wlln,
-)
-from .verify import SUITES, run_suites
 from .weightstore import (
     StoredMap,
     WeightMap,
@@ -90,6 +77,18 @@ from .weightstore import (
     validate_compatible,
     write_csv,
 )
+
+if TYPE_CHECKING:
+    from .config import MergeConfig
+
+# What is imported by now lives until exit: about 22,000 objects the collector
+# tracks, most of them numpy's. Frozen, they are skipped by every later
+# collection, the one at interpreter shutdown included, and a forked worker's
+# collections leave the pages it shares with this process alone.
+gc.freeze()
+
+# The names of verify.SUITES, so that building the parser does not import verify.
+_SUITE_NAMES = ["adagrad-gd", "convergence", "cycle", "fed-reduction", "soup-eq"]
 
 
 class UsageError(ValueError):
@@ -192,10 +191,14 @@ def _run_merge_cell(cfg: MergeConfig, engine_cfg: EnsembleConfig | Exception, ou
 
 
 def cmd_merge(args) -> int:
+    from .config import enumerate_sweep, load_json
+
     return _merge(args, enumerate_sweep(load_json(args.config)))
 
 
 def cmd_greedy(args) -> int:
+    from .config import enumerate_sweep, load_json
+
     cells = enumerate_sweep(load_json(args.config))
     if any(cfg.greedy.target_path is None for _, cfg in cells):
         raise UsageError("greedy requested but the config has no greedy evaluator")
@@ -219,33 +222,38 @@ def _check_outputs(outputs: list[tuple[str, str]], inputs: list[tuple[str, str |
                 errors.append(f"{what} and {other} share the path {path}")
         taken.append((what, path))
     if errors:
+        from .config import ConfigError
+
         raise ConfigError(errors)
 
 
-def _check_merge_outputs(cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, out_dir: str) -> None:
-    """Check every cell's outputs (in a sweep, each under its cell's
-    directory) and the sweep manifest against one another and the inputs."""
+def _check_merge_outputs(cells: list[tuple[dict[str, Any], MergeConfig]], names: list[str], base_dir: str,
+                         out_dir: str) -> None:
+    """Check every cell's outputs (each under its directory of `names`, ""
+    for a single merge) and the sweep manifest against one another and the inputs."""
     sweep = bool(cells[0][0])
     first = cells[0][1]  # every cell shares the ingredient list and metrics CSV
     inputs = [(f"ingredient {entry.id!r}", entry.path) for entry in first.ingredients]
     inputs.append(("metrics_csv", first.metrics_csv))
     outputs = [("sweep_manifest.json", os.path.join(out_dir, "sweep_manifest.json"))] if sweep else []
-    for overrides, cfg in cells:
+    for cell, (_, cfg) in zip(names, cells):
         center = cfg.projection.center if cfg.projection is not None else "soup"
         inputs += [("ensemble.pivot_init", cfg.pivot_init_path),
                    ("ensemble.projection.center", None if center == "soup" else center),
                    ("ensemble.greedy.evaluator.target", cfg.greedy.target_path if cfg.greedy.enabled else None)]
-        cell = sweep_cell_name(overrides) if sweep else ""
         outputs += [(f"{cell} output.{key}".lstrip(), os.path.join(out_dir, cell, path))
                     for key, path in (("checkpoint", cfg.out_checkpoint), ("log", cfg.out_log))]
     _check_outputs(outputs, inputs, base_dir)
 
 
 def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
+    from .config import sweep_cell_name
+
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
-    _check_merge_outputs(cells, base_dir, out_dir)
     sweep = bool(cells[0][0])
+    names = [sweep_cell_name(overrides) if sweep else "" for overrides, _ in cells]
+    _check_merge_outputs(cells, names, base_dir, out_dir)
 
     # Every file the merge names is opened once, ingredients first, and stays open until the merge ends.
     with ExitStack() as stack:
@@ -273,9 +281,8 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
             built = [engine_cfg for engine_cfg in configs if not isinstance(engine_cfg, Exception)]
             workers = _sweep_workers(built, ingredients[0].weights.num_elements())
             cell_workers = max(1, _usable_cpus() // workers)  # each worker's share of the CPUs
-            cell_dirs = [os.path.join(out_dir, sweep_cell_name(overrides) if sweep else "") for overrides, _ in cells]
-            tasks = [partial(_run_merge_cell, cell_cfg, engine_cfg, cell_dir, ingredients, cell_workers)
-                     for (_, cell_cfg), engine_cfg, cell_dir in zip(cells, configs, cell_dirs)]
+            tasks = [partial(_run_merge_cell, cell_cfg, engine_cfg, os.path.join(out_dir, name), ingredients,
+                             cell_workers) for (_, cell_cfg), engine_cfg, name in zip(cells, configs, names)]
             outcomes = run_in_workers(tasks, workers)
         if not sweep:
             [outcome] = outcomes
@@ -284,11 +291,11 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
             _say(args, f"merged -> {outcome[0]} (log {outcome[1]})")
             return 0
         manifest: list[dict[str, Any]] = [
-            {"cell": sweep_cell_name(overrides), "overrides": overrides,
+            {"cell": name, "overrides": overrides,
              **({"status": "error", "error": str(outcome)} if isinstance(outcome, Exception) else
                 {"status": "ok", "checkpoint": os.path.relpath(outcome[0], out_dir),
                  "log": os.path.relpath(outcome[1], out_dir)})}
-            for (overrides, _), outcome in zip(cells, outcomes)
+            for name, (overrides, _), outcome in zip(names, cells, outcomes)
         ]
         failures = sum(entry["status"] != "ok" for entry in manifest)
         manifest_path = os.path.join(out_dir, "sweep_manifest.json")
@@ -385,6 +392,8 @@ def _sweep_workers(configs: list[EnsembleConfig], size: int) -> int:
 
 
 def cmd_synth_estimators(args) -> int:
+    from .synthlab import DistributionSpec, TrialConfig, default_estimator_config, run_estimator_trials
+
     _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     base = default_estimator_config(args.dist, seed=args.seed)
     # The Adam flags given replace the reference rule's fields; the rest stay.
@@ -423,6 +432,8 @@ def _require(ok: bool, message: str) -> None:
 
 
 def cmd_synth_cycle(args) -> int:
+    from .synthlab import cycle_counterexample
+
     _require(args.k > 0 and args.omega > 0, f"--k and --omega must be > 0, got {args.k} and {args.omega}")
     _require(args.cycles >= 1, f"--cycles must be >= 1, got {args.cycles}")
     result = cycle_counterexample(k=args.k, omega=args.omega, cycles=args.cycles)
@@ -436,6 +447,8 @@ def cmd_synth_cycle(args) -> int:
 
 
 def cmd_synth_convergence(args) -> int:
+    from .synthlab import convergence_check, cycle_ingredients
+
     _require(args.alpha < -1, f"--alpha must be < -1, got {args.alpha}")
     _require(args.c > 0, f"--c must be > 0, got {args.c}")
     _require(args.steps >= 10, f"--steps must be >= 10, got {args.steps}")
@@ -461,6 +474,8 @@ def cmd_synth_convergence(args) -> int:
 
 
 def cmd_synth_wlln(args) -> int:
+    from .synthlab import DistributionSpec, soup_wlln
+
     _require(args.dist != "cauchy", "first moment undefined for the Cauchy family; soups do not converge")
     try:
         sizes = [int(size) for size in args.sizes.split(",")]
@@ -485,7 +500,10 @@ def cmd_synth_wlln(args) -> int:
 
 
 def cmd_fed(args) -> int:
-    cfg: FedRunConfig = parse_fed_config(load_json(args.config))
+    from .config import load_json, parse_fed_config
+    from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
+
+    cfg = parse_fed_config(load_json(args.config))
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
     out_log = os.path.join(out_dir, cfg.out_log)
@@ -536,6 +554,8 @@ def cmd_fed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     results = run_suites([args.suite])
     width = max(len(r.name) for r in results)
     failures = 0
@@ -628,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fed.set_defaults(func=cmd_fed)
 
     p_verify = sub.add_parser("verify", parents=[quiet], help="built-in verification suites")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=_SUITE_NAMES + ["all"])
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -651,10 +671,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -662,6 +678,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        from .config import ConfigError  # here, so that a command that reads no config file never loads it
+
+        if isinstance(exc, ConfigError):
+            for line in exc.errors:
+                print(f"config error: {line}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,6 +68,9 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("invalid config:\n  " + "\n  ".join(self.errors))
 
+    def __reduce__(self):  # pickled with its lines, as from another process
+        return ConfigError, (self.errors,)
+
 
 class _Ctx:
     """A document's error lines, and a count of the faults among them: the

@@ -3,7 +3,8 @@
 Each suite re-derives its expected values from an independent route (direct
 means, hand recurrences, closed-form iterates) and checks the production path
 against them at a fixed tolerance. `run_suites` returns results in a stable
-order; the CLI renders them as a table.
+order; the CLI renders them as a table. Each suite imports the lab it runs,
+so importing this module loads no lab.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import numpy as np
 
 from . import rng as rng_mod
 from .engine import EnsembleConfig, Ingredient, IngredientInit, ProvidedInit, run_ensemble
-from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
 from .optim import GD, Adagrad, OptimizerSpec, OptimizerState, optimizer_step
 from .pseudograd import AdaptivePivot, Constant, Harmonic, soup
-from .synthlab import convergence_check, cycle_counterexample, cycle_ingredients
 from .weightstore import WeightMap, l2_distance
 
 __all__ = ["SuiteResult", "SUITES", "run_suites"]
@@ -77,6 +76,8 @@ def suite_soup_eq(seed: int = 2024) -> SuiteResult:
 
 def suite_cycle() -> SuiteResult:
     """Constant-step descent around the four-point cycle never settles."""
+    from .synthlab import cycle_counterexample
+
     res = cycle_counterexample(k=1.0, omega=1.0, cycles=2500)
     ret = res.return_error()
     drift = res.max_l1_drift()
@@ -90,6 +91,8 @@ def suite_cycle() -> SuiteResult:
 
 def suite_convergence() -> SuiteResult:
     """Decaying steps settle below the analytic tail bound; constant steps break it."""
+    from .synthlab import convergence_check, cycle_counterexample, cycle_ingredients
+
     pts = cycle_ingredients(1.0, 1.0)
     _, report = convergence_check(
         alpha=-1.5, c=1.0, ingredients=pts, steps=100_000, init=np.array([1.0, 0.0])
@@ -127,6 +130,8 @@ def suite_adagrad_gd(seed: int = 7) -> SuiteResult:
 
 def suite_fed_reduction(seed: int = 3) -> SuiteResult:
     """Souping clients + GD lr-1 stew == averaged-delta GD server == FedAvg."""
+    from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
+
     rng = rng_mod.stream(seed, rng_mod.DOMAIN_FIXTURE)
     worst = 0.0
     for trial in range(10):

@@ -1254,6 +1254,32 @@ def _main_in_subprocess(argv, *python_flags, **env):
     )
 
 
+@pytest.mark.parametrize("command", ["merge", "estimators"])
+def test_a_command_imports_only_its_own_modules(tmp_path, command):
+    # Beside what every command needs, a merge loads config and no lab, and
+    # the estimator trials load their lab and no config; importing the CLI
+    # has frozen what it imported.
+    import soupstock
+
+    write_ingredients(tmp_path, count=2)
+    (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=2)))
+    argv, modules = {
+        "merge": (["merge", "--config", str(tmp_path / "merge.json"), "--quiet"], ["config"]),
+        "estimators": (["synth", "estimators", "--dist", "gaussian", "--trials", "2", "--population", "200",
+                        "--subsample", "20", "--batch-size", "5", "--epochs", "2",
+                        "-o", str(tmp_path / "est.csv"), "--quiet"], ["synthlab"]),
+    }[command]
+    code = ("import gc, sys; from soupstock.cli import main; frozen = gc.get_freeze_count(); "
+            "code = main(sys.argv[1:]); "
+            "print(code, frozen > 0, *sorted(m for m in sys.modules if m.startswith('soupstock.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(soupstock.__file__)))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.stderr == ""
+    shared = ["cli", "engine", "optim", "pseudograd", "rng", "weightstore"]
+    assert done.stdout.split() == ["0", "True", *(f"soupstock.{m}" for m in sorted(shared + modules))]
+
+
 def test_merge_reads_and_writes_its_csvs_as_utf8_under_any_locale(tmp_path):
     write_ingredients(tmp_path, count=2)
     (tmp_path / "metrics.csv").write_text("id,metric\nmodèle0,0.1\nmodèle1,0.9\n", encoding="utf-8")
@@ -1626,7 +1652,7 @@ def test_synth_convergence_csv_text(tmp_path, monkeypatch):
     trajectory = np.array([[1.0, 0.0], [0.5, -0.25], [1e-05, 0.1]])
     report = ConvergenceReport(radius=1.0, cap=1.0, tail_start=1, max_tail_displacement=0.0,
                                tail_bound=1.0, converged=True, per_step_factor=1.0)
-    monkeypatch.setattr("soupstock.cli.convergence_check", lambda **kwargs: (trajectory, report))
+    monkeypatch.setattr("soupstock.synthlab.convergence_check", lambda **kwargs: (trajectory, report))
     out = tmp_path / "conv.csv"
     assert main(["synth", "convergence", "-o", str(out), "--quiet"]) == 0
     assert out.read_bytes() == b"step,x,y,l1_norm\r\n0,1.0,0.0,1.0\r\n1,0.5,-0.25,0.75\r\n2,1e-05,0.1,0.10001\r\n"
@@ -1724,20 +1750,20 @@ def test_fed_points_from_files_match_the_same_values(tmp_path):
 def test_fed_point_file_rewritten_during_the_run_exits_2_without_outputs(tmp_path, monkeypatch, capsys):
     # A point file stays open through the run and is checked unchanged
     # before the log and the checkpoint replace their paths.
-    import soupstock.cli as cli
+    import soupstock.fedlab as fedlab
 
     doc = fed_doc("fedsoup", server_stew={"kind": "adagrad", "lr": 0.5})
     save_checkpoint(WeightMap({"w": np.asarray([2.0, 0.0], np.float32)}), str(tmp_path / "c1.safetensors"))
     doc["clients"][1]["center"] = {"path": "c1.safetensors"}
     (tmp_path / "fed.json").write_text(json.dumps(doc))
-    real_run = cli.simulate_fedsoup
+    real_run = fedlab.simulate_fedsoup
 
     def run_then_change(cfg):
         result = real_run(cfg)
         _rewrite_in_place(tmp_path / "c1.safetensors")
         return result
 
-    monkeypatch.setattr(cli, "simulate_fedsoup", run_then_change)
+    monkeypatch.setattr(fedlab, "simulate_fedsoup", run_then_change)
     assert main(["fed", "--config", str(tmp_path / "fed.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'c1.safetensors'}: file changed while it was open\n"
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
@@ -1800,6 +1826,14 @@ def test_fed_config_reports_every_error():
     ]
 
 
+def test_a_config_error_pickles_with_its_lines():
+    import pickle
+
+    back = pickle.loads(pickle.dumps(ConfigError(["a b", "c"])))
+    assert back.errors == ["a b", "c"]
+    assert str(back) == "invalid config:\n  a b\n  c"
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_version_must_be_the_integer_1(version):
     merge = merge_doc()
@@ -1852,6 +1886,13 @@ def test_verify_all_suites_pass(capsys):
     passed = [line.split()[1] for line in lines if line.startswith("PASS")]
     assert sorted(passed) == ["adagrad-gd", "convergence", "cycle", "fed-reduction", "soup-eq"]
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_the_parser_offers_every_suite():
+    import soupstock.cli as cli
+    import soupstock.verify as verify
+
+    assert cli._SUITE_NAMES == sorted(verify.SUITES)
 
 
 def test_run_suites_rejects_an_unknown_suite():

@@ -1202,6 +1202,22 @@ def test_streams_are_keyed_exactly_up_to_the_largest_seed(seed):
     assert neighbour.tolist() != rng_mod.stream(seed, rng_mod.DOMAIN_SHUFFLE).integers(2**63, size=4).tolist()
 
 
+def test_a_restarted_generator_draws_what_a_new_stream_draws():
+    # restart keys Philox from plain ints, stream from a uint64 array. An
+    # index keeps its low 48 bits, so 2**48 keys what 0 does.
+    gen = rng_mod.stream(0, rng_mod.DOMAIN_FIXTURE)
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for domain in (rng_mod.DOMAIN_SHUFFLE, rng_mod.DOMAIN_TRIAL):
+            for index in (0, 1, 2**48 - 1, 2**48, 2**48 + 5, 2**64 - 1):
+                gen.integers(2**32, dtype=np.uint32)  # leaves half a word and a part-used block behind
+                restarted = rng_mod.restart(gen, seed, domain, index)
+                new = rng_mod.stream(seed, domain, index)
+                for draw in (lambda g: g.integers(2**32, size=3, dtype=np.uint32), lambda g: g.integers(2**63, size=5)):
+                    assert draw(restarted).tolist() == draw(new).tolist()
+    assert rng_mod.stream(3, rng_mod.DOMAIN_SHUFFLE, 2**48).random(4).tolist() == \
+        rng_mod.stream(3, rng_mod.DOMAIN_SHUFFLE, 0).random(4).tolist()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_seeds_outside_one_key_word_are_rejected(seed):
     # Masked to 64 bits, -1 drew what 2**64 - 1 draws and 2**64 + 5 what 5 does.
