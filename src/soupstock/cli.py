@@ -30,10 +30,14 @@ usable CPU. Worker 0 is this process, and ``engine.run_in_workers`` forks
 the others, or, while other threads run, runs every task here. No output
 depends on the number of workers.
 
-Each command imports only the modules it runs: ``config``, the labs
-(``synthlab``, ``fedlab``) and ``verify`` are imported by the commands that
-use them, so ``merge``, ``greedy`` and ``soup`` load no lab, and ``synth``
-loads neither ``fedlab`` nor ``config``. Once its own imports are done,
+A parsed config names each file as a ``config.FileRef``: ``_found`` lists
+them for the check that no output lands on an input, and ``_replaced`` opens them.
+
+Each command imports only the modules it runs: ``engine`` (and with it
+``optim``), ``config``, the labs (``synthlab``, ``fedlab``) and ``verify``
+are imported by the commands that use them, so ``soup`` loads none of them,
+``merge`` and ``greedy`` load no lab, and ``synth`` loads neither ``fedlab``
+nor ``config``. Once its own imports are done,
 this module freezes the collector's view of them (``gc.freeze``), since they
 live until exit.
 """
@@ -54,23 +58,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .engine import (
-    EnsembleConfig,
-    Greedy,
-    Ingredient,
-    Projection,
-    ProvidedInit,
-    _outcome,
-    cell_bytes,
-    run_ensemble,
-    run_in_workers,
-)
-from .optim import OptimizerSpec
 from .pseudograd import Constant, soup
 from .rng import MAX_SEED
 from .weightstore import (
     StoredMap,
-    WeightMap,
     open_checkpoint,
     publish,
     save_checkpoint,
@@ -79,7 +70,8 @@ from .weightstore import (
 )
 
 if TYPE_CHECKING:
-    from .config import MergeConfig
+    from .config import FileRef, MergeConfig
+    from .engine import EnsembleConfig, Ingredient
 
 # What is imported by now lives until exit: about 22,000 objects the collector
 # tracks, most of them numpy's. Frozen, they are skipped by every later
@@ -139,54 +131,75 @@ def _read_metrics_csv(path: str) -> dict[str, float]:
     return metrics
 
 
+def _found(obj: Any, kind: type) -> list[Any]:
+    """Every `kind` in `obj`: obj itself, or each in its tuples and dataclass
+    fields, in order."""
+    if isinstance(obj, kind):
+        return [obj]
+    return [found for item in _items(obj) for found in _found(item, kind)]
+
+
+def _replaced(obj: Any, kind: type, new: Callable[[Any], Any]) -> Any:
+    """`obj` with each `kind` in it (see :func:`_found`) replaced by new(it);
+    what holds none is returned as it is."""
+    if isinstance(obj, kind):
+        return new(obj)
+    items = _items(obj)
+    replaced = tuple(_replaced(item, kind, new) for item in items)
+    if all(a is b for a, b in zip(replaced, items)):
+        return obj
+    if isinstance(obj, tuple):
+        return replaced
+    changed = zip(dataclasses.fields(obj), replaced, items)
+    return dataclasses.replace(obj, **{f.name: new for f, new, old in changed if new is not old})
+
+
+def _items(obj: Any) -> tuple:
+    """The items of a tuple or the field values of a dataclass instance; () for anything else."""
+    if isinstance(obj, tuple):
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return ()
+
+
 def _open_ingredients(
-    cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, open_map: Callable[[str], StoredMap]
-) -> list[Ingredient]:
+    cells: list[tuple[dict[str, Any], MergeConfig]], base_dir: str, open_map: Callable[[FileRef], StoredMap]
+) -> tuple[Ingredient, ...]:
     """Open the ingredient files in config order with `open_map`. The
     metrics CSV is read first, and every metric some cell's ordering needs
     is checked to be there, before any file is opened."""
+    from .config import FileRef
+
     cfg = cells[0][1]  # every cell shares the ingredient list and metrics CSV
     metrics: dict[str, float] = {}
     if cfg.metrics_csv is not None:
-        metrics = _read_metrics_csv(os.path.join(base_dir, cfg.metrics_csv))
-    values = [entry.metric if entry.metric is not None else metrics.get(entry.id) for entry in cfg.ingredients]
+        metrics = _read_metrics_csv(os.path.join(base_dir, cfg.metrics_csv.path))
+    ingredients = tuple(ing if ing.metric is not None else dataclasses.replace(ing, metric=metrics.get(ing.id))
+                        for ing in cfg.ingredients)
     needing = [cell.ensemble.ordering for _, cell in cells if cell.ensemble.ordering != "given"]
-    if needing and None in values:
-        missing = cfg.ingredients[values.index(None)].id
-        raise UsageError(f"ordering {needing[0]!r} requires metrics; missing for {missing!r}")
-    ingredients = [Ingredient(id=entry.id, weights=open_map(entry.path), metric=metric)
-                   for entry, metric in zip(cfg.ingredients, values)]
+    missing = [ing.id for ing in ingredients if ing.metric is None]
+    if needing and missing:
+        raise UsageError(f"ordering {needing[0]!r} requires metrics; missing for {missing[0]!r}")
+    ingredients = _replaced(ingredients, FileRef, open_map)
     # One check for every cell (a sweep is sized from the first's size), naming each by id as the engine does.
     validate_compatible([ing.weights for ing in ingredients], [f"ingredient {ing.id!r}" for ing in ingredients])
     return ingredients
 
 
-def _build_engine_config(cfg: MergeConfig, open_map: Callable[[str], StoredMap]) -> EnsembleConfig:
-    """The cell's engine config, each file it names opened by `open_map` and
-    left in its file; the engine builds a "soup" centre itself."""
-    provided = cfg.pivot_init_path is not None
-    pivot_init = ProvidedInit(open_map(cfg.pivot_init_path)) if provided else cfg.ensemble.pivot_init
-    projection = None
-    if cfg.projection is not None:
-        center = None if cfg.projection.center == "soup" else open_map(cfg.projection.center)
-        projection = Projection(center=center, radius=cfg.projection.radius)
-    greedy = Greedy(open_map(cfg.greedy.target_path)) if cfg.greedy.enabled else None
-    return dataclasses.replace(cfg.ensemble, pivot_init=pivot_init, projection=projection, greedy=greedy)
-
-
 def _run_merge_cell(cfg: MergeConfig, engine_cfg: EnsembleConfig | Exception, out_dir: str,
-                    ingredients: list[Ingredient], workers: int) -> tuple[str, str]:
+                    ingredients: tuple[Ingredient, ...], workers: int) -> tuple[str, str]:
     """Run the cell into out_dir and return its (checkpoint, log) paths, or
     raise the exception given for its engine config (a file it names failed to open)."""
+    from .engine import run_ensemble
+
     if isinstance(engine_cfg, Exception):
         raise engine_cfg
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
     out_log = os.path.join(out_dir, cfg.out_log)
     merged, record = run_ensemble(engine_cfg, ingredients, workers=workers)
-    init, projection, greedy = engine_cfg.pivot_init, engine_cfg.projection, engine_cfg.greedy
-    named = [getattr(init, "weights", None), projection and projection.center, greedy and greedy.target]
     publish({out_ckpt: partial(save_checkpoint, merged), out_log: record.to_csv},
-            [ing.weights for ing in ingredients] + [m for m in named if isinstance(m, StoredMap)])
+            _found((ingredients, engine_cfg), StoredMap))
     return out_ckpt, out_log
 
 
@@ -198,23 +211,25 @@ def cmd_merge(args) -> int:
 
 def cmd_greedy(args) -> int:
     from .config import enumerate_sweep, load_json
+    from .engine import Greedy
 
     cells = enumerate_sweep(load_json(args.config))
-    if any(cfg.greedy.target_path is None for _, cfg in cells):
+    if any(cfg.evaluator is None for _, cfg in cells):
         raise UsageError("greedy requested but the config has no greedy evaluator")
-    forced = [(overrides, dataclasses.replace(cfg, greedy=dataclasses.replace(cfg.greedy, enabled=True)))
-              for overrides, cfg in cells]
+    forced = []
+    for overrides, cfg in cells:
+        ensemble = dataclasses.replace(cfg.ensemble, greedy=Greedy(cfg.evaluator))
+        forced.append((overrides, dataclasses.replace(cfg, ensemble=ensemble)))
     return _merge(args, forced)
 
 
-def _check_outputs(outputs: list[tuple[str, str]], inputs: list[tuple[str, str | None]], base_dir: str) -> None:
+def _check_outputs(outputs: list[tuple[str, str]], inputs: list[FileRef], base_dir: str) -> None:
     """Raise one ConfigError naming every output (what, path) whose real path
-    is an output's before it or an input's (what, path under base_dir, or
-    None). A merge checkpoint may replace an ingredient: the merge reads the
-    file it opened, which the rename leaves in place."""
+    is an output's before it or an input's (its path under base_dir). A
+    merge checkpoint may replace an ingredient: the merge reads the file it
+    opened, which the rename leaves in place."""
     errors: list[str] = []
-    taken = list(dict.fromkeys((what, os.path.realpath(os.path.join(base_dir, path)))
-                               for what, path in inputs if path is not None))
+    taken = list(dict.fromkeys((ref.what, os.path.realpath(os.path.join(base_dir, ref.path))) for ref in inputs))
     for what, path in outputs:
         path = os.path.realpath(path)
         for other, at in taken:
@@ -231,23 +246,22 @@ def _check_merge_outputs(cells: list[tuple[dict[str, Any], MergeConfig]], names:
                          out_dir: str) -> None:
     """Check every cell's outputs (each under its directory of `names`, ""
     for a single merge) and the sweep manifest against one another and the inputs."""
+    from .config import FileRef
+
     sweep = bool(cells[0][0])
-    first = cells[0][1]  # every cell shares the ingredient list and metrics CSV
-    inputs = [(f"ingredient {entry.id!r}", entry.path) for entry in first.ingredients]
-    inputs.append(("metrics_csv", first.metrics_csv))
+    inputs: list[FileRef] = []
     outputs = [("sweep_manifest.json", os.path.join(out_dir, "sweep_manifest.json"))] if sweep else []
     for cell, (_, cfg) in zip(names, cells):
-        center = cfg.projection.center if cfg.projection is not None else "soup"
-        inputs += [("ensemble.pivot_init", cfg.pivot_init_path),
-                   ("ensemble.projection.center", None if center == "soup" else center),
-                   ("ensemble.greedy.evaluator.target", cfg.greedy.target_path if cfg.greedy.enabled else None)]
+        # A cell reads the evaluator's target only where ensemble.greedy holds it.
+        inputs += _found(dataclasses.replace(cfg, evaluator=None), FileRef)
         outputs += [(f"{cell} output.{key}".lstrip(), os.path.join(out_dir, cell, path))
                     for key, path in (("checkpoint", cfg.out_checkpoint), ("log", cfg.out_log))]
     _check_outputs(outputs, inputs, base_dir)
 
 
 def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
-    from .config import sweep_cell_name
+    from .config import FileRef, sweep_cell_name
+    from .engine import _outcome, run_in_workers
 
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
@@ -260,8 +274,8 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
         opened: dict[str, StoredMap | Exception] = {}
         stack.callback(lambda: [m.close() for m in opened.values() if isinstance(m, StoredMap)])
 
-        def open_map(path: str) -> StoredMap:
-            path = os.path.join(base_dir, path)
+        def open_map(ref: FileRef) -> StoredMap:
+            path = os.path.join(base_dir, ref.path)
             if path not in opened:  # a failure is kept, and raised for each cell that names the file
                 opened[path] = _outcome(partial(open_checkpoint, path))
             if isinstance(opened[path], Exception):
@@ -277,7 +291,7 @@ def _merge(args, cells: list[tuple[dict[str, Any], MergeConfig]]) -> int:
         except Exception as exc:  # fails every cell, as it would if each cell opened them itself
             outcomes: list[Any] = [exc] * len(cells)
         else:
-            configs = [_outcome(partial(_build_engine_config, cell_cfg, open_map)) for _, cell_cfg in cells]
+            configs = [_outcome(partial(_replaced, cell_cfg.ensemble, FileRef, open_map)) for _, cell_cfg in cells]
             built = [engine_cfg for engine_cfg in configs if not isinstance(engine_cfg, Exception)]
             workers = _sweep_workers(built, ingredients[0].weights.num_elements())
             cell_workers = max(1, _usable_cpus() // workers)  # each worker's share of the CPUs
@@ -381,6 +395,8 @@ def _sweep_workers(configs: list[EnsembleConfig], size: int) -> int:
     """Processes to run the merge's cells in: one per usable CPU and cell at
     most, and only as many, W, as hold W times the largest cell's peak in the
     available memory (``engine.cell_bytes``, its tiles on its share of the CPUs)."""
+    from .engine import cell_bytes
+
     cpus, available = _usable_cpus(), _available_memory()
     for workers in range(min(len(configs), cpus), 1, -1):
         if workers * max(cell_bytes(cfg, size, cpus // workers) for cfg in configs) <= available:
@@ -392,6 +408,7 @@ def _sweep_workers(configs: list[EnsembleConfig], size: int) -> int:
 
 
 def cmd_synth_estimators(args) -> int:
+    from .optim import OptimizerSpec
     from .synthlab import DistributionSpec, TrialConfig, default_estimator_config, run_estimator_trials
 
     _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
@@ -500,51 +517,30 @@ def cmd_synth_wlln(args) -> int:
 
 
 def cmd_fed(args) -> int:
-    from .config import load_json, parse_fed_config
-    from .fedlab import ClientSpec, FedConfig, simulate_fedopt, simulate_fedsoup
+    from .config import FileRef, load_json, parse_fed_config
+    from .fedlab import simulate_fedopt, simulate_fedsoup
 
     cfg = parse_fed_config(load_json(args.config))
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out if args.out is not None else base_dir
     out_log = os.path.join(out_dir, cfg.out_log)
     out_ckpt = os.path.join(out_dir, cfg.out_checkpoint)
-    points = [("init", cfg.init_path), *((f"client {c.id!r} center", c.center_path) for c in cfg.clients)]
-    _check_outputs([("output.log", out_log), ("output.checkpoint", out_ckpt)], points, base_dir)
+    _check_outputs([("output.log", out_log), ("output.checkpoint", out_ckpt)], _found(cfg.fed, FileRef), base_dir)
 
     # A point file stays open until the outputs are written, and is checked unchanged then.
     with ExitStack() as stack:
         opened: list[StoredMap] = []
 
-        def point(values: tuple[float, ...] | None, path: str | None) -> WeightMap:
-            if values is not None:
-                return WeightMap({"w": np.asarray(values, dtype=np.float32)})
-            opened.append(stack.enter_context(open_checkpoint(os.path.join(base_dir, path))))
+        def load(ref: FileRef):
+            opened.append(stack.enter_context(open_checkpoint(os.path.join(base_dir, ref.path))))
             return opened[-1].load()
 
-        clients = tuple(
-            ClientSpec(
-                id=c.id,
-                objective_center=point(c.center_values, c.center_path),
-                local_optimizer=c.optimizer,
-                local_steps=c.local_steps,
-            )
-            for c in cfg.clients
-        )
-        fed_cfg = FedConfig(
-            clients=clients,
-            init=point(cfg.init_values, cfg.init_path),
-            rounds=cfg.rounds,
-            sample_size=cfg.sample_size,
-            seed=cfg.seed,
-            server=cfg.server,
-            client_soup=cfg.client_soup,
-            server_stew=cfg.server_stew,
-        )
-        result = simulate_fedopt(fed_cfg) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed_cfg)
+        fed = _replaced(cfg.fed, FileRef, load)
+        result = simulate_fedopt(fed) if cfg.algorithm == "fedopt" else simulate_fedsoup(fed)
         publish({out_log: result.to_csv, out_ckpt: partial(save_checkpoint, result.final)}, opened)
     _say(
         args,
-        f"{cfg.algorithm}: {cfg.rounds} rounds -> {out_ckpt}; final distance to center mean "
+        f"{cfg.algorithm}: {fed.rounds} rounds -> {out_ckpt}; final distance to center mean "
         f"{result.rounds[-1].distance_to_center_mean:.6f}",
     )
     return 0

@@ -2,8 +2,10 @@
 
 Validation is strict and total: unknown keys are rejected, every violation in
 the document is reported in one pass, and no checkpoint file is touched until
-the schema has been accepted. Parsed configs carry file *paths*; commands load
-the referenced checkpoints afterwards.
+the schema has been accepted. A config parses into the engine's and fedlab's
+own types, each field that names a file holding a `FileRef` (the path as
+written, and what names it) in place of its map; a command opens each one
+afterwards. A fed point given as values parses to its float32 map.
 
 Every JSON object of a document is read by one walk, `_fields`, through a
 field table that maps each of its keys to a parser(ctx, path, value): the
@@ -25,9 +27,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .engine import ORDERINGS, EnsembleConfig, IngredientInit, SoupInit
+import numpy as np
+
+from .engine import ORDERINGS, EnsembleConfig, Greedy, Ingredient, IngredientInit, Projection, ProvidedInit, SoupInit
 from .optim import GD, Adadelta, Adagrad, Adam, OptimizerSpec
 from .pseudograd import (
     AdaptivePivot,
@@ -42,14 +46,15 @@ from .pseudograd import (
     Schedule,
 )
 from .rng import MAX_SEED
+from .weightstore import WeightMap
+
+if TYPE_CHECKING:
+    from .fedlab import FedConfig
 
 __all__ = [
     "ConfigError",
-    "IngredientEntry",
-    "ProjectionSpec",
-    "GreedySpec",
+    "FileRef",
     "MergeConfig",
-    "ClientEntry",
     "FedRunConfig",
     "parse_merge_config",
     "parse_fed_config",
@@ -87,6 +92,15 @@ class _Ctx:
     def raise_if_failed(self) -> None:
         if self.errors:
             raise ConfigError(self.errors)
+
+
+@dataclass(frozen=True)
+class FileRef:
+    """A file a config names: its path as written (relative to the config's
+    directory), and what names it, as an error line calls it."""
+
+    path: str
+    what: str
 
 
 def load_json(path: str) -> Any:
@@ -214,6 +228,11 @@ def _numbers(ctx: _Ctx, path: str, value: Any) -> tuple[float, ...] | None:
     return None if None in numbers else numbers
 
 
+def _file(ctx: _Ctx, path: str, value: Any, *, what: str, message=None) -> FileRef | None:
+    name = _string(ctx, path, value, message=message)
+    return None if name is None else FileRef(name, what)
+
+
 def _version(ctx: _Ctx, path: str, value: Any) -> Any:
     if type(value) is not int or value != SUPPORTED_VERSION:  # not True, not 1.0
         ctx.err(path, f"expected {SUPPORTED_VERSION}, got {value!r}")
@@ -308,37 +327,16 @@ parse_optimizer = partial(_kinds, kinds=_OPTIMIZERS, expected="expected an optim
 
 
 @dataclass(frozen=True)
-class IngredientEntry:
-    path: str
-    id: str
-    metric: float | None = None
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    center: str  # "soup" or a checkpoint path
-    radius: float
-
-
-@dataclass(frozen=True)
-class GreedySpec:
-    enabled: bool = False
-    target_path: str | None = None  # neg-L2-distance evaluator target
-
-
-@dataclass(frozen=True)
 class MergeConfig:
-    """A parsed merge config. `ensemble` holds the engine's settings except
-    those that need a file: a provided pivot initialization (its path is
-    `pivot_init_path`, and `ensemble.pivot_init` is then the default) and a
-    projection, which the command loads before the run."""
+    """A parsed merge config: the ingredients and the engine config, and what
+    no engine type holds. `evaluator` is the greedy evaluator's target,
+    whether greedy acceptance is enabled or not (`soupstock greedy` enables
+    it); a run reads it only where `ensemble.greedy` holds it."""
 
-    ingredients: tuple[IngredientEntry, ...]
-    metrics_csv: str | None
+    ingredients: tuple[Ingredient, ...]
+    metrics_csv: FileRef | None
     ensemble: EnsembleConfig
-    pivot_init_path: str | None
-    projection: ProjectionSpec | None
-    greedy: GreedySpec
+    evaluator: FileRef | None
     out_checkpoint: str
     out_log: str
     sweep: dict[str, list[Any]] | None = None
@@ -365,20 +363,24 @@ def _parse_pivot_policy(ctx: _Ctx, path: str, value: Any) -> PivotPolicy | None:
     return None
 
 
-# A provided initialization parses to the path of its checkpoint.
 _PIVOT_INITS = {
     "soup": ({}, set(), SoupInit),
     "ingredient": ({"id": _string}, {"id"}, IngredientInit),
-    "provided": ({"path": _string}, {"path"}, lambda path: path),
+    "provided": ({"path": partial(_file, what="ensemble.pivot_init")}, {"path"}, lambda path: ProvidedInit(path)),
 }
 
 
-_PROJECTION_FIELDS = {"center": partial(_string, message="expected 'soup' or a checkpoint path"),
-                      "radius": _POSITIVE}
+# A "soup" centre parses to None: the run builds it.
+_PROJECTION_FIELDS = {
+    "center": _unless("soup", partial(_file, what="ensemble.projection.center",
+                                      message="expected 'soup' or a checkpoint path")),
+    "radius": _POSITIVE,
+}
 
 
-# The evaluator parses to its target's path.
-_EVALUATOR_FIELDS = {"kind": partial(_string, choices={"neg_distance"}), "target": _string}
+# The evaluator parses to its target.
+_EVALUATOR_FIELDS = {"kind": partial(_string, choices={"neg_distance"}),
+                     "target": partial(_file, what="ensemble.greedy.evaluator.target")}
 _GREEDY_FIELDS = {
     "enabled": _boolean,
     "evaluator": partial(_fields, table=_EVALUATOR_FIELDS, required=set(_EVALUATOR_FIELDS),
@@ -386,18 +388,18 @@ _GREEDY_FIELDS = {
 }
 
 
-def _parse_greedy(ctx: _Ctx, path: str, value: Any) -> GreedySpec | None:
+def _parse_greedy(ctx: _Ctx, path: str, value: Any) -> tuple[Greedy | None, FileRef | None] | None:
+    """Greedy acceptance if it is enabled (else None), and the evaluator's target."""
     fields = _fields(ctx, path, value, _GREEDY_FIELDS, {"enabled"}) or {}
     enabled, target = fields.get("enabled"), fields.get("evaluator")
     if enabled and target is None:
         ctx.err(path, "enabled greedy runs need a neg_distance evaluator")
         return None
-    return None if enabled is None else GreedySpec(enabled=enabled, target_path=target)
+    return None if enabled is None else (Greedy(target) if enabled else None, target)
 
 
 # A key left out of `ensemble` takes the default of the EnsembleConfig field
-# of its name. `pivot_init`, `projection` and `greedy` may parse to what
-# MergeConfig holds beside `ensemble`.
+# of its name. `greedy` parses to its field and MergeConfig's `evaluator`.
 _ENSEMBLE_FIELDS: dict[str, _Parser] = {
     "optimizer": parse_optimizer,
     "pivot_policy": _parse_pivot_policy,
@@ -412,15 +414,15 @@ _ENSEMBLE_FIELDS: dict[str, _Parser] = {
     "epoch_lr_reset": _boolean,
     "record_steps": _boolean,
     "projection": _unless(None, partial(_fields, table=_PROJECTION_FIELDS, required=set(_PROJECTION_FIELDS),
-                                        build=ProjectionSpec)),
+                                        build=Projection)),
     "greedy": _parse_greedy,
 }
 
 
-def _ingredient(path: str, id: str | None = None, metric: float | None = None) -> IngredientEntry:
+def _ingredient(path: str, id: str | None = None, metric: float | None = None) -> Ingredient:
     if id is None:  # no id, or null: the file name without its extension
         id = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return IngredientEntry(path=path, id=id, metric=metric)
+    return Ingredient(id=id, weights=FileRef(path, f"ingredient {id!r}"), metric=metric)
 
 
 def _parse_sweep(ctx: _Ctx, path: str, value: Any) -> dict[str, list[Any]] | None:
@@ -445,7 +447,7 @@ _MERGE_FIELDS: dict[str, _Parser] = {
         _unique_entries, table={"path": _string, "id": _unless(None, _string), "metric": _number},
         required={"path"}, build=_ingredient, noun="ingredient",
     ),
-    "metrics_csv": _string,
+    "metrics_csv": partial(_file, what="metrics_csv"),
     "ensemble": partial(_fields, table=_ENSEMBLE_FIELDS, required={"optimizer"}),
     "output": _parse_output,
     "sweep": _parse_sweep,
@@ -457,16 +459,12 @@ def parse_merge_config(doc: Any) -> MergeConfig:
     fields = _fields(ctx, "$", doc, _MERGE_FIELDS, {"version", "ingredients", "ensemble", "output"})
     ctx.raise_if_failed()
     ensemble = fields["ensemble"]
-    pivot_init_path = ensemble.pop("pivot_init") if isinstance(ensemble.get("pivot_init"), str) else None
-    projection = ensemble.pop("projection", None)
-    greedy = ensemble.pop("greedy", GreedySpec())
+    greedy, evaluator = ensemble.pop("greedy", (None, None))
     return MergeConfig(
         ingredients=fields["ingredients"],
         metrics_csv=fields.get("metrics_csv"),
-        ensemble=EnsembleConfig(**ensemble),
-        pivot_init_path=pivot_init_path,
-        projection=projection,
-        greedy=greedy,
+        ensemble=EnsembleConfig(**ensemble, greedy=greedy),
+        evaluator=evaluator,
         out_checkpoint=fields["output"]["checkpoint"],
         out_log=fields["output"]["log"],
         sweep=fields.get("sweep"),
@@ -521,39 +519,44 @@ def enumerate_sweep(doc: Any) -> list[tuple[dict[str, Any], MergeConfig]]:
 
 
 @dataclass(frozen=True)
-class ClientEntry:
-    id: str
-    center_values: tuple[float, ...] | None
-    center_path: str | None
-    optimizer: OptimizerSpec
-    local_steps: int
-
-
-@dataclass(frozen=True)
 class FedRunConfig:
-    algorithm: str  # "fedopt" | "fedsoup"
-    rounds: int
-    sample_size: int
-    seed: int
-    init_values: tuple[float, ...] | None
-    init_path: str | None
-    clients: tuple[ClientEntry, ...]
-    server: OptimizerSpec | None
-    client_soup: str
-    server_stew: OptimizerSpec | None
+    """A parsed fed config: the simulators' config, the protocol that runs
+    it ("fedopt" or "fedsoup") and the output paths."""
+
+    algorithm: str
+    fed: FedConfig
     out_log: str
     out_checkpoint: str
 
 
-_POINT_FIELDS = {"values": _numbers, "path": _string}
+def _values(ctx: _Ctx, path: str, value: Any) -> WeightMap | None:
+    """A non-empty list of numbers, as the float32 map {"w": values}; a value
+    beyond float32's range is a fault."""
+    numbers = _numbers(ctx, path, value)
+    if numbers is None:
+        return None
+    with np.errstate(over="ignore"):
+        values = np.asarray(numbers, dtype=np.float32)
+    for i in np.flatnonzero(np.isinf(values)):
+        ctx.err(f"{path}[{i}]", f"overflows float32, got {numbers[i]}")
+    return None if np.isinf(values).any() else WeightMap({"w": values})
 
 
-def _parse_point(ctx: _Ctx, path: str, value: Any) -> tuple[tuple[float, ...] | None, str | None] | None:
-    """{"values": [...]} or {"path": ...}, as (values, path) with one of them None."""
+def _parse_point(ctx: _Ctx, path: str, value: Any, what: str = "") -> WeightMap | FileRef | None:
+    """{"values": [...]} as its map, or {"path": ...} as a FileRef named `what`."""
     key = "values" if isinstance(value, dict) and "values" in value else "path"
-    return _fields(ctx, path, value, {key: _POINT_FIELDS[key]}, {key},
-                   lambda values=None, path=None: (values, path),
+    parse = _values if key == "values" else partial(_file, what=what)
+    return _fields(ctx, path, value, {key: parse}, {key}, lambda **point: point[key],
                    expected="expected {'values': [...]} or {'path': ...}")
+
+
+def _client(id: str, center: WeightMap | FileRef, optimizer: OptimizerSpec, local_steps: int = 1):
+    """A client; a centre given as a file is named by the client's id."""
+    from .fedlab import ClientSpec
+
+    if isinstance(center, FileRef):
+        center = FileRef(center.path, f"client {id!r} center")
+    return ClientSpec(id, center, optimizer, local_steps)
 
 
 _FED_FIELDS: dict[str, _Parser] = {
@@ -561,13 +564,12 @@ _FED_FIELDS: dict[str, _Parser] = {
     "algorithm": partial(_string, choices={"fedopt", "fedsoup"}),
     "rounds": partial(_integer, minimum=1),
     "seed": _SEED,
-    "init": _parse_point,
+    "init": partial(_parse_point, what="init"),
     "clients": partial(
         _unique_entries,
         table={"id": _string, "center": _parse_point, "optimizer": parse_optimizer,
                "local_steps": partial(_integer, minimum=1)},
-        required={"id", "center", "optimizer"}, noun="client",
-        build=lambda id, center, optimizer, local_steps=1: ClientEntry(id, *center, optimizer, local_steps),
+        required={"id", "center", "optimizer"}, noun="client", build=_client,
     ),
     "sample_size": partial(_integer, minimum=1),
     "server": parse_optimizer,
@@ -578,6 +580,8 @@ _FED_FIELDS: dict[str, _Parser] = {
 
 
 def parse_fed_config(doc: Any) -> FedRunConfig:
+    from .fedlab import FedConfig
+
     ctx = _Ctx()
     required = {"version", "algorithm", "rounds", "sample_size", "init", "clients", "output"}
     fields = _fields(ctx, "$", doc, _FED_FIELDS, required) or {}
@@ -590,17 +594,7 @@ def parse_fed_config(doc: Any) -> FedRunConfig:
     if algorithm == "fedsoup" and fields.get("server_stew") is None:
         ctx.err("$.server_stew", "fedsoup requires a server_stew optimizer")
     ctx.raise_if_failed()
-    return FedRunConfig(
-        algorithm=algorithm,
-        rounds=fields["rounds"],
-        sample_size=sample_size,
-        seed=fields.get("seed", 0),
-        init_values=fields["init"][0],
-        init_path=fields["init"][1],
-        clients=clients,
-        server=fields.get("server"),
-        client_soup=fields.get("client_soup", "linear"),
-        server_stew=fields.get("server_stew"),
-        out_log=fields["output"]["log"],
-        out_checkpoint=fields["output"]["checkpoint"],
-    )
+    # A key left out takes the default of the FedConfig field of its name.
+    fed = FedConfig(**{key: value for key, value in fields.items() if key not in ("version", "algorithm", "output")})
+    output = fields["output"]
+    return FedRunConfig(algorithm, fed, out_log=output["log"], out_checkpoint=output["checkpoint"])

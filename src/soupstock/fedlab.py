@@ -62,8 +62,8 @@ class FedConfig:
     and `server_stew` is the persistent server optimizer.
     """
 
-    clients: tuple[ClientSpec, ...]
     init: WeightMap
+    clients: tuple[ClientSpec, ...]
     rounds: int
     sample_size: int
     seed: int = 0

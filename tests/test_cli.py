@@ -13,13 +13,13 @@ from soupstock import engine
 from soupstock.cli import build_parser, main
 from soupstock.config import (
     ConfigError,
-    GreedySpec,
+    FileRef,
     enumerate_sweep,
     parse_fed_config,
     parse_merge_config,
     sweep_cell_name,
 )
-from soupstock.engine import EnsembleConfig, Ingredient, IngredientInit, run_ensemble
+from soupstock.engine import EnsembleConfig, Ingredient, IngredientInit, Projection, ProvidedInit, run_ensemble
 from soupstock.optim import GD, Adam, OptimizerSpec
 from soupstock.pseudograd import Constant, Harmonic
 from soupstock.synthlab import ConvergenceReport, default_estimator_config
@@ -784,7 +784,7 @@ def test_sweep_workers_fit_their_cells_into_available_memory(monkeypatch, ensemb
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1, 0.2, 0.3, 0.4]}
     cells = enumerate_sweep(doc)
     model = WeightMap({"w": np.zeros((10, 25), dtype=np.float32)})
-    configs = [cli._build_engine_config(cfg, lambda path: model) for _, cfg in cells]
+    configs = [cli._replaced(cfg.ensemble, FileRef, lambda ref: model) for _, cfg in cells]
     cell_bytes = engine.cell_bytes(configs[0], 250)
     assert cell_bytes >= 4 * 250 * buffers  # a model smaller than a tile counts its whole state
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
@@ -807,11 +807,11 @@ def cell_peak(tmp_path, ensemble, greedy, size):
     cells = enumerate_sweep(cell_doc(ensemble, greedy))
     [(_, cfg)] = cells
     with ExitStack() as stack:
-        def open_map(path):
-            return stack.enter_context(open_checkpoint(str(tmp_path / path)))
+        def open_map(ref):
+            return stack.enter_context(open_checkpoint(str(tmp_path / ref.path)))
 
         ingredients = cli._open_ingredients(cells, str(tmp_path), open_map)
-        engine_cfg = cli._build_engine_config(cfg, open_map)
+        engine_cfg = cli._replaced(cfg.ensemble, FileRef, open_map)
         with traced_peak() as peak:
             cli._run_merge_cell(cfg, engine_cfg, str(tmp_path / "out"), ingredients, 1)
     return engine_cfg, peak()
@@ -899,7 +899,7 @@ def test_unreadable_meminfo_leaves_no_memory_and_one_sweep_worker(monkeypatch):
     assert cli._available_memory() == 0
     doc = merge_doc(count=3)
     doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
-    configs = [cli._build_engine_config(cfg, lambda path: pytest.fail(f"opened {path}"))
+    configs = [cli._replaced(cfg.ensemble, FileRef, lambda ref: pytest.fail(f"opened {ref.path}"))
                for _, cfg in enumerate_sweep(doc)]
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     assert cli._sweep_workers(configs, 250) == 1
@@ -942,7 +942,7 @@ def test_sweep_counts_the_tiles_each_cell_steps_at_once(monkeypatch):
 
     doc = merge_doc(count=3, optimizer={"kind": "adam", "lr": 0.1})
     doc["sweep"] = {"ensemble.optimizer.weight_decay": [0.0, 0.1]}
-    configs = [cli._build_engine_config(cfg, lambda path: pytest.fail(f"opened {path}"))
+    configs = [cli._replaced(cfg.ensemble, FileRef, lambda ref: pytest.fail(f"opened {ref.path}"))
                for _, cfg in enumerate_sweep(doc)]
     size = 2 * engine.TILE
     one_tile = engine.cell_bytes(configs[0], size)
@@ -987,7 +987,7 @@ def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
     os.replace(paths[3], tmp_path / "init.safetensors")
     doc = merge_doc(count=3, pivot_init={"kind": "provided", "path": "init.safetensors"})
     (tmp_path / "merge.json").write_text(json.dumps(doc))
-    real_run = cli.run_ensemble
+    real_run = engine.run_ensemble
 
     def run_with_change(cfg, ingredients, **kwargs):
         if during_run:
@@ -996,7 +996,7 @@ def test_merge_ingredient_changed_after_open_exits_2_without_outputs(
         change(tmp_path / f"{changed}.safetensors")
         return result
 
-    monkeypatch.setattr(cli, "run_ensemble", run_with_change)
+    monkeypatch.setattr(engine, "run_ensemble", run_with_change)
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert f"{changed}.safetensors: {message}" in capsys.readouterr().err
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
@@ -1016,14 +1016,14 @@ def test_merge_reference_rewritten_during_the_run_exits_2_without_outputs(tmp_pa
         doc["ensemble"]["greedy"] = {"enabled": True,
                                      "evaluator": {"kind": "neg_distance", "target": "reference.safetensors"}}
     (tmp_path / "merge.json").write_text(json.dumps(doc))
-    real_run = cli.run_ensemble
+    real_run = engine.run_ensemble
 
     def run_then_change(cfg, ingredients, **kwargs):
         result = real_run(cfg, ingredients, **kwargs)
         _rewrite_in_place(tmp_path / "reference.safetensors")
         return result
 
-    monkeypatch.setattr(cli, "run_ensemble", run_then_change)
+    monkeypatch.setattr(engine, "run_ensemble", run_then_change)
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'reference.safetensors'}: file changed while it was open\n"
     assert list((tmp_path / "out").rglob("*")) == []  # no outputs, no temporaries
@@ -1059,10 +1059,11 @@ def test_sweep_ingredient_changed_after_the_cells_exits_2_without_a_manifest(tmp
 
     def run_then_change(tasks, workers):
         outcomes = [task() for task in tasks]
-        _rewrite_in_place(tmp_path / "ing2.safetensors")
+        if tasks[0].func is cli._run_merge_cell:  # the cells, not a cell's tiles
+            _rewrite_in_place(tmp_path / "ing2.safetensors")
         return outcomes
 
-    monkeypatch.setattr(cli, "run_in_workers", run_then_change)
+    monkeypatch.setattr(engine, "run_in_workers", run_then_change)
     out = tmp_path / "out"
     assert main(["merge", "--config", str(tmp_path / "merge.json"), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'ing2.safetensors'}: file changed while it was open\n"
@@ -1153,18 +1154,23 @@ def test_sweep_outputs_at_one_path_exit_1_before_any_run(tmp_path, capsys, key, 
 
 
 @pytest.mark.parametrize(
-    "output, what",
-    [({"log": "same.bin", "checkpoint": "same.bin"}, "output.log"),
-     ({"log": "fed.csv", "checkpoint": "init.safetensors"}, "init")],
-    ids=["log-and-checkpoint", "checkpoint-at-init"],
+    "output, centers, whats",
+    [({"log": "same.bin", "checkpoint": "same.bin"}, False, ["output.log"]),
+     ({"log": "fed.csv", "checkpoint": "init.safetensors"}, False, ["init"]),
+     ({"log": "fed.csv", "checkpoint": "init.safetensors"}, True,
+      ["init", "client 'c0' center", "client 'c1' center"])],
+    ids=["log-and-checkpoint", "checkpoint-at-init", "checkpoint-at-client-center"],
 )
-def test_fed_clashing_outputs_exit_1_before_the_run(tmp_path, capsys, output, what):
+def test_fed_clashing_outputs_exit_1_before_the_run(tmp_path, capsys, output, centers, whats):
     save_checkpoint(WeightMap({"w": np.zeros(2, dtype=np.float32)}), str(tmp_path / "init.safetensors"))
     doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0}, init={"path": "init.safetensors"}, output=output)
+    if centers:  # the inputs are the init, then each centre in config order
+        for client in doc["clients"]:
+            client["center"] = {"path": "init.safetensors"}
     code, err = _run_clashing(tmp_path, capsys, doc, command="fed")
     assert code == 1
     path = os.path.realpath(tmp_path / output["checkpoint"])
-    assert f"config error: output.checkpoint and {what} share the path {path}\n" in err
+    assert err == "".join(f"config error: output.checkpoint and {what} share the path {path}\n" for what in whats)
 
 
 def test_merge_may_write_over_an_ingredient(tmp_path):
@@ -1254,20 +1260,23 @@ def _main_in_subprocess(argv, *python_flags, **env):
     )
 
 
-@pytest.mark.parametrize("command", ["merge", "estimators"])
+@pytest.mark.parametrize("command", ["merge", "estimators", "soup"])
 def test_a_command_imports_only_its_own_modules(tmp_path, command):
-    # Beside what every command needs, a merge loads config and no lab, and
-    # the estimator trials load their lab and no config; importing the CLI
-    # has frozen what it imported.
+    # Beside what every command needs, a merge loads the engine and config
+    # and no lab, the estimator trials load the engine and their lab and no
+    # config, and a soup loads nothing more; importing the CLI has frozen
+    # what it imported.
     import soupstock
 
     write_ingredients(tmp_path, count=2)
     (tmp_path / "merge.json").write_text(json.dumps(merge_doc(count=2)))
     argv, modules = {
-        "merge": (["merge", "--config", str(tmp_path / "merge.json"), "--quiet"], ["config"]),
+        "merge": (["merge", "--config", str(tmp_path / "merge.json"), "--quiet"], ["config", "engine", "optim"]),
         "estimators": (["synth", "estimators", "--dist", "gaussian", "--trials", "2", "--population", "200",
                         "--subsample", "20", "--batch-size", "5", "--epochs", "2",
-                        "-o", str(tmp_path / "est.csv"), "--quiet"], ["synthlab"]),
+                        "-o", str(tmp_path / "est.csv"), "--quiet"], ["engine", "optim", "synthlab"]),
+        "soup": (["soup", str(tmp_path / "ing0.safetensors"), str(tmp_path / "ing1.safetensors"),
+                  "-o", str(tmp_path / "soup.safetensors"), "--quiet"], []),
     }[command]
     code = ("import gc, sys; from soupstock.cli import main; frozen = gc.get_freeze_count(); "
             "code = main(sys.argv[1:]); "
@@ -1276,7 +1285,7 @@ def test_a_command_imports_only_its_own_modules(tmp_path, command):
     done = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=300)
     assert done.stderr == ""
-    shared = ["cli", "engine", "optim", "pseudograd", "rng", "weightstore"]
+    shared = ["cli", "pseudograd", "rng", "weightstore"]
     assert done.stdout.split() == ["0", "True", *(f"soupstock.{m}" for m in sorted(shared + modules))]
 
 
@@ -1339,16 +1348,16 @@ def test_merge_steps_get_each_workers_share_of_the_cpus(tmp_path, monkeypatch):
     doc["sweep"] = {"ensemble.optimizer.lr": [0.1, 0.2]}
     (tmp_path / "sweep.json").write_text(json.dumps(doc))
     workers = []
-    real_run = cli.run_ensemble
+    real_run = engine.run_ensemble
 
     def recording_run(cfg, ingredients, **kwargs):
         workers.append(kwargs["workers"])
         return real_run(cfg, ingredients, **kwargs)
 
-    monkeypatch.setattr(cli, "run_ensemble", recording_run)
+    monkeypatch.setattr(engine, "run_ensemble", recording_run)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
     monkeypatch.setattr(cli, "_sweep_workers", lambda configs, size: min(2, len(configs)))  # 1 for one cell
-    monkeypatch.setattr(cli, "run_in_workers", lambda tasks, workers: [task() for task in tasks])
+    monkeypatch.setattr(engine, "run_in_workers", lambda tasks, workers: [task() for task in tasks])
     for name in ("one", "sweep"):
         assert main(["merge", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
     assert workers == [5, 2, 2]
@@ -1472,6 +1481,29 @@ def test_greedy_sweep_turns_greedy_on_in_every_cell(tmp_path):
             if cell.startswith("cell-")]
     assert len(logs) == 2 and logs[0] == logs[1]
     assert all(row.split(",")[-1] in ("true", "false") for row in logs[0].strip().splitlines()[1:])
+
+
+def test_a_disabled_evaluator_is_an_input_of_greedy_alone(tmp_path, capsys):
+    # A merge reads no disabled evaluator: its target may be missing, and an
+    # output may take its path. `greedy` enables it, so it opens the target,
+    # and an output at its path clashes.
+    write_ingredients(tmp_path, count=3)
+    doc = merge_doc(count=3)
+    doc["ensemble"]["greedy"] = {"enabled": False,
+                                 "evaluator": {"kind": "neg_distance", "target": "target.safetensors"}}
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    for command, code in (("merge", 0), ("greedy", 2)):
+        assert main([command, "--config", str(tmp_path / "merge.json"), "--out", str(tmp_path / command),
+                     "--quiet"]) == code
+    target = tmp_path / "target.safetensors"
+    assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: '{target}'\n"
+    doc["output"]["log"] = "target.safetensors"
+    code, err = _run_clashing(tmp_path, capsys, doc, command="greedy")
+    assert code == 1
+    assert err == f"config error: output.log and ensemble.greedy.evaluator.target share the path {target}\n"
+    (tmp_path / "merge.json").write_text(json.dumps(doc))
+    assert main(["merge", "--config", str(tmp_path / "merge.json"), "--quiet"]) == 0
+    assert target.read_text().startswith("step,")  # the run's log
 
 
 # --- synth ------------------------------------------------------------------------
@@ -1861,7 +1893,7 @@ def test_fed_sample_size_counts_clients_with_faults_too():
 
 def test_seed_fields_take_any_64_bit_seed():
     doc = fed_doc("fedopt", seed=2**64 - 1, server={"kind": "gd", "lr": 1.0})
-    assert parse_fed_config(doc).seed == 2**64 - 1
+    assert parse_fed_config(doc).fed.seed == 2**64 - 1
     with pytest.raises(ConfigError) as info:
         parse_fed_config({**doc, "seed": 2**64})
     assert info.value.errors == [f"$.seed: must be <= {2**64 - 1}, got {2**64}"]
@@ -1995,7 +2027,7 @@ def test_parse_merge_defaults():
     assert cfg.ensemble.epochs == 1 and cfg.ensemble.batch_size == 1
     assert cfg.ensemble.ordering == "given"
     assert cfg.ensemble.n_divisor == 1
-    assert cfg.greedy.enabled is False
+    assert (cfg.ensemble.greedy, cfg.evaluator) == (None, None)
     assert cfg.ensemble.amplification == Constant(1.0)
     assert isinstance(cfg.ensemble.optimizer.variant.lr, Harmonic)
 
@@ -2005,14 +2037,14 @@ def test_parse_merge_leaves_absent_keys_at_the_engine_defaults():
     doc["ensemble"] = {"optimizer": {"kind": "gd", "lr": 0.5}}
     cfg = parse_merge_config(doc)
     assert cfg.ensemble == EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))))
-    assert (cfg.pivot_init_path, cfg.projection, cfg.greedy) == (None, None, GreedySpec())
+    assert (cfg.ensemble.projection, cfg.ensemble.greedy, cfg.evaluator) == (None, None, None)
     doc["ensemble"].update(pivot_init={"kind": "provided", "path": "init.safetensors"}, n_divisor="auto")
     cfg = parse_merge_config(doc)
-    assert cfg.pivot_init_path == "init.safetensors"
-    assert cfg.ensemble == EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))))
+    assert cfg.ensemble == EnsembleConfig(optimizer=OptimizerSpec(GD(lr=Constant(0.5))),
+                                          pivot_init=ProvidedInit(FileRef("init.safetensors", "ensemble.pivot_init")))
     doc["ensemble"]["pivot_init"] = {"kind": "ingredient", "id": "ing1"}
     cfg = parse_merge_config(doc)
-    assert cfg.pivot_init_path is None and cfg.ensemble.pivot_init == IngredientInit("ing1")
+    assert cfg.ensemble.pivot_init == IngredientInit("ing1")
 
 
 def test_parse_number_shorthand_schedule():
@@ -2034,7 +2066,7 @@ def test_parse_projection_and_ema():
     doc["ensemble"]["pivot_policy"] = {"kind": "ema", "decay": 0.9}
     doc["ensemble"]["projection"] = {"center": "soup", "radius": 2.0}
     cfg = parse_merge_config(doc)
-    assert cfg.projection.radius == 2.0
+    assert cfg.ensemble.projection == Projection(center=None, radius=2.0)
     doc["ensemble"]["pivot_policy"] = {"kind": "fixed", "decay": 0.9}
     with pytest.raises(ConfigError, match="ema"):
         parse_merge_config(doc)
@@ -2164,6 +2196,23 @@ def test_a_fed_client_reports_every_bad_key():
         "$.clients[0].optimizer.eps: must be > 0.0, got -1",
         "$.clients[0].local_steps: must be >= 1, got 0",
     ]
+
+
+def test_fed_point_values_beyond_float32_are_a_config_error(tmp_path, capsys):
+    largest = float(np.finfo(np.float32).max)
+    doc = fed_doc("fedopt", server={"kind": "gd", "lr": 1.0}, init={"values": [1e39, largest]})
+    doc["clients"][1]["center"] = {"values": [-1e39, -largest]}
+    (tmp_path / "fed.json").write_text(json.dumps(doc))
+    with no_warnings():
+        assert main(["fed", "--config", str(tmp_path / "fed.json"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: $.init.values[0]: overflows float32, got 1e+39\n"
+        "config error: $.clients[1].center.values[0]: overflows float32, got -1e+39\n"
+    )
+    assert not (tmp_path / "fedopt.csv").exists()
+    doc["init"]["values"][0] = 0.0
+    doc["clients"][1]["center"]["values"][0] = 0.0
+    assert parse_fed_config(doc).fed.init == WeightMap({"w": np.array([0.0, largest], dtype=np.float32)})
 
 
 def test_fed_duplicate_client_ids_are_a_config_error(tmp_path, capsys):
